@@ -30,6 +30,28 @@ let find_workload name =
 
 (* Common options. *)
 
+(* Range-checked numbers: a malformed value is a usage error (exit 124,
+   the option named in the message), never an exception escaping from
+   deep inside the pipeline. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some w when Float.is_finite w && w > 0.0 -> Ok w
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected a positive finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let bench_arg =
   let doc = "Benchmark name (see $(b,casted list))." in
   Arg.(value & opt string "cjpeg" & info [ "w"; "benchmark" ] ~doc)
@@ -53,11 +75,15 @@ let scheme_arg =
   in
   Arg.(value & opt scheme_conv Scheme.Casted & info [ "s"; "scheme" ] ~doc)
 
+let issue_conv = int_at_least 1
+let delay_conv = int_at_least 0
+
 let issue_arg =
-  Arg.(value & opt int 2 & info [ "issue" ] ~doc:"Issue width per cluster.")
+  Arg.(
+    value & opt issue_conv 2 & info [ "issue" ] ~doc:"Issue width per cluster.")
 
 let delay_arg =
-  Arg.(value & opt int 2 & info [ "delay" ] ~doc:"Inter-cluster delay.")
+  Arg.(value & opt delay_conv 2 & info [ "delay" ] ~doc:"Inter-cluster delay.")
 
 let size_arg =
   let parse = function
@@ -74,7 +100,8 @@ let size_arg =
 
 let trials_arg =
   Arg.(
-    value & opt int 300
+    value
+    & opt (int_at_least 1) 300
     & info [ "trials" ] ~doc:"Monte-Carlo trials per campaign.")
 
 let model_conv =
@@ -115,38 +142,20 @@ let ci_halfwidth_arg =
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "ci-halfwidth" ] ~docv:"PP" ~doc)
-
-let checkpoint_arg =
-  let doc =
-    "Write the partial tally to $(docv) periodically (and at the end), so \
-     a killed campaign can be resumed with $(b,--resume)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
-let checkpoint_every_arg =
-  let doc = "Checkpoint period, in trials (rounded to chunk boundaries)." in
-  Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from the $(b,--checkpoint) file. The resumed campaign is \
-     bit-identical to an uninterrupted one; the checkpoint must come from \
-     the same benchmark/scheme/seed/model/trials configuration."
-  in
-  Arg.(value & flag & info [ "resume" ] ~doc)
 
 let store_arg =
   let doc =
     "Persistent result store directory (created if absent). The campaign \
-     becomes incremental: a cell whose tally is already banked at this \
-     (benchmark, scheme, config, fault model, seed, trials) identity is \
-     served with zero simulation; a partially banked cell resumes at its \
-     banked trial index; the final tally is written back. Incompatible \
-     with $(b,--ci-halfwidth) and $(b,--checkpoint)/$(b,--resume) (the \
-     store subsumes both)."
+     becomes incremental and crash-safe: a cell whose tally is already \
+     banked at this (benchmark, scheme, config, fault model, seed, \
+     trials) identity is served with zero simulation; the running tally \
+     is banked after every finished 64-trial chunk, so a killed or \
+     partially banked cell resumes at its banked trial index; the final \
+     tally is written back. With $(b,--ci-halfwidth) the target is part \
+     of the cell's identity and a rerun resumes to the same stopping \
+     point."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
@@ -438,14 +447,6 @@ let no_compile_arg =
   in
   Arg.(value & flag & info [ "no-compile" ] ~doc)
 
-let allow_legacy_checkpoint_arg =
-  let doc =
-    "Allow $(b,--resume) to load a legacy identity-less checkpoint file. \
-     Such files carry nothing tying them to this campaign, so they are \
-     refused by default."
-  in
-  Arg.(value & flag & info [ "allow-legacy-checkpoint" ] ~doc)
-
 let retry_budget_arg =
   let doc =
     "Rollback retry budget: how many region re-executions a trial may \
@@ -454,7 +455,9 @@ let retry_budget_arg =
      schemes."
   in
   Arg.(
-    value & opt (some int) None & info [ "retry-budget" ] ~docv:"N" ~doc)
+    value
+    & opt (some (int_at_least 0)) None
+    & info [ "retry-budget" ] ~docv:"N" ~doc)
 
 let min_recovered_arg =
   let doc =
@@ -482,28 +485,17 @@ let pp_mwtf ppf m =
   else Format.fprintf ppf "%.2f" m
 
 let campaign_cmd =
-  let run bench scheme issue delay trials model ci_halfwidth checkpoint
-      checkpoint_every resume no_replay no_compile allow_legacy_checkpoint
-      retry_budget min_recovered store_dir shard jobs trace metrics =
-    if resume && checkpoint = None then begin
-      Printf.eprintf "casted: --resume requires --checkpoint FILE\n";
-      exit 2
-    end;
+  let run bench scheme issue delay trials model ci_halfwidth no_replay
+      no_compile retry_budget min_recovered store_dir shard jobs trace metrics
+      =
     if shard <> None && store_dir = None then begin
       Printf.eprintf "casted: --shard requires --store DIR\n";
       exit 2
     end;
-    if store_dir <> None && ci_halfwidth <> None then begin
+    if shard <> None && ci_halfwidth <> None then begin
       Printf.eprintf
-        "casted: --store cannot be combined with --ci-halfwidth (early \
-         stopping would make the banked trial count depend on the sampling \
-         path)\n";
-      exit 2
-    end;
-    if store_dir <> None && (checkpoint <> None || resume) then begin
-      Printf.eprintf
-        "casted: --store subsumes --checkpoint/--resume — the store is the \
-         durable partial tally\n";
+        "casted: --shard cannot be combined with --ci-halfwidth (a shard \
+         cannot know where the whole campaign stops)\n";
       exit 2
     end;
     with_obs ~trace ~metrics @@ fun () ->
@@ -520,9 +512,8 @@ let campaign_cmd =
         in
         let store = Option.map open_store store_dir in
         let sc =
-          Engine.campaign_stored engine ~model ?ci_halfwidth ?checkpoint
-            ~checkpoint_every ~resume ~replay:(not no_replay)
-            ~compile:(not no_compile) ~allow_legacy_checkpoint ?retry_budget
+          Engine.campaign_stored engine ~model ?ci_halfwidth
+            ~replay:(not no_replay) ~compile:(not no_compile) ?retry_budget
             ?store ?shard ~trials spec
         in
         let result = sc.Engine.result in
@@ -585,16 +576,15 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
-         "Run one Monte-Carlo fault campaign (checkpointable, resumable, \
-          incremental against a persistent result store, shardable across \
-          processes, with Wilson confidence intervals, optional early \
-          stopping, and recovered-fraction / MWTF reporting)")
+         "Run one Monte-Carlo fault campaign (incremental and crash-safe \
+          against a persistent result store, shardable across processes, \
+          with Wilson confidence intervals, optional early stopping, and \
+          recovered-fraction / MWTF reporting)")
     Term.(
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
-      $ model_arg $ ci_halfwidth_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ no_replay_arg $ no_compile_arg
-      $ allow_legacy_checkpoint_arg $ retry_budget_arg $ min_recovered_arg
-      $ store_arg $ shard_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      $ model_arg $ ci_halfwidth_arg $ no_replay_arg $ no_compile_arg
+      $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
+      $ jobs_arg $ trace_arg $ metrics_arg)
 
 let recover_cmd =
   let run bench issue delay trials model retry_budget jobs trace metrics =
@@ -805,7 +795,8 @@ let trace_cmd =
   in
   let trials =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "trials" ]
           ~doc:
             "Also run a Monte-Carlo campaign of $(docv) trials so the trace \
@@ -1277,12 +1268,14 @@ let work_cmd =
   in
   let issues =
     Arg.(
-      value & opt (list int) [ 2 ]
+      value
+      & opt (list issue_conv) [ 2 ]
       & info [ "issues" ] ~docv:"I,.." ~doc:"Issue widths for $(b,--enqueue).")
   in
   let delays =
     Arg.(
-      value & opt (list int) [ 2 ]
+      value
+      & opt (list delay_conv) [ 2 ]
       & info [ "delays" ] ~docv:"D,.." ~doc:"Delays for $(b,--enqueue).")
   in
   let models =

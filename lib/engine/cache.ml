@@ -24,9 +24,8 @@ let pp_key ppf k =
     (Scheme.name k.scheme) k.issue_width k.delay
 
 (* One line, stable across runs AND across casted/OCaml versions: what
-   campaign checkpoints embed, and what the on-disk result store hashes
-   into entry addresses, so both can prove a tally belongs to the same
-   (workload, scheme, config) point. Non-default knobs are folded in as
+   the on-disk result store hashes into entry addresses, so it can prove
+   a tally belongs to the same (workload, scheme, config) point. Non-default knobs are folded in as
    an FNV-1a hash of an explicit canonical rendering — never
    [Hashtbl.hash], whose value is an implementation detail that may
    change between compiler releases and would silently orphan every

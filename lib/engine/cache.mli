@@ -42,12 +42,11 @@ val key :
 
 val pp_key : Format.formatter -> key -> unit
 
-(** One-line stable identity for [key] — what campaign checkpoints
-    embed so [--resume] can refuse a checkpoint from a different
-    (workload, scheme, config) point, and what the on-disk result
-    store hashes into entry addresses. The rendering is pinned by
-    golden unit tests and must never change shape silently: doing so
-    orphans every persisted store entry and checkpoint. Non-default
+(** One-line stable identity for [key] — what the on-disk result
+    store hashes into entry addresses, so a tally is never served to a
+    different (workload, scheme, config) point. The rendering is pinned
+    by golden unit tests and must never change shape silently: doing so
+    orphans every persisted store entry. Non-default
     options are folded in as an FNV-1a hash of an explicit canonical
     rendering (stable across OCaml releases, unlike [Hashtbl.hash]). *)
 val identity : key -> string

@@ -116,32 +116,6 @@ type sweep_point = {
   run : Outcome.run;
 }
 
-type job =
-  | Compile of Cache.key
-  | Simulate of Cache.key
-  | Campaign of {
-      spec : Cache.key;
-      trials : int;
-      seed : int;
-      fuel_factor : int;
-      model : Casted_sim.Fault.model;
-      ci_halfwidth : float option;
-      checkpoint : string option;
-      resume : bool;
-    }
-  | Sweep of {
-      size : Workload.size;
-      benchmarks : string list;
-      issues : int list;
-      delays : int list;
-    }
-
-type outcome =
-  | Compiled of Pipeline.compiled
-  | Simulated of Pipeline.compiled * Outcome.run
-  | Campaigned of Montecarlo.result
-  | Swept of sweep_point list
-
 let compile t key = timed t `Compile (fun () -> Cache.compile t.cache key)
 
 let simulate t key =
@@ -302,12 +276,10 @@ let shard_resume_index ~shard ~trials banked =
   go 0 (owned_chunks ~shard ~trials)
 
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?(resume = false) ?(replay = true)
-    ?compile:(use_compiled = true) ?retry_budget
-    ?(allow_legacy_checkpoint = false) ?store ?(shard = (0, 1)) ~trials key =
+    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?(replay = true)
+    ?compile:(use_compiled = true) ?retry_budget ?store ?(shard = (0, 1))
+    ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
-  let identity = campaign_identity key model in
   (* Compile (cached) under the compile timer, then hand the memoized
      decoded program — and, with replay on, the memoized golden-run
      snapshot set, plus the memoized stage-2 compiled program — to the
@@ -330,10 +302,8 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     in
     timed t `Campaign (fun () ->
         Montecarlo.run_decoded ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ?checkpoint ?checkpoint_every ~resume ~identity
-          ~replay ?replay_set ~compile:use_compiled ?compiled ?retry_budget
-          ~allow_legacy_checkpoint ~shard ?prior ?bank ~trials:n_trials
-          decoded)
+          ?ci_halfwidth ~replay ?replay_set ~compile:use_compiled ?compiled
+          ?retry_budget ~shard ?prior ?bank ~trials:n_trials decoded)
   in
   match store with
   | None ->
@@ -345,19 +315,16 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         complete = shard = (0, 1);
       }
   | Some s ->
-      if ci_halfwidth <> None then
-        invalid_arg
-          "Engine.campaign: a store-backed campaign cannot use \
-           ci_halfwidth (early stopping would make the banked trial count \
-           depend on the sampling path)";
-      if checkpoint <> None || resume then
-        invalid_arg
-          "Engine.campaign: a store-backed campaign is its own checkpoint \
-           — drop --checkpoint/--resume";
       let retry_for_store = Option.value retry_budget ~default:(-1) in
       let skey =
-        Store.key ~retry_budget:retry_for_store ~shard ~identity ~seed
-          ~fuel_factor ~trials ()
+        Store.key ~retry_budget:retry_for_store ~shard
+          ~identity:(campaign_identity key model) ~seed ~fuel_factor ~trials
+          ()
+      in
+      let skey =
+        match ci_halfwidth with
+        | Some w -> Store.early_stop ~ci_halfwidth:w skey
+        | None -> skey
       in
       let spec = spec_of_key key model in
       let serve ?(simulated = 0) (e : Store.entry) ~complete =
@@ -368,6 +335,14 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
           complete;
         }
       in
+      let put r =
+        Store.put s (entry_of_result ~spec skey r);
+        bump_store t (fun c -> { c with store_writes = c.store_writes + 1 })
+      in
+      (* Bank the running tally after every finished owned 64-trial
+         chunk, so a killed campaign's finished chunks survive and a
+         rerun resumes after the last of them. *)
+      let bank ~next:_ r = put r in
       let write_merged () =
         (* All shards banked: publish the summed tally as the cell's
            full entry so every later lookup is a single-read hit. *)
@@ -381,82 +356,90 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                 { c with store_writes = c.store_writes + 1 });
             Some merged
       in
+      let full_hit (e : Store.entry) ~complete =
+        bump_store t (fun c ->
+            {
+              c with
+              full_hits = c.full_hits + 1;
+              trials_served = c.trials_served + e.Store.trials_done;
+            });
+        Casted_obs.Metrics.incr "engine.store.full_hits";
+        serve e ~complete
+      in
+      let miss ?bank () =
+        let result = simulate ~shard ?bank trials in
+        bump_store t (fun c ->
+            {
+              c with
+              store_misses = c.store_misses + 1;
+              trials_simulated = c.trials_simulated + result.Montecarlo.trials;
+            });
+        Casted_obs.Metrics.incr "engine.store.misses";
+        result
+      in
+      (* Resume a banked entry at trial index [start]; [simulated]
+         counts only the trials this call ran. *)
+      let resume ~what (e : Store.entry) ~start =
+        let result =
+          simulate ~shard ~prior:(start, e.Store.counts) ~bank trials
+        in
+        check_golden_agreement ~what e result;
+        put result;
+        let simulated = result.Montecarlo.trials - e.Store.trials_done in
+        bump_store t (fun c ->
+            {
+              c with
+              partial_hits = c.partial_hits + 1;
+              trials_served = c.trials_served + e.Store.trials_done;
+              trials_simulated = c.trials_simulated + simulated;
+            });
+        Casted_obs.Metrics.incr "engine.store.partial_hits";
+        (result, simulated)
+      in
+      (* An early-stop cell is finished once its banked tally already
+         satisfies the stop rule: the campaign checked it at every
+         chunk boundary, so that is exactly where it stopped. *)
+      let finished (e : Store.entry) =
+        e.Store.trials_done = trials
+        ||
+        match ci_halfwidth with
+        | Some w ->
+            Montecarlo.early_stop_reached ~ci_halfwidth:w
+              (result_of_entry ~model e)
+        | None -> false
+      in
       if snd shard = 1 then begin
         match store_get (Store.find s skey) with
-        | Some e when e.Store.trials_done = trials ->
-            bump_store t (fun c ->
-                {
-                  c with
-                  full_hits = c.full_hits + 1;
-                  trials_served = c.trials_served + trials;
-                });
-            Casted_obs.Metrics.incr "engine.store.full_hits";
-            serve e ~complete:true
+        | Some e when finished e -> full_hit e ~complete:true
         | Some e when e.Store.trials_done < trials ->
-            (* Incremental fill: resume from the banked tally exactly as
-               a checkpoint resume would, then extend the entry. *)
-            let result =
-              simulate ~shard
-                ~prior:(e.Store.trials_done, e.Store.counts)
-                trials
+            (* Incremental fill or crash resume: continue from the
+               banked tally, then extend the entry. *)
+            let result, simulated =
+              resume ~what:"incremental resume" e ~start:e.Store.trials_done
             in
-            check_golden_agreement ~what:"incremental resume" e result;
-            Store.put s (entry_of_result ~spec skey result);
-            bump_store t (fun c ->
-                {
-                  c with
-                  partial_hits = c.partial_hits + 1;
-                  store_writes = c.store_writes + 1;
-                  trials_served = c.trials_served + e.Store.trials_done;
-                  trials_simulated =
-                    c.trials_simulated + (trials - e.Store.trials_done);
-                });
-            Casted_obs.Metrics.incr "engine.store.partial_hits";
-            {
-              result;
-              simulated = trials - e.Store.trials_done;
-              served = e.Store.trials_done;
-              complete = true;
-            }
+            { result; simulated; served = e.Store.trials_done; complete = true }
         | Some e ->
             (* The banked tally covers MORE trials than requested; the
                first [trials] of it cannot be recovered from counts.
                Simulate the request fresh and leave the richer entry
-               alone. *)
-            let result = simulate ~shard trials in
+               alone (no banking either). *)
+            let result = miss () in
             check_golden_agreement ~what:"oversized entry" e result;
-            bump_store t (fun c ->
-                {
-                  c with
-                  store_misses = c.store_misses + 1;
-                  trials_simulated = c.trials_simulated + trials;
-                });
-            Casted_obs.Metrics.incr "engine.store.misses";
-            { result; simulated = trials; served = 0; complete = true }
-        | None -> (
-            (* Absent cell — but its shards may already cover it. *)
-            match write_merged () with
-            | Some merged ->
-                bump_store t (fun c ->
-                    {
-                      c with
-                      full_hits = c.full_hits + 1;
-                      trials_served = c.trials_served + trials;
-                    });
-                Casted_obs.Metrics.incr "engine.store.full_hits";
-                serve merged ~complete:true
-            | None ->
-                let result = simulate ~shard trials in
-                Store.put s (entry_of_result ~spec skey result);
-                bump_store t (fun c ->
-                    {
-                      c with
-                      store_misses = c.store_misses + 1;
-                      store_writes = c.store_writes + 1;
-                      trials_simulated = c.trials_simulated + trials;
-                    });
-                Casted_obs.Metrics.incr "engine.store.misses";
-                { result; simulated = trials; served = 0; complete = true })
+            {
+              result;
+              simulated = result.Montecarlo.trials;
+              served = 0;
+              complete = true;
+            }
+        | None ->
+            let result = miss ~bank () in
+            put result;
+            {
+              result;
+              simulated = result.Montecarlo.trials;
+              served = 0;
+              complete = true;
+            }
       end
       else begin
         (* Shard worker: serve the cell if it is already complete,
@@ -464,112 +447,40 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
            every owned 64-trial chunk so a killed worker's finished
            chunks survive — and merge if that was the last one. *)
         let share = shard_share ~shard ~trials in
-        let bank ~next:_ r =
-          Store.put s (entry_of_result ~spec skey r);
-          bump_store t (fun c ->
-              { c with store_writes = c.store_writes + 1 })
-        in
         let full_key = { skey with Store.shard = (0, 1) } in
+        (* This shard's tally is in: publish the merged cell if the
+           other shards have landed too, else report the shard alone. *)
+        let merged_or ~simulated (result : Montecarlo.result) ~served =
+          match write_merged () with
+          | Some merged -> serve merged ~simulated ~complete:true
+          | None -> { result; simulated; served; complete = false }
+        in
         match store_get (Store.find s full_key) with
-        | Some e when e.Store.trials_done = trials ->
-            bump_store t (fun c ->
-                {
-                  c with
-                  full_hits = c.full_hits + 1;
-                  trials_served = c.trials_served + trials;
-                });
-            Casted_obs.Metrics.incr "engine.store.full_hits";
-            serve e ~complete:true
+        | Some e when e.Store.trials_done = trials -> full_hit e ~complete:true
         | _ -> (
             match store_get (Store.find s skey) with
-            | Some own when own.Store.trials_done = share -> (
-                (* This shard is banked in full; the cell completes
-                   when the others land. *)
-                bump_store t (fun c ->
-                    {
-                      c with
-                      full_hits = c.full_hits + 1;
-                      trials_served = c.trials_served + own.Store.trials_done;
-                    });
-                Casted_obs.Metrics.incr "engine.store.full_hits";
-                match write_merged () with
-                | Some merged -> serve merged ~complete:true
-                | None -> serve own ~complete:false)
-            | Some own -> (
+            | Some own when own.Store.trials_done = share ->
+                let own = full_hit own ~complete:false in
+                merged_or ~simulated:0 own.result ~served:own.served
+            | Some own ->
                 (* Partial shard entry — a previous worker was killed
                    mid-campaign. Resume after its last banked chunk. *)
-                let start =
-                  shard_resume_index ~shard ~trials own.Store.trials_done
+                let result, simulated =
+                  resume ~what:"partial shard resume" own
+                    ~start:
+                      (shard_resume_index ~shard ~trials own.Store.trials_done)
                 in
-                let result =
-                  simulate ~shard ~prior:(start, own.Store.counts) ~bank
-                    trials
-                in
-                check_golden_agreement ~what:"partial shard resume" own
-                  result;
-                Store.put s (entry_of_result ~spec skey result);
-                bump_store t (fun c ->
-                    {
-                      c with
-                      partial_hits = c.partial_hits + 1;
-                      store_writes = c.store_writes + 1;
-                      trials_served = c.trials_served + own.Store.trials_done;
-                      trials_simulated =
-                        c.trials_simulated
-                        + (share - own.Store.trials_done);
-                    });
-                Casted_obs.Metrics.incr "engine.store.partial_hits";
-                let simulated = share - own.Store.trials_done in
-                match write_merged () with
-                | Some merged ->
-                    {
-                      result = result_of_entry ~model merged;
-                      simulated;
-                      served = trials - simulated;
-                      complete = true;
-                    }
-                | None ->
-                    {
-                      result;
-                      simulated;
-                      served = own.Store.trials_done;
-                      complete = false;
-                    })
-            | None -> (
-                let result = simulate ~shard ~bank trials in
-                Store.put s (entry_of_result ~spec skey result);
-                bump_store t (fun c ->
-                    {
-                      c with
-                      store_misses = c.store_misses + 1;
-                      store_writes = c.store_writes + 1;
-                      trials_simulated =
-                        c.trials_simulated + result.Montecarlo.trials;
-                    });
-                Casted_obs.Metrics.incr "engine.store.misses";
-                match write_merged () with
-                | Some merged ->
-                    {
-                      result = result_of_entry ~model merged;
-                      simulated = result.Montecarlo.trials;
-                      served = trials - result.Montecarlo.trials;
-                      complete = true;
-                    }
-                | None ->
-                    {
-                      result;
-                      simulated = result.Montecarlo.trials;
-                      served = 0;
-                      complete = false;
-                    }))
+                merged_or ~simulated result ~served:own.Store.trials_done
+            | None ->
+                let result = miss ~bank () in
+                put result;
+                merged_or ~simulated:result.Montecarlo.trials result ~served:0)
       end
 
-let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?resume ?replay ?compile ?retry_budget
-    ?allow_legacy_checkpoint ?store ?shard ~trials key =
-  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-     ?checkpoint_every ?resume ?replay ?compile ?retry_budget
-     ?allow_legacy_checkpoint ?store ?shard ~trials key)
+let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+    ?retry_budget ?store ?shard ~trials key =
+  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+     ?retry_budget ?store ?shard ~trials key)
     .result
 
 (* One grid cell: NOED/SCED are single-core, so they are measured once
@@ -627,21 +538,6 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
                run;
              })
            specs))
-
-let run_job t = function
-  | Compile key -> Compiled (compile t key)
-  | Simulate key ->
-      let compiled, run = simulate t key in
-      Simulated (compiled, run)
-  | Campaign { spec; trials; seed; fuel_factor; model; ci_halfwidth;
-               checkpoint; resume } ->
-      Campaigned
-        (campaign t ~seed ~fuel_factor ~model ?ci_halfwidth ?checkpoint
-           ~resume ~trials spec)
-  | Sweep { size; benchmarks; issues; delays } ->
-      Swept (sweep t ~size ~benchmarks ~issues ~delays ())
-
-let run_jobs t jobs = List.map (run_job t) jobs
 
 let counters t =
   Mutex.lock t.mutex;

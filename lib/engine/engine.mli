@@ -2,13 +2,13 @@
 
     Every experiment in the repo — a one-off compile, a golden
     simulation, a Monte-Carlo fault campaign, a full performance sweep —
-    is a {!job} value submitted to an engine rather than an inline
-    driver loop. The engine owns:
+    runs through an engine rather than an inline driver loop. The
+    engine owns:
 
     - a {!Casted_exec.Pool} of worker domains that fans out the
       embarrassingly parallel parts (sweep points, campaign trials);
     - a {!Cache} of compiled schedules so configurations shared between
-      jobs compile exactly once;
+      experiments compile exactly once;
     - per-job timing and throughput counters, rendered by
       {!utilisation}.
 
@@ -37,7 +37,7 @@ val shutdown : t -> unit
     afterwards, also on exception. *)
 val with_engine : ?jobs:int -> (t -> 'a) -> 'a
 
-(** {2 The job model} *)
+(** {2 Experiments} *)
 
 type sweep_point = {
   benchmark : string;
@@ -47,41 +47,6 @@ type sweep_point = {
   run : Casted_sim.Outcome.run;
 }
 
-type job =
-  | Compile of Cache.key  (** compile one configuration (cached) *)
-  | Simulate of Cache.key  (** compile + golden run *)
-  | Campaign of {
-      spec : Cache.key;
-      trials : int;
-      seed : int;
-      fuel_factor : int;
-      model : Casted_sim.Fault.model;
-      ci_halfwidth : float option;
-          (** stop once the detected-rate 95% CI half-width (percentage
-              points) is at or below this *)
-      checkpoint : string option;  (** partial-tally checkpoint path *)
-      resume : bool;  (** continue from [checkpoint] *)
-    }  (** Monte-Carlo fault campaign; trials fan out over the pool *)
-  | Sweep of {
-      size : Casted_workloads.Workload.size;
-      benchmarks : string list;
-      issues : int list;
-      delays : int list;
-    }  (** the Figs. 6-8 grid; points fan out over the pool *)
-
-type outcome =
-  | Compiled of Casted_detect.Pipeline.compiled
-  | Simulated of Casted_detect.Pipeline.compiled * Casted_sim.Outcome.run
-  | Campaigned of Casted_sim.Montecarlo.result
-  | Swept of sweep_point list
-
-val run_job : t -> job -> outcome
-
-(** Run jobs in submission order (each job parallelises internally). *)
-val run_jobs : t -> job list -> outcome list
-
-(** {2 Typed conveniences over {!run_job}} *)
-
 val compile : t -> Cache.key -> Casted_detect.Pipeline.compiled
 
 val simulate :
@@ -90,9 +55,8 @@ val simulate :
 (** [campaign t ~trials spec] compiles [spec] (cached) and fans
     [trials] Monte-Carlo trials over the pool. Identical to the
     sequential {!Casted_sim.Montecarlo.run} with the same [seed];
-    the optional knobs ([model], [ci_halfwidth], [checkpoint],
-    [checkpoint_every], [resume], [replay], [allow_legacy_checkpoint])
-    are forwarded to it. With [replay] on (the default) the golden-run
+    the optional knobs ([model], [ci_halfwidth], [replay]) are
+    forwarded to it. With [replay] on (the default) the golden-run
     snapshot set comes from the engine cache ({!Cache.replay}), so
     campaigns revisiting a configuration share one capture. With
     [compile] on (the default) trials run on the stage-2
@@ -117,13 +81,9 @@ val campaign :
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
   ?replay:bool ->
   ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
   trials:int ->
@@ -139,7 +99,9 @@ val default_retry_budget : int
 (** What a store-backed campaign actually did. [result] is the tally
     this process can vouch for: the cell's full tally when [complete],
     otherwise just this shard's share. [simulated] trials were run by
-    this call; [served] came out of the store. *)
+    this call; [served] came out of the store. Both count the trials
+    of [result] (or of this shard), so they sum to fewer than the
+    request when an early-stop campaign stopped. *)
 type stored_campaign = {
   result : Casted_sim.Montecarlo.result;
   simulated : int;  (** trials this call actually simulated *)
@@ -152,7 +114,7 @@ type stored_campaign = {
 (** [campaign_stored t ~store ~trials spec] is {!campaign} made
     incremental against an on-disk {!Casted_store.Store}:
 
-    - {b full hit} — the store holds the cell at ≥ the identical
+    - {b full hit} — the store holds the cell at the identical
       identity tuple with [trials_done = trials]: the tally is served
       with {e zero} simulation, zero compiles, zero decodes.
     - {b partial hit} — banked [trials_done < trials]: simulation
@@ -162,6 +124,11 @@ type stored_campaign = {
     - {b miss} — the cell is simulated and banked. A banked entry with
       {e more} trials than requested is left alone and the request
       simulated fresh (a prefix cannot be recovered from counts).
+
+    Every simulating path banks the running tally after each finished
+    64-trial chunk, so a campaign killed mid-run leaves its finished
+    chunks in the store and a rerun resumes after the last of them —
+    the partial-hit path, bit-identical to an uninterrupted run.
 
     With [shard = (k, n)], this process simulates only the campaign
     chunks owned by shard [k] of [n] (absolute 64-trial grid, so the
@@ -176,11 +143,16 @@ type stored_campaign = {
     re-running that shard resumes after the last banked chunk instead
     of starting over (counted as a partial hit).
 
-    Store-backed campaigns refuse [ci_halfwidth] (early stopping would
-    make the banked trial count depend on the sampling path) and
-    [checkpoint]/[resume] (the store subsumes both). A resumed cell
-    whose golden run disagrees with the banked entry raises
-    [Invalid_argument] — the identity no longer pins the simulation.
+    With [ci_halfwidth] the cell is an early-stop cell
+    ({!Casted_store.Store.early_stop}): its address also pins [trials]
+    and the target, because both decide where the stop fires. Its entry
+    is a full hit when [trials_done = trials] or when the stop rule
+    already holds on the banked counts
+    ({!Casted_sim.Montecarlo.early_stop_reached}); otherwise it resumes
+    at its banked index, always a multiple of 64. Early stopping cannot
+    combine with [shard]. A resumed cell whose golden run disagrees
+    with the banked entry raises [Invalid_argument] — the identity no
+    longer pins the simulation.
 
     Without [store] this is exactly {!campaign} (plus the shard
     restriction when [shard] is given). *)
@@ -190,22 +162,18 @@ val campaign_stored :
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
   ?replay:bool ->
   ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
   trials:int ->
   Cache.key ->
   stored_campaign
 
-(** The campaign identity string a store entry (and a checkpoint) is
-    keyed on: [Cache.identity spec ^ "/" ^ fault model name]. Pinned by
-    golden tests alongside {!Cache.identity}. *)
+(** The campaign identity string a store entry is keyed on:
+    [Cache.identity spec ^ "/" ^ fault model name]. Pinned by golden
+    tests alongside {!Cache.identity}. *)
 val campaign_identity : Cache.key -> Casted_sim.Fault.model -> string
 
 (** [sweep t ~size ()] runs the performance grid of the paper's

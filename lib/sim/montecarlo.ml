@@ -18,8 +18,8 @@ let class_name = function
   | Recovered -> "recovered"
 
 (* How golden-prefix replay fared, over the trials this process ran
-   (resumed trials from an earlier process left no per-trial record in
-   the checkpoint). *)
+   (trials resumed from a banked store entry left no per-trial
+   record). *)
 type replay_stats = {
   snapshots : int;
   snapshot_bytes : int;
@@ -254,39 +254,44 @@ let tally ?(model = Fault.Reg_bit) ~golden:g classes =
   Array.iter (fun c -> counts.(idx c) <- counts.(idx c) + 1) classes;
   result_of_counts ~golden:g ~model ~trials:(Array.length classes) counts
 
-(* Campaigns advance in fixed-size chunks. Early-stop checks and
-   checkpoint writes happen only at chunk boundaries, which are
-   absolute trial indices — so the set of boundaries (and therefore the
-   stopping point and every checkpoint) is identical whatever the pool
-   size and wherever a previous run was killed. *)
+(* Campaigns advance in fixed-size chunks. Early-stop checks and bank
+   calls happen only at chunk boundaries, which are absolute trial
+   indices — so the set of boundaries (and therefore the stopping point
+   and every banked prefix) is identical whatever the pool size and
+   wherever a previous run was killed. *)
 let chunk_trials = 64
 
+let check_ci_halfwidth = function
+  | Some w when not (Float.is_finite w && w > 0.0) ->
+      invalid_arg "Montecarlo.run: ci_halfwidth must be positive and finite"
+  | _ -> ()
+
+(* The sequential stop rule: the detected-rate 95% Wilson half-width,
+   in percentage points, is at or below the target. *)
+let narrow_enough ~target ~detected ~trials =
+  100.0 *. Stats.wilson_halfwidth ~successes:detected ~trials () <= target
+
+let early_stop_reached ~ci_halfwidth r =
+  check_ci_halfwidth (Some ci_halfwidth);
+  narrow_enough ~target:ci_halfwidth ~detected:r.detected ~trials:r.trials
+
 let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Fault.Reg_bit) ?ci_halfwidth ?checkpoint
-    ?(checkpoint_every = 256) ?(resume = false) ?(identity = "")
-    ?(replay = true) ?replay_set ?(compile = true) ?compiled ?retry_budget
-    ?(allow_legacy_checkpoint = false) ?(shard = (0, 1)) ?prior ?bank ~trials
-    decoded =
-  (match ci_halfwidth with
-  | Some w when w <= 0.0 ->
-      invalid_arg "Montecarlo.run: ci_halfwidth must be positive"
-  | _ -> ());
-  if resume && checkpoint = None then
-    invalid_arg "Montecarlo.run: resume requires a checkpoint path";
-  (* Sharded and store-resumed campaigns own their merge bookkeeping
-     (the result store); mixing them with the checkpoint file or the
-     early stop would make the tally depend on which mechanism fired
-     first, so the combinations are rejected outright. A [prior] is
-     fine with a shard: it resumes the shard's own banked chunks. *)
+    ?(model = Fault.Reg_bit) ?ci_halfwidth ?(replay = true) ?replay_set
+    ?(compile = true) ?compiled ?retry_budget ?(shard = (0, 1)) ?prior ?bank
+    ~trials decoded =
+  check_ci_halfwidth ci_halfwidth;
+  (* Sharded campaigns own their merge bookkeeping (the result store);
+     an early stop would make a shard's tally depend on where the other
+     shards stopped, so the combination is rejected outright. *)
   let shard_k, shard_n = shard in
   if shard_n < 1 || shard_k < 0 || shard_k >= shard_n then
     invalid_arg
       (Printf.sprintf "Montecarlo.run: shard %d/%d is malformed" shard_k
          shard_n);
-  if shard_n > 1 && (ci_halfwidth <> None || checkpoint <> None) then
+  if shard_n > 1 && ci_halfwidth <> None then
     invalid_arg
-      "Montecarlo.run: a sharded campaign cannot combine with \
-       ci_halfwidth or checkpoint (shards merge through the result store)";
+      "Montecarlo.run: a sharded campaign cannot combine with ci_halfwidth \
+       (shards merge through the result store)";
   (* A shard owns the chunks whose index (on the absolute grid anchored
      at trial 0) is congruent to it modulo the shard count. The grid is
      identical for every shard, so the union of all shards' trials is
@@ -308,16 +313,19 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   (match prior with
   | None -> ()
   | Some (start, counts) ->
-      if checkpoint <> None then
-        invalid_arg
-          "Montecarlo.run: prior and checkpoint are two resume sources — \
-           pass one";
-      if ci_halfwidth <> None then
-        invalid_arg "Montecarlo.run: prior cannot combine with ci_halfwidth";
       if start < 0 || start > trials then
         invalid_arg
           (Printf.sprintf "Montecarlo.run: prior index %d outside [0, %d]"
              start trials);
+      (* The stop rule is checked at the grid points from [start] on: a
+         prior off the grid would move every later check. *)
+      if ci_halfwidth <> None && start mod chunk_trials <> 0 && start <> trials
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Montecarlo.run: an early-stop campaign resumes only on the \
+              %d-trial grid, not at %d"
+             chunk_trials start);
       if Array.length counts <> n_classes then
         invalid_arg
           (Printf.sprintf
@@ -348,47 +356,15 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let trials =
     if Fault.population_size model g.pop = 0 then 0 else trials
   in
+  (* A resumed campaign continues from a persisted tally (the result
+     store's banked entry). *)
   let counts = Array.make n_classes 0 in
   let start =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-        match Checkpoint.load ~allow_legacy:allow_legacy_checkpoint ~path ()
-        with
-        | Error msg -> invalid_arg ("Montecarlo.run: " ^ msg)
-        | Ok None -> 0
-        | Ok (Some c) ->
-            if not (String.equal c.Checkpoint.identity identity) then
-              invalid_arg
-                (Printf.sprintf
-                   "Montecarlo.run: checkpoint %s belongs to campaign %S, \
-                    not %S — refusing to merge tallies across different \
-                    (workload, scheme, config, fault-model) identities"
-                   path c.Checkpoint.identity identity)
-            else if
-              c.Checkpoint.seed <> seed
-              || c.Checkpoint.fuel_factor <> fuel_factor
-              || c.Checkpoint.model <> model
-              || c.Checkpoint.trials <> trials
-              || Array.length c.Checkpoint.counts <> n_classes
-            then
-              invalid_arg
-                (Printf.sprintf
-                   "Montecarlo.run: checkpoint %s was written by a \
-                    different campaign (seed/model/trials/fuel mismatch)"
-                   path)
-            else begin
-              Array.blit c.Checkpoint.counts 0 counts 0 n_classes;
-              c.Checkpoint.next_index
-            end)
-    | _ -> (
-        (* A store-resumed campaign continues from a persisted tally:
-           identical discipline to the checkpoint path, just with the
-           caller (the engine's result store) holding the counts. *)
-        match prior with
-        | Some (start, prior_counts) ->
-            Array.blit prior_counts 0 counts 0 n_classes;
-            start
-        | None -> 0)
+    match prior with
+    | Some (start, prior_counts) ->
+        Array.blit prior_counts 0 counts 0 n_classes;
+        start
+    | None -> 0
   in
   (* Replay bookkeeping, accumulated on the coordinator at chunk
      boundaries so it cannot perturb trial order or results. *)
@@ -421,36 +397,14 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         | Some p -> Casted_exec.Pool.map p one indices
         | None -> Array.map one indices)
   in
-  let save_checkpoint next_index =
-    match checkpoint with
-    | Some path ->
-        Checkpoint.save ~path
-          {
-            Checkpoint.seed;
-            fuel_factor;
-            model;
-            trials;
-            next_index;
-            counts = Array.copy counts;
-            identity;
-          }
-    | None -> ()
-  in
-  let narrow_enough done_ =
+  let stop done_ =
     match ci_halfwidth with
     | None -> false
     | Some target ->
-        100.0
-        *. Stats.wilson_halfwidth ~successes:counts.(idx Detected)
-             ~trials:done_ ()
-        <= target
+        narrow_enough ~target ~detected:counts.(idx Detected) ~trials:done_
   in
-  let rec go lo last_saved =
-    if lo >= trials || narrow_enough lo then begin
-      if lo > last_saved then save_checkpoint lo;
-      lo
-    end
-    else begin
+  let rec go lo =
+    if lo < trials && not (stop lo) then begin
       let hi = min trials (lo + chunk_trials) in
       if owned lo then begin
         Array.iter
@@ -467,7 +421,7 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
             end)
           (map_chunk lo hi);
         (* Bank the partial tally at every finished owned chunk (the
-           final tally is returned normally): a killed worker's
+           final tally is returned normally): a killed campaign's
            completed chunks survive and get served on restart. *)
         match bank with
         | Some f when hi < trials ->
@@ -477,18 +431,10 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                  counts)
         | _ -> ()
       end;
-      let last_saved =
-        if checkpoint <> None && (hi - last_saved >= checkpoint_every || hi = trials)
-        then begin
-          save_checkpoint hi;
-          hi
-        end
-        else last_saved
-      in
-      go hi last_saved
+      go hi
     end
   in
-  let (_ : int) = go start start in
+  go start;
   (* Tallied trials: the absolute index for a plain campaign, only the
      owned chunks for a shard. The counts are the ground truth either
      way. *)
@@ -513,16 +459,14 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
 
 (* Decode once per campaign, not once per trial: the decoded program is
    immutable and shared read-only by every pool domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?resume ?identity ?replay ?compile ?retry_budget
-    ?allow_legacy_checkpoint ?shard ?prior ~trials sched =
-  run_decoded ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?resume ?identity ?replay ?compile ?retry_budget
-    ?allow_legacy_checkpoint ?shard ?prior ~trials
+let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+    ?retry_budget ?shard ?prior ~trials sched =
+  run_decoded ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+    ?retry_budget ?shard ?prior ~trials
     (Decode.of_schedule sched)
 
-(* Per-class counts in checkpoint order (the [idx] order) — what the
-   checkpoint file and the result store persist. *)
+(* Per-class counts in the [idx] order — what the result store
+   persists. *)
 let counts r =
   [| r.benign; r.detected; r.exceptions; r.corrupt; r.timeouts; r.recovered |]
 

@@ -13,8 +13,9 @@
       ({!interval}, printed by {!pp});
     - an optional sequential early stop ends the campaign once the
       detected-rate interval is narrower than a target half-width;
-    - partial tallies can be checkpointed to disk and resumed
-      bit-identically after a kill ({!Checkpoint});
+    - a [bank] hook receives the partial tally after every finished
+      chunk and a [prior] tally resumes a campaign bit-identically
+      after a kill — the result store persists both;
     - a trial whose simulation raises is classified and counted
       ({!classify_result}), never allowed to kill the campaign. *)
 
@@ -35,8 +36,8 @@ val class_name : classification -> string
 
 (** How golden-prefix replay fared, over the trials the reporting
     process ran itself (a resumed campaign's earlier trials left no
-    per-trial record in the checkpoint — the tallies still cover them,
-    these statistics do not). *)
+    per-trial record in the banked tally — the tallies still cover
+    them, these statistics do not). *)
 type replay_stats = {
   snapshots : int;  (** snapshots captured on the golden run *)
   snapshot_bytes : int;  (** approximate heap footprint of the set *)
@@ -179,13 +180,12 @@ val trial_compiled :
 val tally :
   ?model:Fault.model -> golden:golden -> classification array -> result
 
-(** Per-class counts in the persistence order shared by campaign
-    checkpoints and the result store: benign, detected, exception,
-    data-corrupt, timeout, recovered. [Array.fold_left (+) 0 (counts r)
-    = r.trials] always. *)
+(** Per-class counts in the order the result store persists and
+    [prior] takes: benign, detected, exception, data-corrupt, timeout,
+    recovered. [Array.fold_left (+) 0 (counts r) = r.trials] always. *)
 val counts : result -> int array
 
-(** Rebuild a {!result} from persisted counts (checkpoint order) and
+(** Rebuild a {!result} from persisted counts ({!counts} order) and
     the golden-run scalars — the result store's hit path, which serves
     a finished tally without re-running anything, golden run included.
     [trials] is the sum of [counts]; [replay] is [None]. Raises
@@ -199,10 +199,18 @@ val of_counts :
   result
 
 (** Campaigns advance in chunks of this many trials; early-stop checks
-    and checkpoint writes happen only at chunk boundaries (absolute
-    trial indices), which is why neither the pool size nor a kill point
-    can change a campaign's result. *)
+    and [bank] calls happen only at chunk boundaries (absolute trial
+    indices), which is why neither the pool size nor a kill point can
+    change a campaign's result. *)
 val chunk_trials : int
+
+(** The sequential stop rule of [ci_halfwidth]: true once [r]'s
+    detected-rate 95% Wilson half-width, in percentage points, is at or
+    below the target. A campaign checks it at every chunk boundary, so
+    a banked prefix on which it holds is where the campaign stopped.
+    Raises [Invalid_argument] on a target that is not positive and
+    finite. *)
+val early_stop_reached : ci_halfwidth:float -> result -> bool
 
 (** [run ~seed ~trials schedule] runs the campaign. The fuel of each
     faulty run is [fuel_factor] (default 10) times the golden dynamic
@@ -214,19 +222,9 @@ val chunk_trials : int
     @param model the fault model to draw every trial from
       (default {!Fault.Reg_bit}, the paper's model).
     @param ci_halfwidth stop early once the detected-rate 95% Wilson
-      half-width (percentage points) is at or below this target.
-    @param checkpoint write the partial tally to this path every
-      [checkpoint_every] trials (rounded to chunk boundaries) and at
-      the end.
-    @param resume load [checkpoint] (which must exist with matching
-      identity and seed/model/trials/fuel, else [Invalid_argument]) and
-      continue from its recorded index; a missing file starts from
-      trial 0.
-    @param identity opaque campaign identity (the engine renders the
-      (workload, scheme, config, fault-model) tuple here). Stamped into
-      every checkpoint; a resume whose identity differs from the
-      checkpoint's fails loudly instead of silently merging tallies
-      from a different campaign. Default [""].
+      half-width (percentage points) is at or below this target
+      ({!early_stop_reached}). Must be positive and finite, else
+      [Invalid_argument].
     @param replay golden-prefix replay (default true): capture
       snapshots on the golden run and start each trial from the latest
       snapshot preceding its fault's trigger event. Bit-identical
@@ -237,9 +235,6 @@ val chunk_trials : int
       rollback-scheme campaign path). Forces replay off: rollback
       trials restore their own region checkpoints, which prefix replay
       cannot express.
-    @param allow_legacy_checkpoint accept resuming from an
-      identity-less legacy checkpoint file (default false: such files
-      are rejected loudly — see {!Checkpoint.load}).
     @param compile run every trial on the stage-2 closure-threaded
       engine ({!Simulator.run_compiled}, default true) — bit-identical
       tallies to the interpreter, only faster. Rollback campaigns
@@ -251,29 +246,25 @@ val chunk_trials : int
       [0, trials) exactly and sum to the single-process tally
       bit-for-bit (the result store performs that merge). A sharded
       campaign's [result.trials] counts only its own trials. [n > 1]
-      cannot combine with [ci_halfwidth] or [checkpoint].
+      cannot combine with [ci_halfwidth].
     @param prior [(done, counts)]: resume from a persisted tally —
-      start at trial index [done] with per-class [counts] (checkpoint
-      order) pre-seeded, exactly as a checkpoint resume would. This is
-      the result store's incremental path: a cell with [done] trials
-      banked simulates only [done, trials). With a shard, [counts] must
-      cover exactly the shard's own chunks below [done] (the banked
-      partial entry of a killed worker). Cannot combine with
-      [checkpoint] (two resume sources) or [ci_halfwidth]. *)
+      start at trial index [done] with per-class [counts] ({!counts}
+      order) pre-seeded. This is the result store's incremental and
+      crash-resume path: a cell with [done] trials banked simulates
+      only [done, trials), bit-identical to the uninterrupted run. With
+      a shard, [counts] must cover exactly the shard's own chunks below
+      [done] (the banked partial entry of a killed worker). With
+      [ci_halfwidth], [done] must be a multiple of {!chunk_trials} (or
+      [trials]) so the stop rule is checked at the same points. *)
 val run :
   ?pool:Casted_exec.Pool.t ->
   ?seed:int ->
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?identity:string ->
   ?replay:bool ->
   ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?shard:int * int ->
   ?prior:int * int array ->
   trials:int ->
@@ -294,7 +285,7 @@ val run :
       over the [compile] flag.
     @param bank called after every finished owned chunk except the last
       with the next trial index and the partial tally so far — the
-      result store's partial-banking hook: a SIGKILLed worker's
+      result store's partial-banking hook: a SIGKILLed campaign's
       completed chunks survive and are served on restart. The final
       tally is returned normally, not banked. *)
 val run_decoded :
@@ -303,16 +294,11 @@ val run_decoded :
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?identity:string ->
   ?replay:bool ->
   ?replay_set:Replay.t ->
   ?compile:bool ->
   ?compiled:Compile.t ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?shard:int * int ->
   ?prior:int * int array ->
   ?bank:(next:int -> result -> unit) ->

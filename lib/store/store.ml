@@ -8,6 +8,7 @@ type key = {
   retry_budget : int;
   shard : int * int;
   trials : int;
+  ci_halfwidth : float option;
 }
 
 let key ?(retry_budget = -1) ?(shard = (0, 1)) ~identity ~seed ~fuel_factor
@@ -18,21 +19,51 @@ let key ?(retry_budget = -1) ?(shard = (0, 1)) ~identity ~seed ~fuel_factor
   if trials < 0 then invalid_arg "Store.key: trials must be non-negative";
   if String.contains identity '\n' || String.contains identity '|' then
     invalid_arg "Store.key: identity must not contain newlines or '|'";
-  { identity; seed; fuel_factor; retry_budget; shard; trials }
+  {
+    identity;
+    seed;
+    fuel_factor;
+    retry_budget;
+    shard;
+    trials;
+    ci_halfwidth = None;
+  }
+
+let valid_ci_halfwidth w = Float.is_finite w && w > 0.0
+
+let early_stop ~ci_halfwidth k =
+  if not (valid_ci_halfwidth ci_halfwidth) then
+    invalid_arg "Store.early_stop: ci_halfwidth must be positive and finite";
+  if k.shard <> (0, 1) then
+    invalid_arg "Store.early_stop: an early-stop cell cannot be sharded";
+  { k with ci_halfwidth = Some ci_halfwidth }
+
+(* The shortest decimal rendering that reads back as the same float, so
+   one target always hashes to one address. *)
+let render_float w =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p w in
+    if p >= 17 || Float.equal (float_of_string s) w then s else go (p + 1)
+  in
+  go 15
 
 (* The canonical address. A full entry (shard 0/1) is addressed without
    its trial count so it can extend in place as more trials accumulate;
    a shard entry is pinned to its campaign length, since its chunk
-   ownership only means anything for one fixed total. Pinned by golden
-   tests: changing this shape orphans every store on disk. *)
+   ownership only means anything for one fixed total. An early-stop
+   cell is pinned to its requested length and its stop target: both
+   decide where the stop fires. Pinned by golden tests: changing this
+   shape orphans every store on disk. *)
 let address k =
   let base =
     Printf.sprintf "%s|seed=%d|fuel=%d|retry=%d" k.identity k.seed
       k.fuel_factor k.retry_budget
   in
-  match k.shard with
-  | 0, 1 -> base
-  | s, n -> Printf.sprintf "%s|trials=%d|shard=%d/%d" base k.trials s n
+  match (k.shard, k.ci_halfwidth) with
+  | (0, 1), None -> base
+  | (0, 1), Some w ->
+      Printf.sprintf "%s|trials=%d|ci=%s" base k.trials (render_float w)
+  | (s, n), _ -> Printf.sprintf "%s|trials=%d|shard=%d/%d" base k.trials s n
 
 let hash k = Digest.to_hex (Digest.string (address k))
 
@@ -158,8 +189,8 @@ let open_exn ?create dir =
 
 let entry_path t k = Filename.concat (entries_dir t) (hash k ^ ".entry")
 
-(* Key/value lines, checkpoint-style: order-independent parse, loud on
-   anything missing or malformed. *)
+(* Key/value lines: order-independent parse, loud on anything missing or
+   malformed. *)
 let parse_fields lines =
   let table = Hashtbl.create 16 in
   List.iter
@@ -197,6 +228,7 @@ let render_entry e =
   line "retry_budget=%d" e.key.retry_budget;
   line "shard=%d/%d" k n;
   line "trials=%d" e.key.trials;
+  Option.iter (fun w -> line "ci=%s" (render_float w)) e.key.ci_halfwidth;
   line "trials_done=%d" e.trials_done;
   line "counts=%s"
     (String.concat "," (Array.to_list (Array.map string_of_int e.counts)));
@@ -245,6 +277,14 @@ let parse_entry ~path content =
         | _ -> Error (Printf.sprintf "%s: malformed shard %S" path shard_s)
       in
       let* trials = int_field ~path table "trials" in
+      let* ci_halfwidth =
+        match Hashtbl.find_opt table "ci" with
+        | None -> Ok None
+        | Some v -> (
+            match float_of_string_opt v with
+            | Some w when valid_ci_halfwidth w && shard = (0, 1) -> Ok (Some w)
+            | _ -> Error (Printf.sprintf "%s: malformed ci %S" path v))
+      in
       let* trials_done = int_field ~path table "trials_done" in
       let* counts_s = field ~path table "counts" in
       let* counts =
@@ -272,7 +312,9 @@ let parse_entry ~path content =
       in
       let e =
         {
-          key = { identity; seed; fuel_factor; retry_budget; shard; trials };
+          key =
+            { identity; seed; fuel_factor; retry_budget; shard; trials;
+              ci_halfwidth };
           trials_done;
           counts;
           golden_cycles;

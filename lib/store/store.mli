@@ -1,14 +1,15 @@
 (** Persistent content-addressed campaign-result store.
 
-    The engine's compiled/decoded/replay caches and campaign
-    checkpoints die with the process, so every sweep over the
-    issue-width × delay × scheme × fault-model × workload matrix used
-    to re-simulate cells whose tallies were already known bit-for-bit.
-    The store keeps finished (and partially finished) campaign tallies
-    on disk, keyed by the same identity discipline campaign checkpoints
-    already use ({!Casted_engine.Cache.identity} plus the fault model,
-    seed, fuel factor and retry budget), so re-running a matrix only
-    simulates the delta.
+    The engine's compiled/decoded/replay caches die with the process,
+    so every sweep over the issue-width × delay × scheme × fault-model ×
+    workload matrix used to re-simulate cells whose tallies were
+    already known bit-for-bit. The store keeps finished (and partially
+    finished) campaign tallies on disk, keyed by the campaign identity
+    ({!Casted_engine.Cache.identity} plus the fault model, seed, fuel
+    factor and retry budget), so re-running a matrix only simulates the
+    delta. It is also the only way to make one campaign crash-safe: a
+    campaign banks its running tally after every finished 64-trial
+    chunk, and a rerun resumes after the last banked one.
 
     {b Layout.} A store is a directory:
 
@@ -25,9 +26,8 @@
     bit-identical tally for equal [trials]), and a lookup is one hash
     plus one file read.
 
-    {b Merge semantics.} Tallies merge exactly as campaign checkpoint
-    chunks merge: per-class counts sum, because trial [i]'s outcome
-    depends only on [(seed, i, model)] (see
+    {b Merge semantics.} Tallies merge by summing per-class counts,
+    because trial [i]'s outcome depends only on [(seed, i, model)] (see
     {!Casted_sim.Montecarlo.trial}). A full entry carries the tally of
     trials [0, trials_done); a shard entry ([shard = (k, n)], [n > 1])
     carries the tally of the chunks owned by shard [k] out of [n] over
@@ -46,12 +46,13 @@
     (hits, misses, writes, bytes read/written). *)
 
 (** A campaign cell's identity. [identity] is the engine's rendering of
-    (workload, scheme, config, fault model) — the same string campaign
-    checkpoints embed. [retry_budget] is [-1] when the campaign runs no
-    recovery loop. [shard = (k, n)] with [n = 1] is a full (unsharded)
-    entry; [trials] is the requested campaign length for shard entries
-    and is {e not} part of a full entry's address (full entries extend
-    in place as more trials accumulate). *)
+    (workload, scheme, config, fault model). [retry_budget] is [-1] when
+    the campaign runs no recovery loop. [shard = (k, n)] with [n = 1] is
+    a full (unsharded) entry; [trials] is the requested campaign length
+    for shard and early-stop entries and is {e not} part of a plain full
+    entry's address (full entries extend in place as more trials
+    accumulate). [ci_halfwidth] is the detected-rate stop target of an
+    early-stop cell ({!early_stop}), [None] otherwise. *)
 type key = {
   identity : string;
   seed : int;
@@ -59,6 +60,7 @@ type key = {
   retry_budget : int;
   shard : int * int;
   trials : int;
+  ci_halfwidth : float option;
 }
 
 val key :
@@ -71,16 +73,25 @@ val key :
   unit ->
   key
 
-(** The canonical string hashed into the entry's filename. Pinned by
-    golden tests — changing its shape orphans every store on disk. *)
+(** [early_stop ~ci_halfwidth k] is [k] as the cell of a campaign that
+    stops once the detected-rate Wilson half-width reaches
+    [ci_halfwidth] percentage points. Raises [Invalid_argument] unless
+    the target is positive and finite and [k] is unsharded. *)
+val early_stop : ci_halfwidth:float -> key -> key
+
+(** The canonical string hashed into the entry's filename: [identity
+    |seed=S|fuel=F|retry=R], then [|trials=N|shard=K/M] for a shard
+    entry or [|trials=N|ci=W] for an early-stop cell, [W] the shortest
+    decimal that reads back as the target. Pinned by golden tests —
+    changing its shape orphans every store on disk. *)
 val address : key -> string
 
 (** MD5 hex of {!address}. *)
 val hash : key -> string
 
 (** One stored tally. [counts] is indexed by
-    {!Casted_sim.Montecarlo} class order (benign, detected, exception,
-    data-corrupt, timeout, recovered — the checkpoint order);
+    {!Casted_sim.Montecarlo.counts} order (benign, detected, exception,
+    data-corrupt, timeout, recovered);
     [trials_done] always equals the sum of [counts]. The [spec_*]
     fields, when present, record the explicit cell coordinates so
     [casted store audit] and workers can rebuild the campaign; an entry

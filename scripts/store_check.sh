@@ -4,16 +4,26 @@
 #   1. zero-resimulation fast path — a campaign run cold into a store
 #      and rerun warm must serve every trial from disk (0 simulated)
 #      with a tally bit-identical to a storeless reference run;
-#   2. crash-tolerant sharding — a shard worker is SIGKILLed
+#   2. crash resume — an unsharded store campaign is SIGKILLed once its
+#      entry file appears; rerunning it at --jobs 1 and --jobs 4 serves
+#      the banked chunks (nonzero served trials) and reproduces the
+#      reference tally;
+#   3. early-stop cells — a --ci-halfwidth campaign run cold into a
+#      store stops early exactly where the storeless run stops, and the
+#      warm rerun simulates nothing;
+#   4. crash-tolerant sharding — a shard worker is SIGKILLed
 #      mid-flight after banking its first partial chunk; re-running the
 #      killed shard serves the banked chunks (nonzero served trials),
 #      simulates only the rest, completes the cell, and the merged
 #      tally matches the uninterrupted reference bit-for-bit;
-#   3. store hygiene — `casted store gc` sweeps the killed worker's
+#   5. store hygiene — `casted store gc` sweeps the killed worker's
 #      debris and `casted store audit` re-simulates a banked entry and
 #      agrees with it;
-#   4. worker queue drill — `casted work --enqueue` fills a matrix,
+#   6. worker queue drill — `casted work --enqueue` fills a matrix,
 #      a second drain of the same queue simulates nothing.
+#
+# The SIGKILL drills poll for the first banked entry and kill at once;
+# TRIALS must be long enough that the kill lands mid-run.
 #
 # Knobs:
 #   CASTED_BIN  path to the casted binary
@@ -68,6 +78,75 @@ echo "== warm rerun must simulate zero trials"
 must_serve "$workdir/warm.out" "$TRIALS" 0 "warm rerun"
 must_match "$workdir/reference.tally" "$workdir/warm.out" "warm rerun"
 
+# Wait (up to 20 s) for the first banked entry under $1/entries.
+wait_for_entry() {
+  for _ in $(seq 1 400); do
+    [ -n "$(find "$1/entries" -name '*.entry' 2>/dev/null)" ] && return 0
+    sleep 0.05
+  done
+  return 1
+}
+
+number_before() { # out word — the number printed before "word"
+  grep -oE "[0-9]+ $2" "$1" | grep -oE '[0-9]+' | head -1
+}
+
+echo "== crash resume: unsharded campaign SIGKILLed after banking a chunk"
+store3="$workdir/store3"
+"$BIN" "${ARGS[@]}" --jobs 1 --store "$store3" > "$workdir/killed.out" 2>&1 &
+pid=$!
+banked=yes
+wait_for_entry "$store3" || banked=no
+kill -9 "$pid" 2>/dev/null || true
+wait "$pid" 2>/dev/null || true
+if [ "$banked" = no ]; then
+  echo "store_check: the campaign exited without banking a partial entry" >&2
+  cat "$workdir/killed.out" >&2
+  exit 1
+fi
+for jobs in 1 4; do
+  cp -r "$store3" "$store3.$jobs"
+  "$BIN" "${ARGS[@]}" --jobs "$jobs" --store "$store3.$jobs" \
+    > "$workdir/resumed.$jobs.out"
+  served=$(number_before "$workdir/resumed.$jobs.out" "trials served")
+  simulated=$(number_before "$workdir/resumed.$jobs.out" simulated)
+  if [ "${served:-0}" -eq 0 ]; then
+    echo "store_check: --jobs $jobs resume served zero trials — the killed" >&2
+    echo "             campaign's banked chunks were not reused" >&2
+    cat "$workdir/resumed.$jobs.out" >&2
+    exit 1
+  fi
+  if [ "${simulated:-0}" -eq 0 ]; then
+    echo "store_check: --jobs $jobs resume simulated nothing — the campaign" >&2
+    echo "             finished before the kill; raise TRIALS" >&2
+    exit 1
+  fi
+  echo "   --jobs $jobs: served $served banked trials, simulated $simulated"
+  must_match "$workdir/reference.tally" "$workdir/resumed.$jobs.out" \
+    "--jobs $jobs crash resume"
+done
+
+echo "== early-stop cell: cold and warm --ci-halfwidth runs"
+CI=(--ci-halfwidth 2)
+"$BIN" "${ARGS[@]}" "${CI[@]}" --jobs 2 > "$workdir/ci.reference.out"
+tally "$workdir/ci.reference.out" > "$workdir/ci.reference.tally"
+store4="$workdir/store4"
+"$BIN" "${ARGS[@]}" "${CI[@]}" --jobs 2 --store "$store4" > "$workdir/ci.cold.out"
+"$BIN" "${ARGS[@]}" "${CI[@]}" --jobs 4 --store "$store4" > "$workdir/ci.warm.out"
+for run in cold warm; do
+  if ! grep -q "stopped early" "$workdir/ci.$run.out"; then
+    echo "store_check: the $run --ci-halfwidth run did not stop early" >&2
+    cat "$workdir/ci.$run.out" >&2
+    exit 1
+  fi
+  must_match "$workdir/ci.reference.tally" "$workdir/ci.$run.out" \
+    "$run --ci-halfwidth"
+done
+stop=$(sed -n 's|^stopped early at \([0-9]*\)/.*|\1|p' "$workdir/ci.reference.out")
+must_serve "$workdir/ci.cold.out" 0 "$stop" "cold --ci-halfwidth"
+must_serve "$workdir/ci.warm.out" "$stop" 0 "warm --ci-halfwidth"
+echo "   stopped early at $stop trials, cold and warm"
+
 echo "== shard drill: shard 0 SIGKILLed after banking a partial chunk"
 store2="$workdir/store2"
 "$BIN" "${ARGS[@]}" --jobs 1 --store "$store2" --shard 0/2 \
@@ -76,15 +155,11 @@ pid0=$!
 # A shard worker banks its running tally after every finished owned
 # 64-trial chunk. Poll for the first banked partial entry, then kill
 # the worker mid-campaign.
-banked=0
-for _ in $(seq 1 400); do
-  banked=$(find "$store2/entries" -name '*.entry' 2>/dev/null | wc -l)
-  [ "$banked" -ge 1 ] && break
-  sleep 0.05
-done
+banked=yes
+wait_for_entry "$store2" || banked=no
 kill -9 "$pid0" 2>/dev/null || true
 wait "$pid0" 2>/dev/null || true
-if [ "$banked" -lt 1 ]; then
+if [ "$banked" = no ]; then
   echo "store_check: shard 0 exited without banking a partial entry —" >&2
   echo "             partial-chunk banking is broken (or TRIALS too low)" >&2
   cat "$workdir/shard0.out" >&2
@@ -109,10 +184,8 @@ if grep -q "other shards outstanding" "$workdir/shard0.resumed.out"; then
   cat "$workdir/shard0.resumed.out" >&2
   exit 1
 fi
-served=$(grep -oE '[0-9]+ trials served' "$workdir/shard0.resumed.out" \
-  | grep -oE '[0-9]+' | head -1)
-simulated=$(grep -oE '[0-9]+ simulated' "$workdir/shard0.resumed.out" \
-  | grep -oE '[0-9]+' | head -1)
+served=$(number_before "$workdir/shard0.resumed.out" "trials served")
+simulated=$(number_before "$workdir/shard0.resumed.out" simulated)
 if [ "${served:-0}" -eq 0 ]; then
   echo "store_check: resumed shard served zero trials — the killed" >&2
   echo "             worker's banked chunks were not reused" >&2
@@ -152,5 +225,6 @@ if ! grep -q "4 units run (480 trials served from the store, 0 simulated)" \
 fi
 
 echo "store_check: OK — warm store serves campaigns with zero simulation,"
-echo "             and a SIGKILLed shard worker's banked chunks are reused"
-echo "             on the way to the bit-identical merged tally"
+echo "             early-stop cells stop where storeless runs stop, and a"
+echo "             SIGKILLed campaign's or shard worker's banked chunks are"
+echo "             reused on the way to the bit-identical tally"

@@ -89,3 +89,28 @@ let qcheck ?(count = 200) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* Fresh result-store directory per test, removed afterwards. *)
+let dir_counter = ref 0
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_store_dir f =
+  incr dir_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "casted-store-test-%d-%d" (Unix.getpid ()) !dir_counter)
+  in
+  if Sys.file_exists dir then rm_rf dir;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () -> f dir)
+
+let with_store f =
+  with_store_dir (fun dir -> f (Casted_store.Store.open_exn ~create:true dir))

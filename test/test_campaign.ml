@@ -1,13 +1,14 @@
 (* Campaign statistics and crash-proofing: Wilson intervals, sequential
-   early stopping, checkpoint/resume, and trial-level fault tolerance. *)
+   early stopping, resume from a banked prefix, and trial-level fault
+   tolerance. *)
 
 open Helpers
 module Fault = Casted_sim.Fault
 module Stats = Casted_sim.Stats
-module Checkpoint = Casted_sim.Checkpoint
 module Montecarlo = Casted_sim.Montecarlo
 module Pool = Casted_exec.Pool
 module Workload = Casted_workloads.Workload
+module Engine = Casted_engine.Engine
 
 (* A small kernel with loads, stores and conditional branches so every
    fault model has a non-empty population under CASTED. *)
@@ -190,220 +191,84 @@ let test_early_stop_deterministic () =
     (Montecarlo.halfwidth seq Montecarlo.Detected <= 25.0)
 
 let test_early_stop_rejects_bad_target () =
-  match Montecarlo.run ~ci_halfwidth:0.0 ~trials:10 (schedule ()) with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun w ->
+      match Montecarlo.run ~ci_halfwidth:w ~trials:10 (schedule ()) with
+      | _ -> Alcotest.failf "expected Invalid_argument for target %g" w
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
-let with_tmp_checkpoint f =
-  let path = Filename.temp_file "casted-test" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let test_checkpoint_round_trip () =
-  with_tmp_checkpoint (fun path ->
-      let t =
-        {
-          Checkpoint.seed = 42;
-          fuel_factor = 10;
-          model = Fault.Burst;
-          trials = 300;
-          next_index = 128;
-          counts = [| 50; 60; 5; 10; 3 |];
-          identity = "cjpeg/fault/CASTED/i2/d2/burst";
-        }
-      in
-      Checkpoint.save ~path t;
-      match Checkpoint.load ~path () with
-      | Ok (Some t') ->
-          Alcotest.(check int) "seed" t.Checkpoint.seed t'.Checkpoint.seed;
-          Alcotest.(check int) "fuel" t.Checkpoint.fuel_factor
-            t'.Checkpoint.fuel_factor;
-          Alcotest.(check bool) "model" true
-            (t.Checkpoint.model = t'.Checkpoint.model);
-          Alcotest.(check int) "trials" t.Checkpoint.trials
-            t'.Checkpoint.trials;
-          Alcotest.(check int) "next_index" t.Checkpoint.next_index
-            t'.Checkpoint.next_index;
-          Alcotest.(check (array int)) "counts" t.Checkpoint.counts
-            t'.Checkpoint.counts;
-          Alcotest.(check string) "identity" t.Checkpoint.identity
-            t'.Checkpoint.identity
-      | Ok None -> Alcotest.fail "checkpoint vanished"
-      | Error msg -> Alcotest.failf "round trip failed: %s" msg)
-
-let test_checkpoint_missing_and_corrupt () =
-  (match Checkpoint.load ~path:"/nonexistent/casted.ckpt" () with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "phantom checkpoint"
-  | Error msg -> Alcotest.failf "missing file must be Ok None, got %s" msg);
-  with_tmp_checkpoint (fun path ->
-      let oc = open_out path in
-      output_string oc "not a checkpoint\n";
-      close_out oc;
-      match Checkpoint.load ~path () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt checkpoint must be a loud error")
+(* The tally of trials [0, n), as a killed campaign would have banked
+   it (counts order). *)
+let prefix_counts s ~seed n =
+  let g = Montecarlo.golden s in
+  Montecarlo.counts
+    (Montecarlo.tally ~golden:g
+       (Array.init n (fun index -> Montecarlo.trial ~golden:g ~seed ~index s)))
 
 (* The crash-recovery property: a campaign killed at any chunk boundary
-   and resumed from its checkpoint produces the bit-identical tally of
-   the uninterrupted campaign. We simulate the kill by writing the
-   checkpoint a partial prefix would have left behind. *)
+   and resumed from its banked prefix produces the bit-identical tally
+   of the uninterrupted campaign, whatever the pool size. *)
 let test_resume_bit_identical () =
   let s = schedule () in
   let seed = 5 and trials = 200 in
   let uninterrupted = Montecarlo.run ~seed ~trials s in
-  let g = Montecarlo.golden s in
   List.iter
     (fun kill_at ->
-      with_tmp_checkpoint (fun path ->
-          let counts = Array.make (List.length Montecarlo.all_classes) 0 in
-          for index = 0 to kill_at - 1 do
-            let c = Montecarlo.trial ~golden:g ~seed ~index s in
-            let i =
-              match c with
-              | Montecarlo.Benign -> 0
-              | Montecarlo.Detected -> 1
-              | Montecarlo.Exception -> 2
-              | Montecarlo.Data_corrupt -> 3
-              | Montecarlo.Timeout -> 4
-              | Montecarlo.Recovered -> 5
-            in
-            counts.(i) <- counts.(i) + 1
-          done;
-          Checkpoint.save ~path
-            {
-              Checkpoint.seed;
-              fuel_factor = 10;
-              model = Fault.Reg_bit;
-              trials;
-              next_index = kill_at;
-              counts;
-              identity = "";
-            };
-          List.iter
-            (fun jobs ->
-              let resumed =
-                Pool.with_pool ~jobs (fun pool ->
-                    Montecarlo.run ~pool ~seed ~checkpoint:path ~resume:true
-                      ~trials s)
-              in
-              same_result
-                (Printf.sprintf "killed at %d, resumed with jobs=%d" kill_at
-                   jobs)
-                resumed uninterrupted)
-            [ 1; 4 ]))
+      let prior = (kill_at, prefix_counts s ~seed kill_at) in
+      List.iter
+        (fun jobs ->
+          let resumed =
+            Pool.with_pool ~jobs (fun pool ->
+                Montecarlo.run ~pool ~seed ~prior ~trials s)
+          in
+          same_result
+            (Printf.sprintf "killed at %d, resumed with jobs=%d" kill_at jobs)
+            resumed uninterrupted)
+        [ 1; 4 ])
     [ 64; 128 ]
 
-(* Resuming against a checkpoint from a different campaign is a loud
-   mismatch, not a silently wrong tally. *)
-let test_resume_rejects_mismatch () =
+(* A prior that cannot be the banked prefix of this campaign is a loud
+   error, not a silently wrong tally. *)
+let test_resume_rejects_malformed_prior () =
   let s = schedule () in
-  with_tmp_checkpoint (fun path ->
-      Checkpoint.save ~path
-        {
-          Checkpoint.seed = 999;
-          fuel_factor = 10;
-          model = Fault.Reg_bit;
-          trials = 200;
-          next_index = 64;
-          counts = [| 30; 30; 2; 1; 1 |];
-          identity = "";
-        };
-      match
-        Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true ~trials:200 s
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument on seed mismatch"
-      | exception Invalid_argument _ -> ())
-
-(* The config-mismatch hole: a checkpoint carries the campaign's
-   (workload, scheme, config, fault-model) identity, and resuming under
-   any other identity must fail loudly even when seed, model, trial
-   count and tally shape all happen to match. *)
-let test_resume_rejects_identity_mismatch () =
-  let s = schedule () in
-  let saved ~identity path =
-    Checkpoint.save ~path
-      {
-        Checkpoint.seed = 5;
-        fuel_factor = 10;
-        model = Fault.Reg_bit;
-        trials = 200;
-        next_index = 64;
-        counts = [| 60; 2; 1; 1; 0 |];
-        identity;
-      }
+  let counts = prefix_counts s ~seed:5 64 in
+  let rejected msg ?ci_halfwidth prior =
+    match Montecarlo.run ~seed:5 ?ci_halfwidth ~prior ~trials:200 s with
+    | _ -> Alcotest.fail ("expected Invalid_argument: " ^ msg)
+    | exception Invalid_argument _ -> ()
   in
-  with_tmp_checkpoint (fun path ->
-      saved ~identity:"h263dec/fault/DCED/i4/d1/reg-bit" path;
-      (match
-         Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true
-           ~identity:"cjpeg/fault/CASTED/i2/d2/reg-bit" ~trials:200 s
-       with
-      | _ -> Alcotest.fail "expected Invalid_argument on identity mismatch"
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool) "message names both identities" true
-            (Helpers.contains msg "h263dec/fault/DCED/i4/d1"
-            && Helpers.contains msg "cjpeg/fault/CASTED/i2/d2"));
-      (* A checkpoint written before the identity field existed (empty
-         identity) must also be rejected by an identity-carrying
-         resume. *)
-      saved ~identity:"" path;
-      match
-        Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true
-          ~identity:"cjpeg/fault/CASTED/i2/d2/reg-bit" ~trials:200 s
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument on legacy checkpoint"
-      | exception Invalid_argument _ -> ())
+  rejected "index beyond the campaign" (201, counts);
+  rejected "counts do not sum to the index" (128, counts);
+  rejected "wrong class count" (64, Array.sub counts 0 5);
+  rejected "early stop off the chunk grid" ~ci_halfwidth:25.0
+    (60, prefix_counts s ~seed:5 60)
 
-(* End-to-end through the engine: the engine stamps its cache key into
-   the checkpoint, so resuming the same key works and resuming a
-   different scheme fails loudly. *)
-let test_engine_resume_identity () =
-  with_tmp_checkpoint (fun path ->
-      Casted_engine.Engine.with_engine ~jobs:2 (fun e ->
-          let key scheme =
-            Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
-              ~scheme ~issue_width:2 ~delay:2 ()
-          in
-          let r =
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~trials:100 (key Scheme.Casted)
-          in
-          let resumed =
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~resume:true ~trials:100 (key Scheme.Casted)
-          in
-          same_result "engine re-resume of finished campaign" resumed r;
-          match
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~resume:true ~trials:100 (key Scheme.Dced)
-          with
-          | _ ->
-              Alcotest.fail "expected Invalid_argument on scheme mismatch"
-          | exception Invalid_argument msg ->
-              Alcotest.(check bool) "message names the checkpoint identity"
-                true
-                (Helpers.contains msg "CASTED" && Helpers.contains msg "DCED")))
-
-(* A finished campaign leaves a checkpoint whose index covers every
-   trial, so re-resuming runs nothing and reproduces the tally. *)
-let test_checkpoint_written_and_final () =
-  let s = schedule () in
-  with_tmp_checkpoint (fun path ->
-      let r =
-        Montecarlo.run ~seed:6 ~checkpoint:path ~checkpoint_every:64
-          ~trials:100 s
+(* A store campaign banks every finished chunk on the way and leaves a
+   complete entry, so rerunning it simulates nothing and reproduces the
+   tally. *)
+let test_finished_campaign_reserved () =
+  with_store (fun store ->
+      let key =
+        Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
+          ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ()
       in
-      (match Checkpoint.load ~path () with
-      | Ok (Some c) ->
-          Alcotest.(check int) "final index" 100 c.Checkpoint.next_index
-      | Ok None -> Alcotest.fail "no checkpoint written"
-      | Error msg -> Alcotest.failf "unreadable checkpoint: %s" msg);
-      let resumed =
-        Montecarlo.run ~seed:6 ~checkpoint:path ~resume:true ~trials:100 s
-      in
-      same_result "re-resume of a finished campaign" resumed r)
+      Engine.with_engine ~jobs:2 (fun e ->
+          let run () =
+            Engine.campaign_stored e ~seed:6 ~store ~trials:100 key
+          in
+          let first = run () in
+          Alcotest.(check int) "banked the first chunk, then the tally" 2
+            (Engine.store_counters e).Engine.store_writes;
+          let again = run () in
+          Alcotest.(check int) "first run simulated everything" 100
+            first.Engine.simulated;
+          Alcotest.(check int) "rerun simulated nothing" 0
+            again.Engine.simulated;
+          Alcotest.(check int) "rerun served the whole tally" 100
+            again.Engine.served;
+          same_result "re-served finished campaign" again.Engine.result
+            first.Engine.result))
 
 (* Recovery campaigns keep the engine's determinism contract: the
    recovered tally of a TMR (voting) and a ROLLBACK (retrying) campaign
@@ -484,18 +349,12 @@ let suite =
       case "early stop deterministic across pools"
         test_early_stop_deterministic;
       case "early stop rejects bad target" test_early_stop_rejects_bad_target;
-      case "checkpoint round trip" test_checkpoint_round_trip;
-      case "checkpoint missing vs corrupt" test_checkpoint_missing_and_corrupt;
       case "killed + resumed campaign is bit-identical"
         test_resume_bit_identical;
-      case "resume rejects a mismatched checkpoint"
-        test_resume_rejects_mismatch;
-      case "resume rejects a mismatched campaign identity"
-        test_resume_rejects_identity_mismatch;
-      case "engine stamps and enforces checkpoint identity"
-        test_engine_resume_identity;
-      case "finished campaign leaves a complete checkpoint"
-        test_checkpoint_written_and_final;
+      case "resume rejects a malformed prior"
+        test_resume_rejects_malformed_prior;
+      case "finished campaign leaves a complete store entry"
+        test_finished_campaign_reserved;
       case "recovery campaigns are pool-size independent"
         test_recovery_campaign_deterministic;
       case "DME campaigns are pool-size independent and shed mem SDCs"

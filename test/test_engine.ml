@@ -109,8 +109,8 @@ let test_cache_decoded_physically_shared () =
       Alcotest.(check int) "campaign decoded nothing new" before
         (Cache.stats (Engine.cache e)).Cache.decoded_misses)
 
-(* The engine shares one cache across jobs: a sweep then a campaign on a
-   shared configuration must not recompile it. *)
+(* The engine shares one cache across experiments: a compile then a
+   campaign on a shared configuration must not recompile it. *)
 let test_engine_shares_cache () =
   Engine.with_engine ~jobs:2 (fun e ->
       let _ = Engine.compile e spec in
@@ -153,8 +153,7 @@ let test_pool_propagates_exceptions () =
       | _ -> Alcotest.fail "expected the task exception to re-raise"
       | exception Failure msg -> Alcotest.(check string) "message" "boom" msg)
 
-(* Sweep points come back in grid order whatever the pool size, and the
-   engine job API agrees with the typed convenience. *)
+(* Sweep points come back in grid order whatever the pool size. *)
 let test_sweep_order_independent_of_jobs () =
   let sweep jobs =
     Engine.with_engine ~jobs (fun e ->
@@ -179,30 +178,15 @@ let test_sweep_order_independent_of_jobs () =
       Alcotest.(check int) "cycles" c c')
     seq par
 
+(* A compile then a campaign through one engine: the compile comes back
+   physically shared from the cache and the campaign runs exactly the
+   requested trials. *)
 let test_job_model () =
   Engine.with_engine ~jobs:2 (fun e ->
-      match
-        Engine.run_jobs e
-          [
-            Engine.Compile spec;
-            Engine.Campaign
-              {
-                spec;
-                trials = 10;
-                seed = 7;
-                fuel_factor = 10;
-                model = Casted_sim.Fault.Reg_bit;
-                ci_halfwidth = None;
-                checkpoint = None;
-                resume = false;
-              };
-          ]
-      with
-      | [ Engine.Compiled c; Engine.Campaigned r ] ->
-          Alcotest.(check bool) "compile cached" true
-            (c == Engine.compile e spec);
-          Alcotest.(check int) "campaign trials" 10 r.Montecarlo.trials
-      | _ -> Alcotest.fail "unexpected job outcomes")
+      let c = Engine.compile e spec in
+      let r = Engine.campaign e ~seed:7 ~trials:10 spec in
+      Alcotest.(check bool) "compile cached" true (c == Engine.compile e spec);
+      Alcotest.(check int) "campaign trials" 10 r.Montecarlo.trials)
 
 let test_rng_derive () =
   let a = Casted_sim.Rng.derive ~seed:1 0 in
@@ -252,11 +236,11 @@ let test_campaign_deterministic_all_models () =
         par seq)
     Casted_sim.Fault.all_models
 
-(* Golden pins for the identity strings that campaign checkpoints embed
-   and the result store hashes into entry addresses. These literals are
-   the on-disk compatibility contract: if one of these checks fails, the
-   change orphans every persisted checkpoint and store entry, so it must
-   be an explicit migration, never an accident. *)
+(* Golden pins for the identity strings the result store hashes into
+   entry addresses. These literals are the on-disk compatibility
+   contract: if one of these checks fails, the change orphans every
+   persisted store entry, so it must be an explicit migration, never an
+   accident. *)
 let test_identity_golden_matrix () =
   let expected =
     List.concat_map

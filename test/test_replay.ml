@@ -2,13 +2,12 @@
    layer is that a trial restored from a snapshot is bit-identical to
    the same trial executed full-length — for every fault model, every
    snapshot stride, and every pool size. These tests pin that, plus the
-   [Replay.find] search contract and the legacy-checkpoint gate. *)
+   [Replay.find] search contract. *)
 
 open Helpers
 module Fault = Casted_sim.Fault
 module Rng = Casted_sim.Rng
 module Montecarlo = Casted_sim.Montecarlo
-module Checkpoint = Casted_sim.Checkpoint
 module Decode = Casted_sim.Decode
 module Replay = Casted_sim.Replay
 module State = Casted_sim.State
@@ -164,48 +163,6 @@ let test_find_latest_valid () =
           snaps
   done
 
-(* Checkpoint files predating the identity field are refused unless the
-   caller explicitly opts in — nothing ties them to the campaign. *)
-let test_legacy_checkpoint_gate () =
-  let path = Filename.temp_file "casted_legacy" ".ckpt" in
-  Checkpoint.save ~path
-    {
-      Checkpoint.seed = 9;
-      fuel_factor = 10;
-      model = Fault.Reg_bit;
-      trials = 64;
-      next_index = 32;
-      counts = [| 10; 15; 4; 2; 1 |];
-      identity = "kernel/CASTED/i2/d2";
-    };
-  (* Rewrite the file without its identity line: the legacy format. *)
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let legacy =
-    List.rev !lines
-    |> List.filter (fun l -> not (String.starts_with ~prefix:"identity=" l))
-  in
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) legacy;
-  close_out oc;
-  (match Checkpoint.load ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "identity-less checkpoint loaded without opt-in");
-  (match Checkpoint.load ~allow_legacy:true ~path () with
-  | Ok (Some t) ->
-      Alcotest.(check string) "legacy identity is empty" "" t.Checkpoint.identity;
-      Alcotest.(check int) "counts survive" 15 t.Checkpoint.counts.(1);
-      Alcotest.(check int) "index survives" 32 t.Checkpoint.next_index
-  | Ok None -> Alcotest.fail "legacy checkpoint not found"
-  | Error e -> Alcotest.failf "legacy checkpoint refused despite opt-in: %s" e);
-  Sys.remove path
-
 let suite =
   ( "replay",
     [
@@ -217,6 +174,4 @@ let suite =
         test_campaign_replay_invariant;
       Alcotest.test_case "find picks latest valid snapshot" `Quick
         test_find_latest_valid;
-      Alcotest.test_case "legacy checkpoint gated" `Quick
-        test_legacy_checkpoint_gate;
     ] )

@@ -8,35 +8,12 @@ module Work = Casted_store.Work
 module Engine = Casted_engine.Engine
 module Cache = Casted_engine.Cache
 module Montecarlo = Casted_sim.Montecarlo
+module Fault = Casted_sim.Fault
 module Workload = Casted_workloads.Workload
 
 let spec =
   Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
     ~issue_width:2 ~delay:2 ()
-
-(* Fresh store directory per test, removed afterwards. *)
-let dir_counter = ref 0
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_store_dir f =
-  incr dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "casted-store-test-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  if Sys.file_exists dir then rm_rf dir;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f dir)
-
-let with_store f = with_store_dir (fun dir -> f (Store.open_exn ~create:true dir))
 
 let same_result msg (a : Montecarlo.result) (b : Montecarlo.result) =
   Alcotest.(check (array int))
@@ -71,6 +48,14 @@ let test_address_golden () =
     "shard entry address"
     "cjpeg/fault/ROLLBACK/i2/d2/reg-bit|seed=7|fuel=10|retry=3|trials=256|shard=1/4"
     (Store.address shard);
+  Alcotest.(check string)
+    "early-stop cell address"
+    "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1|trials=256|ci=0.1"
+    (Store.address (Store.early_stop ~ci_halfwidth:0.1 full));
+  Alcotest.(check string)
+    "early-stop cell address, integral target"
+    "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1|trials=256|ci=2"
+    (Store.address (Store.early_stop ~ci_halfwidth:2.0 full));
   Alcotest.(check string)
     "work unit address"
     "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|trials=256|fuel=10|retry=-1"
@@ -338,21 +323,93 @@ let test_shard_merge_matches_single () =
           same_result "served merge" warm.Engine.result single))
     [ 1; 4 ]
 
-let test_store_rejects_early_stop_and_checkpoint () =
+(* Early-stop cells: a store campaign with a stop target stops exactly
+   where the storeless campaign does, re-serves with zero simulation,
+   and resumes a banked prefix to the same stopping point. *)
+let test_early_stop_cells () =
+  let seed = 4 and trials = 2000 and ci_halfwidth = 8.0 in
+  let reference =
+    Engine.with_engine ~jobs:1 (fun e ->
+        Engine.campaign e ~seed ~ci_halfwidth ~trials spec)
+  in
+  Alcotest.(check bool) "reference stops early, after the first chunk" true
+    (reference.Montecarlo.trials < trials
+    && reference.Montecarlo.trials > Montecarlo.chunk_trials);
+  List.iter
+    (fun jobs ->
+      with_store (fun s ->
+          Engine.with_engine ~jobs (fun e ->
+              let run () =
+                Engine.campaign_stored e ~seed ~ci_halfwidth ~store:s ~trials
+                  spec
+              in
+              let cold = run () in
+              let label = Printf.sprintf "jobs=%d" jobs in
+              same_result (label ^ " cold vs storeless") cold.Engine.result
+                reference;
+              Alcotest.(check int) (label ^ " cold simulated the stop point")
+                reference.Montecarlo.trials cold.Engine.simulated;
+              let warm = run () in
+              Alcotest.(check int) (label ^ " warm simulated nothing") 0
+                warm.Engine.simulated;
+              Alcotest.(check int) (label ^ " warm is a full hit") 1
+                (Engine.store_counters e).Engine.full_hits;
+              Alcotest.(check int) (label ^ " warm served the stop point")
+                reference.Montecarlo.trials warm.Engine.served;
+              same_result (label ^ " warm vs storeless") warm.Engine.result
+                reference)))
+    [ 1; 4 ];
+  (* A campaign killed after its first chunk left that chunk banked. *)
   with_store (fun s ->
-      Engine.with_engine ~jobs:1 (fun e ->
-          let raises msg f =
-            match f () with
-            | (_ : Engine.stored_campaign) ->
-                Alcotest.fail (msg ^ ": no exception")
-            | exception Invalid_argument _ -> ()
+      Engine.with_engine ~jobs:2 (fun e ->
+          let prefix = Engine.campaign e ~seed ~trials:64 spec in
+          let key =
+            Store.early_stop ~ci_halfwidth
+              (Store.key ~identity:(Engine.campaign_identity spec Fault.Reg_bit)
+                 ~seed ~fuel_factor:10 ~trials ())
           in
-          raises "ci_halfwidth" (fun () ->
-              Engine.campaign_stored e ~store:s ~ci_halfwidth:1.0 ~trials:64
-                spec);
-          raises "checkpoint" (fun () ->
-              Engine.campaign_stored e ~store:s ~checkpoint:"/tmp/x" ~trials:64
-                spec)))
+          Store.put s
+            {
+              Store.key;
+              trials_done = 64;
+              counts = Montecarlo.counts prefix;
+              golden_cycles = prefix.Montecarlo.golden_cycles;
+              golden_dyn = prefix.Montecarlo.golden_dyn;
+              population = prefix.Montecarlo.population;
+              model = "reg-bit";
+              spec = None;
+            };
+          let resumed =
+            Engine.campaign_stored e ~seed ~ci_halfwidth ~store:s ~trials spec
+          in
+          Alcotest.(check int) "resume served the banked chunk" 64
+            resumed.Engine.served;
+          Alcotest.(check int) "resume simulated the rest"
+            (reference.Montecarlo.trials - 64)
+            resumed.Engine.simulated;
+          same_result "resumed vs storeless" resumed.Engine.result reference));
+  let plain ?shard trials =
+    Store.key ?shard ~identity:"c" ~seed ~fuel_factor:10 ~trials ()
+  in
+  let address ~trials ~ci_halfwidth =
+    Store.address (Store.early_stop ~ci_halfwidth (plain trials))
+  in
+  let base = address ~trials ~ci_halfwidth in
+  Alcotest.(check bool) "trials are part of the address" true
+    (base <> address ~trials:(trials + 64) ~ci_halfwidth);
+  Alcotest.(check bool) "the target is part of the address" true
+    (base <> address ~trials ~ci_halfwidth:4.0);
+  Alcotest.(check bool) "the plain cell has its own address" true
+    (base <> Store.address (plain trials));
+  List.iter
+    (fun (msg, ci_halfwidth, key) ->
+      match Store.early_stop ~ci_halfwidth key with
+      | (_ : Store.key) -> Alcotest.fail (msg ^ ": no exception")
+      | exception Invalid_argument _ -> ())
+    [
+      ("non-finite target", Float.nan, plain trials);
+      ("sharded cell", ci_halfwidth, plain ~shard:(0, 2) trials);
+    ]
 
 let test_work_queue_and_claims () =
   with_store (fun s ->
@@ -475,8 +532,8 @@ let suite =
         test_incremental_extend;
       case "2-shard run merges bit-identically to 1 process"
         test_shard_merge_matches_single;
-      case "store refuses early-stop and checkpoint combos"
-        test_store_rejects_early_stop_and_checkpoint;
+      case "early-stop cells stop, re-serve and resume identically"
+        test_early_stop_cells;
       case "work queue enqueue/claim/release" test_work_queue_and_claims;
       case "stale lock of a dead worker is broken" test_work_stale_lock_broken;
       case "gc sweeps merged-away shard entries" test_gc_shards_after_merge;
