@@ -280,7 +280,8 @@ let section_recovery () =
    throughput of CASTED (detection-only) vs the TMR and ROLLBACK
    recovery schemes, against the NOED baseline. Feeds the
    `recovery_overhead` section of BENCH.json; the recovered-fraction
-   floors are checked by scripts/perf_check.py in CI. *)
+   floors and the rollback fault-free-ratio floor are checked by
+   scripts/perf_check.py in CI. *)
 let recovery_overhead_json : Obs.Json.t ref = ref Obs.Json.Null
 
 let section_recovery_overhead () =
@@ -293,6 +294,38 @@ let section_recovery_overhead () =
   let _, noed = Engine.simulate engine (key Scheme.Noed) in
   let base = noed.Outcome.cycles in
   let n = min trials 150 in
+  (* Fault-free cost of rollback support on the checkpoint-heaviest
+     workload (181.mcf passes ~3080 region heads per run): median plain
+     run time over median fault-free run_recovering time, both on the
+     same decoded program. A machine-independent ratio; near 1.0 while
+     checkpoints stay lazy, far below it if every region head
+     materializes a snapshot again. *)
+  let fault_free_ratio =
+    let d =
+      Casted_engine.Cache.decoded (Engine.cache engine)
+        (Casted_engine.Cache.key ~workload:"181.mcf" ~size:W.Fault
+           ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 ())
+    in
+    let median_time f =
+      let times =
+        Array.init 7 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            ignore (f () : Outcome.run);
+            Unix.gettimeofday () -. t0)
+      in
+      Array.sort compare times;
+      times.(Array.length times / 2)
+    in
+    let plain = median_time (fun () -> Simulator.run_decoded d) in
+    let recovering =
+      median_time (fun () ->
+          Simulator.run_recovering ~retry_budget:Engine.default_retry_budget d)
+    in
+    plain /. recovering
+  in
+  Printf.printf
+    "ROLLBACK fault-free ratio (181.mcf, plain / recovering): %.2f\n"
+    fault_free_ratio;
   let one scheme =
     let t0 = Unix.gettimeofday () in
     let r = Engine.campaign engine ~seed ~trials:n (key scheme) in
@@ -315,7 +348,7 @@ let section_recovery_overhead () =
       tps;
     ( String.lowercase_ascii (Scheme.name scheme),
       Obs.Json.Obj
-        [
+        ([
           ("overhead", f overhead);
           ("recovered_fraction", f recovered);
           ("sdc_fraction", f sdc);
@@ -323,7 +356,11 @@ let section_recovery_overhead () =
           ("mwtf", if Float.is_finite mwtf then f mwtf else Obs.Json.Null);
           ("trials_per_s", f tps);
           ("trials", Obs.Json.Int r.Montecarlo.trials);
-        ] )
+        ]
+        @
+        if scheme = Scheme.Rollback then
+          [ ("fault_free_ratio", f fault_free_ratio) ]
+        else []) )
   in
   let rows = List.map one [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ] in
   recovery_overhead_json :=

@@ -6,9 +6,10 @@
     get a {!Casted_ir.Opcode.Cpt} marker prepended to their body. The
     marker costs one issue slot and executes as a no-op; its meaning
     lives in the simulator, where {!Casted_sim.Simulator.run_recovering}
-    snapshots the machine at every marked block's loop top and answers
-    a fired detection check by restoring the latest snapshot and
-    re-executing the region instead of trapping. *)
+    treats every marked block's loop top as a restore point and answers
+    a fired detection check by restoring the machine state of the
+    latest one (rebuilt on demand) and re-executing the region instead
+    of trapping. *)
 
 type stats = {
   regions : int;  (** region-head blocks found in the entry function *)

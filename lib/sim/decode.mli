@@ -54,7 +54,8 @@ type dblock = {
   bundles : dbundle array;  (** empty cycles stripped *)
   checkpoint : bool;
       (** the block carries a [Cpt] marker: its loop top is a
-          rollback-region boundary ({!Simulator.run_recovering}) *)
+          rollback-region boundary, a checkpoint
+          {!Simulator.run_recovering} counts and can roll back to *)
 }
 
 type dfunc = {

@@ -160,9 +160,10 @@ let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
     let fault = Fault.random model rng ~population:g.pop in
     match retry_budget with
     | Some retry_budget ->
-        (* Rollback trials own the snapshot machinery themselves (the
-           region checkpoints), so golden-prefix replay stays out of the
-           picture: run_decoded forces it off for these campaigns. *)
+        (* Rollback trials own their restore points (the region
+           checkpoints, rebuilt on demand by run_recovering), so
+           golden-prefix replay stays out of the picture: run_decoded
+           forces it off for these campaigns. *)
         let c =
           classify_result ~golden:g.run
             (try
@@ -373,7 +374,7 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let suffix_sum = ref 0.0 in
   (* Stage-2 compile: trials run on the closure-threaded engine unless
      the caller opted out. Rollback campaigns stay on the interpreter —
-     run_recovering needs its on_block snapshot hook, which the compiled
+     run_recovering needs its on_block checkpoint hook, which the compiled
      path does not offer. A pre-compiled program (the engine cache's
      memoized one) wins over compiling here. *)
   let compiled =

@@ -455,9 +455,9 @@ and exec_insn ctx fr ~cluster ~t (di : Decode.dinsn) =
       | 1, None -> invalid_arg "Simulator: call expected a return value"
       | _ -> invalid_arg "Simulator: call with multiple defs")
   | Opcode.Cpt ->
-      (* Region-boundary marker: the snapshot fires at the enclosing
-         block's loop top (run_recovering); executing the marker itself
-         does nothing. *)
+      (* Region-boundary marker: the checkpoint is the enclosing block's
+         loop top (run_recovering); executing the marker itself does
+         nothing. *)
       ()
   | Opcode.Nop -> ());
   for i = 0 to Array.length defs - 1 do
@@ -517,28 +517,34 @@ let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false)
   if M.enabled () then M.incr "sim.replays";
   finish ctx ~with_mem_digest termination
 
-(* Region rollback: execute with a snapshot taken at every
-   checkpoint-flagged block top of the entry function; when a check
-   fires (or the machine traps), restore the latest snapshot and
-   re-execute with the fault disarmed — the injected upset is a
-   transient, so the retry sees clean hardware. A corrupted checkpoint
-   (the fault landed before the snapshot its detection fires after)
-   re-fails deterministically and exhausts the bounded retry budget, in
-   which case the original failure is reported. Work thrown away by
-   failed attempts is folded into the final run's [cycles]/[dyn_insns]
-   so recovery pays its true cost. *)
+(* Region rollback: when a check fires (or the machine traps), restore
+   the latest checkpoint — the last checkpoint-flagged block top of the
+   entry function — and re-execute with the fault disarmed: the
+   injected upset is a transient, so the retry sees clean hardware. A
+   corrupted checkpoint (the fault landed before the snapshot its
+   detection fires after) re-fails deterministically and exhausts the
+   bounded retry budget, in which case the original failure is
+   reported. Work thrown away by failed attempts is folded into the
+   final run's [cycles]/[dyn_insns] so recovery pays its true cost.
+
+   Checkpoints are lazy: an attempt only counts the checkpoint block
+   tops it passes, and [latest] records how to reach the last one again
+   — the attempt's fault, its start (fresh machine or the snapshot it
+   restored) and the checkpoint's ordinal. Only when a rollback is due
+   is that one snapshot materialized, by re-running the attempt from
+   the same start with the same fault and fuel up to the recorded
+   checkpoint. Simulation is deterministic and State.snapshot has no
+   side effects, so the rebuilt snapshot is exactly the one an eager
+   snapshot would have captured; the rebuild is simulator work, not
+   machine work, and is not folded into the run. *)
 let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
     ~retry_budget (d : Decode.t) =
   let entry = d.Decode.funcs.(d.Decode.entry) in
   let eblocks = entry.Decode.blocks in
-  let latest = ref None in
-  let on_block st fr cur =
-    if eblocks.(cur).Decode.checkpoint then
-      latest := Some (State.snapshot st ~regs:fr ~block:cur)
-  in
-  let wasted_cycles = ref 0 in
-  let wasted_dyn = ref 0 in
-  let rec attempt ~fault ~retries ~(from : State.snapshot option) =
+  (* One attempt's machine: fresh, or restored from [from]; [run]
+     executes the entry function under [fault] with [on_block] at its
+     block tops. *)
+  let launch ~fault ~from ~on_block =
     let st, runner =
       match from with
       | None ->
@@ -565,6 +571,40 @@ let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
       { d; config = d.Decode.config; fuel; fault; profile = None;
         on_block = Some on_block; st; args_scratch = [||] }
     in
+    (ctx, fun () -> runner ctx)
+  in
+  let rebuild (fault, from, ordinal) =
+    let exception Reached of State.snapshot in
+    let seen = ref 0 in
+    let on_block st fr cur =
+      if eblocks.(cur).Decode.checkpoint then begin
+        incr seen;
+        if !seen = ordinal then
+          raise (Reached (State.snapshot st ~regs:fr ~block:cur))
+      end
+    in
+    let _, run = launch ~fault ~from ~on_block in
+    match run () with
+    | () -> invalid_arg "Simulator.run_recovering: checkpoint not reached"
+    | exception Reached snap ->
+        let module M = Casted_obs.Metrics in
+        if M.enabled () then begin
+          let start_dyn =
+            match from with None -> 0 | Some s -> s.State.s_dyn
+          in
+          M.incr ~by:(snap.State.s_dyn - start_dyn)
+            "sim.checkpoint_rebuild_insns"
+        end;
+        snap
+  in
+  let latest = ref None in
+  let wasted_cycles = ref 0 in
+  let wasted_dyn = ref 0 in
+  let rec attempt ~fault ~retries ~from =
+    let hits = ref 0 in
+    let on_block _ _ cur = if eblocks.(cur).Decode.checkpoint then incr hits in
+    let ctx, run = launch ~fault ~from ~on_block in
+    let st = ctx.st in
     let assemble termination =
       let r = finish ctx ~with_mem_digest termination in
       if !wasted_cycles = 0 && !wasted_dyn = 0 then r
@@ -579,16 +619,17 @@ let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
             * ctx.config.Config.issue_width;
         }
     in
+    let exited code =
+      if retries > 0 then Outcome.Recovered { exit_code = code; retries }
+      else Outcome.Exit code
+    in
     let outcome =
       try
-        runner ctx;
-        Ok (Outcome.Exit 0)
+        run ();
+        (* Entry returned instead of halting: exit 0. *)
+        Ok (exited 0)
       with
-      | Halted code ->
-          Ok
-            (if retries > 0 then
-               Outcome.Recovered { exit_code = code; retries }
-             else Outcome.Exit code)
+      | Halted code -> Ok (exited code)
       | Out_of_fuel -> Ok Outcome.Timeout
       | Check_failed id -> Error (Outcome.Detected id)
       | Trap.Trap tr -> Error (Outcome.Trapped tr)
@@ -596,11 +637,16 @@ let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
     match outcome with
     | Ok termination -> assemble termination
     | Error termination -> (
+        if !hits > 0 then latest := Some (fault, from, !hits);
         match !latest with
-        | Some snap when retries < retry_budget ->
-            wasted_cycles :=
-              !wasted_cycles + (st.State.time - snap.State.s_time);
-            wasted_dyn := !wasted_dyn + (st.State.dyn - snap.State.s_dyn);
+        | Some l when retries < retry_budget ->
+            (* Read the failed attempt's clock first: the rebuild reuses
+               the domain's scratch arenas, so the failed machine is
+               gone after it. *)
+            let time = st.State.time and dyn = st.State.dyn in
+            let snap = rebuild l in
+            wasted_cycles := !wasted_cycles + (time - snap.State.s_time);
+            wasted_dyn := !wasted_dyn + (dyn - snap.State.s_dyn);
             Casted_obs.Metrics.incr "sim.rollbacks";
             attempt ~fault:None ~retries:(retries + 1) ~from:(Some snap)
         | _ -> assemble termination)

@@ -86,20 +86,29 @@ val run_replayed :
   Outcome.run
 
 (** [run_recovering ~retry_budget decoded] executes a rollback-hardened
-    program ({!Casted_detect.Scheme.Rollback}): a {!State.snapshot} is
-    taken at every checkpoint-flagged block top of the entry function
-    (the region boundaries the rollback pass marked with
-    {!Casted_ir.Opcode.Cpt}), and a fired check or machine trap no
-    longer ends the run — the latest snapshot is restored and the
-    suffix re-executed with the (transient) fault disarmed, up to
-    [retry_budget] times. A run that completes after at least one
-    rollback terminates with {!Outcome.Recovered}; a retry chain that
-    keeps failing (the fault corrupted the checkpoint itself) exhausts
-    the budget and reports the original failure. Cycles and dynamic
-    instructions thrown away by failed attempts are folded into the
-    final {!Outcome.run}, so recovery pays its re-execution cost.
-    On a schedule with no checkpoint blocks this is plain
-    [run_decoded]. Timeouts never retry: the fuel budget is global. *)
+    program ({!Casted_detect.Scheme.Rollback}). The checkpoint-flagged
+    block tops of the entry function (the region boundaries the
+    rollback pass marked with {!Casted_ir.Opcode.Cpt}) are restore
+    points: a fired check or machine trap no longer ends the run — the
+    machine state at the latest checkpoint is restored and the suffix
+    re-executed with the (transient) fault disarmed, up to
+    [retry_budget] times. A run that completes (halts, or its entry
+    function returns) after at least one rollback terminates with
+    {!Outcome.Recovered}; a retry chain that keeps failing (the fault
+    corrupted the checkpoint itself) exhausts the budget and reports
+    the original failure. Cycles and dynamic instructions thrown away
+    by failed attempts are folded into the final {!Outcome.run}, so
+    recovery pays its re-execution cost. Timeouts never retry: the
+    fuel budget is global.
+
+    Checkpoints are lazy: a running attempt only counts the checkpoints
+    it passes, and the one {!State.snapshot} a rollback needs is rebuilt
+    by deterministically re-running the failed attempt up to it. The
+    rebuilt snapshot is the one an eager snapshot would have taken; its
+    re-executed instructions are simulator work, not folded into the
+    run (they are counted by the [sim.checkpoint_rebuild_insns]
+    metric). A fault-free run therefore costs what [run_decoded] does,
+    and returns the same {!Outcome.run} field for field. *)
 val run_recovering :
   ?fault:Fault.t ->
   ?fuel:int ->

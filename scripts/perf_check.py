@@ -10,7 +10,8 @@ section (its historical shape); a top-level "floor" table applies to
 the same section but without a margin, for machine-independent ratios
 whose acceptance bar is the floor itself; a top-level
 "recovery_overhead" object carries its own "min" (and optional
-"margin") table for the `recovery_overhead` section. Exits non-zero on
+"margin" and "floor") tables for the `recovery_overhead` section, and a
+"dme_coverage" object likewise for the `dme_coverage` section. Exits non-zero on
 any regression past the margin, so CI fails when the pre-decoded core
 or the closure-threaded engine loses its speedup or a recovery scheme
 stops recovering.
@@ -95,6 +96,7 @@ def main():
             recovery.get("min", {}),
             float(recovery.get("margin", margin)),
             failures,
+            floors=recovery.get("floor", {}),
         )
     dme = base.get("dme_coverage")
     if isinstance(dme, dict):

@@ -219,6 +219,41 @@ let test_metrics_campaign_determinism () =
   Alcotest.(check bool) "merged metrics identical at jobs=1 and jobs=4" true
     (snap1 = snap4)
 
+(* The rollback campaign's counters are passive too: the tally is
+   bit-identical with metrics on, and the instructions re-executed to
+   rebuild checkpoints are reported alongside the rollbacks. *)
+let test_rollback_metrics_passive () =
+  let p =
+    program_of (fun b ->
+        let base = B.movi b 0x100L in
+        let acc = B.movi b 7L in
+        B.counted_loop b ~from:0L ~until:16L (fun b i ->
+            let x = B.mul b acc acc in
+            let y = B.add b x i in
+            let (_ : Casted_ir.Reg.t) = B.andi b ~dst:acc y 0x1FFFL in
+            B.st b Opcode.W8 ~value:acc ~base 0L))
+  in
+  let c = Pipeline.compile ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 p in
+  let campaign () =
+    Montecarlo.run ~seed:11 ~trials:64 ~retry_budget:3 c.Pipeline.schedule
+  in
+  let baseline = campaign () in
+  let r, snap =
+    with_metrics (fun () ->
+        let r = campaign () in
+        (r, Metrics.snapshot ()))
+  in
+  Alcotest.(check bool) "metrics do not perturb the tally" true (baseline = r);
+  let counter name =
+    match List.assoc_opt name snap with
+    | Some (Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  Alcotest.(check bool) "some trials rolled back" true
+    (counter "sim.rollbacks" > 0);
+  Alcotest.(check bool) "checkpoint rebuilds counted" true
+    (counter "sim.checkpoint_rebuild_insns" > 0)
+
 let test_tracing_does_not_perturb () =
   let p = looped_program () in
   let c = Pipeline.compile ~scheme:Scheme.Sced ~issue_width:2 ~delay:1 p in
@@ -247,5 +282,7 @@ let suite =
       case "metric kinds and merge" test_metrics_kinds;
       case "campaign determinism with metrics, jobs=1 vs jobs=4"
         test_metrics_campaign_determinism;
+      case "rollback campaign metrics are passive"
+        test_rollback_metrics_passive;
       case "tracing does not perturb a run" test_tracing_does_not_perturb;
     ] )

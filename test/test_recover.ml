@@ -3,6 +3,7 @@ module Recover = Casted_detect.Recover
 module Fault = Casted_sim.Fault
 module Decode = Casted_sim.Decode
 module Montecarlo = Casted_sim.Montecarlo
+module Rng = Casted_sim.Rng
 module W = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
 
@@ -163,6 +164,11 @@ let test_tmr_single_fault_bit_identity () =
   Alcotest.(check bool) "some trials were actively corrected" true
     (!corrected > 0)
 
+(* A program hardened under ROLLBACK (issue 2, delay 2), decoded. *)
+let decode_rollback p =
+  let c = Pipeline.compile ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 p in
+  Decode.of_schedule c.Pipeline.schedule
+
 (* Rollback retry budgets. A fault detected inside the region it
    corrupts is repaired by one restore (the re-execution runs with the
    fault disarmed). A fault that corrupts state *before* the next
@@ -171,9 +177,7 @@ let test_tmr_single_fault_bit_identity () =
    and the original detection is reported — raising the budget cannot
    help. *)
 let test_rollback_budget_exhaustion () =
-  let p = kernel () in
-  let c = Pipeline.compile ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 p in
-  let decoded = Decode.of_schedule c.Pipeline.schedule in
+  let decoded = decode_rollback (kernel ()) in
   let golden = Simulator.run_decoded decoded in
   let fuel = 20 * golden.Outcome.dyn_insns in
   let exhausted = ref None in
@@ -244,6 +248,214 @@ let test_recovery_overhead_larger () =
   Alcotest.(check bool) "more dynamic work" true
     (rec_run.Outcome.dyn_insns > det.Outcome.dyn_insns)
 
+(* --- Rollback outcome pins --------------------------------------------
+
+   An explicit, stable rendering of every Outcome.run field a rollback
+   trial reports (Marshal bytes are not a stable rendering). *)
+let render_run (r : Outcome.run) =
+  let c = r.Outcome.cache in
+  let module H = Casted_cache.Hierarchy in
+  Format.asprintf
+    "%a|%d|%d|%d|%d|%d|%d|%d|%d|%s|%d|%d|%s|%s|%d,%d,%d,%d,%d,%d,%d"
+    Outcome.pp_termination r.Outcome.termination r.Outcome.cycles
+    r.Outcome.dyn_insns r.Outcome.dyn_defs r.Outcome.dyn_mem
+    r.Outcome.dyn_branches r.Outcome.dyn_xreads r.Outcome.dyn_checks
+    r.Outcome.dyn_corrections
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int r.Outcome.dyn_by_role)))
+    r.Outcome.slots_total r.Outcome.exit_code
+    (Digest.to_hex (Digest.string r.Outcome.output))
+    (if r.Outcome.mem_digest = "" then "-"
+     else Digest.to_hex r.Outcome.mem_digest)
+    c.H.l1_hits c.H.l1_misses c.H.l2_hits c.H.l2_misses c.H.l3_hits
+    c.H.l3_misses c.H.writebacks
+
+let rollback_decoded name =
+  match Registry.find name with
+  | Some w -> decode_rollback (w.W.build W.Fault)
+  | None -> Alcotest.failf "%s not registered" name
+
+(* MD5 over the rendered outcomes of 288 rollback trials (3 workloads x
+   reg-bit/burst/mem x 32, campaign seed 0xCA57ED, faults drawn exactly
+   as a campaign draws them). Computed with the eager-snapshot
+   run_recovering, which took a State.snapshot at every checkpoint; the
+   lazy rebuild must reproduce every field. 181.mcf passes ~3080
+   checkpoints per fault-free run. *)
+let pinned_rollback_outcomes = "8554a229ec6dfe130f090219ccff0e17"
+
+let test_rollback_outcomes_pinned () =
+  let seed = 0xCA57ED in
+  let lines = Buffer.create 65536 in
+  List.iter
+    (fun name ->
+      let d = rollback_decoded name in
+      let g = Montecarlo.golden_decoded d in
+      List.iter
+        (fun model ->
+          for index = 0 to 31 do
+            let rng = Rng.create ~seed:(Rng.derive ~seed index) in
+            let fault = Fault.random model rng ~population:g.Montecarlo.pop in
+            let r =
+              Simulator.run_recovering ~fault ~fuel:g.Montecarlo.fuel
+                ~with_mem_digest:true ~retry_budget:3 d
+            in
+            Buffer.add_string lines
+              (Printf.sprintf "%s/%s/%d %s\n" name (Fault.model_name model)
+                 index (render_run r))
+          done)
+        [ Fault.Reg_bit; Fault.Burst; Fault.Mem ])
+    [ "cjpeg"; "197.parser"; "181.mcf" ];
+  Alcotest.(check string) "rollback outcomes digest" pinned_rollback_outcomes
+    (Digest.to_hex (Digest.string (Buffer.contents lines)))
+
+(* A poisoned checkpoint at budget 3: the fault corrupts state before
+   the latest checkpoint and is detected after it, so every retry
+   restores corrupt state and fails again. From the second rollback on,
+   the checkpoint to rebuild was recorded by a retry attempt, whose
+   start is itself a rebuilt snapshot. Pinned against the eager-snapshot
+   implementation: the first poisoned reg-bit fault in the second half
+   of the kernel's run and its whole-run cost (three wasted
+   re-executions folded in). *)
+let pinned_poisoned = (134, 140, 245)
+
+let test_rollback_poisoned_retry_chain () =
+  let d = decode_rollback (kernel ()) in
+  let golden = Simulator.run_decoded d in
+  let fuel = 20 * golden.Outcome.dyn_insns in
+  let rec first def =
+    if def >= golden.Outcome.dyn_defs then
+      Alcotest.fail "no reg-bit fault poisons a checkpoint"
+    else
+      let fault = Fault.Reg_flip { target_slot = def; bit = 11 } in
+      let r = Simulator.run_recovering ~fault ~fuel ~retry_budget:3 d in
+      match r.Outcome.termination with
+      | Outcome.Detected _ -> (def, r)
+      | _ -> first (def + 1)
+  in
+  let def, r = first (golden.Outcome.dyn_defs / 2) in
+  let once =
+    Simulator.run_decoded
+      ~fault:(Fault.Reg_flip { target_slot = def; bit = 11 })
+      ~fuel d
+  in
+  Alcotest.(check bool) "retries re-executed work" true
+    (r.Outcome.dyn_insns > once.Outcome.dyn_insns);
+  Alcotest.(check (triple int int int)) "(def, cycles, dyn_insns)"
+    pinned_poisoned
+    (def, r.Outcome.cycles, r.Outcome.dyn_insns)
+
+(* A fault detected before the run reaches its first checkpoint has
+   nothing to roll back to: the original failure is reported, field for
+   field the plain run's. The entry block's region head is cleared in
+   the decoded form so the first checkpoint is the loop head. *)
+let test_rollback_detected_before_first_checkpoint () =
+  let p =
+    program_of (fun b ->
+        let base = B.movi b 0x100L in
+        let v = B.movi b 5L in
+        B.st b Opcode.W8 ~value:v ~base 0L;
+        B.counted_loop b ~from:0L ~until:8L (fun b i ->
+            B.st b Opcode.W8 ~value:i ~base 8L))
+  in
+  let d = decode_rollback p in
+  let entry = d.Decode.funcs.(d.Decode.entry) in
+  let blocks = Array.copy entry.Decode.blocks in
+  blocks.(0) <- { (blocks.(0)) with Decode.checkpoint = false };
+  let funcs = Array.copy d.Decode.funcs in
+  funcs.(d.Decode.entry) <- { entry with Decode.blocks };
+  let d = { d with Decode.funcs } in
+  Alcotest.(check bool) "a later checkpoint remains" true
+    (Array.exists (fun b -> b.Decode.checkpoint) blocks);
+  let golden = Simulator.run_decoded d in
+  let fuel = 20 * golden.Outcome.dyn_insns in
+  (* Count checkpoint block tops passed before the run ends. *)
+  let plain fault =
+    let hits = ref 0 in
+    let on_block _ _ cur = if blocks.(cur).Decode.checkpoint then incr hits in
+    let r =
+      Simulator.run_decoded ~fault ~fuel ~with_mem_digest:true ~on_block d
+    in
+    (r, !hits)
+  in
+  let rec find def =
+    if def >= golden.Outcome.dyn_defs then
+      Alcotest.fail "no fault is detected before the first checkpoint"
+    else
+      let fault = Fault.Reg_flip { target_slot = def; bit = 3 } in
+      match plain fault with
+      | ({ Outcome.termination = Outcome.Detected _; _ } as r), 0 -> (fault, r)
+      | _ -> find (def + 1)
+  in
+  let fault, once = find 0 in
+  let r =
+    Simulator.run_recovering ~fault ~fuel ~with_mem_digest:true
+      ~retry_budget:3 d
+  in
+  Alcotest.(check string) "original failure, no retries" (render_run once)
+    (render_run r)
+
+(* Fault-free, a checkpointed schedule runs exactly as without
+   rollback support: checkpoints are counted, never materialized, and
+   no work is folded in. *)
+let test_rollback_fault_free_is_plain_run () =
+  List.iter
+    (fun name ->
+      let d = rollback_decoded name in
+      let plain = Simulator.run_decoded ~with_mem_digest:true d in
+      let r =
+        Simulator.run_recovering ~with_mem_digest:true ~retry_budget:3 d
+      in
+      Alcotest.(check string) (name ^ ": rendered") (render_run plain)
+        (render_run r);
+      Alcotest.(check bool) (name ^ ": field for field") true (plain = r))
+    [ "cjpeg"; "181.mcf" ]
+
+(* An entry function that returns instead of halting still owes its
+   rollbacks to the tally: a repaired run is Recovered, not Exit 0. *)
+let test_rollback_returning_entry_recovered () =
+  let b = B.create ~name:"main" () in
+  let base = B.movi b 0x100L in
+  let acc = B.movi b 7L in
+  B.counted_loop b ~from:0L ~until:16L (fun b i ->
+      let x = B.mul b acc acc in
+      let y = B.add b x i in
+      let (_ : Reg.t) = B.andi b ~dst:acc y 0x1FFFL in
+      B.st b Opcode.W8 ~value:acc ~base 0L);
+  let out = B.movi b 0x40L in
+  let v = B.ld b Opcode.W8 base 0L in
+  B.st b Opcode.W8 ~value:v ~base:out 0L;
+  B.ret b ();
+  let p =
+    Program.make ~funcs:[ B.finish b ] ~entry:"main" ~mem_size:(1 lsl 16)
+      ~data:[] ~output_base:0x40 ~output_len:8 ()
+  in
+  Casted_ir.Validate.check_exn p;
+  let d = decode_rollback p in
+  let golden = Simulator.run_decoded d in
+  Alcotest.(check bool) "entry returns" true
+    (golden.Outcome.termination = Outcome.Exit 0);
+  let fuel = 20 * golden.Outcome.dyn_insns in
+  let rec find def =
+    if def >= golden.Outcome.dyn_defs then
+      Alcotest.fail "no detected fault is repaired by a rollback"
+    else
+      let fault = Fault.Reg_flip { target_slot = def; bit = 11 } in
+      match (Simulator.run_decoded ~fault ~fuel d).Outcome.termination with
+      | Outcome.Detected _ ->
+          let r = Simulator.run_recovering ~fault ~fuel ~retry_budget:1 d in
+          if r.Outcome.output = golden.Outcome.output then r
+          else find (def + 1)
+      | _ -> find (def + 1)
+  in
+  let r = find 0 in
+  if r.Outcome.termination <> Outcome.Recovered { exit_code = 0; retries = 1 }
+  then
+    Alcotest.failf "repaired returning entry reported %a"
+      Outcome.pp_termination r.Outcome.termination;
+  Alcotest.(check string) "classified Recovered"
+    (Montecarlo.class_name Montecarlo.Recovered)
+    (Montecarlo.class_name (Montecarlo.classify ~golden r))
+
 let suite =
   ( "recover",
     [
@@ -262,4 +474,14 @@ let suite =
       case "TMR reg-bit campaign recovers a strict majority"
         test_tmr_majority_recovered;
       case "recovery costs more than detection" test_recovery_overhead_larger;
+      case "rollback outcomes pinned (cjpeg, parser, mcf)"
+        test_rollback_outcomes_pinned;
+      case "rollback poisoned checkpoint rebuilt from a retry"
+        test_rollback_poisoned_retry_chain;
+      case "rollback detected before the first checkpoint"
+        test_rollback_detected_before_first_checkpoint;
+      case "rollback fault-free run equals the plain run"
+        test_rollback_fault_free_is_plain_run;
+      case "rollback returning entry reports Recovered"
+        test_rollback_returning_entry_recovered;
     ] )
