@@ -226,7 +226,11 @@ let section_ablations () =
     (fun scheme ->
       let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
       let real = Simulator.run c.Pipeline.schedule in
-      let ideal = Simulator.run ~perfect_cache:true c.Pipeline.schedule in
+      (* The perfect-cache mode exists on the reference interpreter. *)
+      let ideal =
+        Simulator.reference ~perfect_cache:true
+          (Casted_sim.Decode.of_schedule c.Pipeline.schedule)
+      in
       Printf.printf "%-7s real cache %6d cycles, perfect L1 %6d cycles\n"
         (Scheme.name scheme) real.Outcome.cycles ideal.Outcome.cycles)
     Scheme.all
@@ -284,6 +288,18 @@ let section_recovery () =
    scripts/perf_check.py in CI. *)
 let recovery_overhead_json : Obs.Json.t ref = ref Obs.Json.Null
 
+(* Median wall time of seven runs: the engine ratios below compare two
+   medians measured back to back on the same host. *)
+let median_time f =
+  let times =
+    Array.init 7 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (f () : Outcome.run);
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort compare times;
+  times.(Array.length times / 2)
+
 let section_recovery_overhead () =
   banner "Recovery overhead: CASTED vs TMR vs ROLLBACK (cjpeg, issue 2 delay 2)";
   let f x = Obs.Json.Float x in
@@ -296,30 +312,20 @@ let section_recovery_overhead () =
   let n = min trials 150 in
   (* Fault-free cost of rollback support on the checkpoint-heaviest
      workload (181.mcf passes ~3080 region heads per run): median plain
-     run time over median fault-free run_recovering time, both on the
-     same decoded program. A machine-independent ratio; near 1.0 while
-     checkpoints stay lazy, far below it if every region head
-     materializes a snapshot again. *)
+     run time over median fault-free recovering run time, both on the
+     same pre-compiled program (one engine). A machine-independent
+     ratio; near 1.0 while checkpoints stay lazy, far below it if every
+     region head materializes a snapshot again. *)
   let fault_free_ratio =
-    let d =
-      Casted_engine.Cache.decoded (Engine.cache engine)
+    let p =
+      Casted_engine.Cache.compiled (Engine.cache engine)
         (Casted_engine.Cache.key ~workload:"181.mcf" ~size:W.Fault
            ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 ())
     in
-    let median_time f =
-      let times =
-        Array.init 7 (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (f () : Outcome.run);
-            Unix.gettimeofday () -. t0)
-      in
-      Array.sort compare times;
-      times.(Array.length times / 2)
-    in
-    let plain = median_time (fun () -> Simulator.run_decoded d) in
+    let plain = median_time (fun () -> Casted_sim.Compile.run p) in
     let recovering =
       median_time (fun () ->
-          Simulator.run_recovering ~retry_budget:Engine.default_retry_budget d)
+          Casted_sim.Compile.run ~retry_budget:Engine.default_retry_budget p)
     in
     plain /. recovering
   in
@@ -535,12 +541,6 @@ let section_sim_throughput () =
   let golden = Montecarlo.golden_decoded decoded in
   let golden_dyn = golden.Montecarlo.run.Outcome.dyn_insns in
   let tput_trials = if fast then 256 else 1024 in
-  (* One-off capture of the golden-prefix snapshot set — a campaign
-     captures (or pulls from the engine cache) exactly once, so its cost
-     is reported next to decode, not folded into the per-trial rates. *)
-  let t0 = Unix.gettimeofday () in
-  let replay_set = Casted_sim.Replay.capture decoded in
-  let capture_s = Unix.gettimeofday () -. t0 in
   (* One-off stage-2 compile of the decoded program into pre-bound
      closures — a campaign compiles (or pulls from the engine cache)
      once and every domain shares the immutable program. *)
@@ -550,24 +550,64 @@ let section_sim_throughput () =
   done;
   let compile_s = (Unix.gettimeofday () -. t0) /. float_of_int decode_reps in
   let stage2 = Casted_sim.Compile.of_decoded decoded in
-  let measure ~label ~replay ?compiled n_jobs =
+  (* One-off capture of the golden-prefix snapshot set — a campaign
+     captures (or pulls from the engine cache) exactly once, so its cost
+     is reported next to decode, not folded into the per-trial rates. *)
+  let t0 = Unix.gettimeofday () in
+  let replay_set =
+    Casted_sim.Replay.capture (fun ~on_block ->
+        Casted_sim.Compile.run ~on_block stage2)
+  in
+  let capture_s = Unix.gettimeofday () -. t0 in
+  (* The baseline modes run the reference interpreter directly, each
+     trial drawn and classified exactly as Montecarlo.trial does; the
+     result is the executed fraction of the golden run. *)
+  let reference_trial ~replay index =
+    let module Fault = Casted_sim.Fault in
+    let module Rng = Casted_sim.Rng in
+    let rng = Rng.create ~seed:(Rng.derive ~seed index) in
+    let fault =
+      Fault.random Fault.Reg_bit rng ~population:golden.Montecarlo.pop
+    in
+    let snapshot =
+      if replay then Casted_sim.Replay.find replay_set fault else None
+    in
+    let (_ : Montecarlo.classification) =
+      Montecarlo.classify_result ~golden:golden.Montecarlo.run
+        (try
+           Ok
+             (Simulator.reference ~fault ~fuel:golden.Montecarlo.fuel
+                ?snapshot decoded)
+         with e -> Error e)
+    in
+    match snapshot with
+    | Some s -> Casted_sim.Replay.suffix_fraction replay_set s
+    | None -> 1.0
+  in
+  let on_reference ~replay pool =
+    let suffixes =
+      Pool.map pool (reference_trial ~replay) (Array.init tput_trials Fun.id)
+    in
+    Array.fold_left ( +. ) 0.0 suffixes /. float_of_int tput_trials
+  in
+  let on_compiled pool =
+    let r =
+      Montecarlo.run_compiled ~pool ~seed ~trials:tput_trials ~replay_set
+        stage2
+    in
+    assert (r.Montecarlo.trials = tput_trials);
+    match r.Montecarlo.replay with
+    | Some s -> s.Montecarlo.mean_suffix
+    | None -> 1.0
+  in
+  let measure ~label run n_jobs =
     Pool.with_pool ~jobs:n_jobs (fun pool ->
-        let replay_set = if replay then Some replay_set else None in
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        let r =
-          Montecarlo.run_decoded ~pool ~seed ~trials:tput_trials ~replay
-            ?replay_set ~compile:false ?compiled decoded
-        in
+        let mean_suffix = run pool in
         let wall = Unix.gettimeofday () -. t0 in
-        assert (r.Montecarlo.trials = tput_trials);
         let tps = float_of_int tput_trials /. wall in
         let ips = float_of_int tput_trials *. float_of_int golden_dyn /. wall in
-        let mean_suffix =
-          match r.Montecarlo.replay with
-          | Some s -> s.Montecarlo.mean_suffix
-          | None -> 1.0
-        in
         Printf.printf
           "%-8s jobs=%d: %d trials in %.2fs -> %.0f trials/s, %.2fM dyn \
            insns/s, mean suffix %.1f%%\n\
@@ -584,6 +624,22 @@ let section_sim_throughput () =
               ("mean_suffix_fraction", f mean_suffix);
             ] ))
   in
+  (* Golden runs (sweep points, campaign golden passes) go through
+     Simulator.run_decoded: its time against a plain run of an already
+     compiled program is ~1.0 while it executes on the compiled engine
+     (the stage-2 compile is a small fraction of a run) and ~0.5 if it
+     falls back to the reference interpreter. Perf size, where sweep
+     golden runs live. *)
+  let golden_engine_ratio =
+    let perf =
+      Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2
+        (w.W.build W.Perf)
+    in
+    let d = Casted_sim.Decode.of_schedule perf.Pipeline.schedule in
+    let p = Casted_sim.Compile.of_decoded d in
+    median_time (fun () -> Casted_sim.Compile.run p)
+    /. median_time (fun () -> Simulator.run_decoded d)
+  in
   Printf.printf "decode: %.3f ms per schedule (a campaign decodes once)\n%!"
     (1000.0 *. decode_s);
   Printf.printf
@@ -594,19 +650,21 @@ let section_sim_throughput () =
   Printf.printf
     "stage-2 compile: %.3f ms per program (a campaign compiles once)\n%!"
     (1000.0 *. compile_s);
-  let tps_full1, j1 = measure ~label:"full" ~replay:false 1 in
-  let _, jn = measure ~label:"full" ~replay:false jobs in
-  let tps_replay1, r1 = measure ~label:"replayed" ~replay:true 1 in
-  let _, rn = measure ~label:"replayed" ~replay:true jobs in
-  let tps_compiled1, c1 =
-    measure ~label:"compiled" ~replay:true ~compiled:stage2 1
-  in
-  let _, cn = measure ~label:"compiled" ~replay:true ~compiled:stage2 jobs in
+  let tps_full1, j1 = measure ~label:"full" (on_reference ~replay:false) 1 in
+  let _, jn = measure ~label:"full" (on_reference ~replay:false) jobs in
+  let tps_replay1, r1 = measure ~label:"replayed" (on_reference ~replay:true) 1 in
+  let _, rn = measure ~label:"replayed" (on_reference ~replay:true) jobs in
+  let tps_compiled1, c1 = measure ~label:"compiled" on_compiled 1 in
+  let _, cn = measure ~label:"compiled" on_compiled jobs in
   let speedup = tps_replay1 /. tps_full1 in
   let compiled_speedup = tps_compiled1 /. tps_replay1 in
   Printf.printf "replay speedup (jobs=1): %.2fx\n%!" speedup;
-  Printf.printf "compiled speedup over decoded replay (jobs=1): %.2fx\n%!"
+  Printf.printf
+    "compiled speedup over reference-interpreter replay (jobs=1): %.2fx\n%!"
     compiled_speedup;
+  Printf.printf
+    "golden engine ratio (perf-size cjpeg, Compile.run / run_decoded): %.2f\n%!"
+    golden_engine_ratio;
   sim_throughput_json :=
     Obs.Json.Obj
       [
@@ -630,6 +688,7 @@ let section_sim_throughput () =
         ("compiledN", cn);
         ("replay_speedup_jobs1", f speedup);
         ("compiled_speedup_jobs1", f compiled_speedup);
+        ("golden_engine_ratio", f golden_engine_ratio);
       ]
 
 (* The persistent result store: how much a warm store actually saves.

@@ -438,15 +438,6 @@ let no_replay_arg =
   in
   Arg.(value & flag & info [ "no-replay" ] ~doc)
 
-let no_compile_arg =
-  let doc =
-    "Disable stage-2 closure compilation and run every trial on the \
-     decoded interpreter. The compiled path (the default) threads each \
-     program through pre-specialized closures; tallies are bit-identical \
-     either way, compiled is just faster."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let retry_budget_arg =
   let doc =
     "Rollback retry budget: how many region re-executions a trial may \
@@ -486,8 +477,7 @@ let pp_mwtf ppf m =
 
 let campaign_cmd =
   let run bench scheme issue delay trials model ci_halfwidth no_replay
-      no_compile retry_budget min_recovered store_dir shard jobs trace metrics
-      =
+      retry_budget min_recovered store_dir shard jobs trace metrics =
     if shard <> None && store_dir = None then begin
       Printf.eprintf "casted: --shard requires --store DIR\n";
       exit 2
@@ -513,8 +503,7 @@ let campaign_cmd =
         let store = Option.map open_store store_dir in
         let sc =
           Engine.campaign_stored engine ~model ?ci_halfwidth
-            ~replay:(not no_replay) ~compile:(not no_compile) ?retry_budget
-            ?store ?shard ~trials spec
+            ~replay:(not no_replay) ?retry_budget ?store ?shard ~trials spec
         in
         let result = sc.Engine.result in
         Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
@@ -582,8 +571,7 @@ let campaign_cmd =
           recovered-fraction / MWTF reporting)")
     Term.(
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
-      $ model_arg $ ci_halfwidth_arg $ no_replay_arg $ no_compile_arg
-      $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
+      $ model_arg $ ci_halfwidth_arg $ no_replay_arg $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
       $ jobs_arg $ trace_arg $ metrics_arg)
 
 let recover_cmd =
@@ -655,7 +643,10 @@ let profile_cmd =
     let program = w.W.build size in
     let compiled = Pipeline.compile ~scheme ~issue_width:issue ~delay program in
     let profile = Casted_sim.Profile.create () in
-    let r = Simulator.run ~profile compiled.Pipeline.schedule in
+    let r =
+      Simulator.reference ~profile
+        (Casted_sim.Decode.of_schedule compiled.Pipeline.schedule)
+    in
     if json then begin
       let block (row : Casted_sim.Profile.row) =
         Obs.Json.Obj

@@ -53,7 +53,7 @@ let func (f : Func.t) =
 
 let program (p : Program.t) =
   (* State snapshots are only valid at entry-function block tops with an
-     empty call stack (Simulator.run_recovering restores nothing else),
+     empty call stack (Compile.run ~retry_budget restores nothing else),
      so only the entry function is partitioned; callee work re-executes
      as part of its caller's region. *)
   let p = Clone.program p in

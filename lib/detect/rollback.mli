@@ -5,8 +5,8 @@
     of a backward (or self) branch in layout order — the loop tops —
     get a {!Casted_ir.Opcode.Cpt} marker prepended to their body. The
     marker costs one issue slot and executes as a no-op; its meaning
-    lives in the simulator, where {!Casted_sim.Simulator.run_recovering}
-    treats every marked block's loop top as a restore point and answers
+    lives in the simulator, where region recovery
+    ({!Casted_sim.Compile.run} [~retry_budget]) treats every marked block's loop top as a restore point and answers
     a fired detection check by restoring the machine state of the
     latest one (rebuilt on demand) and re-executing the region instead
     of trapping. *)

@@ -70,8 +70,8 @@ val compile : t -> key -> Casted_detect.Pipeline.compiled
 val decoded : t -> key -> Casted_sim.Decode.t
 
 (** [replay t key] returns the memoized golden-run snapshot set
-    ({!Casted_sim.Replay.capture} over {!decoded}) for [key], capturing
-    it on first use. The set is immutable; repeated lookups return the
+    ({!Casted_sim.Replay.capture} of a run of {!compiled}) for [key],
+    capturing it on first use. The set is immutable; repeated lookups return the
     physically equal value, so every campaign and pool worker on one
     engine replays from the same snapshots. Same locking discipline as
     {!compile}. *)

@@ -126,8 +126,8 @@ let simulate t key =
   in
   (compiled, run)
 
-(* Rollback campaigns run every trial through Simulator.run_recovering
-   with this retry budget (a fault that keeps re-failing after this many
+(* Rollback campaigns run every trial with region recovery under this
+   retry budget (a fault that keeps re-failing after this many
    restores reports its original failure). *)
 let default_retry_budget = 3
 
@@ -277,33 +277,27 @@ let shard_resume_index ~shard ~trials banked =
 
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?(replay = true)
-    ?compile:(use_compiled = true) ?retry_budget ?store ?(shard = (0, 1))
-    ~trials key =
+    ?retry_budget ?store ?(shard = (0, 1)) ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
   (* Compile (cached) under the compile timer, then hand the memoized
-     decoded program — and, with replay on, the memoized golden-run
-     snapshot set, plus the memoized stage-2 compiled program — to the
-     campaign: thousands of trials, one decode, one capture, one
-     stage-2 compile, shared read-only across pool domains and across
-     campaigns revisiting this configuration. The store's full-hit path
-     never gets here: a banked tally costs no compile, no decode, no
-     golden run. *)
+     stage-2 program — and, with replay on, the memoized golden-run
+     snapshot set — to the campaign: thousands of trials, one decode,
+     one stage-2 compile, one capture, shared read-only across pool
+     domains and across campaigns revisiting this configuration.
+     Rollback campaigns run on the same program. The store's full-hit
+     path never gets here: a banked tally costs no compile, no decode,
+     no golden run. *)
   let simulate ?prior ?bank ~shard n_trials =
     let (_ : Pipeline.compiled) = compile t key in
-    let decoded = Cache.decoded t.cache key in
     let replay = replay && retry_budget = None in
     let replay_set =
       if replay then Some (Cache.replay t.cache key) else None
     in
-    let compiled =
-      if use_compiled && retry_budget = None then
-        Some (Cache.compiled t.cache key)
-      else None
-    in
+    let compiled = Cache.compiled t.cache key in
     timed t `Campaign (fun () ->
-        Montecarlo.run_decoded ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ~replay ?replay_set ~compile:use_compiled ?compiled
-          ?retry_budget ~shard ?prior ?bank ~trials:n_trials decoded)
+        Montecarlo.run_compiled ~pool:t.pool ~seed ~fuel_factor ~model
+          ?ci_halfwidth ~replay ?replay_set ?retry_budget ~shard ?prior ?bank
+          ~trials:n_trials compiled)
   in
   match store with
   | None ->
@@ -477,9 +471,9 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                 merged_or ~simulated:result.Montecarlo.trials result ~served:0)
       end
 
-let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
     ?retry_budget ?store ?shard ~trials key =
-  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
      ?retry_budget ?store ?shard ~trials key)
     .result
 

@@ -49,6 +49,8 @@ type sweep_point = {
 
 val compile : t -> Cache.key -> Casted_detect.Pipeline.compiled
 
+(** [simulate t spec] compiles [spec] (cached) and runs it once,
+    fault-free, on the compiled engine. *)
 val simulate :
   t -> Cache.key -> Casted_detect.Pipeline.compiled * Casted_sim.Outcome.run
 
@@ -58,16 +60,15 @@ val simulate :
     the optional knobs ([model], [ci_halfwidth], [replay]) are
     forwarded to it. With [replay] on (the default) the golden-run
     snapshot set comes from the engine cache ({!Cache.replay}), so
-    campaigns revisiting a configuration share one capture. With
-    [compile] on (the default) trials run on the stage-2
-    closure-threaded engine ({!Casted_sim.Simulator.run_compiled}) and
-    the compiled program comes from the engine cache
-    ({!Cache.compiled}) — bit-identical tallies, one stage-2 compile
-    per configuration. [~compile:false] is the [--no-compile] escape
-    hatch back to the decoded interpreter.
+    campaigns revisiting a configuration share one capture. Every
+    golden run and trial executes on the stage-2 closure-threaded
+    engine ({!Casted_sim.Compile}), on the program the engine cache
+    memoizes ({!Cache.compiled}) — one stage-2 compile per
+    configuration, shared by every campaign and pool domain.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
-    trial through {!Casted_sim.Simulator.run_recovering} with
+    trial with region recovery ({!Casted_sim.Compile.run}
+    [~retry_budget], the same engine and the same cached program) under
     [retry_budget] (default {!default_retry_budget}) and replay forced
     off — a rollback trial restores its own region checkpoints, which
     prefix replay cannot express. Pass [retry_budget] explicitly to
@@ -82,7 +83,6 @@ val campaign :
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
   ?replay:bool ->
-  ?compile:bool ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
@@ -163,7 +163,6 @@ val campaign_stored :
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
   ?replay:bool ->
-  ?compile:bool ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
@@ -178,7 +177,10 @@ val campaign_identity : Cache.key -> Casted_sim.Fault.model -> string
 
 (** [sweep t ~size ()] runs the performance grid of the paper's
     Figs. 6-8: NOED and SCED once per issue width, DCED and CASTED per
-    (issue, delay). Points come back in deterministic grid order. *)
+    (issue, delay). Points come back in deterministic grid order. Each
+    point runs once on the compiled engine; its stage-2 program is
+    compiled for that run and not memoized, so a sweep's resident
+    memory does not grow with the grid. *)
 val sweep :
   t ->
   size:Casted_workloads.Workload.size ->

@@ -8,14 +8,22 @@
    into a closure that reads its operands from unsafe, compile-proven
    indices, computes, and writes back.
 
-   The contract is bit-identity with the interpreter (Simulator): both
-   engines mutate the same State.t with the same event ordering — dyn /
-   fuel / role accounting first, operand reads left to right, memory
-   touch after the cache access and the load itself, def-slot injection
-   after the write-back, branch-counter increment after the predicate
-   read. The verify oracle's four-way cross-check
-   (run/run_decoded/run_replayed/run_compiled) holds the two engines to
-   that contract over the whole example matrix.
+   This is the engine every production run executes on: golden runs,
+   replay capture, campaign trials and rollback recovery. The decoded
+   interpreter (Simulator.reference) stays as the reference it is
+   checked against: both engines mutate the same State.t with the same
+   event ordering — dyn / fuel / role accounting first, operand reads
+   left to right, memory touch after the cache access and the load
+   itself, def-slot injection after the write-back, branch-counter
+   increment after the predicate read — and the verify oracle holds
+   every production path to the reference over the whole example
+   matrix.
+
+   The only hook is at block boundaries: [on_block] fires at each
+   entry-function block top (call depth 1), exactly where the
+   interpreter fires its own, so replay capture and rollback checkpoints
+   see the same program points on both engines. The per-instruction
+   closures never test it.
 
    Fault hooks are pre-extracted into plain int "arms" on the compile
    context: an event counter fires its fault when it equals the arm
@@ -52,6 +60,8 @@ type cctx = {
   br_arm : int;
   x_arm : int;
   x_bit : int;
+  (* Called at every entry-function block top (depth 1). *)
+  on_block : (State.t -> State.regfile -> int -> unit) option;
   (* Return-value scratch: Ret parks the value here (class-coded, -1 =
      none), Call consumes it — no [State.value option] allocation. *)
   mutable ret_cls : int;
@@ -204,9 +214,13 @@ let scan_q st (ready : int array) (home : int array) delay (q : int array) =
 (* The block loop — same two-phase bundle semantics as the interpreter:
    compute the lockstep issue time over every operand of the whole
    bundle, then execute the flattened body at that time. Tail-recursive,
-   allocation-free. *)
+   allocation-free. The block-top hook fires where the interpreter's
+   does: before the block runs, only with the call stack empty. *)
 let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
   let st = c.st in
+  (match c.on_block with
+  | Some hook when st.State.depth = 1 -> hook st fr cur
+  | Some _ | None -> ());
   let b = Array.unsafe_get blocks cur in
   let block_start = st.State.time + 1 in
   st.State.xfer <- State.xfer_none;
@@ -766,7 +780,7 @@ let arms_of_fault = function
   | Some (Fault.Xcluster_flip { target_read; bit }) ->
       (0, 0, 1, 0, 0, 0, 0, target_read + 1, bit)
 
-let make_cctx (p : t) ~fault ~fuel st =
+let make_cctx (p : t) ~fault ~fuel ~on_block st =
   let ( def_arm, def_bit, def_width, mem_arm, mem_off, mem_bit, br_arm, x_arm,
         x_bit ) =
     arms_of_fault fault
@@ -785,6 +799,7 @@ let make_cctx (p : t) ~fault ~fuel st =
     br_arm;
     x_arm;
     x_bit;
+    on_block;
     ret_cls = -1;
     ret_gp = 0L;
     ret_fp = 0.0;
@@ -804,42 +819,148 @@ let exec_entry c entry =
   exec_cblocks c fr cf.c_blocks 0;
   st.State.depth <- st.State.depth - 1
 
-let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) (p : t) =
+(* One run of the entry function on a fresh machine, or resumed from
+   [from] — a snapshot taken at an entry-function block top. Returns
+   the machine and the thunk that executes it. *)
+let launch (p : t) ~fault ~fuel ~on_block ~from =
   let d = p.d in
-  let st =
-    State.fresh ~image:d.Decode.image ~cache:d.Decode.config.Config.cache
-      ~perfect:false
-  in
-  let c = make_cctx p ~fault ~fuel st in
-  let termination =
-    Runtime.termination_of (fun () ->
-        exec_entry c d.Decode.entry;
-        (* Entry returned instead of halting: treat as exit 0. *)
-        Outcome.Exit 0)
-  in
+  let cache = d.Decode.config.Config.cache in
+  match from with
+  | None ->
+      let st = State.fresh ~image:d.Decode.image ~cache ~perfect:false in
+      let c = make_cctx p ~fault ~fuel ~on_block st in
+      (st, fun () -> exec_entry c d.Decode.entry)
+  | Some snap ->
+      let st, fr = State.restore ~cache snap in
+      let c = make_cctx p ~fault ~fuel ~on_block st in
+      let blocks = (Array.unsafe_get c.funcs d.Decode.entry).c_blocks in
+      let start = snap.State.block in
+      if start < 0 || start >= Array.length blocks then invalid_arg oob;
+      (st, fun () -> exec_cblocks c fr blocks start)
+
+let finish (p : t) ~with_mem_digest st termination =
+  let d = p.d in
   Runtime.finish ~config:d.Decode.config ~output_base:d.Decode.output_base
     ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
     ~with_mem_digest st termination
 
-(* Replay composition: restore a golden-prefix snapshot (captured by the
-   decoded interpreter — block boundaries and counters are engine
-   independent) and run only the entry function's suffix on the compiled
-   path. *)
-let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false) ~snapshot
-    (p : t) =
+(* Region rollback: when a check fires (or the machine traps), restore
+   the latest checkpoint — the last checkpoint-flagged block top of the
+   entry function — and re-execute with the fault disarmed: the
+   injected upset is a transient, so the retry sees clean hardware. A
+   corrupted checkpoint (the fault landed before the snapshot its
+   detection fires after) re-fails deterministically and exhausts the
+   bounded retry budget, in which case the original failure is
+   reported. Work thrown away by failed attempts is folded into the
+   final run's [cycles]/[dyn_insns] so recovery pays its true cost.
+
+   Checkpoints are lazy: an attempt only counts the checkpoint block
+   tops it passes, and [latest] records how to reach the last one again
+   — the attempt's fault, its start (fresh machine or the snapshot it
+   restored) and the checkpoint's ordinal. Only when a rollback is due
+   is that one snapshot materialized, by re-running the attempt from
+   the same start with the same fault and fuel up to the recorded
+   checkpoint. Simulation is deterministic and State.snapshot has no
+   side effects, so the rebuilt snapshot is exactly the one an eager
+   snapshot would have captured; the rebuild is simulator work, not
+   machine work, and is not folded into the run. *)
+let recover (p : t) ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
   let d = p.d in
-  let st, fr = State.restore ~cache:d.Decode.config.Config.cache snapshot in
-  let c = make_cctx p ~fault ~fuel st in
-  let blocks = (Array.unsafe_get c.funcs d.Decode.entry).c_blocks in
-  let start = snapshot.State.block in
-  if start < 0 || start >= Array.length blocks then invalid_arg oob;
-  let termination =
-    Runtime.termination_of (fun () ->
-        exec_cblocks c fr blocks start;
-        Outcome.Exit 0)
+  let eblocks = d.Decode.funcs.(d.Decode.entry).Decode.blocks in
+  let rebuild (fault, from, ordinal) =
+    let exception Reached of State.snapshot in
+    let seen = ref 0 in
+    let on_block st fr cur =
+      if eblocks.(cur).Decode.checkpoint then begin
+        incr seen;
+        if !seen = ordinal then
+          raise (Reached (State.snapshot st ~regs:fr ~block:cur))
+      end
+    in
+    let _, go = launch p ~fault ~fuel ~on_block:(Some on_block) ~from in
+    match go () with
+    | () -> invalid_arg "Compile.run: checkpoint not reached"
+    | exception Reached snap ->
+        let module M = Casted_obs.Metrics in
+        if M.enabled () then begin
+          let start_dyn =
+            match from with None -> 0 | Some s -> s.State.s_dyn
+          in
+          M.incr ~by:(snap.State.s_dyn - start_dyn)
+            "sim.checkpoint_rebuild_insns"
+        end;
+        snap
   in
-  let module M = Casted_obs.Metrics in
-  if M.enabled () then M.incr "sim.replays";
-  Runtime.finish ~config:d.Decode.config ~output_base:d.Decode.output_base
-    ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
-    ~with_mem_digest st termination
+  let latest = ref None in
+  let wasted_cycles = ref 0 in
+  let wasted_dyn = ref 0 in
+  let rec attempt ~fault ~retries ~from =
+    let hits = ref 0 in
+    let on_block _ _ cur = if eblocks.(cur).Decode.checkpoint then incr hits in
+    let st, go = launch p ~fault ~fuel ~on_block:(Some on_block) ~from in
+    let assemble termination =
+      let r = finish p ~with_mem_digest st termination in
+      if !wasted_cycles = 0 && !wasted_dyn = 0 then r
+      else
+        let cycles = r.Outcome.cycles + !wasted_cycles in
+        let config = d.Decode.config in
+        {
+          r with
+          Outcome.cycles;
+          dyn_insns = r.Outcome.dyn_insns + !wasted_dyn;
+          slots_total =
+            cycles * config.Config.clusters * config.Config.issue_width;
+        }
+    in
+    let exited code =
+      if retries > 0 then Outcome.Recovered { exit_code = code; retries }
+      else Outcome.Exit code
+    in
+    let outcome =
+      try
+        go ();
+        (* Entry returned instead of halting: exit 0. *)
+        Ok (exited 0)
+      with
+      | Runtime.Halted code -> Ok (exited code)
+      | Runtime.Out_of_fuel -> Ok Outcome.Timeout
+      | Runtime.Check_failed id -> Error (Outcome.Detected id)
+      | Trap.Trap tr -> Error (Outcome.Trapped tr)
+    in
+    match outcome with
+    | Ok termination -> assemble termination
+    | Error termination -> (
+        if !hits > 0 then latest := Some (fault, from, !hits);
+        match !latest with
+        | Some l when retries < retry_budget ->
+            (* Read the failed attempt's clock first: the rebuild reuses
+               the domain's scratch arenas, so the failed machine is
+               gone after it. *)
+            let time = st.State.time and dyn = st.State.dyn in
+            let snap = rebuild l in
+            wasted_cycles := !wasted_cycles + (time - snap.State.s_time);
+            wasted_dyn := !wasted_dyn + (dyn - snap.State.s_dyn);
+            Casted_obs.Metrics.incr "sim.rollbacks";
+            attempt ~fault:None ~retries:(retries + 1) ~from:(Some snap)
+        | _ -> assemble termination)
+  in
+  attempt ~fault ~retries:0 ~from
+
+let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) ?snapshot
+    ?on_block ?retry_budget (p : t) =
+  match retry_budget with
+  | Some retry_budget ->
+      if on_block <> None then
+        invalid_arg "Compile.run: on_block cannot combine with retry_budget";
+      recover p ~fault ~fuel ~with_mem_digest ~retry_budget ~from:snapshot
+  | None ->
+      let st, go = launch p ~fault ~fuel ~on_block ~from:snapshot in
+      let termination =
+        Runtime.termination_of (fun () ->
+            go ();
+            (* Entry returned instead of halting: treat as exit 0. *)
+            Outcome.Exit 0)
+      in
+      let module M = Casted_obs.Metrics in
+      if snapshot <> None && M.enabled () then M.incr "sim.replays";
+      finish p ~with_mem_digest st termination

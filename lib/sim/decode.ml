@@ -119,7 +119,7 @@ let of_schedule (sched : Schedule.t) : t =
             b.Schedule.bundles;
           let bundles = Array.of_list (List.rev !bundles) in
           (* A block holding a Cpt marker is a rollback-region head: its
-             loop top is a checkpoint run_recovering can roll back to. *)
+             loop top is a checkpoint region recovery can roll back to. *)
           let checkpoint =
             Array.exists
               (fun db ->

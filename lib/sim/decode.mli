@@ -18,9 +18,11 @@
       that each trial restores with a single [Bytes.blit].
 
     Decoding only changes {e how} the simulator executes, never what the
-    machine does: {!Casted_sim.Simulator.run_decoded} produces
-    bit-identical {!Outcome.run}s to interpreting the [Schedule.t]
-    directly. Decode also validates every branch label and callee name
+    machine does: both engines that execute a decoded program (the
+    reference interpreter {!Casted_sim.Simulator.reference} and the
+    stage-2 compiled engine {!Casted_sim.Compile}) produce bit-identical
+    {!Outcome.run}s to the pre-decode interpreter the golden fixture
+    froze. Decode also validates every branch label and callee name
     up front, so a malformed schedule fails loudly at decode time
     instead of mid-run. *)
 
@@ -55,7 +57,8 @@ type dblock = {
   checkpoint : bool;
       (** the block carries a [Cpt] marker: its loop top is a
           rollback-region boundary, a checkpoint
-          {!Simulator.run_recovering} counts and can roll back to *)
+          region recovery ({!Compile.run} [~retry_budget]) counts and can
+          roll back to *)
 }
 
 type dfunc = {

@@ -110,18 +110,24 @@ let population_of_run (r : Outcome.run) =
     xcluster_reads = r.Outcome.dyn_xreads;
   }
 
-let golden_decoded ?(fuel_factor = 10) ?(replay = false) ?replay_set decoded =
-  (* The replay capture pass IS a golden run (the snapshot hook only
-     copies state), so campaigns with replay on pay no extra run. *)
+(* The golden run of the program [compiled] yields, on the compiled
+   engine. The replay capture pass IS a golden run (the snapshot hook
+   only copies state), so campaigns with replay on pay no extra run;
+   with a pre-captured set nothing is compiled or run at all. *)
+let golden_of ?(fuel_factor = 10) ?(replay = false) ?replay_set compiled =
+  let capture () =
+    let p = compiled () in
+    Replay.capture (fun ~on_block -> Compile.run ~on_block p)
+  in
   let replay_set =
     match replay_set with
     | Some _ as r -> r
-    | None -> if replay then Some (Replay.capture decoded) else None
+    | None -> if replay then Some (capture ()) else None
   in
   let run =
     match replay_set with
     | Some r -> Replay.golden r
-    | None -> Simulator.run_decoded decoded
+    | None -> Compile.run (compiled ())
   in
   (match run.Outcome.termination with
   | Outcome.Exit _ -> ()
@@ -136,6 +142,10 @@ let golden_decoded ?(fuel_factor = 10) ?(replay = false) ?replay_set decoded =
     replay = replay_set;
   }
 
+let golden_decoded ?fuel_factor ?replay ?replay_set decoded =
+  golden_of ?fuel_factor ?replay ?replay_set (fun () ->
+      Compile.of_decoded decoded)
+
 let golden ?fuel_factor sched =
   golden_decoded ?fuel_factor (Decode.of_schedule sched)
 
@@ -146,10 +156,11 @@ let golden ?fuel_factor sched =
    where the fraction is the share of the golden run actually executed
    (1.0 for a full-length run). When the golden carries a replay set,
    the trial restores the latest snapshot preceding its fault's trigger
-   event and executes only the suffix — bit-identical to the full run
-   (Simulator.run_replayed), just cheaper. *)
-let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
-    decoded =
+   event and executes only the suffix — bit-identical to the full run,
+   just cheaper. Rollback trials ([retry_budget]) own their restore
+   points (the region checkpoints, rebuilt on demand), so golden-prefix
+   replay stays out of their picture. *)
+let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
   if Fault.population_size model g.pop = 0 then
     (* The fault path does not exist in this configuration (e.g. no
        cross-cluster reads on a single-cluster scheme): nothing to
@@ -158,69 +169,24 @@ let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
   else begin
     let rng = Rng.create ~seed:(Rng.derive ~seed index) in
     let fault = Fault.random model rng ~population:g.pop in
-    match retry_budget with
-    | Some retry_budget ->
-        (* Rollback trials own their restore points (the region
-           checkpoints, rebuilt on demand by run_recovering), so
-           golden-prefix replay stays out of the picture: run_decoded
-           forces it off for these campaigns. *)
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (Simulator.run_recovering ~fault ~fuel:g.fuel ~retry_budget
-                    decoded)
-             with e -> Error e)
-        in
-        (c, 1.0, false)
-    | None -> (
-    let snap =
-      match g.replay with Some r -> Replay.find r fault | None -> None
+    let snapshot =
+      match (retry_budget, g.replay) with
+      | None, Some r -> Replay.find r fault
+      | _ -> None
     in
-    match snap with
-    | Some snapshot ->
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (match compiled with
-                 | Some p ->
-                     Simulator.run_compiled_replayed ~fault ~fuel:g.fuel
-                       ~snapshot p
-                 | None ->
-                     Simulator.run_replayed ~fault ~fuel:g.fuel ~snapshot
-                       decoded)
-             with e -> Error e)
-        in
-        (c, Replay.suffix_fraction (Option.get g.replay) snapshot, true)
-    | None ->
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (match compiled with
-                 | Some p -> Simulator.run_compiled ~fault ~fuel:g.fuel p
-                 | None -> Simulator.run_decoded ~fault ~fuel:g.fuel decoded)
-             with e -> Error e)
-        in
-        (c, 1.0, false))
+    let c =
+      classify_result ~golden:g.run
+        (try Ok (Compile.run ~fault ~fuel:g.fuel ?snapshot ?retry_budget p)
+         with e -> Error e)
+    in
+    match snapshot with
+    | Some s -> (c, Replay.suffix_fraction (Option.get g.replay) s, true)
+    | None -> (c, 1.0, false)
   end
 
-let trial_decoded ?retry_budget ?(model = Fault.Reg_bit) ~golden ~seed ~index
-    decoded =
+let trial ?retry_budget ?(model = Fault.Reg_bit) ~golden ~seed ~index p =
   let c, _, _ =
-    trial_instrumented ?retry_budget ~model ~golden ~seed ~index decoded
-  in
-  c
-
-let trial ?retry_budget ?model ~golden ~seed ~index sched =
-  trial_decoded ?retry_budget ?model ~golden ~seed ~index
-    (Decode.of_schedule sched)
-
-let trial_compiled ?(model = Fault.Reg_bit) ~golden ~seed ~index ~compiled
-    decoded =
-  let c, _, _ =
-    trial_instrumented ~compiled ~model ~golden ~seed ~index decoded
+    trial_instrumented ?retry_budget ~model ~golden ~seed ~index p
   in
   c
 
@@ -276,10 +242,9 @@ let early_stop_reached ~ci_halfwidth r =
   check_ci_halfwidth (Some ci_halfwidth);
   narrow_enough ~target:ci_halfwidth ~detected:r.detected ~trials:r.trials
 
-let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
+let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Fault.Reg_bit) ?ci_halfwidth ?(replay = true) ?replay_set
-    ?(compile = true) ?compiled ?retry_budget ?(shard = (0, 1)) ?prior ?bank
-    ~trials decoded =
+    ?retry_budget ?(shard = (0, 1)) ?prior ?bank ~trials p =
   check_ci_halfwidth ci_halfwidth;
   (* Sharded campaigns own their merge bookkeeping (the result store);
      an early stop would make a shard's tally depend on where the other
@@ -346,7 +311,7 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let replay_set = if retry_budget = None then replay_set else None in
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
-        golden_decoded ~fuel_factor ~replay ?replay_set decoded)
+        golden_of ~fuel_factor ~replay ?replay_set (fun () -> p))
   in
   (* A program with no fault sites for this model (no memory traffic
      for [Mem], a single cluster for [Xcluster], ...) has nothing to
@@ -372,21 +337,8 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let n_replayed = ref 0 in
   let n_full = ref 0 in
   let suffix_sum = ref 0.0 in
-  (* Stage-2 compile: trials run on the closure-threaded engine unless
-     the caller opted out. Rollback campaigns stay on the interpreter —
-     run_recovering needs its on_block checkpoint hook, which the compiled
-     path does not offer. A pre-compiled program (the engine cache's
-     memoized one) wins over compiling here. *)
-  let compiled =
-    if retry_budget <> None then None
-    else
-      match compiled with
-      | Some _ as p -> p
-      | None -> if compile then Some (Compile.of_decoded decoded) else None
-  in
   let one index =
-    trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
-      decoded
+    trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p
   in
   let map_chunk lo hi =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.chunk"
@@ -458,13 +410,14 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   in
   result_of_counts ?replay_stats ~golden:g ~model ~trials:done_ counts
 
-(* Decode once per campaign, not once per trial: the decoded program is
-   immutable and shared read-only by every pool domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
-    ?retry_budget ?shard ?prior ~trials sched =
-  run_decoded ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
+(* Decode and compile once per campaign, not once per trial: the
+   compiled program is immutable and shared read-only by every pool
+   domain. *)
+let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?retry_budget
+    ?shard ?prior ~trials sched =
+  run_compiled ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
     ?retry_budget ?shard ?prior ~trials
-    (Decode.of_schedule sched)
+    (Compile.of_decoded (Decode.of_schedule sched))
 
 (* Per-class counts in the [idx] order — what the result store
    persists. *)

@@ -120,60 +120,40 @@ val population_of_run : Outcome.run -> Fault.population
     exit cleanly. *)
 val golden : ?fuel_factor:int -> Casted_sched.Schedule.t -> golden
 
-(** {!golden} over an already-decoded program (skips the decode).
+(** {!golden} over an already-decoded program (skips the decode). The
+    golden run executes on the compiled engine.
 
     @param replay capture a snapshot set during the golden run
       ({!Replay.capture}) for prefix replay; the captured golden run is
       bit-identical to a plain one (default false).
     @param replay_set use this pre-captured set (e.g. the engine
-      cache's memoized one) instead of capturing; implies replay. *)
+      cache's memoized one) instead of capturing; implies replay, and
+      its golden run is the campaign's (nothing is run here). *)
 val golden_decoded :
   ?fuel_factor:int -> ?replay:bool -> ?replay_set:Replay.t -> Decode.t -> golden
 
-(** [trial ~golden ~seed ~index schedule] runs faulty trial [index] of
+(** [trial ~golden ~seed ~index compiled] runs faulty trial [index] of
     a campaign with the given campaign [seed] and fault [model]
-    (default {!Fault.Reg_bit}). The trial's fault is drawn from an RNG
-    seeded by [Rng.derive ~seed index], so the result depends only on
-    [(seed, index, model)] — never on execution order. This is what
-    lets the engine fan trials over domains while staying bit-identical
-    to a sequential campaign. A model whose population is empty in this
-    configuration yields [Benign]; a simulation that raises yields
-    [Exception].
+    (default {!Fault.Reg_bit}) on the compiled program. The trial's
+    fault is drawn from an RNG seeded by [Rng.derive ~seed index], so
+    the result depends only on [(seed, index, model)] — never on
+    execution order. This is what lets the engine fan trials over
+    domains while staying bit-identical to a sequential campaign. When
+    [golden] carries a replay set, the trial starts from the latest
+    snapshot preceding its fault's trigger event (bit-identical to the
+    full run). A model whose population is empty in this configuration
+    yields [Benign]; a simulation that raises yields [Exception].
 
-    @param retry_budget run the trial through
-      {!Simulator.run_recovering} with this rollback budget instead of
-      a plain (or replayed) run — the rollback-scheme campaign path. *)
+    @param retry_budget run the trial with region recovery
+      ([Compile.run ~retry_budget]) — the rollback-scheme campaign path;
+      such trials never start from a replay snapshot. *)
 val trial :
   ?retry_budget:int ->
   ?model:Fault.model ->
   golden:golden ->
   seed:int ->
   index:int ->
-  Casted_sched.Schedule.t ->
-  classification
-
-(** {!trial} over an already-decoded program. [trial ... sched] is
-    exactly [trial_decoded ... (Decode.of_schedule sched)]; campaigns
-    use this form so the schedule is decoded once, not once per trial. *)
-val trial_decoded :
-  ?retry_budget:int ->
-  ?model:Fault.model ->
-  golden:golden ->
-  seed:int ->
-  index:int ->
-  Decode.t ->
-  classification
-
-(** One trial on the stage-2 compiled engine, with replay composition
-    when the golden carries a snapshot set — what campaigns run by
-    default. Bit-identical to {!trial_decoded} on the same arguments. *)
-val trial_compiled :
-  ?model:Fault.model ->
-  golden:golden ->
-  seed:int ->
-  index:int ->
-  compiled:Compile.t ->
-  Decode.t ->
+  Compile.t ->
   classification
 
 (** Fold per-trial classifications into a campaign result. *)
@@ -230,15 +210,10 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       snapshot preceding its fault's trigger event. Bit-identical
       results — same tallies, same intervals — for every fault model at
       any pool size; only the wall clock changes.
-    @param retry_budget run every trial through
-      {!Simulator.run_recovering} with this rollback budget (the
-      rollback-scheme campaign path). Forces replay off: rollback
-      trials restore their own region checkpoints, which prefix replay
-      cannot express.
-    @param compile run every trial on the stage-2 closure-threaded
-      engine ({!Simulator.run_compiled}, default true) — bit-identical
-      tallies to the interpreter, only faster. Rollback campaigns
-      ([retry_budget]) always stay on the interpreter.
+    @param retry_budget run every trial with region recovery under
+      this rollback budget (the rollback-scheme campaign path). Forces
+      replay off: rollback trials restore their own region checkpoints,
+      which prefix replay cannot express.
     @param shard [(k, n)]: simulate only the chunks whose index on the
       absolute chunk grid is congruent to [k] modulo [n] (default
       [(0, 1)] — everything). The grid is anchored at trial 0 and
@@ -263,7 +238,6 @@ val run :
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
   ?replay:bool ->
-  ?compile:bool ->
   ?retry_budget:int ->
   ?shard:int * int ->
   ?prior:int * int array ->
@@ -271,24 +245,22 @@ val run :
   Casted_sched.Schedule.t ->
   result
 
-(** {!run} over an already-decoded program. [run sched] is exactly
-    [run_decoded (Decode.of_schedule sched)] — the engine's campaign
-    path passes the engine-cache's memoized decoded program here, so a
-    sweep re-running one configuration never re-decodes it. The decoded
-    program is immutable and shared read-only across pool domains.
+(** {!run} over a stage-2-compiled program. [run sched] is exactly
+    [run_compiled (Compile.of_decoded (Decode.of_schedule sched))] — the
+    engine's campaign path passes the engine cache's memoized program
+    here, so a sweep re-running one configuration never re-decodes or
+    re-compiles it. The program is immutable and shared read-only
+    across pool domains; every golden run and trial executes on it.
 
     @param replay_set start trials from this pre-captured snapshot set
       (the engine passes its memoized one) instead of capturing afresh.
       Supplying it enables replay regardless of the [replay] flag.
-    @param compiled run trials on this stage-2-compiled program (the
-      engine passes its memoized one) instead of compiling afresh; wins
-      over the [compile] flag.
     @param bank called after every finished owned chunk except the last
       with the next trial index and the partial tally so far — the
       result store's partial-banking hook: a SIGKILLed campaign's
       completed chunks survive and are served on restart. The final
       tally is returned normally, not banked. *)
-val run_decoded :
+val run_compiled :
   ?pool:Casted_exec.Pool.t ->
   ?seed:int ->
   ?fuel_factor:int ->
@@ -296,14 +268,12 @@ val run_decoded :
   ?ci_halfwidth:float ->
   ?replay:bool ->
   ?replay_set:Replay.t ->
-  ?compile:bool ->
-  ?compiled:Compile.t ->
   ?retry_budget:int ->
   ?shard:int * int ->
   ?prior:int * int array ->
   ?bank:(next:int -> result -> unit) ->
   trials:int ->
-  Decode.t ->
+  Compile.t ->
   result
 
 (** Render the tally with a 95% Wilson interval on every class rate. *)

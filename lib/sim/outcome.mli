@@ -4,7 +4,7 @@ type termination =
   | Exit of int  (** [Halt] executed with this exit code *)
   | Recovered of { exit_code : int; retries : int }
       (** [Halt] executed after [retries] region rollbacks repaired one
-          or more detections ({!Simulator.run_recovering}) *)
+          or more detections ({!Compile.run} [~retry_budget]) *)
   | Detected of int  (** a [Chk] fired; carries the check's insn id *)
   | Trapped of Trap.t  (** machine exception *)
   | Timeout  (** dynamic instruction budget exhausted *)

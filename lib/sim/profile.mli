@@ -1,6 +1,6 @@
 (** Per-block execution profiling.
 
-    When handed to {!Simulator.run}, collects how often every basic block
+    When handed to {!Simulator.reference}, collects how often every basic block
     executes and how many cycles it accounts for (inclusive of callees
     invoked from the block). Useful to see where the detection overhead
     lands — e.g. the check-dense loop bodies dominating h263enc. *)

@@ -28,7 +28,8 @@ let default_target = 48
 let default_init_stride = 512
 
 let capture ?(init_stride = default_init_stride) ?(target = default_target)
-    ?fuel ?(perfect_cache = false) (d : Decode.t) =
+    (run : on_block:(State.t -> State.regfile -> int -> unit) -> Outcome.run)
+    =
   if init_stride < 1 then invalid_arg "Replay.capture: init_stride < 1";
   if target < 1 then invalid_arg "Replay.capture: target < 1";
   Trace.with_span ~cat:"sim" "sim.replay"
@@ -63,8 +64,8 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
     end
   in
   (* The hook only copies state, so this golden run is bit-identical to
-     a plain [run_decoded] — campaigns reuse it as their reference. *)
-  let golden = Simulator.run_decoded ?fuel ~perfect_cache ~on_block d in
+     a plain run — campaigns reuse it as their reference. *)
+  let golden = run ~on_block in
   let snaps = Array.of_list (List.rev !acc) in
   let bytes =
     Array.fold_left (fun a s -> a + State.snapshot_bytes s) 0 snaps

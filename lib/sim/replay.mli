@@ -6,7 +6,7 @@
     reads), and a faulty trial is bit-identical to the golden run until
     that counter reaches the fault's target. So a {!State.snapshot}
     taken while the counter is still at or below the target is a valid
-    starting point: {!Simulator.run_replayed} from it reproduces the
+    starting point: {!Compile.run} [~snapshot] from it reproduces the
     full run exactly, paying only the post-snapshot suffix.
 
     A capture set is immutable after {!capture} and safe to share
@@ -15,24 +15,25 @@
 
 type t
 
-(** [capture decoded] executes one golden run, recording snapshots at
-    entry-function block boundaries roughly every [init_stride] dynamic
-    instructions; whenever twice [target] snapshots accumulate, every
-    other one is dropped and the stride doubles (single pass, no need
-    to know the program length up front, deterministic). The run is
-    traced as a [sim.replay] span and counted in the
+(** [capture run] executes one golden run, [run ~on_block], recording
+    snapshots at the entry-function block tops where [on_block] fires,
+    roughly every [init_stride] dynamic instructions; whenever twice
+    [target] snapshots accumulate, every other one is dropped and the
+    stride doubles (single pass, no need to know the program length up
+    front, deterministic). Production captures run on the compiled
+    engine, [capture (fun ~on_block -> Compile.run ~on_block p)]; both
+    engines fire the hook at the same points, so the reference
+    interpreter captures the same set. The run is traced as a
+    [sim.replay] span and counted in the
     [replay.snapshots]/[replay.snapshot_bytes] metrics. *)
 val capture :
   ?init_stride:int ->
   ?target:int ->
-  ?fuel:int ->
-  ?perfect_cache:bool ->
-  Decode.t ->
+  (on_block:(State.t -> State.regfile -> int -> unit) -> Outcome.run) ->
   t
 
 (** The golden run the capture pass executed — bit-identical to a plain
-    [Simulator.run_decoded] of the same program (the snapshot hook only
-    copies state). *)
+    run of the same program (the snapshot hook only copies state). *)
 val golden : t -> Outcome.run
 
 (** Number of snapshots retained. *)

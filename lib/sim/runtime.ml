@@ -1,9 +1,10 @@
-(* Machinery shared by the two execution engines — the decoded-form
-   interpreter (Simulator) and the closure-threaded compiled engine
-   (Compile). Both raise the same exceptions, assemble the same
-   Outcome.run from a finished State.t and surface the same metrics, so
-   the engines can only diverge through State itself — the property the
-   verify oracle's four-way cross-check leans on. *)
+(* Machinery shared by the two execution engines — the reference
+   interpreter over the decoded form (Simulator) and the closure-threaded
+   compiled engine (Compile). Both raise the same exceptions, assemble
+   the same Outcome.run from a finished State.t and surface the same
+   metrics, so the engines can only diverge through State itself — the
+   property the verify oracle's reference-vs-production cross-check
+   leans on. *)
 
 module Insn = Casted_ir.Insn
 module Config = Casted_machine.Config

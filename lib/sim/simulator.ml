@@ -10,8 +10,7 @@ module Schedule = Casted_sched.Schedule
 module Hierarchy = Casted_cache.Hierarchy
 
 (* The engine exceptions and run-assembly machinery live in Runtime,
-   shared with the closure-threaded compiled engine (Compile); the
-   historical names are re-exported here. *)
+   shared with the closure-threaded compiled engine (Compile). *)
 exception Halted = Runtime.Halted
 exception Check_failed = Runtime.Check_failed
 exception Out_of_fuel = Runtime.Out_of_fuel
@@ -165,12 +164,14 @@ let touch_mem ctx addr =
 let max_call_depth = Runtime.max_call_depth
 let addr_int = Runtime.addr_int
 
-(* The interpreter proper, over the pre-decoded form (Decode.t): branch
-   targets and callees are indices, latencies and role indices are
-   baked into each dinsn, and bundle issue runs as plain for-loops over
-   state fields — no per-bundle closures or refs, so the hot loop
-   allocates only what the simulated machine itself demands (call
-   frames, boxed call-boundary values, the rare Ret value).
+(* The reference interpreter, over the pre-decoded form (Decode.t):
+   branch targets and callees are indices, latencies and role indices
+   are baked into each dinsn, and bundle issue runs as plain for-loops
+   over state fields. Every production run executes on the compiled
+   engine (Compile); this one direct reading of the ISA semantics is
+   what the verify oracle, the fuzzer and the golden-fixture test hold
+   that engine to, and the only engine with a per-block profile and a
+   perfect-cache mode.
 
    [exec_func] consumes the first [nargs] entries of [ctx.args_scratch],
    written by the call site; they are bound into the fresh frame before
@@ -464,203 +465,51 @@ and exec_insn ctx fr ~cluster ~t (di : Decode.dinsn) =
     inject_slot ctx fr defs.(i)
   done
 
-(* Run assembly (Outcome.run from a finished machine, metrics surface)
-   is shared with the compiled engine through Runtime. *)
-let finish ctx ~with_mem_digest termination =
-  Runtime.finish ~config:ctx.config ~output_base:ctx.d.Decode.output_base
-    ~output_len:ctx.d.Decode.output_len
-    ~digest_len:ctx.d.Decode.digest_len ~with_mem_digest ctx.st termination
-
-let termination_of = Runtime.termination_of
-
-let run_decoded ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
-    ?(with_mem_digest = false) ?on_block (d : Decode.t) =
-  let st =
-    State.fresh ~image:d.Decode.image ~cache:d.Decode.config.Config.cache
-      ~perfect:perfect_cache
+(* The reference entry point: a fresh machine, or one restored from a
+   golden-prefix snapshot (re-entering the entry function's block loop
+   at the captured block). Run assembly is shared with the compiled
+   engine through Runtime, so the engines can only differ through
+   State itself. *)
+let reference ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
+    ?(with_mem_digest = false) ?on_block ?snapshot (d : Decode.t) =
+  let cache = d.Decode.config.Config.cache in
+  let entry = d.Decode.funcs.(d.Decode.entry) in
+  let st, go =
+    match snapshot with
+    | None ->
+        (State.fresh ~image:d.Decode.image ~cache ~perfect:perfect_cache,
+         fun ctx -> exec_func ctx entry ~nargs:0)
+    | Some snap ->
+        let st, fr = State.restore ~cache snap in
+        (st, fun ctx -> exec_blocks ctx fr entry ~start:snap.State.block)
   in
   let ctx =
     { d; config = d.Decode.config; fuel; fault; profile; on_block; st;
       args_scratch = [||] }
   in
-  let entry = d.Decode.funcs.(d.Decode.entry) in
   let termination =
-    termination_of (fun () ->
-        let (_ : State.value option) = exec_func ctx entry ~nargs:0 in
+    Runtime.termination_of (fun () ->
+        let (_ : State.value option) = go ctx in
         (* Entry returned instead of halting: treat as exit 0. *)
         Outcome.Exit 0)
   in
-  finish ctx ~with_mem_digest termination
+  Runtime.finish ~config:ctx.config ~output_base:d.Decode.output_base
+    ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
+    ~with_mem_digest st termination
 
-(* Golden-prefix replay: restore a snapshot taken by the golden pass and
-   re-run only the entry function's block loop from the captured block.
-   With the same decoded program, fuel and fault, the result is
-   bit-identical to a full run — the prefix up to the snapshot is, by
-   the snapshot's validity condition (taken before the fault's trigger
-   event), identical to the golden prefix that produced it. *)
-let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false)
-    ~snapshot (d : Decode.t) =
-  let st, fr = State.restore ~cache:d.Decode.config.Config.cache snapshot in
-  let ctx =
-    { d; config = d.Decode.config; fuel; fault; profile = None;
-      on_block = None; st; args_scratch = [||] }
-  in
-  let entry = d.Decode.funcs.(d.Decode.entry) in
-  let termination =
-    termination_of (fun () ->
-        let (_ : State.value option) =
-          exec_blocks ctx fr entry ~start:snapshot.State.block
-        in
-        Outcome.Exit 0)
-  in
-  let module M = Casted_obs.Metrics in
-  if M.enabled () then M.incr "sim.replays";
-  finish ctx ~with_mem_digest termination
-
-(* Region rollback: when a check fires (or the machine traps), restore
-   the latest checkpoint — the last checkpoint-flagged block top of the
-   entry function — and re-execute with the fault disarmed: the
-   injected upset is a transient, so the retry sees clean hardware. A
-   corrupted checkpoint (the fault landed before the snapshot its
-   detection fires after) re-fails deterministically and exhausts the
-   bounded retry budget, in which case the original failure is
-   reported. Work thrown away by failed attempts is folded into the
-   final run's [cycles]/[dyn_insns] so recovery pays its true cost.
-
-   Checkpoints are lazy: an attempt only counts the checkpoint block
-   tops it passes, and [latest] records how to reach the last one again
-   — the attempt's fault, its start (fresh machine or the snapshot it
-   restored) and the checkpoint's ordinal. Only when a rollback is due
-   is that one snapshot materialized, by re-running the attempt from
-   the same start with the same fault and fuel up to the recorded
-   checkpoint. Simulation is deterministic and State.snapshot has no
-   side effects, so the rebuilt snapshot is exactly the one an eager
-   snapshot would have captured; the rebuild is simulator work, not
-   machine work, and is not folded into the run. *)
-let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
-    ~retry_budget (d : Decode.t) =
-  let entry = d.Decode.funcs.(d.Decode.entry) in
-  let eblocks = entry.Decode.blocks in
-  (* One attempt's machine: fresh, or restored from [from]; [run]
-     executes the entry function under [fault] with [on_block] at its
-     block tops. *)
-  let launch ~fault ~from ~on_block =
-    let st, runner =
-      match from with
-      | None ->
-          let st =
-            State.fresh ~image:d.Decode.image
-              ~cache:d.Decode.config.Config.cache ~perfect:false
-          in
-          ( st,
-            fun ctx ->
-              let (_ : State.value option) = exec_func ctx entry ~nargs:0 in
-              () )
-      | Some snap ->
-          let st, fr =
-            State.restore ~cache:d.Decode.config.Config.cache snap
-          in
-          ( st,
-            fun ctx ->
-              let (_ : State.value option) =
-                exec_blocks ctx fr entry ~start:snap.State.block
-              in
-              () )
-    in
-    let ctx =
-      { d; config = d.Decode.config; fuel; fault; profile = None;
-        on_block = Some on_block; st; args_scratch = [||] }
-    in
-    (ctx, fun () -> runner ctx)
-  in
-  let rebuild (fault, from, ordinal) =
-    let exception Reached of State.snapshot in
-    let seen = ref 0 in
-    let on_block st fr cur =
-      if eblocks.(cur).Decode.checkpoint then begin
-        incr seen;
-        if !seen = ordinal then
-          raise (Reached (State.snapshot st ~regs:fr ~block:cur))
-      end
-    in
-    let _, run = launch ~fault ~from ~on_block in
-    match run () with
-    | () -> invalid_arg "Simulator.run_recovering: checkpoint not reached"
-    | exception Reached snap ->
-        let module M = Casted_obs.Metrics in
-        if M.enabled () then begin
-          let start_dyn =
-            match from with None -> 0 | Some s -> s.State.s_dyn
-          in
-          M.incr ~by:(snap.State.s_dyn - start_dyn)
-            "sim.checkpoint_rebuild_insns"
-        end;
-        snap
-  in
-  let latest = ref None in
-  let wasted_cycles = ref 0 in
-  let wasted_dyn = ref 0 in
-  let rec attempt ~fault ~retries ~from =
-    let hits = ref 0 in
-    let on_block _ _ cur = if eblocks.(cur).Decode.checkpoint then incr hits in
-    let ctx, run = launch ~fault ~from ~on_block in
-    let st = ctx.st in
-    let assemble termination =
-      let r = finish ctx ~with_mem_digest termination in
-      if !wasted_cycles = 0 && !wasted_dyn = 0 then r
-      else
-        let cycles = r.Outcome.cycles + !wasted_cycles in
-        {
-          r with
-          Outcome.cycles;
-          dyn_insns = r.Outcome.dyn_insns + !wasted_dyn;
-          slots_total =
-            cycles * ctx.config.Config.clusters
-            * ctx.config.Config.issue_width;
-        }
-    in
-    let exited code =
-      if retries > 0 then Outcome.Recovered { exit_code = code; retries }
-      else Outcome.Exit code
-    in
-    let outcome =
-      try
-        run ();
-        (* Entry returned instead of halting: exit 0. *)
-        Ok (exited 0)
-      with
-      | Halted code -> Ok (exited code)
-      | Out_of_fuel -> Ok Outcome.Timeout
-      | Check_failed id -> Error (Outcome.Detected id)
-      | Trap.Trap tr -> Error (Outcome.Trapped tr)
-    in
-    match outcome with
-    | Ok termination -> assemble termination
-    | Error termination -> (
-        if !hits > 0 then latest := Some (fault, from, !hits);
-        match !latest with
-        | Some l when retries < retry_budget ->
-            (* Read the failed attempt's clock first: the rebuild reuses
-               the domain's scratch arenas, so the failed machine is
-               gone after it. *)
-            let time = st.State.time and dyn = st.State.dyn in
-            let snap = rebuild l in
-            wasted_cycles := !wasted_cycles + (time - snap.State.s_time);
-            wasted_dyn := !wasted_dyn + (dyn - snap.State.s_dyn);
-            Casted_obs.Metrics.incr "sim.rollbacks";
-            attempt ~fault:None ~retries:(retries + 1) ~from:(Some snap)
-        | _ -> assemble termination)
-  in
-  attempt ~fault ~retries:0 ~from:None
-
-let run ?fault ?fuel ?perfect_cache ?profile ?with_mem_digest sched =
-  run_decoded ?fault ?fuel ?perfect_cache ?profile ?with_mem_digest
-    (Decode.of_schedule sched)
-
-(* Stage-2 execution: the closure-threaded engine (Compile), re-exported
-   here so every run entry point lives behind one module. *)
+(* Production runs: the closure-threaded engine (Compile). *)
 let run_compiled ?fault ?fuel ?with_mem_digest p =
   Compile.run ?fault ?fuel ?with_mem_digest p
 
 let run_compiled_replayed ?fault ?fuel ?with_mem_digest ~snapshot p =
-  Compile.run_replayed ?fault ?fuel ?with_mem_digest ~snapshot p
+  Compile.run ?fault ?fuel ?with_mem_digest ~snapshot p
+
+let run_decoded ?fault ?fuel ?with_mem_digest d =
+  Compile.run ?fault ?fuel ?with_mem_digest (Compile.of_decoded d)
+
+let run_recovering ?fault ?fuel ?with_mem_digest ~retry_budget d =
+  Compile.run ?fault ?fuel ?with_mem_digest ~retry_budget
+    (Compile.of_decoded d)
+
+let run ?fault ?fuel ?with_mem_digest sched =
+  run_decoded ?fault ?fuel ?with_mem_digest (Decode.of_schedule sched)

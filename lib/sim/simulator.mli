@@ -20,15 +20,21 @@
     cross-cluster operand read. The run also counts each model's
     dynamic population ({!Outcome.run} [dyn_defs], [dyn_mem],
     [dyn_branches], [dyn_xreads]), which is how a campaign's golden run
-    sizes the injection pool. *)
+    sizes the injection pool.
 
-(** [run schedule] executes the program to termination.
+    Two engines implement these semantics. Every [run*] entry point
+    executes on the closure-threaded engine ({!Compile}). The decoded
+    interpreter survives as {!reference}: the one direct reading of the
+    ISA that the verify oracle, the fuzzer and the golden-fixture test
+    hold the compiled engine to, field for field. *)
+
+(** [run schedule] decodes and executes the program to termination on
+    the compiled engine: exactly [run_decoded (Decode.of_schedule
+    schedule)].
 
     @param fault optional single transient fault to inject.
     @param fuel dynamic-instruction budget; exceeding it terminates the
       run with {!Outcome.Timeout} (the paper's simulator time-out).
-    @param perfect_cache every access hits in L1 (ablation).
-    @param profile per-block visit/cycle profile, filled during the run.
     @param with_mem_digest fill {!Outcome.run} [mem_digest] with a
       digest of the final memory image (default false: campaigns never
       pay for it; the differential oracle turns it on to compare whole
@@ -36,79 +42,28 @@
 val run :
   ?fault:Fault.t ->
   ?fuel:int ->
-  ?perfect_cache:bool ->
-  ?profile:Profile.t ->
   ?with_mem_digest:bool ->
   Casted_sched.Schedule.t ->
   Outcome.run
 
 (** [run_decoded decoded] executes a pre-decoded program
-    ({!Decode.of_schedule}). Bit-identical to [run] on the source
-    schedule — same {!Outcome.run} field for field — but skips the
-    per-run decode work: [run sched] is exactly
-    [run_decoded (Decode.of_schedule sched)]. Monte-Carlo campaigns
-    decode once and call this per trial; the decoded program is
-    read-only and safe to share across pool domains. Each executor
-    domain also keeps a private scratch memory arena that is restored
-    from [decoded.image] with one blit per run.
-
-    @param on_block called at every entry-function block-loop top where
-      the call stack is empty (depth 1) with the machine state, the
-      entry register file and the block index about to execute — the
-      only program points where {!State.snapshot} is valid. The golden
-      pass of {!Replay.capture} uses it to record snapshots; plain runs
-      leave it unset and pay nothing. *)
+    ({!Decode.of_schedule}): one stage-2 compile ({!Compile.of_decoded},
+    a small fraction of a run) and one {!Compile.run}. Callers running
+    the same program many times compile it once and use
+    {!run_compiled}. *)
 val run_decoded :
   ?fault:Fault.t ->
   ?fuel:int ->
-  ?perfect_cache:bool ->
-  ?profile:Profile.t ->
   ?with_mem_digest:bool ->
-  ?on_block:(State.t -> State.regfile -> int -> unit) ->
-  Decode.t ->
-  Outcome.run
-
-(** [run_replayed ~snapshot decoded] restores [snapshot] (captured by a
-    golden pass over the same decoded program) and executes only the
-    remaining suffix. Bit-identical to
-    [run_decoded ?fault ?fuel decoded] whenever the snapshot precedes
-    the fault's trigger event (see {!Replay.find}) and the snapshot's
-    perfect-cache mode matches the run's: the prefix a full run would
-    execute before the trigger is exactly the golden prefix the
-    snapshot captured. Counters and cycle counts resume from the
-    snapshot, so every {!Outcome.run} field reports whole-run totals. *)
-val run_replayed :
-  ?fault:Fault.t ->
-  ?fuel:int ->
-  ?with_mem_digest:bool ->
-  snapshot:State.snapshot ->
   Decode.t ->
   Outcome.run
 
 (** [run_recovering ~retry_budget decoded] executes a rollback-hardened
-    program ({!Casted_detect.Scheme.Rollback}). The checkpoint-flagged
-    block tops of the entry function (the region boundaries the
-    rollback pass marked with {!Casted_ir.Opcode.Cpt}) are restore
-    points: a fired check or machine trap no longer ends the run — the
-    machine state at the latest checkpoint is restored and the suffix
-    re-executed with the (transient) fault disarmed, up to
-    [retry_budget] times. A run that completes (halts, or its entry
-    function returns) after at least one rollback terminates with
-    {!Outcome.Recovered}; a retry chain that keeps failing (the fault
-    corrupted the checkpoint itself) exhausts the budget and reports
-    the original failure. Cycles and dynamic instructions thrown away
-    by failed attempts are folded into the final {!Outcome.run}, so
-    recovery pays its re-execution cost. Timeouts never retry: the
-    fuel budget is global.
-
-    Checkpoints are lazy: a running attempt only counts the checkpoints
-    it passes, and the one {!State.snapshot} a rollback needs is rebuilt
-    by deterministically re-running the failed attempt up to it. The
-    rebuilt snapshot is the one an eager snapshot would have taken; its
-    re-executed instructions are simulator work, not folded into the
-    run (they are counted by the [sim.checkpoint_rebuild_insns]
-    metric). A fault-free run therefore costs what [run_decoded] does,
-    and returns the same {!Outcome.run} field for field. *)
+    program ({!Casted_detect.Scheme.Rollback}) with region recovery on
+    the compiled engine: [Compile.run ~retry_budget] over
+    [Compile.of_decoded decoded] — see {!Compile.run} for the rollback
+    contract. A fault-free run returns the same {!Outcome.run} as
+    {!run_decoded}, field for field. *)
 val run_recovering :
   ?fault:Fault.t ->
   ?fuel:int ->
@@ -117,14 +72,9 @@ val run_recovering :
   Decode.t ->
   Outcome.run
 
-(** [run_compiled compiled] executes a stage-2-compiled program
-    ({!Compile.of_decoded}) on the closure-threaded engine.
-    Bit-identical to [run_decoded] on the underlying decoded program —
-    same {!Outcome.run} field for field — but with every per-instruction
-    dispatch decision resolved at compile time; the verify oracle's
-    four-way cross-check holds the engines to that contract. Campaigns
-    compile once (memoized in [Engine.Cache]) and run trials on this
-    path by default. *)
+(** [run_compiled compiled] is {!Compile.run} on a stage-2-compiled
+    program ({!Compile.of_decoded}). Campaigns compile once (memoized in
+    [Engine.Cache]) and run every trial on this path. *)
 val run_compiled :
   ?fault:Fault.t ->
   ?fuel:int ->
@@ -132,13 +82,38 @@ val run_compiled :
   Compile.t ->
   Outcome.run
 
-(** [run_compiled_replayed ~snapshot compiled] is {!run_replayed} on the
-    compiled engine: restore a golden-prefix snapshot (snapshots are
-    engine independent) and execute only the suffix as threaded code. *)
+(** [run_compiled_replayed ~snapshot compiled] restores a golden-prefix
+    snapshot and executes only the suffix ([Compile.run ~snapshot]).
+    Bit-identical to the full run whenever the snapshot precedes the
+    fault's trigger event (see {!Replay.find}). *)
 val run_compiled_replayed :
   ?fault:Fault.t ->
   ?fuel:int ->
   ?with_mem_digest:bool ->
   snapshot:State.snapshot ->
   Compile.t ->
+  Outcome.run
+
+(** [reference decoded] executes a pre-decoded program on the reference
+    interpreter. Same {!Outcome.run} as the compiled engine, field for
+    field, at about half its speed: only checks, the perfect-cache
+    ablation and per-block profiles run here.
+
+    @param perfect_cache every access hits in L1 (ablation).
+    @param profile per-block visit/cycle profile, filled during the run.
+    @param on_block called at every entry-function block-loop top where
+      the call stack is empty (depth 1) with the machine state, the
+      entry register file and the block index about to execute — the
+      program points where the compiled engine fires its own hook.
+    @param snapshot resume from this golden-prefix snapshot and execute
+      only the suffix (the snapshot's own perfect-cache mode applies). *)
+val reference :
+  ?fault:Fault.t ->
+  ?fuel:int ->
+  ?perfect_cache:bool ->
+  ?profile:Profile.t ->
+  ?with_mem_digest:bool ->
+  ?on_block:(State.t -> State.regfile -> int -> unit) ->
+  ?snapshot:State.snapshot ->
+  Decode.t ->
   Outcome.run

@@ -4,7 +4,7 @@
    size injection populations, the lockstep clock, the control-transfer
    scratch, the working memory arena and the cache-hierarchy model, plus
    the per-call register file ([regfile]). Pulling the state out of the
-   interpreter makes it snapshotable: [snapshot] captures the whole
+   engines makes it snapshotable: [snapshot] captures the whole
    machine in O(state size) at an entry-function block boundary (call
    stack empty), and [restore] rebuilds an equivalent machine from it —
    the foundation of golden-prefix replay (Replay). *)

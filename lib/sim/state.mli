@@ -1,6 +1,7 @@
 (** First-class machine state for the pre-decoded simulator.
 
-    Everything {!Simulator} mutates during a run lives here: the
+    Everything either engine ({!Compile}, or the reference interpreter
+    in {!Simulator}) mutates during a run lives here: the
     dynamic-event counters campaigns size injection populations from,
     the lockstep clock, the control-transfer scratch, the working memory
     arena and the cache-hierarchy model, plus the per-call register file.

@@ -2,6 +2,7 @@ module Scheme = Casted_detect.Scheme
 module Options = Casted_detect.Options
 module Pipeline = Casted_detect.Pipeline
 module Simulator = Casted_sim.Simulator
+module Compile = Casted_sim.Compile
 module Decode = Casted_sim.Decode
 module Outcome = Casted_sim.Outcome
 module Replay = Casted_sim.Replay
@@ -63,13 +64,14 @@ let reference ?options ?fuel program =
   let c = compile ?options { scheme = Scheme.Noed; issue_width = 1; delay = 1 }
       program
   in
-  Simulator.run ?fuel ~with_mem_digest:true c.Pipeline.schedule
+  Simulator.reference ?fuel ~with_mem_digest:true
+    (Decode.of_schedule c.Pipeline.schedule)
 
-(* Field-for-field comparison of two runs of the same cell: [run],
-   [run_decoded], [run_replayed] and [run_compiled] all promise
-   bit-identical results, and a fault-free run is deterministic, so any
+(* Field-for-field comparison of two runs of the same cell: every
+   production path promises the reference interpreter's result
+   bit for bit, and a fault-free run is deterministic, so any
    difference is a simulator bug. [label] names the pair being
-   compared, e.g. ["run vs run_decoded"]. *)
+   compared, reference side first, e.g. ["reference vs run"]. *)
 let cross_check_with ~label cell (a : Outcome.run) (b : Outcome.run) =
   let d field reference got = { cell; field; reference; got } in
   let int field x y acc =
@@ -111,46 +113,49 @@ let cross_check_with ~label cell (a : Outcome.run) (b : Outcome.run) =
   in
   List.rev acc
 
-let cross_check cell a b = cross_check_with ~label:"run vs run_decoded" cell a b
-
-(* The replay legs of the four-way check: capture a small snapshot set
-   on the cell's program (dense stride, so the thinning path is
-   exercised too) and replay the fault-free run from EVERY snapshot —
-   on both the decoded interpreter and the stage-2 compiled engine.
-   Each replayed suffix must land on the decoded run field for field —
-   cycles, every counter, output, cache stats, the whole memory image.
-   Any miss means State.snapshot/restore lost a piece of the machine
-   (or the compiled engine resumes it differently). *)
-let replay_cross_check ?fuel cell (decoded_run : Outcome.run) decoded stage2 =
-  let r = Replay.capture ~init_stride:32 ~target:4 ?fuel decoded in
-  Replay.snapshots r |> Array.to_list
-  |> List.concat_map (fun snapshot ->
-         let replayed =
-           Simulator.run_replayed ?fuel ~with_mem_digest:true ~snapshot
-             decoded
-         in
-         let compiled_replayed =
-           Simulator.run_compiled_replayed ?fuel ~with_mem_digest:true
-             ~snapshot stage2
-         in
-         cross_check_with ~label:"run_decoded vs run_replayed" cell
-           decoded_run replayed
-         @ cross_check_with ~label:"run_decoded vs compiled_replayed" cell
-             decoded_run compiled_replayed)
+(* Every engine comparison of a cell has the reference interpreter on
+   one side, so none can silently become compiled-vs-compiled:
+   - [run]: the production entry point on the schedule (decode, stage-2
+     compile, closure-threaded run);
+   - [run_recovering]: the same program under region recovery, whose
+     checkpoint-counting block hook must leave a fault-free run alone;
+   - [capture golden]: the golden run of a dense replay capture on the
+     compiled engine (stride small enough to exercise the thinning);
+   - [reference_replayed] / [compiled_replayed]: the fault-free run
+     resumed from EVERY captured snapshot on each engine. Each suffix
+     must land on the reference field for field — cycles, every
+     counter, output, cache stats, the whole memory image. A miss means
+     State.snapshot/restore lost a piece of the machine, or the compiled
+     hook fired somewhere the reference's does not. *)
+let engine_cross_check ?fuel cell sched =
+  let decoded = Decode.of_schedule sched in
+  let reference = Simulator.reference ?fuel ~with_mem_digest:true decoded in
+  let stage2 = Compile.of_decoded decoded in
+  let versus label got = cross_check_with ~label cell reference got in
+  let run = Simulator.run ?fuel ~with_mem_digest:true sched in
+  let recovering =
+    Compile.run ?fuel ~with_mem_digest:true ~retry_budget:1 stage2
+  in
+  let capture =
+    Replay.capture ~init_stride:32 ~target:4 (fun ~on_block ->
+        Compile.run ?fuel ~with_mem_digest:true ~on_block stage2)
+  in
+  let replayed snapshot =
+    versus "reference vs reference_replayed"
+      (Simulator.reference ?fuel ~with_mem_digest:true ~snapshot decoded)
+    @ versus "reference vs compiled_replayed"
+        (Compile.run ?fuel ~with_mem_digest:true ~snapshot stage2)
+  in
+  ( run,
+    versus "reference vs run" run
+    @ versus "reference vs run_recovering" recovering
+    @ versus "reference vs capture golden" (Replay.golden capture)
+    @ List.concat_map replayed (Array.to_list (Replay.snapshots capture)) )
 
 let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
     =
   let compiled = compile ?options cell program in
-  let sched = compiled.Pipeline.schedule in
-  let decoded = Decode.of_schedule sched in
-  let stage2 = Casted_sim.Compile.of_decoded decoded in
-  let run = Simulator.run ?fuel ~with_mem_digest:true sched in
-  let decoded_run =
-    Simulator.run_decoded ?fuel ~with_mem_digest:true decoded
-  in
-  let compiled_run =
-    Simulator.run_compiled ?fuel ~with_mem_digest:true stage2
-  in
+  let run, engines = engine_cross_check ?fuel cell compiled.Pipeline.schedule in
   let d field reference got = { cell; field; reference; got } in
   let archi =
     (if run.Outcome.termination = ref_run.Outcome.termination then []
@@ -179,10 +184,7 @@ let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
           (Digest.to_hex run.Outcome.mem_digest);
       ]
   in
-  archi @ cross_check cell run decoded_run
-  @ cross_check_with ~label:"run_decoded vs run_compiled" cell decoded_run
-      compiled_run
-  @ replay_cross_check ?fuel cell decoded_run decoded stage2
+  archi @ engines
 
 let differential ?pool ?issue_widths ?delays ?options ?fuel program =
   let ref_run = reference ?options ?fuel program in

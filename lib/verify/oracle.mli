@@ -7,16 +7,16 @@
     a compiler or simulator bug, RepTFD-style: the reference execution
     is the oracle.
 
-    Each cell additionally cross-checks the four execution paths
-    against each other, field for field: [Simulator.run] vs
-    [Simulator.run_decoded] on the schedule (the pre-decoded
-    interpreter must be bit-identical to the direct one),
-    [Simulator.run_compiled] on the stage-2 compiled program (the
-    closure-threaded engine must be bit-identical to the interpreter),
-    and [Simulator.run_replayed] / [Simulator.run_compiled_replayed]
-    from {e every} snapshot of a dense {!Casted_sim.Replay.capture} vs
-    the decoded run (golden-prefix replay must lose no piece of the
-    machine state, on either engine). *)
+    Each cell additionally holds every production execution path to
+    the reference interpreter ([Simulator.reference]) on the cell's own
+    schedule, field for field — the reference is one side of every
+    comparison: [Simulator.run] (decode, stage-2 compile,
+    closure-threaded run), a fault-free run under region recovery, the
+    golden run of a dense {!Casted_sim.Replay.capture} on the compiled
+    engine, and the run resumed from {e every} snapshot of that capture
+    on both engines (golden-prefix replay must lose no piece of the
+    machine state, and the compiled engine's block hook must fire where
+    the reference's does). *)
 
 type cell = {
   scheme : Casted_detect.Scheme.t;
@@ -41,9 +41,9 @@ type divergence = {
 val pp_divergence : Format.formatter -> divergence -> unit
 val divergence_to_json : divergence -> Casted_obs.Json.t
 
-(** [reference ?options ?fuel program] compiles and runs the program
-    under NOED at issue width 1 and returns the fault-free reference
-    run (with its memory digest). *)
+(** [reference ?options ?fuel program] compiles the program under NOED
+    at issue width 1 and returns its fault-free run on the reference
+    interpreter (with its memory digest). *)
 val reference :
   ?options:Casted_detect.Options.t ->
   ?fuel:int ->
@@ -52,9 +52,10 @@ val reference :
 
 (** [check_cell ?options ?fuel ~reference program cell] compiles
     [program] for [cell], runs it fault-free, and returns every
-    divergence: architectural outcome vs the reference, plus the
-    four-way [run] / [run_decoded] / [run_replayed] / [run_compiled]
-    cross-check on the cell's own schedule. *)
+    divergence: the production run's architectural outcome vs the
+    cross-scheme [reference], plus the reference-vs-production engine
+    cross-check on the cell's own schedule. Divergence fields name the
+    pair, reference side first (e.g. ["reference vs run: cycles"]). *)
 val check_cell :
   ?options:Casted_detect.Options.t ->
   ?fuel:int ->

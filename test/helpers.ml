@@ -42,6 +42,17 @@ let run_scheme ?(issue_width = 2) ?(delay = 2) scheme program =
   let c = Pipeline.compile ~scheme ~issue_width ~delay program in
   Simulator.run c.Pipeline.schedule
 
+(* The stage-2 program campaigns and trials run on. *)
+let compiled_of sched =
+  Casted_sim.Compile.of_decoded (Casted_sim.Decode.of_schedule sched)
+
+(* A golden-prefix snapshot set, captured on the compiled engine as
+   campaigns capture it. *)
+let capture ?init_stride ?target decoded =
+  let p = Casted_sim.Compile.of_decoded decoded in
+  Casted_sim.Replay.capture ?init_stride ?target (fun ~on_block ->
+      Casted_sim.Compile.run ~on_block p)
+
 (* Read the first 8 output bytes as an int64. *)
 let out64 (r : Outcome.run) =
   if String.length r.Outcome.output < 8 then

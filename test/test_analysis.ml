@@ -56,7 +56,8 @@ let test_profile_counts_visits () =
   in
   let c = Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:1 p in
   let profile = Profile.create () in
-  let r = Simulator.run ~profile c.Pipeline.schedule in
+  let r = Simulator.reference ~profile
+      (Casted_sim.Decode.of_schedule c.Pipeline.schedule) in
   let body =
     List.find_opt
       (fun ((_, label), _) ->
@@ -76,7 +77,8 @@ let test_profile_render () =
   let p = (Option.get (Registry.find "h263enc")).W.build W.Fault in
   let c = Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 p in
   let profile = Profile.create () in
-  let (_ : Outcome.run) = Simulator.run ~profile c.Pipeline.schedule in
+  let (_ : Outcome.run) = Simulator.reference ~profile
+      (Casted_sim.Decode.of_schedule c.Pipeline.schedule) in
   let s = Profile.render_top ~n:5 profile in
   Alcotest.(check bool) "renders rows" true
     (List.length (String.split_on_char '\n' s) >= 5)

@@ -144,7 +144,8 @@ let test_empty_population_is_benign () =
      benign (the per-trial guard)... *)
   Alcotest.(check string) "trial is benign" "benign"
     (Montecarlo.class_name
-       (Montecarlo.trial ~model:Fault.Xcluster ~golden:g ~seed:3 ~index:0 s));
+       (Montecarlo.trial ~model:Fault.Xcluster ~golden:g ~seed:3 ~index:0
+          (compiled_of s)));
   (* ...but a campaign reports the model as inapplicable: zero trials
      run, population recorded as empty, no exception escapes. *)
   let r = Montecarlo.run ~model:Fault.Xcluster ~seed:3 ~trials:10 s in
@@ -202,9 +203,10 @@ let test_early_stop_rejects_bad_target () =
    it (counts order). *)
 let prefix_counts s ~seed n =
   let g = Montecarlo.golden s in
+  let p = compiled_of s in
   Montecarlo.counts
     (Montecarlo.tally ~golden:g
-       (Array.init n (fun index -> Montecarlo.trial ~golden:g ~seed ~index s)))
+       (Array.init n (fun index -> Montecarlo.trial ~golden:g ~seed ~index p)))
 
 (* The crash-recovery property: a campaign killed at any chunk boundary
    and resumed from its banked prefix produces the bit-identical tally

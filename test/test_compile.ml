@@ -1,14 +1,18 @@
-(* The stage-2 closure-threaded engine: bit-identity against the
-   decoded interpreter (fault-free and under every fault model), one
-   physically shared compiled program per cache key (across hits and
-   pool domains), and pool-size-independent campaign tallies on the
-   compiled path. *)
+(* The stage-2 closure-threaded engine — the production engine — held
+   to the reference interpreter: bit-identity fault-free and under every
+   fault model, campaign tallies, and the block-top hook firing at the
+   same program points (so replay capture takes the same snapshots).
+   Plus one physically shared compiled program per cache key (across
+   hits and pool domains) and pool-size-independent tallies. *)
 
 open Helpers
 module Montecarlo = Casted_sim.Montecarlo
 module Compile = Casted_sim.Compile
 module Decode = Casted_sim.Decode
 module Fault = Casted_sim.Fault
+module Rng = Casted_sim.Rng
+module Replay = Casted_sim.Replay
+module State = Casted_sim.State
 module Cache = Casted_engine.Cache
 module Engine = Casted_engine.Engine
 module Pool = Casted_exec.Pool
@@ -46,22 +50,42 @@ let same_run msg (a : Outcome.run) (b : Outcome.run) =
   Alcotest.(check string)
     (msg ^ ": mem_digest") a.Outcome.mem_digest b.Outcome.mem_digest
 
-(* Fault-free: the compiled run must match the decoded run field for
+(* Fault-free: the compiled run must match the reference run field for
    field on every scheme, including the whole final memory image. *)
 let test_fault_free_bit_identity () =
   List.iter
     (fun scheme ->
       let decoded = cjpeg_decoded ~scheme () in
-      let a = Simulator.run_decoded ~with_mem_digest:true decoded in
+      let a = Simulator.reference ~with_mem_digest:true decoded in
       let b =
         Simulator.run_compiled ~with_mem_digest:true
           (Compile.of_decoded decoded)
       in
       same_run (Scheme.name scheme) a b)
-    [ Scheme.Noed; Scheme.Sced; Scheme.Dced; Scheme.Casted; Scheme.Tmr ]
+    Scheme.all
 
-(* Faulty trials: same classification as the interpreter for every
-   fault model, with and without golden-prefix replay composed in. *)
+(* The reference interpreter's verdict on campaign trial [index]: the
+   fault drawn exactly as a campaign draws it, started from the same
+   replay snapshot when the golden carries a set. *)
+let reference_trial ~model ~(golden : Montecarlo.golden) ~seed ~index d =
+  if Fault.population_size model golden.Montecarlo.pop = 0 then
+    Montecarlo.Benign
+  else
+    let rng = Rng.create ~seed:(Rng.derive ~seed index) in
+    let fault = Fault.random model rng ~population:golden.Montecarlo.pop in
+    let snapshot =
+      Option.bind golden.Montecarlo.replay (fun r -> Replay.find r fault)
+    in
+    Montecarlo.classify_result ~golden:golden.Montecarlo.run
+      (try
+         Ok
+           (Simulator.reference ~fault ~fuel:golden.Montecarlo.fuel ?snapshot
+              d)
+       with e -> Error e)
+
+(* Faulty trials: the campaign's trial on the compiled engine lands in
+   the reference interpreter's class for every fault model, with and
+   without golden-prefix replay composed in. *)
 let test_faulty_trials_every_model () =
   let decoded = cjpeg_decoded () in
   let compiled = Compile.of_decoded decoded in
@@ -70,13 +94,8 @@ let test_faulty_trials_every_model () =
     List.iter
       (fun model ->
         for index = 0 to 15 do
-          let a =
-            Montecarlo.trial_decoded ~model ~golden ~seed:42 ~index decoded
-          in
-          let b =
-            Montecarlo.trial_compiled ~model ~golden ~seed:42 ~index
-              ~compiled decoded
-          in
+          let a = reference_trial ~model ~golden ~seed:42 ~index decoded in
+          let b = Montecarlo.trial ~model ~golden ~seed:42 ~index compiled in
           Alcotest.(check string)
             (Printf.sprintf "%s trial %d (replay=%b)"
                (Fault.model_name model) index replay)
@@ -86,6 +105,75 @@ let test_faulty_trials_every_model () =
   in
   check ~replay:false;
   check ~replay:true
+
+(* Every workload at Fault size, i2/d2, under a detection, a
+   multi-version, a voting and a checkpointing scheme plus the
+   unprotected baseline. *)
+let hook_cells () =
+  List.concat_map
+    (fun name ->
+      let w = Option.get (Casted_workloads.Registry.find name) in
+      let program = w.W.build W.Fault in
+      List.map
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
+          ( Printf.sprintf "%s/%s" name (Scheme.name scheme),
+            Decode.of_schedule c.Pipeline.schedule ))
+        Scheme.[ Noed; Casted; Dme; Tmr; Rollback ])
+    (Casted_workloads.Registry.names ())
+
+(* The block-top hook is the compiled engine's only instrumentation
+   point, and replay capture and rollback checkpoints depend on it
+   firing exactly where the reference interpreter fires its own: same
+   blocks, in the same order, at the same dynamic count and clock. *)
+let test_hook_sequence_matches_reference () =
+  List.iter
+    (fun (cell, d) ->
+      let seen run =
+        let acc = ref [] in
+        let (_ : Outcome.run) =
+          run ~on_block:(fun st _ block ->
+              acc := (block, st.State.dyn, st.State.time) :: !acc)
+        in
+        List.rev !acc
+      in
+      let reference = seen (fun ~on_block -> Simulator.reference ~on_block d) in
+      let compiled =
+        let p = Compile.of_decoded d in
+        seen (fun ~on_block -> Compile.run ~on_block p)
+      in
+      Alcotest.(check bool) (cell ^ ": hook fired") true (reference <> []);
+      Alcotest.(check int)
+        (cell ^ ": block tops")
+        (List.length reference) (List.length compiled);
+      Alcotest.(check bool)
+        (cell ^ ": (block, dyn, time) sequence")
+        true (reference = compiled))
+    (hook_cells ())
+
+(* Replay.capture on either engine keeps the same snapshot set and
+   reports the same golden run. *)
+let test_capture_matches_reference () =
+  List.iter
+    (fun (cell, d) ->
+      let p = Compile.of_decoded d in
+      let a =
+        Replay.capture (fun ~on_block -> Simulator.reference ~on_block d)
+      in
+      let b = Replay.capture (fun ~on_block -> Compile.run ~on_block p) in
+      let ck what = Alcotest.(check int) (cell ^ ": " ^ what) in
+      ck "count" (Replay.count a) (Replay.count b);
+      ck "total_bytes" (Replay.total_bytes a) (Replay.total_bytes b);
+      Array.iteri
+        (fun i (x : State.snapshot) ->
+          let y = (Replay.snapshots b).(i) in
+          let at what = Printf.sprintf "snapshot %d %s" i what in
+          ck (at "block") x.State.block y.State.block;
+          ck (at "s_dyn") x.State.s_dyn y.State.s_dyn;
+          ck (at "s_time") x.State.s_time y.State.s_time)
+        (Replay.snapshots a);
+      same_run (cell ^ ": golden") (Replay.golden a) (Replay.golden b))
+    (hook_cells ())
 
 (* Cache: repeated lookups return the physically equal program. *)
 let test_cache_physical_sharing () =
@@ -131,22 +219,28 @@ let same_result msg (a : Montecarlo.result) (b : Montecarlo.result) =
   ck "recovered" a.Montecarlo.recovered b.Montecarlo.recovered
 
 (* Compiled campaigns are pool-size independent, and match the
-   interpreter tally bit for bit. *)
+   reference interpreter's tally bit for bit. *)
 let test_campaign_jobs_bit_identity () =
   let k = cjpeg_key () in
-  let campaign engine ~compile =
-    Engine.campaign engine ~seed:7 ~compile ~trials:256 k
-  in
-  let one = Engine.with_engine ~jobs:1 (campaign ~compile:true) in
-  let four = Engine.with_engine ~jobs:4 (campaign ~compile:true) in
+  let trials = 256 in
+  let campaign engine = Engine.campaign engine ~seed:7 ~trials k in
+  let one = Engine.with_engine ~jobs:1 campaign in
+  let four = Engine.with_engine ~jobs:4 campaign in
   same_result "jobs 1 vs 4 (compiled)" one four;
-  let interp = Engine.with_engine ~jobs:4 (campaign ~compile:false) in
-  same_result "compiled vs interpreter" one interp
+  let decoded = cjpeg_decoded () in
+  let golden = Montecarlo.golden_decoded ~replay:true decoded in
+  let reference =
+    Montecarlo.tally ~golden
+      (Array.init trials (fun index ->
+           reference_trial ~model:Fault.Reg_bit ~golden ~seed:7 ~index
+             decoded))
+  in
+  same_result "compiled vs reference interpreter" one reference
 
 let suite =
   ( "compile",
     [
-      case "fault-free runs are bit-identical to decoded, every scheme"
+      case "fault-free runs are bit-identical to reference, every scheme"
         test_fault_free_bit_identity;
       case "faulty trials match the interpreter on every model"
         test_faulty_trials_every_model;
@@ -156,4 +250,8 @@ let suite =
         test_cache_sharing_across_domains;
       case "campaign tally is jobs- and engine-independent"
         test_campaign_jobs_bit_identity;
+      case "block hook fires where the reference interpreter's does"
+        test_hook_sequence_matches_reference;
+      case "replay capture takes the same snapshots on both engines"
+        test_capture_matches_reference;
     ] )

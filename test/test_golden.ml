@@ -1,14 +1,16 @@
 (* Golden-outcome regression suite: the simulator must reproduce the
-   committed fixture (test/golden_fixture.ml) bit for bit.
+   committed fixture (test/golden_fixture.ml) bit for bit, on both
+   engines — the production closure-threaded engine and the reference
+   interpreter.
 
    The fixture was generated before the pre-decoded interpreter core
-   landed, so these tests are the proof that decoding is a pure
-   performance transformation: every cycle count, every dynamic counter
-   an injection campaign sizes its population from, the exit code and
-   the output bytes are compared against frozen values. A failure here
-   means the simulator's semantics or timing changed — see
-   tools/gen_golden for the (intentional-change-only) regeneration
-   procedure. *)
+   landed, so these tests are the proof that decoding and stage-2
+   compilation are pure performance transformations: every cycle count,
+   every dynamic counter an injection campaign sizes its population
+   from, the exit code and the output bytes are compared against frozen
+   values. A failure here means the simulator's semantics or timing
+   changed — see tools/gen_golden for the (intentional-change-only)
+   regeneration procedure. *)
 
 module W = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
@@ -16,6 +18,8 @@ module Scheme = Casted_detect.Scheme
 module Pipeline = Casted_detect.Pipeline
 module Simulator = Casted_sim.Simulator
 module Decode = Casted_sim.Decode
+module Compile = Casted_sim.Compile
+module Replay = Casted_sim.Replay
 module Outcome = Casted_sim.Outcome
 
 let scheme_of_name name =
@@ -23,7 +27,7 @@ let scheme_of_name name =
   | Some s -> s
   | None -> Alcotest.failf "fixture names unknown scheme %S" name
 
-let run_entry (e : Golden_fixture.entry) =
+let decoded_entry (e : Golden_fixture.entry) =
   let w =
     match Registry.find e.Golden_fixture.workload with
     | Some w -> w
@@ -36,11 +40,10 @@ let run_entry (e : Golden_fixture.entry) =
       ~issue_width:e.Golden_fixture.issue ~delay:e.Golden_fixture.delay
       program
   in
-  Simulator.run_decoded (Decode.of_schedule compiled.Pipeline.schedule)
+  Decode.of_schedule compiled.Pipeline.schedule
 
-let check_entry (e : Golden_fixture.entry) () =
-  let r = run_entry e in
-  let ck what = Alcotest.(check int) what in
+let check_pinned engine (e : Golden_fixture.entry) (r : Outcome.run) =
+  let ck what = Alcotest.(check int) (engine ^ ": " ^ what) in
   ck "cycles" e.Golden_fixture.cycles r.Outcome.cycles;
   ck "dyn_insns" e.Golden_fixture.dyn_insns r.Outcome.dyn_insns;
   ck "dyn_defs" e.Golden_fixture.dyn_defs r.Outcome.dyn_defs;
@@ -50,8 +53,14 @@ let check_entry (e : Golden_fixture.entry) () =
   ck "dyn_checks" e.Golden_fixture.dyn_checks r.Outcome.dyn_checks;
   ck "exit_code" e.Golden_fixture.exit_code r.Outcome.exit_code;
   Alcotest.(check string)
-    "output md5" e.Golden_fixture.output_md5
+    (engine ^ ": output md5")
+    e.Golden_fixture.output_md5
     (Digest.to_hex (Digest.string r.Outcome.output))
+
+let check_entry (e : Golden_fixture.entry) () =
+  let d = decoded_entry e in
+  check_pinned "compiled" e (Simulator.run_decoded d);
+  check_pinned "reference" e (Simulator.reference d)
 
 (* Also pin that the convenience entry point is literally the decoded
    path: run and run_decoded-of-decode agree on a fixture entry. *)
@@ -73,38 +82,23 @@ let test_run_matches_run_decoded () =
       Alcotest.(check bool) "identical outcomes" true (a = b)
 
 (* The replay path must land on the same frozen fixture: capture a
-   snapshot set on each entry and check that resuming from the LAST
-   snapshot (the most state restored, the least re-executed) still
-   reproduces every pinned field. *)
+   snapshot set on each entry (on the compiled engine, as campaigns
+   do) and check that resuming from the LAST snapshot (the most state
+   restored, the least re-executed) still reproduces every pinned
+   field, on either engine. *)
 let check_entry_replayed (e : Golden_fixture.entry) () =
-  let w = Option.get (Registry.find e.Golden_fixture.workload) in
-  let program = w.W.build W.Fault in
-  let compiled =
-    Pipeline.compile
-      ~scheme:(scheme_of_name e.Golden_fixture.scheme)
-      ~issue_width:e.Golden_fixture.issue ~delay:e.Golden_fixture.delay
-      program
+  let d = decoded_entry e in
+  let p = Compile.of_decoded d in
+  let capture =
+    Replay.capture ~init_stride:64 ~target:16 (fun ~on_block ->
+        Compile.run ~on_block p)
   in
-  let d = Decode.of_schedule compiled.Pipeline.schedule in
-  let capture = Casted_sim.Replay.capture ~init_stride:64 ~target:16 d in
-  let snaps = Casted_sim.Replay.snapshots capture in
+  let snaps = Replay.snapshots capture in
   if Array.length snaps = 0 then
     Alcotest.failf "no snapshots captured for %s" e.Golden_fixture.workload;
-  let r =
-    Simulator.run_replayed ~snapshot:snaps.(Array.length snaps - 1) d
-  in
-  let ck what = Alcotest.(check int) what in
-  ck "cycles" e.Golden_fixture.cycles r.Outcome.cycles;
-  ck "dyn_insns" e.Golden_fixture.dyn_insns r.Outcome.dyn_insns;
-  ck "dyn_defs" e.Golden_fixture.dyn_defs r.Outcome.dyn_defs;
-  ck "dyn_mem" e.Golden_fixture.dyn_mem r.Outcome.dyn_mem;
-  ck "dyn_branches" e.Golden_fixture.dyn_branches r.Outcome.dyn_branches;
-  ck "dyn_xreads" e.Golden_fixture.dyn_xreads r.Outcome.dyn_xreads;
-  ck "dyn_checks" e.Golden_fixture.dyn_checks r.Outcome.dyn_checks;
-  ck "exit_code" e.Golden_fixture.exit_code r.Outcome.exit_code;
-  Alcotest.(check string)
-    "output md5" e.Golden_fixture.output_md5
-    (Digest.to_hex (Digest.string r.Outcome.output))
+  let snapshot = snaps.(Array.length snaps - 1) in
+  check_pinned "compiled" e (Compile.run ~snapshot p);
+  check_pinned "reference" e (Simulator.reference ~snapshot d)
 
 let suite =
   let case e =

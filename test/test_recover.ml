@@ -373,7 +373,8 @@ let test_rollback_detected_before_first_checkpoint () =
     let hits = ref 0 in
     let on_block _ _ cur = if blocks.(cur).Decode.checkpoint then incr hits in
     let r =
-      Simulator.run_decoded ~fault ~fuel ~with_mem_digest:true ~on_block d
+      Casted_sim.Compile.run ~fault ~fuel ~with_mem_digest:true ~on_block
+        (Casted_sim.Compile.of_decoded d)
     in
     (r, !hits)
   in

@@ -51,7 +51,7 @@ let same_counts msg (a : Montecarlo.result) (b : Montecarlo.result) =
 let test_capture_golden_identical () =
   let d = decoded () in
   let plain = Simulator.run_decoded d in
-  let r = Replay.capture ~init_stride:4 ~target:8 d in
+  let r = capture ~init_stride:4 ~target:8 d in
   Alcotest.(check bool) "snapshots captured" true (Replay.count r > 0);
   Alcotest.(check bool) "golden identical" true (Replay.golden r = plain)
 
@@ -61,11 +61,12 @@ let test_capture_golden_identical () =
    digest, cache stats) to the same fault executed from scratch. *)
 let test_trials_bit_identical () =
   let d = decoded () in
+  let p = Casted_sim.Compile.of_decoded d in
   let g = Montecarlo.golden_decoded d in
   let fuel = g.Montecarlo.fuel in
   let captures =
     List.map
-      (fun (init_stride, target) -> Replay.capture ~init_stride ~target d)
+      (fun (init_stride, target) -> capture ~init_stride ~target d)
       [ (1, 4); (4, 16); (32, 64) ]
   in
   let replayed_total = ref 0 in
@@ -85,8 +86,8 @@ let test_trials_bit_identical () =
               | Some snapshot ->
                   incr replayed_total;
                   let replayed =
-                    Simulator.run_replayed ~fault ~fuel ~with_mem_digest:true
-                      ~snapshot d
+                    Simulator.run_compiled_replayed ~fault ~fuel
+                      ~with_mem_digest:true ~snapshot p
                   in
                   Alcotest.(check bool)
                     (Printf.sprintf "%s trial %d: replayed = full"
@@ -136,7 +137,7 @@ let test_campaign_replay_invariant () =
    first one is past it. *)
 let test_find_latest_valid () =
   let d = decoded () in
-  let r = Replay.capture ~init_stride:1 ~target:16 d in
+  let r = capture ~init_stride:1 ~target:16 d in
   let snaps = Replay.snapshots r in
   Alcotest.(check bool) "dense capture" true (Array.length snaps > 2);
   Array.iteri

@@ -566,10 +566,12 @@ let test_fuzz_small_campaign_clean () =
   | Some f -> Alcotest.failf "fuzz failure: %a" Fuzz.pp_failure f
 
 let test_fuzz_four_way_includes_compiled () =
-  (* The oracle's cross-check is four-way (run / run_decoded /
-     run_replayed / run_compiled) — a fuzz-generated program must come
-     back clean on a cell of each flavour, which fails if the stage-2
-     compiled engine diverges from the interpreter on any field. *)
+  (* The oracle holds four production paths to the reference
+     interpreter (run, run_recovering, the capture's golden run, and
+     replay from every snapshot on both engines) — a fuzz-generated
+     program must come back clean on a cell of each flavour, which
+     fails if the compiled engine diverges from the reference on any
+     field. *)
   let program = Fuzz.emit_program (Fuzz.recipe ~seed:0xC0DE 1) in
   let reference = Oracle.reference program in
   List.iter
