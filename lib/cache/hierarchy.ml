@@ -1,5 +1,6 @@
 type t = {
-  levels : (Level.t * int) array;  (* level, latency *)
+  levels : Level.t array;  (* innermost first *)
+  latencies : int array;  (* latency of a hit in [levels.(i)] *)
   mem_latency : int;
   perfect : bool;
   l1_latency : int;
@@ -19,11 +20,8 @@ let create (c : Casted_machine.Config.cache_config) =
   let open Casted_machine.Config in
   {
     levels =
-      [|
-        (Level.of_config c.l1, c.l1.latency);
-        (Level.of_config c.l2, c.l2.latency);
-        (Level.of_config c.l3, c.l3.latency);
-      |];
+      [| Level.of_config c.l1; Level.of_config c.l2; Level.of_config c.l3 |];
+    latencies = [| c.l1.latency; c.l2.latency; c.l3.latency |];
     mem_latency = c.mem_latency;
     perfect = false;
     l1_latency = c.l1.latency;
@@ -37,23 +35,24 @@ let access t ~addr ~write =
   else begin
     (* Walk outwards until a level hits; every traversed level allocates
        the block (inclusive hierarchy). *)
-    let n = Array.length t.levels in
-    let rec go i =
-      if i >= n then t.mem_latency
-      else
-        let level, latency = t.levels.(i) in
-        match Level.access level ~addr ~write with
-        | Level.Hit -> latency
-        | Level.Miss _ -> go (i + 1)
-    in
-    go 0
+    let levels = t.levels in
+    let n = Array.length levels in
+    let i = ref 0 and latency = ref t.mem_latency in
+    while !i < n do
+      if Level.access (Array.unsafe_get levels !i) ~addr ~write then begin
+        latency := Array.unsafe_get t.latencies !i;
+        i := n
+      end
+      else incr i
+    done;
+    !latency
   end
 
 let stats t =
-  let h i = Level.hits (fst t.levels.(i)) in
-  let m i = Level.misses (fst t.levels.(i)) in
+  let h i = Level.hits t.levels.(i) in
+  let m i = Level.misses t.levels.(i) in
   let wb =
-    Array.fold_left (fun acc (l, _) -> acc + Level.writebacks l) 0 t.levels
+    Array.fold_left (fun acc l -> acc + Level.writebacks l) 0 t.levels
   in
   {
     l1_hits = h 0;
@@ -65,13 +64,13 @@ let stats t =
     writebacks = wb;
   }
 
-let reset t = Array.iter (fun (l, _) -> Level.clear l) t.levels
+let reset t = Array.iter Level.clear t.levels
 let is_perfect t = t.perfect
 
 type snapshot = { levels : Level.snapshot array; snap_perfect : bool }
 
 let snapshot (t : t) =
-  { levels = Array.map (fun (l, _) -> Level.snapshot l) t.levels;
+  { levels = Array.map Level.snapshot t.levels;
     snap_perfect = t.perfect }
 
 let restore (t : t) snap =
@@ -79,7 +78,7 @@ let restore (t : t) snap =
     invalid_arg "Hierarchy.restore: perfect-cache mode mismatch";
   if Array.length snap.levels <> Array.length t.levels then
     invalid_arg "Hierarchy.restore: level count mismatch";
-  Array.iteri (fun i (l, _) -> Level.restore l snap.levels.(i)) t.levels
+  Array.iteri (fun i l -> Level.restore l snap.levels.(i)) t.levels
 
 let snapshot_perfect snap = snap.snap_perfect
 

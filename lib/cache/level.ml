@@ -1,11 +1,15 @@
-type way = { mutable tag : int; mutable dirty : bool; mutable stamp : int }
-(* tag = -1 encodes an invalid way. *)
-
+(* Way state lives in flat arrays indexed [set * assoc + way], so an
+   access is two loops over one contiguous stretch and allocates
+   nothing. tag = -1 encodes an invalid way. *)
 type t = {
-  sets : way array array;
+  tags : int array;
+  stamps : int array;  (* LRU clock of the last touch; 0 = never *)
+  dirty : Bytes.t;  (* '\001' = dirty *)
+  assoc : int;
   block_bytes : int;
   block_shift : int;
   n_sets : int;
+  set_shift : int;  (* log2 n_sets, or -1 when n_sets is not a power of 2 *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -20,8 +24,6 @@ type t = {
   mutable n_touched : int;
 }
 
-type outcome = Hit | Miss of { evicted_dirty : bool }
-
 let log2_exact n =
   let rec go k = if 1 lsl k = n then k else if 1 lsl k > n then -1 else go (k + 1) in
   go 0
@@ -34,15 +36,16 @@ let create ~size_bytes ~block_bytes ~assoc =
   let block_shift = log2_exact block_bytes in
   if block_shift < 0 then invalid_arg "Level.create: block size not a power of 2";
   let n_sets = size_bytes / (block_bytes * assoc) in
-  let sets =
-    Array.init n_sets (fun _ ->
-        Array.init assoc (fun _ -> { tag = -1; dirty = false; stamp = 0 }))
-  in
+  let n_ways = n_sets * assoc in
   {
-    sets;
+    tags = Array.make n_ways (-1);
+    stamps = Array.make n_ways 0;
+    dirty = Bytes.make n_ways '\000';
+    assoc;
     block_bytes;
     block_shift;
     n_sets;
+    set_shift = log2_exact n_sets;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -57,11 +60,21 @@ let of_config (c : Casted_machine.Config.cache_level) =
     ~block_bytes:c.Casted_machine.Config.block_bytes
     ~assoc:c.Casted_machine.Config.assoc
 
-let locate t addr =
-  let block = addr lsr t.block_shift in
-  let set = block mod t.n_sets in
-  let tag = block / t.n_sets in
-  (set, tag)
+let set_of t block =
+  if t.set_shift >= 0 then block land (t.n_sets - 1) else block mod t.n_sets
+
+let tag_of t block =
+  if t.set_shift >= 0 then block lsr t.set_shift else block / t.n_sets
+
+(* Index of the way holding [tag] in the set starting at [base], or -1. *)
+let find t base tag =
+  let w = ref (-1) and i = ref base in
+  let lim = base + t.assoc in
+  while !w < 0 && !i < lim do
+    if Array.unsafe_get t.tags !i = tag then w := !i;
+    incr i
+  done;
+  !w
 
 let touch t set_idx =
   if Bytes.unsafe_get t.touched_flag set_idx = '\000' then begin
@@ -73,31 +86,39 @@ let touch t set_idx =
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Level.access: negative address";
   t.clock <- t.clock + 1;
-  let set_idx, tag = locate t addr in
+  let block = addr lsr t.block_shift in
+  let set_idx = set_of t block in
+  let tag = tag_of t block in
   touch t set_idx;
-  let set = t.sets.(set_idx) in
-  let hit = Array.find_opt (fun w -> w.tag = tag) set in
-  match hit with
-  | Some w ->
-      w.stamp <- t.clock;
-      if write then w.dirty <- true;
-      t.hits <- t.hits + 1;
-      Hit
-  | None ->
-      t.misses <- t.misses + 1;
-      (* Evict the LRU way (invalid ways have stamp 0, oldest). *)
-      let victim = ref set.(0) in
-      Array.iter (fun w -> if w.stamp < !victim.stamp then victim := w) set;
-      let evicted_dirty = !victim.tag >= 0 && !victim.dirty in
-      if evicted_dirty then t.writebacks <- t.writebacks + 1;
-      !victim.tag <- tag;
-      !victim.dirty <- write;
-      !victim.stamp <- t.clock;
-      Miss { evicted_dirty }
+  let base = set_idx * t.assoc in
+  let w = find t base tag in
+  if w >= 0 then begin
+    Array.unsafe_set t.stamps w t.clock;
+    if write then Bytes.unsafe_set t.dirty w '\001';
+    t.hits <- t.hits + 1;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    (* Evict the first least-recently-used way (invalid ways have stamp
+       0, the oldest). *)
+    let victim = ref base in
+    for i = base + 1 to base + t.assoc - 1 do
+      if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !victim then
+        victim := i
+    done;
+    let v = !victim in
+    if Array.unsafe_get t.tags v >= 0 && Bytes.unsafe_get t.dirty v <> '\000'
+    then t.writebacks <- t.writebacks + 1;
+    Array.unsafe_set t.tags v tag;
+    Bytes.unsafe_set t.dirty v (if write then '\001' else '\000');
+    Array.unsafe_set t.stamps v t.clock;
+    false
+  end
 
 let probe t ~addr =
-  let set_idx, tag = locate t addr in
-  Array.exists (fun w -> w.tag = tag) t.sets.(set_idx)
+  let block = addr lsr t.block_shift in
+  find t (set_of t block * t.assoc) (tag_of t block) >= 0
 
 let hits t = t.hits
 let misses t = t.misses
@@ -114,12 +135,10 @@ let clear t =
   for k = 0 to t.n_touched - 1 do
     let s = t.touched.(k) in
     Bytes.unsafe_set t.touched_flag s '\000';
-    Array.iter
-      (fun w ->
-        w.tag <- -1;
-        w.dirty <- false;
-        w.stamp <- 0)
-      t.sets.(s)
+    let base = s * t.assoc in
+    Array.fill t.tags base t.assoc (-1);
+    Array.fill t.stamps base t.assoc 0;
+    Bytes.fill t.dirty base t.assoc '\000'
   done;
   t.n_touched <- 0;
   t.clock <- 0;
@@ -135,41 +154,38 @@ let block_bytes t = t.block_bytes
    across domains. *)
 type snapshot = {
   snap_sets : int;  (* geometry guard: n_sets *)
-  assoc : int;
+  snap_assoc : int;
   set_idx : int array;
-  tags : int array;  (* length = |set_idx| * assoc *)
-  stamps : int array;
-  dirty : Bytes.t;
-  clock : int;
+  snap_tags : int array;  (* length = |set_idx| * assoc *)
+  snap_stamps : int array;
+  snap_dirty : Bytes.t;
+  snap_clock : int;
   s_hits : int;
   s_misses : int;
   s_writebacks : int;
 }
 
 let snapshot t =
-  let assoc = Array.length t.sets.(0) in
+  let assoc = t.assoc in
   let n = t.n_touched * assoc in
   let set_idx = Array.sub t.touched 0 t.n_touched in
   let tags = Array.make (max n 1) (-1) in
   let stamps = Array.make (max n 1) 0 in
   let dirty = Bytes.make (max n 1) '\000' in
-  for k = 0 to t.n_touched - 1 do
-    let set = t.sets.(set_idx.(k)) in
-    for w = 0 to assoc - 1 do
-      let i = (k * assoc) + w in
-      tags.(i) <- set.(w).tag;
-      stamps.(i) <- set.(w).stamp;
-      if set.(w).dirty then Bytes.unsafe_set dirty i '\001'
-    done
-  done;
+  Array.iteri
+    (fun k s ->
+      Array.blit t.tags (s * assoc) tags (k * assoc) assoc;
+      Array.blit t.stamps (s * assoc) stamps (k * assoc) assoc;
+      Bytes.blit t.dirty (s * assoc) dirty (k * assoc) assoc)
+    set_idx;
   {
     snap_sets = t.n_sets;
-    assoc;
+    snap_assoc = assoc;
     set_idx;
-    tags;
-    stamps;
-    dirty;
-    clock = t.clock;
+    snap_tags = tags;
+    snap_stamps = stamps;
+    snap_dirty = dirty;
+    snap_clock = t.clock;
     s_hits = t.hits;
     s_misses = t.misses;
     s_writebacks = t.writebacks;
@@ -179,22 +195,18 @@ let snapshot t =
    then write the snapshot's sets (re-journalling them, so a later
    [clear] undoes the restore too). *)
 let restore t snap =
-  let assoc = Array.length t.sets.(0) in
-  if snap.snap_sets <> t.n_sets || snap.assoc <> assoc then
+  let assoc = t.assoc in
+  if snap.snap_sets <> t.n_sets || snap.snap_assoc <> assoc then
     invalid_arg "Level.restore: geometry mismatch";
   clear t;
-  for k = 0 to Array.length snap.set_idx - 1 do
-    let s = snap.set_idx.(k) in
-    touch t s;
-    let set = t.sets.(s) in
-    for w = 0 to assoc - 1 do
-      let i = (k * assoc) + w in
-      set.(w).tag <- snap.tags.(i);
-      set.(w).stamp <- snap.stamps.(i);
-      set.(w).dirty <- Bytes.unsafe_get snap.dirty i <> '\000'
-    done
-  done;
-  t.clock <- snap.clock;
+  Array.iteri
+    (fun k s ->
+      touch t s;
+      Array.blit snap.snap_tags (k * assoc) t.tags (s * assoc) assoc;
+      Array.blit snap.snap_stamps (k * assoc) t.stamps (s * assoc) assoc;
+      Bytes.blit snap.snap_dirty (k * assoc) t.dirty (s * assoc) assoc)
+    snap.set_idx;
+  t.clock <- snap.snap_clock;
   t.hits <- snap.s_hits;
   t.misses <- snap.s_misses;
   t.writebacks <- snap.s_writebacks
@@ -202,6 +214,6 @@ let restore t snap =
 (* Rough heap footprint of one snapshot, for observability. *)
 let snapshot_bytes snap =
   let words =
-    (2 * Array.length snap.tags) + Array.length snap.set_idx + 8
+    (2 * Array.length snap.snap_tags) + Array.length snap.set_idx + 8
   in
-  (words * Sys.word_size / 8) + Bytes.length snap.dirty
+  (words * Sys.word_size / 8) + Bytes.length snap.snap_dirty

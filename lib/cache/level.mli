@@ -6,16 +6,16 @@
 
 type t
 
-type outcome = Hit | Miss of { evicted_dirty : bool }
-
 val create : size_bytes:int -> block_bytes:int -> assoc:int -> t
 
 val of_config : Casted_machine.Config.cache_level -> t
 
-(** [access t ~addr ~write] looks the block containing [addr] up,
-    allocates it on a miss (evicting the LRU way) and marks it dirty on
-    writes. *)
-val access : t -> addr:int -> write:bool -> outcome
+(** [access t ~addr ~write] looks the block containing [addr] up and
+    returns whether it hit. A miss allocates the block, evicting the
+    least-recently-used way; evicting a dirty block counts one
+    {!writebacks}. Writes mark the block dirty. Allocation-free.
+    Raises [Invalid_argument] on a negative address. *)
+val access : t -> addr:int -> write:bool -> bool
 
 (** Lookup without allocation or LRU update (used by tests). *)
 val probe : t -> addr:int -> bool

@@ -12,13 +12,3 @@ val int_binop : Casted_ir.Opcode.t -> int64 -> int64 -> int64
 val int_immop : Casted_ir.Opcode.t -> int64 -> int64 -> int64
 
 val float_binop : Casted_ir.Opcode.t -> float -> float -> float
-
-(** The individual operations, exported so the stage-2 compiler
-    ({!Compile}) can bind an opcode's semantics once instead of
-    dispatching per executed instruction. *)
-
-val shift_amount : int64 -> int
-(** Shift amounts are taken modulo 64. *)
-
-val sdiv : int64 -> int64 -> int64
-val srem : int64 -> int64 -> int64

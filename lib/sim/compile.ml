@@ -6,7 +6,8 @@
    checks) is resolved here, once, at compile time. What remains at run
    time is a flat array walk: one indirect call per dynamic instruction
    into a closure that reads its operands from unsafe, compile-proven
-   indices, computes, and writes back.
+   indices, computes, and writes back — without allocating (see the
+   hot-path note below for what keeps it that way).
 
    This is the engine every production run executes on: golden runs,
    replay capture, campaign trials and rollback recovery. The decoded
@@ -28,8 +29,9 @@
    Fault hooks are pre-extracted into plain int "arms" on the compile
    context: an event counter fires its fault when it equals the arm
    after increment, and arm 0 means never (counters are >= 1 after
-   increment). This removes every per-event [Fault.t option] match from
-   the hot loop.
+   increment). The bits a register fault flips are precomputed as a
+   mask. This removes every per-event [Fault.t option] match from the
+   hot loop.
 
    Malformed programs (register indices out of the frame proven at
    compile time, non-canonical operand shapes) compile to poison
@@ -49,25 +51,33 @@ type cctx = {
   funcs : cfunc array;
   fuel : int;
   delay : int;  (* cross-cluster interconnect delay, from the config *)
+  (* The memory arena's live bytes and size, for the in-range fast
+     path (State.t's arena is fixed for the run). *)
+  arena : Bytes.t;
+  arena_size : int;
   (* Pre-extracted fault triggers: counter value (post-increment) at
      which the single armed fault site fires; 0 = never. *)
   def_arm : int;
-  def_bit : int;
-  def_width : int;
+  def_mask : int64;  (* bits a def-slot fault flips *)
   mem_arm : int;
   mem_off : int;
   mem_bit : int;
   br_arm : int;
   x_arm : int;
-  x_bit : int;
+  x_mask : int64;  (* bit a cross-cluster fault flips *)
   (* Called at every entry-function block top (depth 1). *)
   on_block : (State.t -> State.regfile -> int -> unit) option;
-  (* Return-value scratch: Ret parks the value here (class-coded, -1 =
-     none), Call consumes it — no [State.value option] allocation. *)
+  (* Return-value scratch: Ret parks the value here, Call consumes it.
+     [ret_cls] is class-coded (-1 = none, 0 Gp, 1 Fp, 2 Pr); a GP value
+     or FP bit pattern sits unboxed in the 8 bytes of [ret_bits]. *)
   mutable ret_cls : int;
-  mutable ret_gp : int64;
-  mutable ret_fp : float;
+  ret_bits : Bytes.t;
   mutable ret_pr : bool;
+  (* One spare callee frame per function ([no_frame] = none), handed
+     back on return: a callee frame is dead once its call returns (hooks
+     and snapshots only ever see the depth-1 entry frame), so a loop of
+     calls reuses one frame instead of allocating one per call. *)
+  frames : State.regfile array;
 }
 
 and cinsn = cctx -> State.regfile -> int -> unit
@@ -92,9 +102,46 @@ let decoded t = t.d
 
 let oob = "index out of bounds"
 
+let no_frame =
+  {
+    State.gp = Bytes.empty;
+    fpv = [||];
+    prv = [||];
+    gp_ready = [||];
+    fp_ready = [||];
+    pr_ready = [||];
+    gp_home = [||];
+    fp_home = [||];
+    pr_home = [||];
+  }
+
+(* ---- The allocation-free hot path ----
+
+   Dev builds compile every module with -opaque, which turns off
+   cross-module inlining: an int64 passed to or returned from another
+   module's function is boxed. So the per-instruction path keeps its
+   int64 dataflow inside this module — compiler primitives and the
+   [@inline] helpers below, which the closures instantiate with
+   constant opcodes, conditions and widths so each folds to straight
+   primitive code — and calls out only with ints, bools and pointers
+   (Hierarchy.access, Memory.note_write). The remaining boxing sits on
+   cold paths: a fault firing, a trapping memory access, a recursive
+   call's fresh frame. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
 (* Per-instruction bookkeeping shared by every closure: dynamic count,
    fuel, role tally. Mirrors the interpreter's exec_insn preamble. *)
-let pre c role =
+let[@inline] pre c role =
   let st = c.st in
   let dyn = st.State.dyn + 1 in
   st.State.dyn <- dyn;
@@ -105,29 +152,31 @@ let pre c role =
 (* Operand reads with cross-cluster accounting; indices are proven in
    bounds at compile time. *)
 
-let read_gp c (fr : State.regfile) i cluster =
-  let v = Array.unsafe_get fr.State.gp i in
+let[@inline] read_gp c (fr : State.regfile) i cluster =
+  let v = get64u fr.State.gp (i lsl 3) in
   let home = Array.unsafe_get fr.State.gp_home i in
   if home >= 0 && home <> cluster then begin
     let st = c.st in
     let x = st.State.xreads + 1 in
     st.State.xreads <- x;
-    if x = c.x_arm then Fault.flip_int ~bit:c.x_bit v else v
+    if x = c.x_arm then Int64.logxor v c.x_mask else v
   end
   else v
 
-let read_fp c (fr : State.regfile) i cluster =
+let[@inline] read_fp c (fr : State.regfile) i cluster =
   let v = Array.unsafe_get fr.State.fpv i in
   let home = Array.unsafe_get fr.State.fp_home i in
   if home >= 0 && home <> cluster then begin
     let st = c.st in
     let x = st.State.xreads + 1 in
     st.State.xreads <- x;
-    if x = c.x_arm then Fault.flip_float ~bit:c.x_bit v else v
+    if x = c.x_arm then
+      Int64.float_of_bits (Int64.logxor (Int64.bits_of_float v) c.x_mask)
+    else v
   end
   else v
 
-let read_pr c (fr : State.regfile) i cluster =
+let[@inline] read_pr c (fr : State.regfile) i cluster =
   let v = Array.unsafe_get fr.State.prv i in
   let home = Array.unsafe_get fr.State.pr_home i in
   if home >= 0 && home <> cluster then begin
@@ -140,19 +189,19 @@ let read_pr c (fr : State.regfile) i cluster =
 
 (* Write-back: value, ready time (monotone max), producing cluster. *)
 
-let wr_gp (fr : State.regfile) i v ready home =
-  Array.unsafe_set fr.State.gp i v;
+let[@inline] wr_gp (fr : State.regfile) i (v : int64) ready home =
+  set64u fr.State.gp (i lsl 3) v;
   if ready > Array.unsafe_get fr.State.gp_ready i then
     Array.unsafe_set fr.State.gp_ready i ready;
   Array.unsafe_set fr.State.gp_home i home
 
-let wr_fp (fr : State.regfile) i v ready home =
+let[@inline] wr_fp (fr : State.regfile) i (v : float) ready home =
   Array.unsafe_set fr.State.fpv i v;
   if ready > Array.unsafe_get fr.State.fp_ready i then
     Array.unsafe_set fr.State.fp_ready i ready;
   Array.unsafe_set fr.State.fp_home i home
 
-let wr_pr (fr : State.regfile) i v ready home =
+let[@inline] wr_pr (fr : State.regfile) i v ready home =
   Array.unsafe_set fr.State.prv i v;
   if ready > Array.unsafe_get fr.State.pr_ready i then
     Array.unsafe_set fr.State.pr_ready i ready;
@@ -160,32 +209,33 @@ let wr_pr (fr : State.regfile) i v ready home =
 
 (* Def-slot fault injection, right after write-back. *)
 
-let inject_gp c (fr : State.regfile) i =
+let[@inline] inject_gp c (fr : State.regfile) i =
   let st = c.st in
   let n = st.State.defs + 1 in
   st.State.defs <- n;
   if n = c.def_arm then
-    Array.unsafe_set fr.State.gp i
-      (Fault.flip_burst ~bit:c.def_bit ~width:c.def_width
-         (Array.unsafe_get fr.State.gp i))
+    set64u fr.State.gp (i lsl 3)
+      (Int64.logxor (get64u fr.State.gp (i lsl 3)) c.def_mask)
 
-let inject_fp c (fr : State.regfile) i =
+let[@inline] inject_fp c (fr : State.regfile) i =
   let st = c.st in
   let n = st.State.defs + 1 in
   st.State.defs <- n;
   if n = c.def_arm then
     Array.unsafe_set fr.State.fpv i
-      (Fault.flip_float_burst ~bit:c.def_bit ~width:c.def_width
-         (Array.unsafe_get fr.State.fpv i))
+      (Int64.float_of_bits
+         (Int64.logxor
+            (Int64.bits_of_float (Array.unsafe_get fr.State.fpv i))
+            c.def_mask))
 
-let inject_pr c (fr : State.regfile) i =
+let[@inline] inject_pr c (fr : State.regfile) i =
   let st = c.st in
   let n = st.State.defs + 1 in
   st.State.defs <- n;
   if n = c.def_arm then
     Array.unsafe_set fr.State.prv i (not (Array.unsafe_get fr.State.prv i))
 
-let touch_mem c addr =
+let[@inline] touch_mem c (addr : int64) =
   let st = c.st in
   let n = st.State.mems + 1 in
   st.State.mems <- n;
@@ -197,6 +247,192 @@ let touch_mem c addr =
       ~addr:(Int64.add line (Int64.of_int c.mem_off))
       ~bit:c.mem_bit
   end
+
+(* Runtime.addr_int, kept here so the address stays unboxed: the cache
+   model's index for a machine address. *)
+let[@inline] addr_int (addr : int64) =
+  if addr < 0L then 0 else Int64.to_int (Int64.logand addr 0x3FFF_FFFFL)
+
+let[@inline] cache c (addr : int64) ~write =
+  Hierarchy.access c.st.State.hier ~addr:(addr_int addr) ~write
+
+let[@inline] width_bytes (w : Opcode.width) =
+  match w with Opcode.W1 -> 1 | Opcode.W2 -> 2 | Opcode.W4 -> 4 | Opcode.W8 -> 8
+
+(* Arena offset of an in-range, aligned [n]-byte access at [addr], or -1
+   for exactly the accesses Memory's checked path traps on. *)
+let[@inline] fast_offset c (addr : int64) n =
+  let a = Int64.to_int addr in
+  if a >= 0 && a <= c.arena_size - n && a land (n - 1) = 0
+     && Int64.of_int a = addr
+  then a
+  else -1
+
+let[@inline] le16 x = if big_endian () then bswap16 x else x
+let[@inline] le32 x = if big_endian () then bswap32 x else x
+let[@inline] le64 x = if big_endian () then bswap64 x else x
+
+(* Memory.read, with the in-range access done here; anything else takes
+   Memory's checked path, which raises its trap. *)
+let[@inline] load c (addr : int64) (w : Opcode.width) signed =
+  let a = fast_offset c addr (width_bytes w) in
+  if a < 0 then Memory.read c.st.State.mem ~addr ~width:w ~signed
+  else
+    let m = c.arena in
+    match (w, signed) with
+    | Opcode.W1, false -> Int64.of_int (Char.code (Bytes.unsafe_get m a))
+    | Opcode.W1, true ->
+        Int64.of_int ((Char.code (Bytes.unsafe_get m a) lxor 0x80) - 0x80)
+    | Opcode.W2, false -> Int64.of_int (le16 (get16u m a))
+    | Opcode.W2, true ->
+        Int64.of_int ((le16 (get16u m a) lxor 0x8000) - 0x8000)
+    | Opcode.W4, false ->
+        Int64.logand (Int64.of_int32 (le32 (get32u m a))) 0xFFFF_FFFFL
+    | Opcode.W4, true -> Int64.of_int32 (le32 (get32u m a))
+    | Opcode.W8, _ -> le64 (get64u m a)
+
+(* Memory.write, with the same split. *)
+let[@inline] store c (addr : int64) (w : Opcode.width) (v : int64) =
+  let n = width_bytes w in
+  let a = fast_offset c addr n in
+  if a < 0 then Memory.write c.st.State.mem ~addr ~width:w v
+  else begin
+    Memory.note_write c.st.State.mem a n;
+    let m = c.arena in
+    match w with
+    | Opcode.W1 ->
+        Bytes.unsafe_set m a (Char.unsafe_chr (Int64.to_int v land 0xFF))
+    | Opcode.W2 -> set16u m a (le16 (Int64.to_int v land 0xFFFF))
+    | Opcode.W4 -> set32u m a (le32 (Int64.to_int32 v))
+    | Opcode.W8 -> set64u m a (le64 v)
+  end
+
+(* Integer ALU and comparisons, by opcode and condition; each folds to
+   one primitive when instantiated with a constant. *)
+let[@inline] alu (op : Opcode.t) (x : int64) (y : int64) =
+  match op with
+  | Opcode.Add | Opcode.Addi -> Int64.add x y
+  | Opcode.Sub -> Int64.sub x y
+  | Opcode.Mul | Opcode.Muli -> Int64.mul x y
+  | Opcode.And | Opcode.Andi -> Int64.logand x y
+  | Opcode.Or -> Int64.logor x y
+  | Opcode.Xor | Opcode.Xori -> Int64.logxor x y
+  | Opcode.Shl | Opcode.Shli -> Int64.shift_left x (Int64.to_int y land 63)
+  | Opcode.Shr | Opcode.Shri ->
+      Int64.shift_right_logical x (Int64.to_int y land 63)
+  | _ (* Sra, Srai *) -> Int64.shift_right x (Int64.to_int y land 63)
+
+(* Alu.sdiv/srem semantics, unboxed. *)
+let[@inline] divide ~rem (x : int64) (y : int64) =
+  if y = 0L then raise (Trap.Trap Trap.Div_by_zero)
+  else if y = -1L && x = Int64.min_int then if rem then 0L else Int64.min_int
+  else if rem then Int64.rem x y
+  else Int64.div x y
+
+let[@inline] cmp_int (cond : Cond.t) (x : int64) (y : int64) =
+  match cond with
+  | Cond.Eq -> x = y
+  | Cond.Ne -> x <> y
+  | Cond.Lt -> x < y
+  | Cond.Le -> x <= y
+  | Cond.Gt -> x > y
+  | Cond.Ge -> x >= y
+
+let[@inline] cmp_float (cond : Cond.t) (x : float) (y : float) =
+  match cond with
+  | Cond.Eq -> x = y
+  | Cond.Ne -> x <> y
+  | Cond.Lt -> x < y
+  | Cond.Le -> x <= y
+  | Cond.Gt -> x > y
+  | Cond.Ge -> x >= y
+
+let[@inline] float_op (op : Opcode.t) (x : float) (y : float) =
+  match op with
+  | Opcode.Fadd -> x +. y
+  | Opcode.Fsub -> x -. y
+  | Opcode.Fmul -> x *. y
+  | _ (* Fdiv *) -> x /. y
+
+(* Instruction bodies, one per shape. Each closure below instantiates
+   one with constant [op]/[cond]/[w], so the match inside folds away. *)
+
+let[@inline] exec_alu c fr t ~role ~lat ~cluster op a b dd =
+  pre c role;
+  let x = read_gp c fr a cluster in
+  let y = read_gp c fr b cluster in
+  let v = alu op x y in
+  wr_gp fr dd v (t + lat) cluster;
+  inject_gp c fr dd
+
+let[@inline] exec_div c fr t ~role ~lat ~cluster ~rem a b dd =
+  pre c role;
+  let x = read_gp c fr a cluster in
+  let y = read_gp c fr b cluster in
+  let v = divide ~rem x y in
+  wr_gp fr dd v (t + lat) cluster;
+  inject_gp c fr dd
+
+let[@inline] exec_alui c fr t ~role ~lat ~cluster op a (imm : int64) dd =
+  pre c role;
+  let x = read_gp c fr a cluster in
+  let v = alu op x imm in
+  wr_gp fr dd v (t + lat) cluster;
+  inject_gp c fr dd
+
+let[@inline] exec_cmp c fr t ~role ~lat ~cluster cond a b dd =
+  pre c role;
+  let x = read_gp c fr a cluster in
+  let y = read_gp c fr b cluster in
+  wr_pr fr dd (cmp_int cond x y) (t + lat) cluster;
+  inject_pr c fr dd
+
+let[@inline] exec_cmpi c fr t ~role ~lat ~cluster cond a (imm : int64) dd =
+  pre c role;
+  let x = read_gp c fr a cluster in
+  wr_pr fr dd (cmp_int cond x imm) (t + lat) cluster;
+  inject_pr c fr dd
+
+let[@inline] exec_fop c fr t ~role ~lat ~cluster op a b dd =
+  pre c role;
+  let x = read_fp c fr a cluster in
+  let y = read_fp c fr b cluster in
+  let v = float_op op x y in
+  wr_fp fr dd v (t + lat) cluster;
+  inject_fp c fr dd
+
+let[@inline] exec_fcmp c fr t ~role ~lat ~cluster cond a b dd =
+  pre c role;
+  let x = read_fp c fr a cluster in
+  let y = read_fp c fr b cluster in
+  wr_pr fr dd (cmp_float cond x y) (t + lat) cluster;
+  inject_pr c fr dd
+
+(* Same order as the interpreter: cache access, then the (possibly
+   trapping) load, then the memory-event count. *)
+let[@inline] exec_ld c fr t ~role ~cluster w signed a (imm : int64) dd =
+  pre c role;
+  let addr = Int64.add (read_gp c fr a cluster) imm in
+  let lat = cache c addr ~write:false in
+  let v = load c addr w signed in
+  touch_mem c addr;
+  wr_gp fr dd v (t + lat) cluster;
+  inject_gp c fr dd
+
+(* Stores: the (possibly trapping) write, then the cache access. *)
+let[@inline] exec_st c fr ~role ~cluster w aval aaddr (imm : int64) =
+  pre c role;
+  let addr = Int64.add (read_gp c fr aaddr cluster) imm in
+  let v = read_gp c fr aval cluster in
+  store c addr w v;
+  ignore (cache c addr ~write:true);
+  touch_mem c addr
+
+(* The block loop — same two-phase bundle semantics as the interpreter:
+   compute the lockstep issue time over every operand of the whole
+   bundle, then execute the flattened body at that time. Tail-recursive,
+   allocation-free. The block-top hook fires where the interpreter's
+   does: before the block runs, only with the call stack empty. *)
 
 (* Issue-time scan over one packed queue: fold cross-cluster-delayed
    operand arrival times into st.tmax. *)
@@ -211,11 +447,6 @@ let scan_q st (ready : int array) (home : int array) delay (q : int array) =
     if need > st.State.tmax then st.State.tmax <- need
   done
 
-(* The block loop — same two-phase bundle semantics as the interpreter:
-   compute the lockstep issue time over every operand of the whole
-   bundle, then execute the flattened body at that time. Tail-recursive,
-   allocation-free. The block-top hook fires where the interpreter's
-   does: before the block runs, only with the call stack empty. *)
 let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
   let st = c.st in
   (match c.on_block with
@@ -295,48 +526,56 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
       if not (nu >= 2 && u 0 < ngp && u 1 < ngp && gp_def ()) then poison oob
       else
         let a = u 0 and b = u 1 and dd = Reg.idx defs.(0) in
-        let f =
-          match di.Decode.op with
-          | Opcode.Add -> Int64.add
-          | Opcode.Sub -> Int64.sub
-          | Opcode.Mul -> Int64.mul
-          | Opcode.Div -> Alu.sdiv
-          | Opcode.Rem -> Alu.srem
-          | Opcode.And -> Int64.logand
-          | Opcode.Or -> Int64.logor
-          | Opcode.Xor -> Int64.logxor
-          | Opcode.Shl -> fun x y -> Int64.shift_left x (Alu.shift_amount y)
-          | Opcode.Shr ->
-              fun x y -> Int64.shift_right_logical x (Alu.shift_amount y)
-          | _ -> fun x y -> Int64.shift_right x (Alu.shift_amount y)
-        in
-        fun c fr t ->
-          pre c role;
-          let x = read_gp c fr a cluster in
-          let y = read_gp c fr b cluster in
-          wr_gp fr dd (f x y) (t + lat) cluster;
-          inject_gp c fr dd
+        (match di.Decode.op with
+        | Opcode.Add ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Add a b dd
+        | Opcode.Sub ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Sub a b dd
+        | Opcode.Mul ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Mul a b dd
+        | Opcode.Div ->
+            fun c fr t -> exec_div c fr t ~role ~lat ~cluster ~rem:false a b dd
+        | Opcode.Rem ->
+            fun c fr t -> exec_div c fr t ~role ~lat ~cluster ~rem:true a b dd
+        | Opcode.And ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.And a b dd
+        | Opcode.Or ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Or a b dd
+        | Opcode.Xor ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Xor a b dd
+        | Opcode.Shl ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Shl a b dd
+        | Opcode.Shr ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Shr a b dd
+        | _ ->
+            fun c fr t -> exec_alu c fr t ~role ~lat ~cluster Opcode.Sra a b dd)
   | Opcode.Addi | Opcode.Muli | Opcode.Andi | Opcode.Xori | Opcode.Shli
   | Opcode.Shri | Opcode.Srai ->
       if not (nu >= 1 && u 0 < ngp && gp_def ()) then poison oob
       else
         let a = u 0 and dd = Reg.idx defs.(0) and imm = di.Decode.imm in
-        let f =
-          match di.Decode.op with
-          | Opcode.Addi -> Int64.add
-          | Opcode.Muli -> Int64.mul
-          | Opcode.Andi -> Int64.logand
-          | Opcode.Xori -> Int64.logxor
-          | Opcode.Shli -> fun x y -> Int64.shift_left x (Alu.shift_amount y)
-          | Opcode.Shri ->
-              fun x y -> Int64.shift_right_logical x (Alu.shift_amount y)
-          | _ -> fun x y -> Int64.shift_right x (Alu.shift_amount y)
-        in
-        fun c fr t ->
-          pre c role;
-          let x = read_gp c fr a cluster in
-          wr_gp fr dd (f x imm) (t + lat) cluster;
-          inject_gp c fr dd
+        (match di.Decode.op with
+        | Opcode.Addi ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Addi a imm dd
+        | Opcode.Muli ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Muli a imm dd
+        | Opcode.Andi ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Andi a imm dd
+        | Opcode.Xori ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Xori a imm dd
+        | Opcode.Shli ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Shli a imm dd
+        | Opcode.Shri ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Shri a imm dd
+        | _ ->
+            fun c fr t ->
+              exec_alui c fr t ~role ~lat ~cluster Opcode.Srai a imm dd)
   | Opcode.Mov ->
       if not (nu >= 1 && u 0 < ngp && gp_def ()) then poison oob
       else
@@ -358,23 +597,36 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
       if not (nu >= 2 && u 0 < ngp && u 1 < ngp && pr_def ()) then poison oob
       else
         let a = u 0 and b = u 1 and dd = Reg.idx defs.(0) in
-        let f = Cond.eval_int cond in
-        fun c fr t ->
-          pre c role;
-          let x = read_gp c fr a cluster in
-          let y = read_gp c fr b cluster in
-          wr_pr fr dd (f x y) (t + lat) cluster;
-          inject_pr c fr dd
+        (match cond with
+        | Cond.Eq ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Eq a b dd
+        | Cond.Ne ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Ne a b dd
+        | Cond.Lt ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Lt a b dd
+        | Cond.Le ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Le a b dd
+        | Cond.Gt ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Gt a b dd
+        | Cond.Ge ->
+            fun c fr t -> exec_cmp c fr t ~role ~lat ~cluster Cond.Ge a b dd)
   | Opcode.Cmpi cond ->
       if not (nu >= 1 && u 0 < ngp && pr_def ()) then poison oob
       else
         let a = u 0 and dd = Reg.idx defs.(0) and imm = di.Decode.imm in
-        let f = Cond.eval_int cond in
-        fun c fr t ->
-          pre c role;
-          let x = read_gp c fr a cluster in
-          wr_pr fr dd (f x imm) (t + lat) cluster;
-          inject_pr c fr dd
+        (match cond with
+        | Cond.Eq ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Eq a imm dd
+        | Cond.Ne ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Ne a imm dd
+        | Cond.Lt ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Lt a imm dd
+        | Cond.Le ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Le a imm dd
+        | Cond.Gt ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Gt a imm dd
+        | Cond.Ge ->
+            fun c fr t -> exec_cmpi c fr t ~role ~lat ~cluster Cond.Ge a imm dd)
   | Opcode.Sel ->
       if
         not
@@ -389,30 +641,24 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
           let v =
             if p then read_gp c fr u1 cluster else read_gp c fr u2 cluster
           in
-          if
-            voting
-            && ((not p)
-               || not (Int64.equal v (Array.unsafe_get fr.State.gp u2)))
-          then c.st.State.corrections <- c.st.State.corrections + 1;
+          if voting && ((not p) || v <> get64u fr.State.gp (u2 lsl 3)) then
+            c.st.State.corrections <- c.st.State.corrections + 1;
           wr_gp fr dd v (t + lat) cluster;
           inject_gp c fr dd
   | Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv ->
       if not (nu >= 2 && u 0 < nfp && u 1 < nfp && fp_def ()) then poison oob
       else
         let a = u 0 and b = u 1 and dd = Reg.idx defs.(0) in
-        let f =
-          match di.Decode.op with
-          | Opcode.Fadd -> ( +. )
-          | Opcode.Fsub -> ( -. )
-          | Opcode.Fmul -> ( *. )
-          | _ -> ( /. )
-        in
-        fun c fr t ->
-          pre c role;
-          let x = read_fp c fr a cluster in
-          let y = read_fp c fr b cluster in
-          wr_fp fr dd (f x y) (t + lat) cluster;
-          inject_fp c fr dd
+        (match di.Decode.op with
+        | Opcode.Fadd ->
+            fun c fr t -> exec_fop c fr t ~role ~lat ~cluster Opcode.Fadd a b dd
+        | Opcode.Fsub ->
+            fun c fr t -> exec_fop c fr t ~role ~lat ~cluster Opcode.Fsub a b dd
+        | Opcode.Fmul ->
+            fun c fr t -> exec_fop c fr t ~role ~lat ~cluster Opcode.Fmul a b dd
+        | _ ->
+            fun c fr t ->
+              exec_fop c fr t ~role ~lat ~cluster Opcode.Fdiv a b dd)
   | Opcode.Fmov ->
       if not (nu >= 1 && u 0 < nfp && fp_def ()) then poison oob
       else
@@ -434,13 +680,19 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
       if not (nu >= 2 && u 0 < nfp && u 1 < nfp && pr_def ()) then poison oob
       else
         let a = u 0 and b = u 1 and dd = Reg.idx defs.(0) in
-        let f = Cond.eval_float cond in
-        fun c fr t ->
-          pre c role;
-          let x = read_fp c fr a cluster in
-          let y = read_fp c fr b cluster in
-          wr_pr fr dd (f x y) (t + lat) cluster;
-          inject_pr c fr dd
+        (match cond with
+        | Cond.Eq ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Eq a b dd
+        | Cond.Ne ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Ne a b dd
+        | Cond.Lt ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Lt a b dd
+        | Cond.Le ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Le a b dd
+        | Cond.Gt ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Gt a b dd
+        | Cond.Ge ->
+            fun c fr t -> exec_fcmp c fr t ~role ~lat ~cluster Cond.Ge a b dd)
   | Opcode.Itof ->
       if not (nu >= 1 && u 0 < ngp && fp_def ()) then poison oob
       else
@@ -457,9 +709,8 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
         fun c fr t ->
           pre c role;
           let f = read_fp c fr a cluster in
-          let v =
-            if Float.is_nan f then 0L else Int64.of_float (Float.trunc f)
-          in
+          (* [f <> f]: NaN, as Float.is_nan. *)
+          let v = if f <> f then 0L else Int64.of_float (Float.trunc f) in
           wr_gp fr dd v (t + lat) cluster;
           inject_gp c fr dd
   | Opcode.Ld w | Opcode.Lds w ->
@@ -469,31 +720,35 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
         let signed =
           match di.Decode.op with Opcode.Lds _ -> true | _ -> false
         in
-        fun c fr t ->
-          pre c role;
-          let st = c.st in
-          let addr = Int64.add (read_gp c fr a cluster) imm in
-          let lat =
-            Hierarchy.access st.State.hier ~addr:(Runtime.addr_int addr)
-              ~write:false
-          in
-          let v = Memory.read st.State.mem ~addr ~width:w ~signed in
-          touch_mem c addr;
-          wr_gp fr dd v (t + lat) cluster;
-          inject_gp c fr dd
+        (match (w, signed) with
+        | Opcode.W1, false ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W1 false a imm dd
+        | Opcode.W1, true ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W1 true a imm dd
+        | Opcode.W2, false ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W2 false a imm dd
+        | Opcode.W2, true ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W2 true a imm dd
+        | Opcode.W4, false ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W4 false a imm dd
+        | Opcode.W4, true ->
+            fun c fr t -> exec_ld c fr t ~role ~cluster Opcode.W4 true a imm dd
+        | Opcode.W8, _ ->
+            fun c fr t ->
+              exec_ld c fr t ~role ~cluster Opcode.W8 false a imm dd)
   | Opcode.Fld ->
       if not (nu >= 1 && u 0 < ngp && fp_def ()) then poison oob
       else
         let a = u 0 and dd = Reg.idx defs.(0) and imm = di.Decode.imm in
         fun c fr t ->
           pre c role;
-          let st = c.st in
           let addr = Int64.add (read_gp c fr a cluster) imm in
-          let lat =
-            Hierarchy.access st.State.hier ~addr:(Runtime.addr_int addr)
-              ~write:false
+          let lat = cache c addr ~write:false in
+          let off = fast_offset c addr 8 in
+          let v =
+            if off < 0 then Memory.read_float c.st.State.mem ~addr
+            else Int64.float_of_bits (le64 (get64u c.arena off))
           in
-          let v = Memory.read_float st.State.mem ~addr in
           touch_mem c addr;
           wr_fp fr dd v (t + lat) cluster;
           inject_fp c fr dd
@@ -501,29 +756,25 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
       if not (nu >= 2 && u 0 < ngp && u 1 < ngp && no_def ()) then poison oob
       else
         let aval = u 0 and aaddr = u 1 and imm = di.Decode.imm in
-        fun c fr _ ->
-          pre c role;
-          let st = c.st in
-          let addr = Int64.add (read_gp c fr aaddr cluster) imm in
-          let v = read_gp c fr aval cluster in
-          Memory.write st.State.mem ~addr ~width:w v;
-          ignore
-            (Hierarchy.access st.State.hier ~addr:(Runtime.addr_int addr)
-               ~write:true);
-          touch_mem c addr
+        (match w with
+        | Opcode.W1 ->
+            fun c fr _ -> exec_st c fr ~role ~cluster Opcode.W1 aval aaddr imm
+        | Opcode.W2 ->
+            fun c fr _ -> exec_st c fr ~role ~cluster Opcode.W2 aval aaddr imm
+        | Opcode.W4 ->
+            fun c fr _ -> exec_st c fr ~role ~cluster Opcode.W4 aval aaddr imm
+        | Opcode.W8 ->
+            fun c fr _ -> exec_st c fr ~role ~cluster Opcode.W8 aval aaddr imm)
   | Opcode.Fst ->
       if not (nu >= 2 && u 0 < nfp && u 1 < ngp && no_def ()) then poison oob
       else
         let aval = u 0 and aaddr = u 1 and imm = di.Decode.imm in
         fun c fr _ ->
           pre c role;
-          let st = c.st in
           let addr = Int64.add (read_gp c fr aaddr cluster) imm in
           let v = read_fp c fr aval cluster in
-          Memory.write_float st.State.mem ~addr v;
-          ignore
-            (Hierarchy.access st.State.hier ~addr:(Runtime.addr_int addr)
-               ~write:true);
+          store c addr Opcode.W8 (Int64.bits_of_float v);
+          ignore (cache c addr ~write:true);
           touch_mem c addr
   | Opcode.Chk ->
       if not (nu >= 2 && no_def ()) then poison oob
@@ -540,7 +791,7 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
                 pre c role;
                 let x = read_gp c fr a cluster in
                 let y = read_gp c fr b cluster in
-                if not (Int64.equal x y) then raise (Runtime.Check_failed id)
+                if x <> y then raise (Runtime.Check_failed id)
         | Reg.Fp ->
             if not (u 0 < nfp && u 1 < nfp) then poison oob
             else
@@ -549,11 +800,8 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
                 pre c role;
                 let x = read_fp c fr a cluster in
                 let y = read_fp c fr b cluster in
-                if
-                  not
-                    (Int64.equal (Int64.bits_of_float x)
-                       (Int64.bits_of_float y))
-                then raise (Runtime.Check_failed id)
+                if Int64.bits_of_float x <> Int64.bits_of_float y then
+                  raise (Runtime.Check_failed id)
         | Reg.Pr ->
             if not (u 0 < npr && u 1 < npr) then poison oob
             else
@@ -600,7 +848,7 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
                 pre c role;
                 let v = read_gp c fr a cluster in
                 c.ret_cls <- 0;
-                c.ret_gp <- v;
+                set64u c.ret_bits 0 v;
                 c.st.State.xfer <- State.xfer_return
         | Reg.Fp ->
             if not (u 0 < nfp) then poison oob
@@ -610,7 +858,7 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
                 pre c role;
                 let v = read_fp c fr a cluster in
                 c.ret_cls <- 1;
-                c.ret_fp <- v;
+                set64u c.ret_bits 0 (Int64.bits_of_float v);
                 c.st.State.xfer <- State.xfer_return
         | Reg.Pr ->
             if not (u 0 < npr) then poison oob
@@ -671,11 +919,18 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
                nested execution. *)
             let saved_xfer = st.State.xfer in
             let saved_cls = c.ret_cls in
-            let saved_gp = c.ret_gp in
-            let saved_fp = c.ret_fp in
+            let saved_bits = get64u c.ret_bits 0 in
             let saved_pr = c.ret_pr in
             let ready = st.State.time + 1 in
-            let nfr = State.make_regfile kfunc ~time:ready in
+            let nfr = Array.unsafe_get c.frames target in
+            let nfr =
+              if nfr == no_frame then State.make_regfile kfunc ~time:ready
+              else begin
+                Array.unsafe_set c.frames target no_frame;
+                State.reset_regfile nfr ~time:ready;
+                nfr
+              end
+            in
             for i = 0 to Array.length binders - 1 do
               (Array.unsafe_get binders i) c fr nfr ready
             done;
@@ -684,13 +939,12 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
               raise (Trap.Trap Trap.Stack_overflow);
             exec_cblocks c nfr (Array.unsafe_get c.funcs target).c_blocks 0;
             st.State.depth <- st.State.depth - 1;
+            Array.unsafe_set c.frames target nfr;
             let rcls = c.ret_cls in
-            let rgp = c.ret_gp in
-            let rfp = c.ret_fp in
+            let rbits = get64u c.ret_bits 0 in
             let rpr = c.ret_pr in
             c.ret_cls <- saved_cls;
-            c.ret_gp <- saved_gp;
-            c.ret_fp <- saved_fp;
+            set64u c.ret_bits 0 saved_bits;
             c.ret_pr <- saved_pr;
             st.State.xfer <- saved_xfer;
             if def_kind >= 0 then begin
@@ -701,10 +955,10 @@ let compile_insn (d : Decode.t) ~sizes:(ngp, nfp, npr) ~cluster
               let wready = st.State.time + 1 in
               match def_kind with
               | 0 ->
-                  wr_gp fr dd rgp wready cluster;
+                  wr_gp fr dd rbits wready cluster;
                   inject_gp c fr dd
               | 1 ->
-                  wr_fp fr dd rfp wready cluster;
+                  wr_fp fr dd (Int64.float_of_bits rbits) wready cluster;
                   inject_fp c fr dd
               | _ ->
                   wr_pr fr dd rpr wready cluster;
@@ -768,42 +1022,43 @@ let of_decoded (d : Decode.t) : t =
 (* ---- Entry points ---- *)
 
 let arms_of_fault = function
-  | None -> (0, 0, 1, 0, 0, 0, 0, 0, 0)
+  | None -> (0, 0L, 0, 0, 0, 0, 0, 0L)
   | Some (Fault.Reg_flip { target_slot; bit }) ->
-      (target_slot + 1, bit, 1, 0, 0, 0, 0, 0, 0)
+      (target_slot + 1, Fault.burst_mask ~bit ~width:1, 0, 0, 0, 0, 0, 0L)
   | Some (Fault.Burst_flip { target_slot; bit; width }) ->
-      (target_slot + 1, bit, width, 0, 0, 0, 0, 0, 0)
+      (target_slot + 1, Fault.burst_mask ~bit ~width, 0, 0, 0, 0, 0, 0L)
   | Some (Fault.Mem_flip { target_access; offset; bit }) ->
-      (0, 0, 1, target_access + 1, offset, bit, 0, 0, 0)
+      (0, 0L, target_access + 1, offset, bit, 0, 0, 0L)
   | Some (Fault.Branch_flip { target_branch }) ->
-      (0, 0, 1, 0, 0, 0, target_branch + 1, 0, 0)
+      (0, 0L, 0, 0, 0, target_branch + 1, 0, 0L)
   | Some (Fault.Xcluster_flip { target_read; bit }) ->
-      (0, 0, 1, 0, 0, 0, 0, target_read + 1, bit)
+      (0, 0L, 0, 0, 0, 0, target_read + 1, Fault.burst_mask ~bit ~width:1)
 
 let make_cctx (p : t) ~fault ~fuel ~on_block st =
-  let ( def_arm, def_bit, def_width, mem_arm, mem_off, mem_bit, br_arm, x_arm,
-        x_bit ) =
+  let def_arm, def_mask, mem_arm, mem_off, mem_bit, br_arm, x_arm, x_mask =
     arms_of_fault fault
   in
+  let mem = st.State.mem in
   {
     st;
     funcs = p.cfuncs;
     fuel;
     delay = p.d.Decode.config.Config.delay;
+    arena = Memory.unsafe_bytes mem;
+    arena_size = Memory.size mem;
     def_arm;
-    def_bit;
-    def_width;
+    def_mask;
     mem_arm;
     mem_off;
     mem_bit;
     br_arm;
     x_arm;
-    x_bit;
+    x_mask;
     on_block;
     ret_cls = -1;
-    ret_gp = 0L;
-    ret_fp = 0.0;
+    ret_bits = Bytes.make 8 '\000';
     ret_pr = false;
+    frames = Array.make (Array.length p.cfuncs) no_frame;
   }
 
 let exec_entry c entry =

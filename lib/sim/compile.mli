@@ -4,8 +4,11 @@
     targets and fault-site hooks all resolved at compile time. The hot
     loop is a flat array walk — no per-instruction opcode or class
     dispatch, no fault-option matching, no bounds checks (proven at
-    compile time), no allocation beyond what the simulated machine
-    itself demands.
+    compile time). Executing an instruction allocates nothing, in dev
+    and release builds alike: what a run still allocates is its
+    machine (entry frame, counters, run record), recursive callee
+    frames and cold paths (a fault firing, a trapping access), about
+    0.001 minor words per instruction on perf-size golden runs.
 
     This is the engine every production run executes on — golden runs,
     replay capture, campaign trials and rollback recovery. Outcomes are

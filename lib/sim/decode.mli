@@ -15,7 +15,10 @@
     - bundles with no instructions are stripped, keeping their cycle
       offset (an empty bundle is a real NOP cycle but executes nothing);
     - the initial memory image is rendered to one pristine byte string
-      that each trial restores with a single [Bytes.blit].
+      that each trial restores from (a [Bytes.blit], or only the pages
+      the previous run dirtied when the arena was last reset from the
+      same image). Programs a domain decodes in a row with equal data
+      segments and memory size share one image.
 
     Decoding only changes {e how} the simulator executes, never what the
     machine does: both engines that execute a decoded program (the
@@ -76,7 +79,9 @@ type t = {
   entry : int;  (** index of the entry function in [funcs] *)
   image : Bytes.t;
       (** pristine initial memory ([mem_size] bytes, data segments
-          loaded) — read-only, shared across trials and domains *)
+          loaded) — read-only, shared across trials and domains, and
+          with the previous program decoded on the same domain when its
+          segments and size are equal *)
   output_base : int;
   output_len : int;
   digest_len : int;

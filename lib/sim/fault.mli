@@ -82,6 +82,10 @@ val random : model -> Rng.t -> population:population -> t
 (** Flip [bit] of an integer value. *)
 val flip_int : bit:int -> int64 -> int64
 
+(** The bits {!flip_burst} flips: [width] adjacent bits starting at
+    [bit] (indices mod 64); [width:1] is {!flip_int}'s single bit. *)
+val burst_mask : bit:int -> width:int -> int64
+
 (** Flip [width] adjacent bits starting at [bit] (indices mod 64). *)
 val flip_burst : bit:int -> width:int -> int64 -> int64
 

@@ -43,6 +43,10 @@ let mark t a len =
     incr p
   done
 
+let unsafe_bytes t = t.bytes
+
+let note_write t addr len = mark t addr len
+
 let load_image t segments =
   List.iter
     (fun (addr, s) ->

@@ -58,6 +58,18 @@ val read : t -> addr:int64 -> width:Casted_ir.Opcode.width -> signed:bool -> int
 
 val write : t -> addr:int64 -> width:Casted_ir.Opcode.width -> int64 -> unit
 
+(** The arena's live bytes, for an engine's in-range fast path. A fast
+    path may read them at an in-range, width-aligned offset; it must
+    journal a write with {!note_write} before making it. Every other
+    access goes through {!read}/{!write}/{!read_float}/{!write_float},
+    the one place that raises the bounds and alignment traps. *)
+val unsafe_bytes : t -> Bytes.t
+
+(** [note_write t addr len] journals [len] bytes at offset [addr]
+    (already in range) as written, so {!undo_writes} and {!delta} see
+    them. *)
+val note_write : t -> int -> int -> unit
+
 val read_float : t -> addr:int64 -> float
 val write_float : t -> addr:int64 -> float -> unit
 

@@ -50,7 +50,7 @@ let reg_need ctx (fr : State.regfile) ~cluster r =
 
 let write_gp (fr : State.regfile) r v ~ready ~home =
   let i = Reg.idx r in
-  fr.State.gp.(i) <- v;
+  State.set_gp fr i v;
   fr.State.gp_ready.(i) <- max fr.State.gp_ready.(i) ready;
   fr.State.gp_home.(i) <- home
 
@@ -88,7 +88,7 @@ let xcluster_hit ctx =
 
 let use_gp ctx (fr : State.regfile) ~cluster r =
   let i = Reg.idx r in
-  let v = fr.State.gp.(i) in
+  let v = State.get_gp fr i in
   let home = fr.State.gp_home.(i) in
   if home >= 0 && home <> cluster then
     match xcluster_hit ctx with
@@ -130,7 +130,8 @@ let inject_slot ctx (fr : State.regfile) r =
   let flip ~bit ~width =
     let i = Reg.idx r in
     match Reg.cls r with
-    | Reg.Gp -> fr.State.gp.(i) <- Fault.flip_burst ~bit ~width fr.State.gp.(i)
+    | Reg.Gp ->
+        State.set_gp fr i (Fault.flip_burst ~bit ~width (State.get_gp fr i))
     | Reg.Fp ->
         fr.State.fpv.(i) <- Fault.flip_float_burst ~bit ~width fr.State.fpv.(i)
     | Reg.Pr -> fr.State.prv.(i) <- not fr.State.prv.(i)
@@ -327,7 +328,7 @@ and exec_insn ctx fr ~cluster ~t (di : Decode.dinsn) =
          cross-cluster accounting stays exactly as without TMR. *)
       if
         di.Decode.role = 2 (* Insn.Check *)
-        && ((not p) || not (Int64.equal v fr.State.gp.(Reg.idx uses.(2))))
+        && ((not p) || not (Int64.equal v (State.get_gp fr (Reg.idx uses.(2)))))
       then st.State.corrections <- st.State.corrections + 1;
       write_gp fr defs.(0) v ~ready:(t + latency) ~home:cluster
   | Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv ->

@@ -16,9 +16,11 @@ module Hierarchy = Casted_cache.Hierarchy
 
 (* Per-call register file with scoreboard metadata: for every register we
    track its value, the time it becomes readable and the cluster that
-   produced it (cross-cluster reads pay the interconnect delay). *)
+   produced it (cross-cluster reads pay the interconnect delay). GP
+   values live unboxed, 8 native-endian bytes per register: an
+   [int64 array] boxes every write. *)
 type regfile = {
-  gp : int64 array;
+  gp : Bytes.t;
   fpv : float array;
   prv : bool array;
   gp_ready : int array;
@@ -33,7 +35,7 @@ let make_regfile func ~time =
   let n c = max 1 (Func.reg_count func c) in
   let ngp = n Reg.Gp and nfp = n Reg.Fp and npr = n Reg.Pr in
   {
-    gp = Array.make ngp 0L;
+    gp = Bytes.make (ngp * 8) '\000';
     fpv = Array.make nfp 0.0;
     prv = Array.make npr false;
     gp_ready = Array.make ngp time;
@@ -44,9 +46,33 @@ let make_regfile func ~time =
     pr_home = Array.make npr (-1);
   }
 
+let reset_regfile rf ~time =
+  Bytes.fill rf.gp 0 (Bytes.length rf.gp) '\000';
+  Array.fill rf.fpv 0 (Array.length rf.fpv) 0.0;
+  Array.fill rf.prv 0 (Array.length rf.prv) false;
+  Array.fill rf.gp_ready 0 (Array.length rf.gp_ready) time;
+  Array.fill rf.fp_ready 0 (Array.length rf.fp_ready) time;
+  Array.fill rf.pr_ready 0 (Array.length rf.pr_ready) time;
+  Array.fill rf.gp_home 0 (Array.length rf.gp_home) (-1);
+  Array.fill rf.fp_home 0 (Array.length rf.fp_home) (-1);
+  Array.fill rf.pr_home 0 (Array.length rf.pr_home) (-1)
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* Bounds-checked: an index outside the frame raises [Invalid_argument
+   "index out of bounds"], as an array access would. *)
+let get_gp rf i =
+  if i < 0 then invalid_arg "index out of bounds";
+  bytes_get64 rf.gp (i * 8)
+
+let set_gp rf i v =
+  if i < 0 then invalid_arg "index out of bounds";
+  bytes_set64 rf.gp (i * 8) v
+
 let copy_regfile rf =
   {
-    gp = Array.copy rf.gp;
+    gp = Bytes.copy rf.gp;
     fpv = Array.copy rf.fpv;
     prv = Array.copy rf.prv;
     gp_ready = Array.copy rf.gp_ready;
@@ -114,7 +140,7 @@ let scratch_memory base =
       m
 
 (* Same treatment for the cache model: building the three levels
-   allocates tens of thousands of way records, so each domain keeps one
+   allocates capacity-sized way arrays, so each domain keeps one
    hierarchy per (geometry, perfect) and cold-restores it with
    [Hierarchy.reset] — field writes, no allocation — per run. *)
 let scratch_hier :
@@ -225,12 +251,12 @@ let restore ~cache snap =
 
 let regfile_bytes rf =
   let words =
-    Array.length rf.gp + Array.length rf.fpv + Array.length rf.prv
+    Array.length rf.fpv + Array.length rf.prv
     + Array.length rf.gp_ready + Array.length rf.fp_ready
     + Array.length rf.pr_ready + Array.length rf.gp_home
     + Array.length rf.fp_home + Array.length rf.pr_home
   in
-  words * Sys.word_size / 8
+  Bytes.length rf.gp + (words * Sys.word_size / 8)
 
 let snapshot_bytes snap =
   Memory.delta_bytes snap.mem_delta

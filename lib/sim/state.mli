@@ -13,9 +13,14 @@
     golden-prefix replay ({!Replay}). *)
 
 (** Per-call register file with scoreboard metadata: value, ready time
-    and producing cluster per register. *)
+    and producing cluster per register. GP values are stored unboxed,
+    8 native-endian bytes per register, so a write allocates nothing;
+    the compiled engine reads and writes them with the
+    [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives at
+    compile-time-proven offsets, everything else goes through
+    {!get_gp}/{!set_gp}. *)
 type regfile = {
-  gp : int64 array;
+  gp : Bytes.t;  (** register [i] at bytes [8i .. 8i+7] *)
   fpv : float array;
   prv : bool array;
   gp_ready : int array;
@@ -30,7 +35,19 @@ type regfile = {
     readable at [time], homes are unset. *)
 val make_regfile : Casted_ir.Func.t -> time:int -> regfile
 
+(** [reset_regfile rf ~time] puts a frame back into the state
+    {!make_regfile} builds it in, without allocating: every value zero,
+    readable at [time], homes unset. *)
+val reset_regfile : regfile -> time:int -> unit
+
+(** Deep copy; the GP file is copied byte for byte. *)
 val copy_regfile : regfile -> regfile
+
+(** Checked GP accessors: an index outside the frame raises
+    [Invalid_argument "index out of bounds"]. *)
+val get_gp : regfile -> int -> int64
+
+val set_gp : regfile -> int -> int64 -> unit
 
 (** A value crossing a call boundary. *)
 type value = V_gp of int64 | V_fp of float | V_pr of bool

@@ -4,12 +4,10 @@ module Hierarchy = Casted_cache.Hierarchy
 
 let test_cold_miss_then_hit () =
   let c = Level.create ~size_bytes:1024 ~block_bytes:64 ~assoc:2 in
-  (match Level.access c ~addr:0 ~write:false with
-  | Level.Miss _ -> ()
-  | Level.Hit -> Alcotest.fail "cold access must miss");
-  (match Level.access c ~addr:32 ~write:false with
-  | Level.Hit -> ()
-  | Level.Miss _ -> Alcotest.fail "same block must hit");
+  Alcotest.(check bool) "cold access misses" false
+    (Level.access c ~addr:0 ~write:false);
+  Alcotest.(check bool) "same block hits" true
+    (Level.access c ~addr:32 ~write:false);
   Alcotest.(check int) "hits" 1 (Level.hits c);
   Alcotest.(check int) "misses" 1 (Level.misses c)
 
@@ -34,14 +32,15 @@ let test_dirty_writeback () =
   let c = Level.create ~size_bytes:128 ~block_bytes:64 ~assoc:1 in
   ignore (Level.access c ~addr:0 ~write:true);
   (* dirty *)
-  (match Level.access c ~addr:128 ~write:false with
-  | Level.Miss { evicted_dirty = true } -> ()
-  | _ -> Alcotest.fail "evicting a dirty block must report it");
-  Alcotest.(check int) "writeback counted" 1 (Level.writebacks c);
-  (* Clean eviction reports false. *)
-  match Level.access c ~addr:256 ~write:false with
-  | Level.Miss { evicted_dirty = false } -> ()
-  | _ -> Alcotest.fail "clean eviction"
+  Alcotest.(check bool) "conflict misses" false
+    (Level.access c ~addr:128 ~write:false);
+  Alcotest.(check int) "evicting a dirty block counts a writeback" 1
+    (Level.writebacks c);
+  (* A clean eviction adds none. *)
+  Alcotest.(check bool) "conflict misses (2)" false
+    (Level.access c ~addr:256 ~write:false);
+  Alcotest.(check int) "clean eviction counts no writeback" 1
+    (Level.writebacks c)
 
 let test_bad_geometry_rejected () =
   (match Level.create ~size_bytes:100 ~block_bytes:64 ~assoc:2 with
@@ -51,19 +50,35 @@ let test_bad_geometry_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-power-of-2 block"
 
-(* Reference model: a per-set list, most recent first. *)
-let reference_model ~sets ~assoc accesses =
+(* A naive write-back, write-allocate LRU level: per set, a list of
+   (tag, dirty) lines, most recent first. Returns whether the access
+   hit; [wb] counts dirty evictions. *)
+let naive_level ~sets ~assoc ~block =
   let table = Array.make sets [] in
-  List.map
-    (fun (set, tag) ->
-      let line = table.(set) in
-      let hit = List.mem tag line in
-      let line' = tag :: List.filter (fun t -> t <> tag) line in
-      table.(set) <- (if List.length line' > assoc then
-                        List.filteri (fun i _ -> i < assoc) line'
-                      else line');
-      hit)
-    accesses
+  let hits = ref 0 and misses = ref 0 and wb = ref 0 in
+  let access ~addr ~write =
+    let b = addr / block in
+    let set = b mod sets and tag = b / sets in
+    let line = table.(set) in
+    match List.assoc_opt tag line with
+    | Some dirty ->
+        incr hits;
+        table.(set) <- (tag, dirty || write) :: List.remove_assoc tag line;
+        true
+    | None ->
+        incr misses;
+        let kept =
+          if List.length line < assoc then line
+          else begin
+            let victim_dirty = snd (List.nth line (assoc - 1)) in
+            if victim_dirty then incr wb;
+            List.filteri (fun i _ -> i < assoc - 1) line
+          end
+        in
+        table.(set) <- (tag, write) :: kept;
+        false
+  in
+  (access, hits, misses, wb)
 
 let prop_matches_reference =
   let gen =
@@ -76,16 +91,49 @@ let prop_matches_reference =
         Level.create ~size_bytes:(sets * assoc * block) ~block_bytes:block
           ~assoc
       in
-      let got =
-        List.map
-          (fun (set, tag) ->
-            let addr = ((tag * sets) + set) * block in
-            match Level.access c ~addr ~write:false with
-            | Level.Hit -> true
-            | Level.Miss _ -> false)
-          accesses
+      let model, _, _, _ = naive_level ~sets ~assoc ~block in
+      List.for_all
+        (fun (set, tag) ->
+          let addr = ((tag * sets) + set) * block in
+          Level.access c ~addr ~write:false = model ~addr ~write:false)
+        accesses)
+
+(* The array-and-loop Level against the naive model: identical hit/miss
+   sequences and hit, miss and writeback counts over seeded random
+   read/write streams, on power-of-2 and odd set counts, direct-mapped
+   and fully associative geometries. *)
+let test_level_matches_naive_model () =
+  List.iter
+    (fun (sets, assoc, block) ->
+      let c =
+        Level.create ~size_bytes:(sets * assoc * block) ~block_bytes:block
+          ~assoc
       in
-      got = reference_model ~sets ~assoc accesses)
+      let access, hits, misses, wb = naive_level ~sets ~assoc ~block in
+      let rng = Random.State.make [| sets; assoc; block |] in
+      let span = 4 * sets * assoc * block in
+      let geometry =
+        Printf.sprintf "%d sets x %d ways x %d B" sets assoc block
+      in
+      for i = 1 to 5000 do
+        let addr =
+          if Random.State.int rng 50 = 0 then Random.State.bits rng
+          else Random.State.int rng span
+        in
+        let write = Random.State.bool rng in
+        let expected = access ~addr ~write in
+        if Level.access c ~addr ~write <> expected then
+          Alcotest.failf "%s: access %d (addr %d, write %b) should %s" geometry
+            i addr write
+            (if expected then "hit" else "miss")
+      done;
+      let ck what = Alcotest.(check int) (geometry ^ ": " ^ what) in
+      ck "hits" !hits (Level.hits c);
+      ck "misses" !misses (Level.misses c);
+      ck "writebacks" !wb (Level.writebacks c))
+    [
+      (4, 2, 64); (64, 4, 64); (12, 2, 32); (5, 1, 64); (1, 8, 128); (3, 3, 16);
+    ]
 
 let test_hierarchy_latencies () =
   let h = Hierarchy.create Config.itanium2_cache in
@@ -125,6 +173,8 @@ let suite =
       case "dirty writeback" test_dirty_writeback;
       case "bad geometry rejected" test_bad_geometry_rejected;
       prop_matches_reference;
+      case "level matches a naive LRU model with writebacks"
+        test_level_matches_naive_model;
       case "hierarchy latencies (Table I)" test_hierarchy_latencies;
       case "L2 hit after L1 eviction" test_hierarchy_l2_hit;
       case "perfect cache ablation" test_perfect_hierarchy;

@@ -237,6 +237,139 @@ let test_campaign_jobs_bit_identity () =
   in
   same_result "compiled vs reference interpreter" one reference
 
+(* The per-instruction path allocates nothing: GP registers are
+   unboxed bytes, ALU/compare/memory closures are specialised per
+   opcode, condition and width, the cache model answers with a bool
+   and callee frames are reused. What is left per run is the machine
+   itself (entry frame, counters, output) — well under half a word per
+   dynamic instruction on every workload, in the -opaque dev build this
+   suite runs in, where a single int64 crossing a module boundary
+   boxes. *)
+let test_allocation_budget () =
+  let budget = 0.5 in
+  List.iter
+    (fun (w : W.t) ->
+      let program = w.W.build W.Fault in
+      List.iter
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
+          let p = Compile.of_decoded (Decode.of_schedule c.Pipeline.schedule) in
+          (* Warm the domain's scratch arena and hierarchy first. *)
+          let (_ : Outcome.run) = Compile.run p in
+          let before = Gc.minor_words () in
+          let r = Compile.run p in
+          let words = Gc.minor_words () -. before in
+          let per_insn = words /. float_of_int r.Outcome.dyn_insns in
+          if not (per_insn < budget) then
+            Alcotest.failf "%s/%s: %.3f minor words per instruction (%d insns)"
+              w.W.name (Scheme.name scheme) per_insn r.Outcome.dyn_insns)
+        Scheme.[ Noed; Casted; Dme; Tmr ])
+    Casted_workloads.Registry.all
+
+let trap_parity_on_arena size =
+  let data = [ (size - 8, "\x81\x82\x83\x84\x85\x86\x87\x88") ] in
+  (* Loaded values go to the output region, so they are live. *)
+  let out b = B.movi b 0x40L in
+  let accesses =
+    List.concat_map
+      (fun (w, n) ->
+        [
+          ( Printf.sprintf "ld%d" n,
+            n,
+            fun b base imm ->
+              let v = B.ld b w base imm in
+              B.st b Opcode.W8 ~value:v ~base:(out b) 0L );
+          ( Printf.sprintf "lds%d" n,
+            n,
+            fun b base imm ->
+              let v = B.lds b w base imm in
+              B.st b Opcode.W8 ~value:v ~base:(out b) 0L );
+          ( Printf.sprintf "st%d" n,
+            n,
+            fun b base imm ->
+              B.st b w ~value:(B.movi b 0x0102030405060708L) ~base imm );
+        ])
+      Opcode.[ (W1, 1); (W2, 2); (W4, 4); (W8, 8) ]
+    @ [
+        ( "fld",
+          8,
+          fun b base imm ->
+            let v = B.fld b base imm in
+            B.fst_ b ~value:v ~base:(out b) 0L );
+        ("fst", 8, fun b base imm -> B.fst_ b ~value:(B.fmovi b 1.5) ~base imm);
+      ]
+  in
+  let addresses n =
+    let n64 = Int64.of_int n and s64 = Int64.of_int size in
+    [
+      (Int64.of_int ((size - n) / n * n), 0L);  (* last valid slot *)
+      (s64, Int64.neg n64);  (* the last n bytes, reached through imm *)
+      (Int64.sub s64 (Int64.of_int (max 1 (n / 2))), 0L);  (* straddles *)
+      (s64, 0L);
+      (0x101L, 0L);  (* misaligned unless byte-wide *)
+      (-1L, 0L);
+      (-8L, 0L);
+      (Int64.min_int, 0L);
+      (Int64.max_int, 0L);
+      (Int64.max_int, 1L);  (* wraps to min_int *)
+      (Int64.add Int64.min_int 8L, 0L);  (* low 63 bits are in range *)
+      (Int64.add (Int64.shift_left 1L 62) 8L, 0L);
+      (Int64.shift_left 1L 30, 0L);  (* cache index masks to 0 *)
+      (Int64.add (Int64.shift_left 1L 30) 64L, 0L);
+    ]
+  in
+  (* Memory's contract: bounds first, then alignment. *)
+  let expected addr n =
+    let s64 = Int64.of_int size in
+    if Int64.compare addr 0L < 0 || Int64.compare addr s64 >= 0
+       || Int64.compare (Int64.add addr (Int64.of_int n)) s64 > 0
+    then Outcome.Trapped (Casted_sim.Trap.Out_of_bounds addr)
+    else if Int64.rem addr (Int64.of_int n) <> 0L then
+      Outcome.Trapped (Casted_sim.Trap.Misaligned addr)
+    else Outcome.Exit 0
+  in
+  List.iter
+    (fun (name, n, access) ->
+      List.iter
+        (fun (base, imm) ->
+          let program =
+            let b = B.create ~name:"main" () in
+            access b (B.movi b base) imm;
+            B.halt b ~code:(B.movi b 0L) ();
+            Program.make ~funcs:[ B.finish b ] ~entry:"main" ~mem_size:size
+              ~data ~output_base:0x40 ~output_len:8 ()
+          in
+          let c =
+            Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:1
+              program
+          in
+          let d = Decode.of_schedule c.Pipeline.schedule in
+          let a = Simulator.reference ~with_mem_digest:true d in
+          let r = Compile.run ~with_mem_digest:true (Compile.of_decoded d) in
+          let cell =
+            Printf.sprintf "%s [%Ld%+Ld] in %d bytes" name base imm size
+          in
+          Alcotest.(check bool)
+            (cell ^ ": expected termination")
+            true
+            (a.Outcome.termination = expected (Int64.add base imm) n);
+          same_run cell a r;
+          Alcotest.(check bool)
+            (cell ^ ": cache traffic")
+            true
+            (a.Outcome.cache = r.Outcome.cache))
+        (addresses n))
+    accesses
+
+(* Memory accesses at the arena edges: the compiled engine's in-range
+   fast path must hand exactly the accesses Memory's checked path traps
+   on back to it, so both engines stop with the same trap and address
+   after the same memory events, clock and cache traffic. Two arenas:
+   64 KiB, and one whose size is no multiple of 8, where an aligned
+   address can still run past the end. *)
+let test_trap_parity_at_arena_edges () =
+  List.iter trap_parity_on_arena [ 1 lsl 16; (1 lsl 16) + 4 ]
+
 let suite =
   ( "compile",
     [
@@ -254,4 +387,8 @@ let suite =
         test_hook_sequence_matches_reference;
       case "replay capture takes the same snapshots on both engines"
         test_capture_matches_reference;
+      case "fault-free runs allocate < 0.5 words per instruction"
+        test_allocation_budget;
+      case "arena-edge accesses trap alike on both engines"
+        test_trap_parity_at_arena_edges;
     ] )

@@ -92,6 +92,15 @@ let test_cache_decoded_physically_shared () =
   Alcotest.(check int) "decoded misses" 1 s.Cache.decoded_misses;
   Alcotest.(check int) "decoded hits" 1 s.Cache.decoded_hits;
   Alcotest.(check int) "decoded entries" 1 s.Cache.decoded_entries;
+  (* Decodes of one workload build share its pristine image (images are
+     never written); a program with other data segments gets its own. *)
+  let image (d : Casted_sim.Decode.t) = d.Casted_sim.Decode.image in
+  let sibling = Cache.decoded cache { spec with Cache.issue_width = 3 } in
+  Alcotest.(check bool) "sibling configuration shares the image" true
+    (image sibling == image a);
+  let dme = Cache.decoded cache { spec with Cache.scheme = Scheme.Dme } in
+  Alcotest.(check bool) "DME renders its own image" false
+    (image dme == image a);
   (* Pool workers resolving the same key within one campaign's engine
      must all see the same decoded program. *)
   Engine.with_engine ~jobs:4 (fun e ->
