@@ -1,19 +1,17 @@
-(* Benchmark and experiment-regeneration harness.
+(* CI-gated benchmark harness.
 
-   Running this executable regenerates every table and figure of the
-   paper's evaluation (Tables I-III, Figs. 6-10 plus the headline
-   summary), then runs one Bechamel micro-benchmark per table/figure
-   measuring the corresponding machinery.
+   Measures the numbers scripts/perf_check.py gates, prints them and
+   writes them to a machine-readable BENCH.json (schema in
+   EXPERIMENTS.md). The paper's tables and figures are regenerated by
+   `casted repro`, not here.
 
    Environment knobs (malformed values exit 2, never silently default):
-     CASTED_TRIALS    Monte-Carlo trials per campaign (default 300, the
-                      paper's count; set lower for a quick pass)
+     CASTED_FAST=1    smaller trial and repetition counts, for smoke
+                      testing (0 or unset: full run; anything else is an
+                      error)
      CASTED_JOBS      worker domains for the experiment engine (default:
                       the number of cores); results are identical for
                       any value, including 1
-     CASTED_SEED      campaign seed override (default 0xCA57ED)
-     CASTED_FAST=1    small inputs + few trials, for smoke testing
-                      (0 or unset: full run; anything else is an error)
      CASTED_SECTIONS  comma-separated subset of sections to run
      CASTED_BENCH_OUT machine-readable output path (default BENCH.json;
                       schema documented in EXPERIMENTS.md) *)
@@ -22,8 +20,6 @@ module W = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
 module Scheme = Casted_detect.Scheme
 module Pipeline = Casted_detect.Pipeline
-module Options = Casted_detect.Options
-module Bug = Casted_sched.Bug
 module Simulator = Casted_sim.Simulator
 module Outcome = Casted_sim.Outcome
 module Montecarlo = Casted_sim.Montecarlo
@@ -39,8 +35,7 @@ let env_failure fmt =
       exit 2)
     fmt
 
-(* Malformed knobs are rejected loudly: a typo in CASTED_TRIALS must not
-   silently run the 300-trial default, and CASTED_FAST=yes must not
+(* Malformed knobs are rejected loudly: CASTED_FAST=yes must not
    silently run the full suite. *)
 let fast =
   match Sys.getenv_opt "CASTED_FAST" with
@@ -51,23 +46,6 @@ let fast =
       | "0" | "" -> false
       | s -> env_failure "CASTED_FAST must be 0 or 1 (got %S)" s)
 
-let trials =
-  match Sys.getenv_opt "CASTED_TRIALS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some n -> env_failure "CASTED_TRIALS must be >= 1 (got %d)" n
-      | None -> env_failure "CASTED_TRIALS must be an integer (got %S)" s)
-  | None -> if fast then 40 else 300
-
-let seed =
-  match Sys.getenv_opt "CASTED_SEED" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None -> env_failure "CASTED_SEED must be an integer (got %S)" s)
-  | None -> 0xCA57ED
-
 let jobs =
   match Pool.default_jobs () with
   | Ok n -> n
@@ -75,15 +53,10 @@ let jobs =
 
 let engine = Engine.create ~jobs ()
 
-let perf_size = if fast then W.Fault else W.Perf
+let seed = 0xCA57ED
 
 let all_sections =
-  [
-    "table1"; "table2"; "table3"; "fig6_7"; "fig8"; "fig9"; "fig10";
-    "ablations"; "placement"; "recovery"; "recovery_overhead";
-    "dme_coverage"; "cse_on_hardened"; "selective"; "sim_throughput";
-    "store"; "microbench";
-  ]
+  [ "recovery_overhead"; "dme_coverage"; "sim_throughput"; "store" ]
 
 let sections =
   match Sys.getenv_opt "CASTED_SECTIONS" with
@@ -113,171 +86,8 @@ let bench_out =
 let banner name =
   Printf.printf "\n================ %s ================\n%!" name
 
-(* Machine-readable results accumulated while the sections run and
-   written to [bench_out] at the end (schema in EXPERIMENTS.md). *)
+(* Section wall times, written to [bench_out] at the end. *)
 let section_times : (string * float) list ref = ref []
-let headline : Report.Perf_sweep.summary option ref = ref None
-
-(* The perf sweep feeds both Figs. 6-7 and Fig. 8, so share it. *)
-let sweep =
-  lazy
-    (let t0 = Unix.gettimeofday () in
-     let s = Report.Perf_sweep.run ~engine ~size:perf_size () in
-     Printf.printf "(sweep: %d simulations on %d jobs in %.1fs)\n%!"
-       (List.length s.Report.Perf_sweep.points)
-       (Engine.jobs engine)
-       (Unix.gettimeofday () -. t0);
-     s)
-
-let section_table1 () =
-  banner "Table I: processor configuration";
-  print_string
-    (Report.Static_tables.table1
-       (Casted_machine.Config.dual_core ~issue_width:2 ~delay:2))
-
-let section_table2 () =
-  banner "Table II: benchmarks";
-  print_string (Report.Static_tables.table2 ())
-
-let section_table3 () =
-  banner "Table III: compiler-based error-detection schemes";
-  print_string (Report.Static_tables.table3 ())
-
-let section_fig6_7 () =
-  banner "Figs. 6-7: slowdown vs NOED (issue 1-4 x delay 1-4)";
-  let s = Lazy.force sweep in
-  print_string (Report.Perf_sweep.render_all s);
-  banner "Headline (paper SS IV-B / VI)";
-  let summary = Report.Perf_sweep.summarize s in
-  headline := Some summary;
-  print_string (Report.Perf_sweep.render_summary summary)
-
-let section_fig8 () =
-  banner "Fig. 8: ILP scaling (speedup vs issue 1, delay 1)";
-  print_string (Report.Scaling.render_all (Lazy.force sweep))
-
-let section_fig9 () =
-  banner
-    (Printf.sprintf "Fig. 9: fault coverage, issue 2 delay 2 (%d trials)"
-       trials);
-  let rows = Report.Coverage.fig9 ~engine ~seed ~trials () in
-  print_string (Report.Coverage.render rows)
-
-let section_fig10 () =
-  banner
-    (Printf.sprintf
-       "Fig. 10: h263dec fault coverage across configurations (%d trials)"
-       trials);
-  let rows =
-    Report.Coverage.fig10 ~engine ~seed ~trials ~benchmark:"h263dec" ()
-  in
-  print_string (Report.Coverage.render rows)
-
-(* Ablations of the design decisions called out in DESIGN.md SS5. *)
-
-let compile_cycles ?options ?bug_options program ~scheme ~issue ~delay =
-  let c =
-    Pipeline.compile ?options ?bug_options ~scheme ~issue_width:issue ~delay
-      program
-  in
-  (Simulator.run c.Pipeline.schedule).Outcome.cycles
-
-let section_ablations () =
-  banner "Ablation: BUG tie-breaking (CASTED cycles, cjpeg)";
-  let w = Option.get (Registry.find "cjpeg") in
-  let program = w.W.build W.Fault in
-  Report.Table.print
-    ~headers:[ "issue"; "delay"; "prefer-lower"; "prefer-critical-pred" ]
-    (List.concat_map
-       (fun issue ->
-         List.map
-           (fun delay ->
-             let lower =
-               compile_cycles program ~scheme:Scheme.Casted ~issue ~delay
-                 ~bug_options:{ Bug.tie_break = Bug.Prefer_lower }
-             in
-             let crit =
-               compile_cycles program ~scheme:Scheme.Casted ~issue ~delay
-                 ~bug_options:{ Bug.tie_break = Bug.Prefer_critical_pred }
-             in
-             [
-               string_of_int issue; string_of_int delay;
-               string_of_int lower; string_of_int crit;
-             ])
-           [ 1; 4 ])
-       [ 1; 2; 4 ]);
-  banner "Ablation: store-operand checks (cjpeg, issue 2 delay 2)";
-  let with_checks =
-    compile_cycles program ~scheme:Scheme.Sced ~issue:2 ~delay:2
-  in
-  let without =
-    compile_cycles program ~scheme:Scheme.Sced ~issue:2 ~delay:2
-      ~options:{ Options.default with Options.check_stores = false }
-  in
-  Printf.printf
-    "SCED with store checks: %d cycles; without: %d cycles (%.1f%% of \
-     execution)\n"
-    with_checks without
-    (100.0 *. float_of_int (with_checks - without) /. float_of_int with_checks);
-  banner "Ablation: perfect cache (181.mcf, issue 2 delay 2)";
-  let w = Option.get (Registry.find "181.mcf") in
-  let program = w.W.build W.Fault in
-  List.iter
-    (fun scheme ->
-      let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
-      let real = Simulator.run c.Pipeline.schedule in
-      (* The perfect-cache mode exists on the reference interpreter. *)
-      let ideal =
-        Simulator.reference ~perfect_cache:true
-          (Casted_sim.Decode.of_schedule c.Pipeline.schedule)
-      in
-      Printf.printf "%-7s real cache %6d cycles, perfect L1 %6d cycles\n"
-        (Scheme.name scheme) real.Outcome.cycles ideal.Outcome.cycles)
-    Scheme.all
-
-let section_placement () =
-  banner "Placement: where does the code go? (SS IV-B6, adaptivity)";
-  print_string
-    (Report.Utilization.placement_table ~benchmark:"cjpeg" ~size:W.Fault
-       ~issue_width:2 ~delays:[ 1; 2; 3; 4 ]);
-  print_string
-    (Report.Utilization.placement_table ~benchmark:"181.mcf" ~size:W.Fault
-       ~issue_width:2 ~delays:[ 1; 2; 3; 4 ])
-
-let section_recovery () =
-  banner "Extension: CASTED-R (triplication + majority voting)";
-  let module Recover = Casted_detect.Recover in
-  List.iter
-    (fun name ->
-      let w = Option.get (Registry.find name) in
-      let program = w.W.build W.Fault in
-      let det =
-        Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 program
-      in
-      let noed =
-        Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:2 program
-      in
-      let hardened, _ = Recover.program Options.default program in
-      let config = Casted_machine.Config.dual_core ~issue_width:2 ~delay:2 in
-      let rec_schedule =
-        Casted_sched.List_scheduler.schedule_program config
-          (Casted_sched.Assign.Adaptive Bug.default_options)
-          hardened
-      in
-      let cycles s = (Simulator.run s).Outcome.cycles in
-      let base = cycles noed.Pipeline.schedule in
-      let det_mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) det.Pipeline.schedule in
-      let rec_mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) rec_schedule in
-      Printf.printf
-        "%-10s slowdown: CASTED %.2fx, CASTED-R %.2fx | benign: %.0f%% vs %.0f%% | corrupt: %.0f%% vs %.0f%%\n"
-        name
-        (float_of_int (cycles det.Pipeline.schedule) /. float_of_int base)
-        (float_of_int (cycles rec_schedule) /. float_of_int base)
-        (Montecarlo.percent det_mc Montecarlo.Benign)
-        (Montecarlo.percent rec_mc Montecarlo.Benign)
-        (Montecarlo.percent det_mc Montecarlo.Data_corrupt)
-        (Montecarlo.percent rec_mc Montecarlo.Data_corrupt))
-    [ "cjpeg"; "h263dec" ]
 
 (* Recovery-scheme cost/benefit through the real pipeline: runtime
    overhead, recovered fraction, residual SDC, MWTF and campaign
@@ -288,17 +98,20 @@ let section_recovery () =
    scripts/perf_check.py in CI. *)
 let recovery_overhead_json : Obs.Json.t ref = ref Obs.Json.Null
 
-(* Median wall time of seven runs: the engine ratios below compare two
-   medians measured back to back on the same host. *)
-let median_time f =
-  let times =
-    Array.init 7 (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (f () : Outcome.run);
-        Unix.gettimeofday () -. t0)
-  in
+(* Wall time of one call. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  ignore (Sys.opaque_identity (f ()));
+  Unix.gettimeofday () -. t0
+
+let median times =
+  let times = Array.copy times in
   Array.sort compare times;
   times.(Array.length times / 2)
+
+(* Median wall time of seven runs: the engine ratios below compare
+   medians measured back to back on the same host. *)
+let median_time f = median (Array.init 7 (fun _ -> time f))
 
 let section_recovery_overhead () =
   banner "Recovery overhead: CASTED vs TMR vs ROLLBACK (cjpeg, issue 2 delay 2)";
@@ -309,7 +122,7 @@ let section_recovery_overhead () =
   in
   let _, noed = Engine.simulate engine (key Scheme.Noed) in
   let base = noed.Outcome.cycles in
-  let n = min trials 150 in
+  let n = if fast then 40 else 150 in
   (* Fault-free cost of rollback support on the checkpoint-heaviest
      workload (181.mcf passes ~3080 region heads per run): median plain
      run time over median fault-free recovering run time, both on the
@@ -390,9 +203,9 @@ let dme_coverage_json : Obs.Json.t ref = ref Obs.Json.Null
 let section_dme_coverage () =
   banner "DME escape coverage: CASTED vs DME (cjpeg, issue 2 delay 2)";
   (* The xcluster SDC pool is small (a few per hundred trials), so the
-     section keeps a statistically meaningful trial count even in fast
-     mode. *)
-  let n = max trials 300 in
+     section keeps a statistically meaningful trial count in fast mode
+     too. *)
+  let n = 300 in
   let rows =
     Report.Coverage.dme_coverage ~engine ~seed ~trials:n ~benchmark:"cjpeg" ()
   in
@@ -417,102 +230,10 @@ let section_dme_coverage () =
                 ] ))
           rows)
 
-let section_cse_on_hardened () =
-  banner "Ablation: late CSE/DCE on hardened code (SS IV-A)";
-  let module Pass = Casted_opt.Pass in
-  let module Transform = Casted_detect.Transform in
-  let module B = Casted_ir.Builder in
-  (* A straight-line kernel: block-local value numbering can only merge
-     the redundant stream into the original when no loop-carried
-     registers separate them, which is the regime where GCC's global
-     CSE operates on real code. *)
-  let program =
-    let b = B.create ~name:"main" () in
-    let base = B.movi b 0x100L in
-    let acc = ref (B.movi b 3L) in
-    for i = 0 to 15 do
-      let x = B.mul b !acc !acc in
-      let y = B.addi b x (Int64.of_int i) in
-      acc := B.andi b y 0xFFFL;
-      B.st b Casted_ir.Opcode.W8 ~value:!acc ~base 0L
-    done;
-    let out = B.movi b 0x40L in
-    let v = B.ld b Casted_ir.Opcode.W8 base 0L in
-    B.st b Casted_ir.Opcode.W8 ~value:v ~base:out 0L;
-    let zero = B.movi b 0L in
-    B.halt b ~code:zero ();
-    Casted_ir.Program.make ~funcs:[ B.finish b ] ~entry:"main"
-      ~mem_size:(1 lsl 16) ~output_base:0x40 ~output_len:8 ()
-  in
-  let hardened, _ = Transform.program Options.default program in
-  let config = Casted_machine.Config.single_core ~issue_width:2 in
-  let schedule p =
-    Casted_sched.List_scheduler.schedule_program config
-      Casted_sched.Assign.Single_cluster p
-  in
-  let measure label p =
-    let s = schedule p in
-    let mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) s in
-    Printf.printf "%-26s %6d insns, detected %5.1f%%, corrupt %5.1f%%\n" label
-      (Casted_ir.Program.num_insns p)
-      (Montecarlo.percent mc Montecarlo.Detected)
-      (Montecarlo.percent mc Montecarlo.Data_corrupt)
-  in
-  measure "no late passes" hardened;
-  let safe, _ = Pass.run_program ~preserve_detection:true Pass.standard hardened in
-  measure "role-aware CSE/DCE" safe;
-  let unsafe, _ =
-    Pass.run_to_fixpoint ~preserve_detection:false ~max_rounds:50 Pass.standard
-      hardened
-  in
-  measure "role-blind CSE/DCE" unsafe;
-  print_endline
-    "(role-blind value numbering merges each replica into its original, so\n\
-    \ the checks become tautologies and coverage collapses to NOED levels\n\
-    \ -- the reason the paper disables the late CSE/DCE, SS IV-A)"
-
-let section_selective () =
-  banner "Ablation: partial redundancy (Shoestring-style store slice)";
-  let module Transform = Casted_detect.Transform in
-  let selective =
-    { Options.default with Options.scope = Options.Store_slice }
-  in
-  List.iter
-    (fun name ->
-      let w = Option.get (Registry.find name) in
-      let program = w.W.build W.Fault in
-      let measure options =
-        let hardened, stats = Transform.program options program in
-        let config = Casted_machine.Config.single_core ~issue_width:2 in
-        let s =
-          Casted_sched.List_scheduler.schedule_program config
-            Casted_sched.Assign.Single_cluster hardened
-        in
-        let noed =
-          Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:1
-            program
-        in
-        let base = (Simulator.run noed.Pipeline.schedule).Outcome.cycles in
-        let cycles = (Simulator.run s).Outcome.cycles in
-        let mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) s in
-        (stats, float_of_int cycles /. float_of_int base, mc)
-      in
-      let fstats, fslow, fmc = measure Options.default in
-      let pstats, pslow, pmc = measure selective in
-      Printf.printf
-        "%-10s full: %4d replicas, %.2fx, detected %5.1f%%, corrupt %4.1f%%  ||  slice: %4d replicas, %.2fx, detected %5.1f%%, corrupt %4.1f%%\n"
-        name fstats.Transform.replicas fslow
-        (Montecarlo.percent fmc Montecarlo.Detected)
-        (Montecarlo.percent fmc Montecarlo.Data_corrupt)
-        pstats.Transform.replicas pslow
-        (Montecarlo.percent pmc Montecarlo.Detected)
-        (Montecarlo.percent pmc Montecarlo.Data_corrupt))
-    [ "cjpeg"; "h263enc"; "197.parser" ]
-
 (* Simulator throughput on the pre-decoded core and the stage-2
    closure-threaded engine: the numbers every campaign's wall-clock
-   divides by. Uses a fixed trial count (not CASTED_TRIALS) so the
-   figure is comparable across runs, and reports the one-off decode /
+   divides by. Uses a fixed trial count per mode so the figure is
+   comparable across runs, and reports the one-off decode /
    capture / stage-2 compile costs next to the per-trial rates. Checked
    against scripts/perf_baseline.json by the CI perf-smoke job. *)
 let sim_throughput_json : Obs.Json.t ref = ref Obs.Json.Null
@@ -625,11 +346,13 @@ let section_sim_throughput () =
             ] ))
   in
   (* Golden runs (sweep points, campaign golden passes) go through
-     Simulator.run_decoded: its time against a plain run of an already
-     compiled program is ~1.0 while it executes on the compiled engine
-     (the stage-2 compile is a small fraction of a run) and ~0.5 if it
-     falls back to the reference interpreter. Perf size, where sweep
-     golden runs live. *)
+     Simulator.run_decoded, a stage-2 compile followed by a run. Its
+     execution time (its median minus the median stage-2 compile of the
+     same program) against a plain run of an already compiled program
+     is ~1.0 while it executes on the compiled engine and ~0.5 if it
+     falls back to the reference interpreter. Both sides time execution
+     only, so the ratio does not drift as execution gets cheaper than
+     the compile. Perf size, where sweep golden runs live. *)
   let golden_engine_ratio =
     let perf =
       Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2
@@ -637,8 +360,16 @@ let section_sim_throughput () =
     in
     let d = Casted_sim.Decode.of_schedule perf.Pipeline.schedule in
     let p = Casted_sim.Compile.of_decoded d in
-    median_time (fun () -> Casted_sim.Compile.run p)
-    /. median_time (fun () -> Simulator.run_decoded d)
+    (* Seven rounds, each timing the three back to back, so drift on a
+       shared host hits all three alike. *)
+    let rounds =
+      Array.init 7 (fun _ ->
+          let run = time (fun () -> Casted_sim.Compile.run p) in
+          let decoded = time (fun () -> Simulator.run_decoded d) in
+          [| run; decoded; time (fun () -> Casted_sim.Compile.of_decoded d) |])
+    in
+    let median_of i = median (Array.map (fun r -> r.(i)) rounds) in
+    median_of 0 /. (median_of 1 -. median_of 2)
   in
   Printf.printf "decode: %.3f ms per schedule (a campaign decodes once)\n%!"
     (1000.0 *. decode_s);
@@ -663,7 +394,8 @@ let section_sim_throughput () =
     "compiled speedup over reference-interpreter replay (jobs=1): %.2fx\n%!"
     compiled_speedup;
   Printf.printf
-    "golden engine ratio (perf-size cjpeg, Compile.run / run_decoded): %.2f\n%!"
+    "golden engine ratio (perf-size cjpeg, Compile.run / run_decoded \
+     execution): %.2f\n%!"
     golden_engine_ratio;
   sim_throughput_json :=
     Obs.Json.Obj
@@ -757,155 +489,10 @@ let section_store () =
         ("warm_served", Obs.Json.Int warm.Engine.served);
       ]
 
-(* Bechamel micro-benchmarks: one per table/figure family, measuring the
-   machinery that regenerates it. *)
-
-let section_microbench () =
-  banner "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let open Toolkit in
-  let w = Option.get (Registry.find "cjpeg") in
-  let program = w.W.build W.Fault in
-  let compiled =
-    Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 program
-  in
-  let hardened, _ =
-    Casted_detect.Transform.program Options.default program
-  in
-  let config = Casted_machine.Config.dual_core ~issue_width:2 ~delay:2 in
-  let main_func = Casted_ir.Program.entry_func hardened in
-  let big_block =
-    List.fold_left
-      (fun best b ->
-        if Casted_ir.Block.num_insns b > Casted_ir.Block.num_insns best then b
-        else best)
-      (Casted_ir.Func.entry main_func)
-      main_func.Casted_ir.Func.blocks
-  in
-  let latency i =
-    Casted_machine.Latency.of_op config.Casted_machine.Config.latencies
-      i.Casted_ir.Insn.op
-  in
-  let golden = Simulator.run compiled.Pipeline.schedule in
-  let fuel = 10 * golden.Outcome.dyn_insns in
-  let tests =
-    [
-      (* Table I: the simulated memory hierarchy. *)
-      Test.make ~name:"table1.cache_access"
-        (Staged.stage
-           (let hier =
-              Casted_cache.Hierarchy.create
-                Casted_machine.Config.itanium2_cache
-            in
-            let i = ref 0 in
-            fun () ->
-              incr i;
-              ignore
-                (Casted_cache.Hierarchy.access hier
-                   ~addr:(!i * 64 mod 65536)
-                   ~write:false)));
-      (* Figs. 6-7: the compile pipeline and the simulator. *)
-      Test.make ~name:"fig6_7.compile_casted"
-        (Staged.stage (fun () ->
-             ignore
-               (Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2
-                  ~delay:2 program)));
-      Test.make ~name:"fig6_7.simulate"
-        (Staged.stage (fun () ->
-             ignore (Simulator.run compiled.Pipeline.schedule)));
-      (* Fig. 8: the list scheduler + BUG on the hottest block. *)
-      Test.make ~name:"fig8.schedule_block"
-        (Staged.stage (fun () ->
-             let dfg = Casted_sched.Dfg.build ~latency big_block in
-             let assignment =
-               Casted_sched.Assign.compute
-                 (Casted_sched.Assign.Adaptive Bug.default_options)
-                 config dfg
-             in
-             ignore
-               (Casted_sched.List_scheduler.schedule_block config dfg
-                  ~assignment ~label:"bench")));
-      (* Figs. 9-10: one faulty execution. *)
-      Test.make ~name:"fig9_10.faulty_run"
-        (Staged.stage
-           (let rng = Casted_sim.Rng.create ~seed:7 in
-            let pop = Montecarlo.population_of_run golden in
-            fun () ->
-              let fault =
-                Casted_sim.Fault.random Casted_sim.Fault.Reg_bit rng
-                  ~population:pop
-              in
-              ignore
-                (Simulator.run ~fault ~fuel compiled.Pipeline.schedule)));
-      (* Algorithm 1: the detection pass alone. *)
-      Test.make ~name:"alg1.transform"
-        (Staged.stage (fun () ->
-             ignore
-               (Casted_detect.Transform.program Options.default program)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let quota = if fast then 0.25 else 1.0 in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"casted" tests)
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
-  Report.Table.print ~headers:[ "benchmark"; "time/run" ]
-    (List.map
-       (fun (name, ns) ->
-         let human =
-           if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-           else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-           else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-           else Printf.sprintf "%.0f ns" ns
-         in
-         [ name; human ])
-       rows)
-
-(* BENCH.json: the machine-readable half of the harness, consumed by CI
-   (uploaded as an artifact) and by the perf-trajectory tooling. Schema
-   documented in EXPERIMENTS.md. *)
+(* BENCH.json, consumed by CI (scripts/perf_check.py, and uploaded as
+   an artifact). Schema documented in EXPERIMENTS.md. *)
 let write_bench_json ~total_s =
   let f x = Obs.Json.Float x in
-  let summary_json =
-    match !headline with
-    | None -> Obs.Json.Null
-    | Some (s : Report.Perf_sweep.summary) ->
-        Obs.Json.Obj
-          [
-            ("sced_min", f s.Report.Perf_sweep.sced_min);
-            ("sced_max", f s.Report.Perf_sweep.sced_max);
-            ("sced_avg", f s.Report.Perf_sweep.sced_avg);
-            ("dced_min", f s.Report.Perf_sweep.dced_min);
-            ("dced_max", f s.Report.Perf_sweep.dced_max);
-            ("dced_avg", f s.Report.Perf_sweep.dced_avg);
-            ("casted_min", f s.Report.Perf_sweep.casted_min);
-            ("casted_max", f s.Report.Perf_sweep.casted_max);
-            ("casted_avg", f s.Report.Perf_sweep.casted_avg);
-            ("best_gain_pct", f s.Report.Perf_sweep.best_gain);
-            ( "best_gain_at",
-              Obs.Json.String s.Report.Perf_sweep.best_gain_at );
-            ("casted_vs_sced_pct", f s.Report.Perf_sweep.casted_vs_sced);
-            ("casted_vs_dced_pct", f s.Report.Perf_sweep.casted_vs_dced);
-          ]
-  in
   let pool_stats = Pool.stats (Engine.pool engine) in
   let cache_stats = Casted_engine.Cache.stats (Engine.cache engine) in
   let engine_json =
@@ -924,9 +511,8 @@ let write_bench_json ~total_s =
   let doc =
     Obs.Json.Obj
       [
-        ("schema_version", Obs.Json.Int 1);
+        ("schema_version", Obs.Json.Int 2);
         ("fast", Obs.Json.Bool fast);
-        ("trials", Obs.Json.Int trials);
         ("seed", Obs.Json.Int seed);
         ("jobs", Obs.Json.Int jobs);
         ( "sections",
@@ -938,7 +524,6 @@ let write_bench_json ~total_s =
                      ("name", Obs.Json.String name); ("seconds", f seconds);
                    ])
                !section_times) );
-        ("headline", summary_json);
         ("sim_throughput", !sim_throughput_json);
         ("store", !store_json);
         ("recovery_overhead", !recovery_overhead_json);
@@ -958,37 +543,10 @@ let () =
     section_times := (name, Unix.gettimeofday () -. s0) :: !section_times
   in
   let run name f = if enabled name then force name f in
-  run "table1" section_table1;
-  run "table2" section_table2;
-  run "table3" section_table3;
-  run "fig6_7" section_fig6_7;
-  run "fig8" section_fig8;
-  run "fig9" section_fig9;
-  run "fig10" section_fig10;
-  run "ablations" section_ablations;
-  run "placement" section_placement;
-  run "recovery" section_recovery;
   run "recovery_overhead" section_recovery_overhead;
   run "dme_coverage" section_dme_coverage;
-  run "cse_on_hardened" section_cse_on_hardened;
-  run "selective" section_selective;
   run "sim_throughput" section_sim_throughput;
   run "store" section_store;
-  run "microbench" section_microbench;
-  (* Fast mode promises a self-contained BENCH.json even when
-     CASTED_SECTIONS trims the run: perf-smoke reads [sim_throughput]
-     and the trajectory tooling reads [headline], so fill both from the
-     reduced fast-mode inputs rather than leaving them null. *)
-  if fast then begin
-    if !sim_throughput_json = Obs.Json.Null then
-      force "sim_throughput" section_sim_throughput;
-    if !headline = None then
-      force "headline" (fun () ->
-          banner "Headline (reduced fast-mode sweep)";
-          let summary = Report.Perf_sweep.summarize (Lazy.force sweep) in
-          headline := Some summary;
-          print_string (Report.Perf_sweep.render_summary summary))
-  end;
   banner "Engine utilisation";
   print_string (Engine.utilisation engine);
   let total_s = Unix.gettimeofday () -. t0 in

@@ -85,7 +85,7 @@ let issue_arg =
 let delay_arg =
   Arg.(value & opt delay_conv 2 & info [ "delay" ] ~doc:"Inter-cluster delay.")
 
-let size_arg =
+let size_arg_with default =
   let parse = function
     | "perf" -> Ok W.Perf
     | "fault" -> Ok W.Fault
@@ -95,8 +95,10 @@ let size_arg =
   let size_conv = Arg.conv (parse, print) in
   Arg.(
     value
-    & opt size_conv W.Fault
+    & opt size_conv default
     & info [ "size" ] ~doc:"Input size: fault (small) or perf (large).")
+
+let size_arg = size_arg_with W.Fault
 
 let trials_arg =
   Arg.(
@@ -369,13 +371,10 @@ let faults_cmd =
         with_engine jobs (fun engine ->
             let rows =
               match fig with
-              | 9 -> Report.Coverage.fig9 ~engine ~model ~trials ()
-              | 10 ->
+              | `Fig9 -> Report.Coverage.fig9 ~engine ~model ~trials ()
+              | `Fig10 ->
                   Report.Coverage.fig10 ~engine ~model ~trials
                     ~benchmark:bench ()
-              | n ->
-                  Printf.eprintf "unknown figure %d (use 9 or 10)\n" n;
-                  exit 2
             in
             Printf.printf "fault model: %s (rates ± 95%% Wilson half-width)\n"
               (Casted_sim.Fault.model_name model);
@@ -384,7 +383,8 @@ let faults_cmd =
   in
   let fig =
     Arg.(
-      value & opt int 9
+      value
+      & opt (enum [ ("9", `Fig9); ("10", `Fig10) ]) `Fig9
       & info [ "fig" ] ~doc:"Which figure to reproduce: 9 or 10.")
   in
   Cmd.v
@@ -460,21 +460,6 @@ let min_recovered_arg =
     & opt (some float) None
     & info [ "min-recovered" ] ~docv:"PCT" ~doc)
 
-(* MWTF (Reis et al.) needs the unprotected runtime: the golden cycles
-   of the NOED build of the same benchmark at the same issue width. *)
-let noed_baseline_cycles engine ~bench ~issue =
-  let key =
-    Casted_engine.Cache.key ~workload:bench ~size:W.Fault ~scheme:Scheme.Noed
-      ~issue_width:issue ~delay:1 ()
-  in
-  let _, run = Engine.simulate engine key in
-  run.Outcome.cycles
-
-let pp_mwtf ppf m =
-  if Float.is_integer m && Float.abs m < 1e9 then
-    Format.fprintf ppf "%.0f" m
-  else Format.fprintf ppf "%.2f" m
-
 let campaign_cmd =
   let run bench scheme issue delay trials model ci_halfwidth no_replay
       retry_budget min_recovered store_dir shard jobs trace metrics =
@@ -544,13 +529,16 @@ let campaign_cmd =
         let recovered_pct =
           100.0 *. Montecarlo.recovered_fraction result
         in
-        let baseline_cycles = noed_baseline_cycles engine ~bench ~issue in
+        let baseline_cycles =
+          Report.Coverage.noed_cycles engine ~benchmark:bench ~issue
+        in
         Format.printf
           "recovered: %d/%d (%.1f%%); MWTF vs NOED (%d baseline cycles): \
-           %a@."
+           %s@."
           result.Montecarlo.recovered result.Montecarlo.trials recovered_pct
-          baseline_cycles pp_mwtf
-          (Montecarlo.mwtf ~baseline_cycles result);
+          baseline_cycles
+          (Report.Coverage.mwtf_string
+             (Montecarlo.mwtf ~baseline_cycles result));
         match min_recovered with
         | Some threshold when sc.Engine.complete && recovered_pct < threshold
           ->
@@ -579,39 +567,9 @@ let recover_cmd =
     with_obs ~trace ~metrics @@ fun () ->
     ignore (find_workload bench);
     with_engine jobs (fun engine ->
-        let key scheme =
-          Casted_engine.Cache.key ~workload:bench ~size:W.Fault ~scheme
-            ~issue_width:issue ~delay ()
-        in
-        let baseline_cycles = noed_baseline_cycles engine ~bench ~issue in
-        Format.printf
-          "%s issue %d delay %d: %d %s trials per scheme (%d jobs, NOED \
-           baseline %d cycles)@."
-          bench issue delay trials
-          (Casted_sim.Fault.model_name model)
-          (Engine.jobs engine) baseline_cycles;
-        Format.printf "%-10s %9s %9s %10s %10s %6s %8s@." "scheme" "overhead"
-          "benign%" "recovered%" "detected%" "sdc%" "mwtf";
-        List.iter
-          (fun scheme ->
-            let r =
-              Engine.campaign engine ~model ?retry_budget ~trials (key scheme)
-            in
-            let overhead =
-              float_of_int r.Montecarlo.golden_cycles
-              /. float_of_int baseline_cycles
-            in
-            let mwtf =
-              Format.asprintf "%a" pp_mwtf (Montecarlo.mwtf ~baseline_cycles r)
-            in
-            Format.printf "%-10s %8.2fx %9.1f %10.1f %10.1f %6.1f %8s@."
-              (Scheme.name scheme) overhead
-              (Montecarlo.percent r Montecarlo.Benign)
-              (Montecarlo.percent r Montecarlo.Recovered)
-              (Montecarlo.percent r Montecarlo.Detected)
-              (Montecarlo.percent r Montecarlo.Data_corrupt)
-              mwtf)
-          [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]);
+        print_string
+          (Report.Coverage.recovery_table ~engine ~model ?retry_budget ~trials
+             ~benchmark:bench ~issue ~delay ()));
     0
   in
   Cmd.v
@@ -1320,6 +1278,36 @@ let work_cmd =
       $ trials_arg $ seed $ fuel $ enqueue $ enqueue_only $ jobs_arg
       $ trace_arg $ metrics_arg)
 
+let repro_cmd =
+  let run size trials store_dir jobs =
+    let store = Option.map open_store store_dir in
+    let t0 = Obs.Clock.now_us () in
+    with_engine jobs (fun engine ->
+        print_string (Report.Repro.run ~engine ?store ~size ~trials ());
+        let c = Engine.store_counters engine in
+        Printf.eprintf "repro: %.1fs on %d jobs%s\n"
+          ((Obs.Clock.now_us () -. t0) /. 1e6)
+          (Engine.jobs engine)
+          (match store_dir with
+          | Some dir ->
+              Printf.sprintf "; store %s: %d trials served, %d simulated" dir
+                c.Engine.trials_served c.Engine.trials_simulated
+          | None -> ""));
+    0
+  in
+  Cmd.v
+    (Cmd.info "repro"
+       ~doc:
+         "Regenerate the paper's evaluation in one run: Tables I-III, Figs. \
+          6-10 with the headline summary, the ablations, placement, \
+          recovery and DME, at seed 0xCA57ED. The report goes to stdout and \
+          is identical for every $(b,--jobs) and store state; the wall clock \
+          and store traffic go to stderr. With $(b,--store) every engine \
+          campaign is banked, so a rerun simulates none of them.")
+    Term.(
+      const run $ size_arg_with W.Perf $ trials_arg $ store_arg
+      $ jobs_arg)
+
 let version_cmd =
   let run () =
     print_endline ("casted " ^ version);
@@ -1338,7 +1326,7 @@ let main =
       campaign_cmd; dme_cmd; tables_cmd; recover_cmd; placement_cmd;
       profile_cmd;
       pressure_cmd; asm_cmd; trace_cmd; verify_cmd; fuzz_cmd; store_cmd;
-      work_cmd; version_cmd;
+      work_cmd; repro_cmd; version_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -13,7 +13,7 @@
     which the shadow register is a plain copy of the original, every
     check compares a value against itself, and the error detection is
     silently destroyed. This is precisely why the paper turns the late
-    CSE pass off after the CASTED passes (§IV-A); the
-    [cse_on_hardened] bench ablation demonstrates the collapse. *)
+    CSE pass off after the CASTED passes (§IV-A); the late CSE/DCE
+    ablation of [casted repro] demonstrates the collapse. *)
 
 val run : preserve_detection:bool -> Casted_ir.Func.t -> int

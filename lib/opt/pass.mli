@@ -10,7 +10,8 @@
     - running passes on a {e hardened} program requires
       [preserve_detection:true] to keep the redundant stream intact; the
       unsafe mode exists to reproduce the paper's observation (see the
-      [cse_on_hardened] ablation in [bench/main.ml]). *)
+      late CSE/DCE ablation in [Casted_report.Repro], printed by
+      [casted repro]). *)
 
 type t = {
   name : string;

@@ -3,6 +3,7 @@ module Workload = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
 module Fault = Casted_sim.Fault
 module Montecarlo = Casted_sim.Montecarlo
+module Outcome = Casted_sim.Outcome
 module Engine = Casted_engine.Engine
 module Cache = Casted_engine.Cache
 
@@ -15,7 +16,7 @@ type row = {
 }
 
 let campaign_on engine ?(seed = 0xCA57ED) ?(model = Fault.Reg_bit)
-    ?ci_halfwidth ~trials ~benchmark ~scheme ~issue ~delay () =
+    ?ci_halfwidth ?store ~trials ~benchmark ~scheme ~issue ~delay () =
   (match Registry.find benchmark with
   | Some _ -> ()
   | None -> invalid_arg ("Coverage: unknown benchmark " ^ benchmark));
@@ -24,7 +25,7 @@ let campaign_on engine ?(seed = 0xCA57ED) ?(model = Fault.Reg_bit)
       ~issue_width:issue ~delay ()
   in
   let result =
-    Engine.campaign engine ~seed ~model ?ci_halfwidth ~trials spec
+    Engine.campaign engine ~seed ~model ?ci_halfwidth ?store ~trials spec
   in
   { benchmark; scheme; issue; delay; result }
 
@@ -37,7 +38,7 @@ let campaign ?engine ?seed ?model ?ci_halfwidth ~trials ~benchmark ~scheme
       campaign_on e ?seed ?model ?ci_halfwidth ~trials ~benchmark ~scheme
         ~issue ~delay ())
 
-let fig9 ?engine ?seed ?model ?(trials = 300) ?benchmarks () =
+let fig9 ?engine ?seed ?model ?store ?(trials = 300) ?benchmarks () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Registry.names ()
   in
@@ -46,12 +47,12 @@ let fig9 ?engine ?seed ?model ?(trials = 300) ?benchmarks () =
         (fun benchmark ->
           List.map
             (fun scheme ->
-              campaign_on e ?seed ?model ~trials ~benchmark ~scheme ~issue:2
-                ~delay:2 ())
+              campaign_on e ?seed ?model ?store ~trials ~benchmark ~scheme
+                ~issue:2 ~delay:2 ())
             Scheme.all)
         benchmarks)
 
-let fig10 ?engine ?seed ?model ?(trials = 300) ?(benchmark = "h263dec")
+let fig10 ?engine ?seed ?model ?store ?(trials = 300) ?(benchmark = "h263dec")
     ?(schemes = Scheme.all) () =
   with_engine ?engine (fun e ->
       List.concat_map
@@ -60,8 +61,8 @@ let fig10 ?engine ?seed ?model ?(trials = 300) ?(benchmark = "h263dec")
             (fun delay ->
               List.map
                 (fun scheme ->
-                  campaign_on e ?seed ?model ~trials ~benchmark ~scheme ~issue
-                    ~delay ())
+                  campaign_on e ?seed ?model ?store ~trials ~benchmark ~scheme
+                    ~issue ~delay ())
                 schemes)
             [ 1; 2; 3; 4 ])
         [ 1; 2; 3; 4 ])
@@ -116,13 +117,13 @@ type dme_escape = {
 }
 
 let dme_coverage_on engine ?(seed = 0xCA57ED)
-    ?(models = [ Fault.Mem; Fault.Xcluster ]) ?(trials = 2000) ?(issue = 2)
-    ?(delay = 2) ~benchmark () =
+    ?(models = [ Fault.Mem; Fault.Xcluster ]) ?store ?(trials = 2000)
+    ?(issue = 2) ?(delay = 2) ~benchmark () =
   List.map
     (fun model ->
       let run scheme =
-        (campaign_on engine ~seed ~model ~trials ~benchmark ~scheme ~issue
-           ~delay ())
+        (campaign_on engine ~seed ~model ?store ~trials ~benchmark ~scheme
+           ~issue ~delay ())
           .result
       in
       let c = run Scheme.Casted and d = run Scheme.Dme in
@@ -141,9 +142,11 @@ let dme_coverage_on engine ?(seed = 0xCA57ED)
       })
     models
 
-let dme_coverage ?engine ?seed ?models ?trials ?issue ?delay ~benchmark () =
+let dme_coverage ?engine ?seed ?models ?store ?trials ?issue ?delay
+    ~benchmark () =
   with_engine ?engine (fun e ->
-      dme_coverage_on e ?seed ?models ?trials ?issue ?delay ~benchmark ())
+      dme_coverage_on e ?seed ?models ?store ?trials ?issue ?delay ~benchmark
+        ())
 
 let render_dme rows =
   let headers =
@@ -162,3 +165,46 @@ let render_dme rows =
     ]
   in
   Table.render ~headers (List.map row rows)
+
+(* MWTF (Reis et al.) needs the unprotected runtime: the golden cycles
+   of the NOED build of the same benchmark at the same issue width. *)
+let noed_cycles engine ~benchmark ~issue =
+  let key =
+    Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme:Scheme.Noed
+      ~issue_width:issue ~delay:1 ()
+  in
+  (snd (Engine.simulate engine key)).Outcome.cycles
+
+let mwtf_string m =
+  if Float.is_integer m && Float.abs m < 1e9 then Printf.sprintf "%.0f" m
+  else Printf.sprintf "%.2f" m
+
+let recovery_table ?engine ?seed ?(model = Fault.Reg_bit) ?retry_budget ?store
+    ~trials ~benchmark ~issue ~delay () =
+  with_engine ?engine (fun e ->
+      let baseline_cycles = noed_cycles e ~benchmark ~issue in
+      let row scheme =
+        let r =
+          Engine.campaign e ?seed ~model ?retry_budget ?store ~trials
+            (Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
+               ~issue_width:issue ~delay ())
+        in
+        Printf.sprintf "%-10s %8.2fx %9.1f %10.1f %10.1f %6.1f %8s\n"
+          (Scheme.name scheme)
+          (float_of_int r.Montecarlo.golden_cycles
+          /. float_of_int baseline_cycles)
+          (Montecarlo.percent r Montecarlo.Benign)
+          (Montecarlo.percent r Montecarlo.Recovered)
+          (Montecarlo.percent r Montecarlo.Detected)
+          (Montecarlo.percent r Montecarlo.Data_corrupt)
+          (mwtf_string (Montecarlo.mwtf ~baseline_cycles r))
+      in
+      String.concat ""
+        (Printf.sprintf
+           "%s issue %d delay %d: %d %s trials per scheme (NOED baseline %d \
+            cycles)\n"
+           benchmark issue delay trials (Fault.model_name model)
+           baseline_cycles
+        :: Printf.sprintf "%-10s %9s %9s %10s %10s %6s %8s\n" "scheme"
+             "overhead" "benign%" "recovered%" "detected%" "sdc%" "mwtf"
+        :: List.map row [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]))

@@ -26,7 +26,10 @@ type row = {
     [seed]). Pass [engine] to share the pool and cache across
     campaigns; otherwise a private engine is created per call. [model]
     selects the fault model (default the paper's register bit flip);
-    [ci_halfwidth] enables sequential early stopping. *)
+    [ci_halfwidth] enables sequential early stopping. The experiments
+    below take [store]: their campaigns are then served from, and
+    banked into, that result store ({!Casted_engine.Engine.campaign_stored}),
+    with tallies bit-identical to a storeless run. *)
 val campaign :
   ?engine:Casted_engine.Engine.t ->
   ?seed:int ->
@@ -45,6 +48,7 @@ val fig9 :
   ?engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
+  ?store:Casted_store.Store.t ->
   ?trials:int ->
   ?benchmarks:string list ->
   unit ->
@@ -55,6 +59,7 @@ val fig10 :
   ?engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
+  ?store:Casted_store.Store.t ->
   ?trials:int ->
   ?benchmark:string ->
   ?schemes:Scheme.t list ->
@@ -84,6 +89,7 @@ val dme_coverage :
   ?engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?models:Casted_sim.Fault.model list ->
+  ?store:Casted_store.Store.t ->
   ?trials:int ->
   ?issue:int ->
   ?delay:int ->
@@ -92,3 +98,30 @@ val dme_coverage :
   dme_escape list
 
 val render_dme : dme_escape list -> string
+
+(** {2 Recovery (the [casted recover] table)} *)
+
+(** Fault-free cycles of the NOED build of [benchmark] at [issue]
+    (fault-sized input): the baseline of runtime overheads and MWTF. *)
+val noed_cycles :
+  Casted_engine.Engine.t -> benchmark:string -> issue:int -> int
+
+(** An MWTF ratio as printed: integers plainly, anything else with two
+    decimals ("inf" for a campaign without silent corruption). *)
+val mwtf_string : float -> string
+
+(** CASTED (detection), TMR and ROLLBACK campaigns on one cell side by
+    side: a title line, then one row per scheme with runtime overhead
+    over NOED, benign/recovered/detected/SDC percentages and MWTF. *)
+val recovery_table :
+  ?engine:Casted_engine.Engine.t ->
+  ?seed:int ->
+  ?model:Casted_sim.Fault.model ->
+  ?retry_budget:int ->
+  ?store:Casted_store.Store.t ->
+  trials:int ->
+  benchmark:string ->
+  issue:int ->
+  delay:int ->
+  unit ->
+  string

@@ -5,6 +5,8 @@ module Scaling = Casted_report.Scaling
 module Coverage = Casted_report.Coverage
 module Static_tables = Casted_report.Static_tables
 module Montecarlo = Casted_sim.Montecarlo
+module Repro = Casted_report.Repro
+module Engine = Casted_engine.Engine
 
 let test_table_rendering () =
   let s =
@@ -149,6 +151,48 @@ let test_static_tables () =
   Alcotest.(check bool) "table3 includes CASTED" true
     (String.length t3 > 100)
 
+(* [casted repro] at reduced scale: one sweep/Fig. 9 benchmark, fault-
+   sized inputs, a few trials. A cold pass banks every campaign; a warm
+   pass on a fresh engine must simulate nothing and print the same
+   bytes, and its Fig. 9 block must be what [casted faults] renders. *)
+let test_repro_warm_store () =
+  let trials = 8 and benchmarks = [ "181.mcf" ] in
+  with_store (fun store ->
+      let pass () =
+        Engine.with_engine (fun engine ->
+            let text =
+              Repro.run ~engine ~store ~benchmarks
+                ~size:Casted_workloads.Workload.Fault ~trials ()
+            in
+            ( text,
+              Engine.store_counters engine,
+              (Engine.counters engine).Engine.campaigns ))
+      in
+      let cold, cold_counts, _ = pass () in
+      let warm, warm_counts, warm_campaigns = pass () in
+      Alcotest.(check bool) "cold pass simulates" true
+        (cold_counts.Engine.trials_simulated > 0);
+      Alcotest.(check int) "warm pass simulates nothing" 0
+        warm_counts.Engine.trials_simulated;
+      (* A campaign that bypassed the store would simulate outside the
+         store counters; the engine counts every simulated campaign. *)
+      Alcotest.(check int) "warm pass runs no engine campaign" 0
+        warm_campaigns;
+      Alcotest.(check int) "warm pass serves every trial"
+        (cold_counts.Engine.trials_served + cold_counts.Engine.trials_simulated)
+        warm_counts.Engine.trials_served;
+      Alcotest.(check string) "warm text byte-identical" cold warm;
+      let fig9 =
+        Printf.sprintf
+          "\n================ Fig. 9: fault coverage, issue 2 delay 2 (%d \
+           trials) ================\n%s\n================ Fig. 10"
+          trials
+          (Coverage.render
+             (Coverage.fig9 ~seed:Repro.seed ~trials ~benchmarks ()))
+      in
+      Alcotest.(check bool) "Fig. 9 block is Coverage.render of fig9" true
+        (contains cold fig9))
+
 let suite =
   ( "report",
     [
@@ -163,4 +207,6 @@ let suite =
       case "campaign percentages sum to 100" test_campaign_row;
       case "coverage rendering" test_coverage_render;
       case "static tables (I-III)" test_static_tables;
+      case "repro: warm store rerun simulates nothing, same text"
+        test_repro_warm_store;
     ] )
