@@ -132,6 +132,68 @@ let apply_delta t d =
 
 let delta_bytes d = Bytes.length d.data + (Array.length d.pages * 8) + 32
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* [len] bytes of [a] at [ao] equal those of [b] at [bo]; a word at a
+   time, then the tail. *)
+let same_bytes a ao b bo len =
+  let words = len lsr 3 in
+  let i = ref 0 in
+  while
+    !i < words
+    && Int64.equal (get64u a (ao + (!i lsl 3))) (get64u b (bo + (!i lsl 3)))
+  do
+    incr i
+  done;
+  if !i < words then false
+  else begin
+    let j = ref (words lsl 3) in
+    while
+      !j < len && Bytes.unsafe_get a (ao + !j) = Bytes.unsafe_get b (bo + !j)
+    do
+      incr j
+    done;
+    !j = len
+  end
+
+(* A page outside the journal equals [base] on the arena's side, and a
+   page outside the delta equals [base] on the other side, so only the
+   union of the two page sets needs a look: delta pages against the
+   delta's data, journal-only pages against [base]. The delta pass
+   tags the journal pages it covers ('\002' in [dirty_flag]) so the
+   journal pass can skip them without a lookup; the tags are cleared
+   before returning. *)
+let matches t ~base d =
+  if d.d_size <> t.size || Bytes.length base <> t.size then
+    invalid_arg "Memory.matches: arena size mismatch";
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length d.pages do
+    let p = d.pages.(!k) in
+    if same_bytes t.bytes (p lsl page_shift) d.data (!k * page_size)
+        (page_len t p)
+    then begin
+      if Bytes.unsafe_get t.dirty_flag p = '\001' then
+        Bytes.unsafe_set t.dirty_flag p '\002';
+      incr k
+    end
+    else ok := false
+  done;
+  let j = ref 0 in
+  while !ok && !j < t.n_dirty do
+    let p = t.dirty.(!j) in
+    if Bytes.unsafe_get t.dirty_flag p = '\001' then begin
+      let a = p lsl page_shift in
+      ok := same_bytes t.bytes a base a (page_len t p)
+    end;
+    incr j
+  done;
+  for i = 0 to !k - 1 do
+    let p = Array.unsafe_get d.pages i in
+    if Bytes.unsafe_get t.dirty_flag p = '\002' then
+      Bytes.unsafe_set t.dirty_flag p '\001'
+  done;
+  !ok
+
 let check t ~addr ~bytes =
   if Int64.compare addr 0L < 0 || Int64.compare addr (Int64.of_int t.size) >= 0
   then raise (Trap.Trap (Trap.Out_of_bounds addr));

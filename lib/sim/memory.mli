@@ -52,6 +52,14 @@ val apply_delta : t -> delta -> unit
 (** Approximate heap footprint of a delta, in bytes. *)
 val delta_bytes : delta -> int
 
+(** [matches t ~base d] is true when the arena holds exactly [base]
+    overlaid with [d]: the state {!undo_writes} [t base] followed by
+    {!apply_delta} [t d] would leave. Only valid when [t] was last
+    reset from [base] (its journal covers every byte that differs from
+    [base]); costs O(pages journalled + pages in [d]), not O(arena).
+    Raises [Invalid_argument] on a size mismatch. *)
+val matches : t -> base:Bytes.t -> delta -> bool
+
 (** [read t ~addr ~width ~signed] returns the (sign- or zero-extended)
     value. Raises {!Trap.Trap} on bounds or alignment violations. *)
 val read : t -> addr:int64 -> width:Casted_ir.Opcode.width -> signed:bool -> int64

@@ -25,6 +25,7 @@ type replay_stats = {
   snapshot_bytes : int;
   replayed : int;  (* trials started from a snapshot *)
   full_runs : int;  (* trials that fell back to full execution *)
+  converged : int;  (* trials stopped early, golden again *)
   mean_suffix : float;  (* mean fraction of the golden run executed *)
 }
 
@@ -149,46 +150,100 @@ let golden_decoded ?fuel_factor ?replay ?replay_set decoded =
 let golden ?fuel_factor sched =
   golden_decoded ?fuel_factor (Decode.of_schedule sched)
 
-(* Each trial draws from its own RNG seeded by (campaign seed, trial
-   index), so the outcome of trial [i] does not depend on which domain
-   runs it or on the trials before it. *)
-(* One trial, reporting how it ran: [(class, suffix fraction, replayed)]
-   where the fraction is the share of the golden run actually executed
-   (1.0 for a full-length run). When the golden carries a replay set,
-   the trial restores the latest snapshot preceding its fault's trigger
-   event and executes only the suffix — bit-identical to the full run,
-   just cheaper. Rollback trials ([retry_budget]) own their restore
-   points (the region checkpoints, rebuilt on demand), so golden-prefix
-   replay stays out of their picture. *)
+(* How one trial ran. *)
+type trial_report = {
+  cls : classification;
+  executed : float;  (* share of the golden run executed; 1.0 = full *)
+  replayed : bool;  (* started from a golden snapshot *)
+  converged : bool;  (* stopped early, state golden again *)
+}
+
+exception Converged of { dyn : int; corrected : bool }
+
+(* The re-convergence watcher, an [on_block] hook for a trial started
+   from snapshot [from] (-1: from the program start). At a block top
+   where the trial sits at the next golden snapshot's dynamic count
+   and block, with its fault already injected, it compares
+   architectural state (State.matches); on a match it raises
+   [Converged] and the trial ends there. The rest of such a trial is
+   the golden suffix: no opcode reads the clock, the cache and the
+   scoreboard change only cycles and counters nothing reads once the
+   fault has fired, and fuel is counted in [dyn], which is equal. So
+   the trial terminates as the golden run does, with the same exit
+   code and output, and [classify] sees a clean exit whose only open
+   question is whether a vote corrected anything on the way. Started
+   from [Replay.find_index]'s snapshot, the fault has always fired by
+   the next one (its counter there is past the target); the [fired]
+   test keeps the watcher sound from any earlier start too. *)
+let watch r fault ~from =
+  let snaps = Replay.snapshots r in
+  let n = Array.length snaps in
+  let next = ref (from + 1) in
+  fun st regs block ->
+    let dyn = st.State.dyn in
+    while !next < n && snaps.(!next).State.s_dyn < dyn do
+      incr next
+    done;
+    if
+      !next < n
+      && snaps.(!next).State.s_dyn = dyn
+      && Replay.fired fault st
+      && State.matches st regs ~block snaps.(!next)
+    then raise (Converged { dyn; corrected = st.State.corrections > 0 })
+
+(* One trial. Each draws from its own RNG seeded by (campaign seed,
+   trial index), so the outcome of trial [i] does not depend on which
+   domain runs it or on the trials before it.
+
+   When the golden carries a replay set, the trial restores the latest
+   snapshot preceding its fault's trigger event, executes only the
+   suffix — bit-identical to the full run, just cheaper — and stops as
+   soon as it re-converges with the golden run ([watch]). Rollback
+   trials ([retry_budget]) own their restore points (the region
+   checkpoints, rebuilt on demand), so golden-prefix replay stays out
+   of their picture. *)
 let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
   if Fault.population_size model g.pop = 0 then
     (* The fault path does not exist in this configuration (e.g. no
        cross-cluster reads on a single-cluster scheme): nothing to
        inject, the run is the golden run. *)
-    (Benign, 1.0, false)
+    { cls = Benign; executed = 1.0; replayed = false; converged = false }
   else begin
     let rng = Rng.create ~seed:(Rng.derive ~seed index) in
     let fault = Fault.random model rng ~population:g.pop in
-    let snapshot =
-      match (retry_budget, g.replay) with
-      | None, Some r -> Replay.find r fault
-      | _ -> None
-    in
-    let c =
-      classify_result ~golden:g.run
-        (try Ok (Compile.run ~fault ~fuel:g.fuel ?snapshot ?retry_budget p)
-         with e -> Error e)
-    in
-    match snapshot with
-    | Some s -> (c, Replay.suffix_fraction (Option.get g.replay) s, true)
-    | None -> (c, 1.0, false)
+    match (retry_budget, g.replay) with
+    | None, Some r ->
+        let from = Replay.find_index r fault in
+        let snapshot = Option.map (Array.get (Replay.snapshots r)) from in
+        let on_block = watch r fault ~from:(Option.value from ~default:(-1)) in
+        let golden_dyn = g.run.Outcome.dyn_insns in
+        let cls, upto, converged =
+          match Compile.run ~fault ~fuel:g.fuel ?snapshot ~on_block p with
+          | run -> (classify ~golden:g.run run, golden_dyn, false)
+          | exception Converged { dyn; corrected } ->
+              ((if corrected then Recovered else Benign), dyn, true)
+          | exception (_ : exn) -> (Exception, golden_dyn, false)
+        in
+        let start = match snapshot with Some s -> s.State.s_dyn | None -> 0 in
+        (* A non-empty population means the golden run executed
+           something, so [golden_dyn > 0]. *)
+        {
+          cls;
+          executed = float_of_int (upto - start) /. float_of_int golden_dyn;
+          replayed = from <> None;
+          converged;
+        }
+    | _ ->
+        let cls =
+          classify_result ~golden:g.run
+            (try Ok (Compile.run ~fault ~fuel:g.fuel ?retry_budget p)
+             with e -> Error e)
+        in
+        { cls; executed = 1.0; replayed = false; converged = false }
   end
 
 let trial ?retry_budget ?(model = Fault.Reg_bit) ~golden ~seed ~index p =
-  let c, _, _ =
-    trial_instrumented ?retry_budget ~model ~golden ~seed ~index p
-  in
-  c
+  (trial_instrumented ?retry_budget ~model ~golden ~seed ~index p).cls
 
 let idx = function
   | Benign -> 0
@@ -336,6 +391,7 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
      boundaries so it cannot perturb trial order or results. *)
   let n_replayed = ref 0 in
   let n_full = ref 0 in
+  let n_converged = ref 0 in
   let suffix_sum = ref 0.0 in
   let one index =
     trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p
@@ -361,15 +417,18 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
       let hi = min trials (lo + chunk_trials) in
       if owned lo then begin
         Array.iter
-          (fun (c, suffix, replayed) ->
-            counts.(idx c) <- counts.(idx c) + 1;
+          (fun t ->
+            counts.(idx t.cls) <- counts.(idx t.cls) + 1;
             if g.replay <> None then begin
-              if replayed then incr n_replayed else incr n_full;
-              suffix_sum := !suffix_sum +. suffix;
+              if t.replayed then incr n_replayed else incr n_full;
+              if t.converged then incr n_converged;
+              suffix_sum := !suffix_sum +. t.executed;
               if Casted_obs.Metrics.enabled () then begin
                 Casted_obs.Metrics.incr
-                  (if replayed then "replay.hits" else "replay.misses");
-                Casted_obs.Metrics.observe "replay.suffix_fraction" suffix
+                  (if t.replayed then "replay.hits" else "replay.misses");
+                if t.converged then Casted_obs.Metrics.incr "sim.converged";
+                Casted_obs.Metrics.observe "replay.suffix_fraction"
+                  t.executed
               end
             end)
           (map_chunk lo hi);
@@ -403,6 +462,7 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
             snapshot_bytes = Replay.total_bytes r;
             replayed = !n_replayed;
             full_runs = !n_full;
+            converged = !n_converged;
             mean_suffix =
               (if executed = 0 then 1.0
                else !suffix_sum /. float_of_int executed);
@@ -480,9 +540,9 @@ let pp ppf r =
 let pp_replay ppf (s : replay_stats) =
   let executed = s.replayed + s.full_runs in
   Format.fprintf ppf
-    "replay: %d snapshots (%.1f KiB), %d/%d trials replayed, mean suffix \
-     %.1f%%"
+    "replay: %d snapshots (%.1f KiB), %d/%d trials replayed, %d \
+     re-converged early, mean suffix %.1f%%"
     s.snapshots
     (float_of_int s.snapshot_bytes /. 1024.0)
-    s.replayed executed
+    s.replayed executed s.converged
     (100.0 *. s.mean_suffix)

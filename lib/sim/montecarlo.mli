@@ -43,6 +43,10 @@ type replay_stats = {
   snapshot_bytes : int;  (** approximate heap footprint of the set *)
   replayed : int;  (** trials started from a snapshot *)
   full_runs : int;  (** trials that fell back to full execution *)
+  converged : int;
+      (** trials (replayed or full) that stopped early because their
+          state re-converged with the golden run's; at most
+          [replayed + full_runs] *)
   mean_suffix : float;
       (** mean fraction of the golden run actually executed per trial
           ([1.0] = every trial ran full-length) *)
@@ -141,8 +145,15 @@ val golden_decoded :
     domains while staying bit-identical to a sequential campaign. When
     [golden] carries a replay set, the trial starts from the latest
     snapshot preceding its fault's trigger event (bit-identical to the
-    full run). A model whose population is empty in this configuration
-    yields [Benign]; a simulation that raises yields [Exception].
+    full run), and it stops at the first later golden snapshot whose
+    architectural state it matches once the fault has fired
+    ({!State.matches}): the rest of the run is the golden suffix, so
+    the trial is [Recovered] if a vote corrected a copy and [Benign]
+    otherwise — the class the full run would reach. Such a trial skips
+    [Runtime.finish], so the [sim.runs]/[sim.insns] metrics do not
+    count it; [sim.converged] does. A model whose population is empty
+    in this configuration yields [Benign]; a simulation that raises
+    yields [Exception].
 
     @param retry_budget run the trial with region recovery
       ([Compile.run ~retry_budget]) — the rollback-scheme campaign path;

@@ -94,7 +94,7 @@ let target_of = function
   | Fault.Branch_flip { target_branch } -> target_branch
   | Fault.Xcluster_flip { target_read; _ } -> target_read
 
-let find t fault =
+let find_index t fault =
   let target = target_of fault in
   let n = Array.length t.snaps in
   if n = 0 || counter_of fault t.snaps.(0) > target then None
@@ -107,8 +107,20 @@ let find t fault =
       if counter_of fault t.snaps.(mid) <= target then lo := mid
       else hi := mid - 1
     done;
-    Some t.snaps.(!lo)
+    Some !lo
   end
+
+let find t fault = Option.map (Array.get t.snaps) (find_index t fault)
+
+let fired fault (st : State.t) =
+  let counter =
+    match fault with
+    | Fault.Reg_flip _ | Fault.Burst_flip _ -> st.State.defs
+    | Fault.Mem_flip _ -> st.State.mems
+    | Fault.Branch_flip _ -> st.State.branches
+    | Fault.Xcluster_flip _ -> st.State.xreads
+  in
+  counter > target_of fault
 
 let suffix_fraction t (snap : State.snapshot) =
   let g = t.golden.Outcome.dyn_insns in

@@ -49,11 +49,19 @@ val total_bytes : t -> int
 (** Final dynamic-instruction stride between retained snapshots. *)
 val stride : t -> int
 
-(** [find t fault] returns the latest snapshot taken before [fault]'s
-    trigger event — the cheapest valid starting point — or [None] when
-    even the first snapshot is too late (the trial must run
-    full-length). O(log snapshots). *)
+(** [find_index t fault] is the index in {!snapshots} of the latest
+    snapshot taken before [fault]'s trigger event — the cheapest valid
+    starting point — or [None] when even the first snapshot is too
+    late (the trial must run full-length). O(log snapshots). *)
+val find_index : t -> Fault.t -> int option
+
+(** [find t fault] is the snapshot {!find_index} picks. *)
 val find : t -> Fault.t -> State.snapshot option
+
+(** [fired fault st] is true once the counter arming [fault] has moved
+    past its target in [st] — the fault has been injected, and nothing
+    further in the run depends on that counter. *)
+val fired : Fault.t -> State.t -> bool
 
 (** Fraction of the golden run's dynamic instructions executed when
     replaying from [snap] ([1.0] = whole program). *)

@@ -249,6 +249,35 @@ let restore ~cache snap =
   in
   (st, copy_regfile snap.regs)
 
+(* Architectural equality with a snapshot, cheapest test first: the
+   position, the predicates, the GP bytes, the FP values bit for bit
+   (so -0.0 <> 0.0 and NaN payloads count), then memory. The scoreboard
+   (ready times, homes), the clock, the cache and the event counters
+   are not compared: from here on they only feed cycle and population
+   accounting, never a value the program computes. *)
+let matches st regs ~block snap =
+  let r = snap.regs in
+  let same_fp () =
+    let n = Array.length regs.fpv in
+    let i = ref 0 in
+    while
+      !i < n
+      && Int64.equal
+           (Int64.bits_of_float (Array.unsafe_get regs.fpv !i))
+           (Int64.bits_of_float (Array.unsafe_get r.fpv !i))
+    do
+      incr i
+    done;
+    !i = n
+  in
+  st.dyn = snap.s_dyn && block = snap.block
+  && st.base == snap.mem_base
+  && Array.length regs.fpv = Array.length r.fpv
+  && regs.prv = r.prv
+  && Bytes.equal regs.gp r.gp
+  && same_fp ()
+  && Memory.matches st.mem ~base:st.base snap.mem_delta
+
 let regfile_bytes rf =
   let words =
     Array.length rf.fpv + Array.length rf.prv

@@ -133,5 +133,18 @@ val snapshot : t -> regs:regfile -> block:int -> snapshot
 val restore :
   cache:Casted_machine.Config.cache_config -> snapshot -> t * regfile
 
+(** [matches st regs ~block snap] is true when the machine at an
+    entry-function block top ([regs] its entry register file, [block]
+    the block about to run) is architecturally the machine [snap]
+    captured: same dynamic count and block, same predicates, GP bytes
+    and FP bit patterns, and the same memory (every page either side
+    dirtied, via {!Memory.matches}; both must share the pristine
+    image). The scoreboard, clock, cache and event counters are not
+    compared — they feed cycle and population accounting only. From
+    such a point, a run without a pending fault executes exactly the
+    instructions, values and memory writes of the run [snap] came
+    from. *)
+val matches : t -> regfile -> block:int -> snapshot -> bool
+
 (** Approximate heap footprint of a snapshot, in bytes. *)
 val snapshot_bytes : snapshot -> int

@@ -317,6 +317,35 @@ let test_dme_campaign_deterministic () =
   Alcotest.(check bool) "DME sheds CASTED-escaping mem SDCs" true
     (seq.Montecarlo.corrupt < casted.Montecarlo.corrupt)
 
+(* Every scheme under every fault model: the engine's campaign tally is
+   the same at jobs 1 and 4, and equals the full-length reference
+   (replay off: no snapshot restore, no early exit). *)
+let test_matrix_pool_invariant () =
+  let converged = ref 0 in
+  List.iter
+    (fun scheme ->
+      let key =
+        Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme
+          ~issue_width:2 ~delay:2 ()
+      in
+      List.iter
+        (fun model ->
+          let run ?(replay = true) jobs =
+            Engine.with_engine ~jobs (fun e ->
+                Engine.campaign e ~seed:21 ~model ~replay ~trials:96 key)
+          in
+          let cell = Scheme.name scheme ^ "/" ^ Fault.model_name model in
+          let seq = run 1 in
+          same_result (cell ^ " jobs=4 vs jobs=1") (run 4) seq;
+          same_result (cell ^ " replay vs full-length") (run ~replay:false 1)
+            seq;
+          Option.iter
+            (fun s -> converged := !converged + s.Montecarlo.converged)
+            seq.Montecarlo.replay)
+        Fault.all_models)
+    Scheme.all;
+  Alcotest.(check bool) "trials re-converged early" true (!converged > 0)
+
 (* Pool.map_result: raising tasks land as Error in their own slot;
    every other task still completes. *)
 let test_pool_map_result () =
@@ -361,5 +390,7 @@ let suite =
         test_recovery_campaign_deterministic;
       case "DME campaigns are pool-size independent and shed mem SDCs"
         test_dme_campaign_deterministic;
+      Alcotest.test_case "every scheme x model: jobs 1 = jobs 4 = full-length"
+        `Slow test_matrix_pool_invariant;
       case "pool map_result isolates raising tasks" test_pool_map_result;
     ] )

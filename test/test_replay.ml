@@ -2,7 +2,9 @@
    layer is that a trial restored from a snapshot is bit-identical to
    the same trial executed full-length — for every fault model, every
    snapshot stride, and every pool size. These tests pin that, plus the
-   [Replay.find] search contract. *)
+   [Replay.find] search contract and the re-convergence early exit: the
+   architectural-equality predicate it rests on, and per-trial classes
+   identical to the watcher-free run over the whole workload matrix. *)
 
 open Helpers
 module Fault = Casted_sim.Fault
@@ -12,6 +14,9 @@ module Decode = Casted_sim.Decode
 module Replay = Casted_sim.Replay
 module State = Casted_sim.State
 module Pool = Casted_exec.Pool
+module Memory = Casted_sim.Memory
+module Compile = Casted_sim.Compile
+module W = Casted_workloads.Workload
 
 (* Same shape as the campaign tests' kernel: loads, stores and
    conditional branches so every fault model has a non-empty population
@@ -99,37 +104,67 @@ let test_trials_bit_identical () =
   Alcotest.(check bool) "replay path exercised" true (!replayed_total > 100)
 
 (* Campaign invariance: replay on, replay off, sequential and pooled
-   all land on the same tally, for every fault model. *)
+   all land on the same tally, for every fault model. The kernel is
+   shorter than the default first stride, so the replay-on campaigns
+   also run on a dense snapshot set, where trials both restore a
+   snapshot and stop early at a later one. *)
 let test_campaign_replay_invariant () =
   let sched = schedule () in
+  let p = Casted_sim.Compile.of_decoded (Decode.of_schedule sched) in
+  let dense = capture ~init_stride:4 ~target:8 (decoded ()) in
   List.iter
     (fun model ->
       let run ?pool ~replay () =
         Montecarlo.run ?pool ~seed:42 ~model ~trials:128 ~replay sched
       in
+      let run_dense ?pool () =
+        Montecarlo.run_compiled ?pool ~seed:42 ~model ~trials:128
+          ~replay_set:dense p
+      in
       let off = run ~replay:false () in
       let on_seq = run ~replay:true () in
+      let dense_seq = run_dense () in
       let name = Fault.model_name model in
       same_counts (name ^ ": replay on vs off") off on_seq;
+      same_counts (name ^ ": dense replay vs off") off dense_seq;
       Alcotest.(check bool)
         (name ^ ": off reports no replay stats")
         true (off.Montecarlo.replay = None);
-      (match on_seq.Montecarlo.replay with
-      | None -> Alcotest.fail (name ^ ": replay stats missing")
-      | Some s ->
-          Alcotest.(check int)
-            (name ^ ": every trial accounted")
-            128
-            (s.Montecarlo.replayed + s.Montecarlo.full_runs);
-          Alcotest.(check bool)
-            (name ^ ": mean suffix within [0,1]")
-            true
-            (s.Montecarlo.mean_suffix >= 0.0 && s.Montecarlo.mean_suffix <= 1.0));
+      let stats (r : Montecarlo.result) =
+        match r.Montecarlo.replay with
+        | None -> Alcotest.fail (name ^ ": replay stats missing")
+        | Some s ->
+            Alcotest.(check int)
+              (name ^ ": every trial accounted")
+              128
+              (s.Montecarlo.replayed + s.Montecarlo.full_runs);
+            Alcotest.(check bool)
+              (name ^ ": mean suffix within [0,1]")
+              true
+              (s.Montecarlo.mean_suffix >= 0.0
+              && s.Montecarlo.mean_suffix <= 1.0);
+            Alcotest.(check bool)
+              (name ^ ": converged <= replayed + full runs")
+              true
+              (s.Montecarlo.converged
+              <= s.Montecarlo.replayed + s.Montecarlo.full_runs);
+            s
+      in
+      let (_ : Montecarlo.replay_stats) = stats on_seq in
+      let s = stats dense_seq in
+      if model = Fault.Reg_bit then
+        Alcotest.(check bool)
+          (name ^ ": some trials re-converge early")
+          true
+          (s.Montecarlo.converged > 0);
       Pool.with_pool ~jobs:4 (fun pool ->
           same_counts
             (name ^ ": replay pooled vs sequential full")
             off
-            (run ~pool ~replay:true ())))
+            (run ~pool ~replay:true ());
+          same_counts
+            (name ^ ": dense replay pooled vs sequential full")
+            off (run_dense ~pool ())))
     Fault.all_models
 
 (* [Replay.find] returns the latest snapshot whose armed counter is
@@ -138,6 +173,7 @@ let test_campaign_replay_invariant () =
 let test_find_latest_valid () =
   let d = decoded () in
   let r = capture ~init_stride:1 ~target:16 d in
+  let cache = d.Decode.config.Casted_machine.Config.cache in
   let snaps = Replay.snapshots r in
   Alcotest.(check bool) "dense capture" true (Array.length snaps > 2);
   Array.iteri
@@ -149,6 +185,20 @@ let test_find_latest_valid () =
   let max_defs = snaps.(Array.length snaps - 1).State.s_defs in
   for target_slot = 0 to max_defs + 2 do
     let fault = Fault.Reg_flip { target_slot; bit = 0 } in
+    (* [fired] on the machine a snapshot restores: not yet at the
+       chosen start, always by the snapshot after it. *)
+    let fired i =
+      let st, _ = State.restore ~cache snaps.(i) in
+      Replay.fired fault st
+    in
+    (match Replay.find_index r fault with
+    | Some i ->
+        Alcotest.(check bool) "not fired at the start" false (fired i);
+        if i + 1 < Array.length snaps then
+          Alcotest.(check bool) "fired by the next snapshot" true
+            (fired (i + 1))
+    | None ->
+        Alcotest.(check bool) "fired by the first snapshot" true (fired 0));
     match Replay.find r fault with
     | None ->
         Alcotest.(check bool) "none only before first snapshot" true
@@ -164,6 +214,173 @@ let test_find_latest_valid () =
           snaps
   done
 
+(* ---- Re-convergence: State.matches and the early exit ---- *)
+
+(* A restored golden snapshot is architecturally itself. *)
+let test_restored_snapshot_matches () =
+  let r = capture ~init_stride:4 ~target:8 (decoded ()) in
+  let cache = (decoded ()).Decode.config.Casted_machine.Config.cache in
+  Alcotest.(check bool) "snapshots captured" true (Replay.count r > 2);
+  Array.iteri
+    (fun i snap ->
+      let st, regs = State.restore ~cache snap in
+      Alcotest.(check bool)
+        (Printf.sprintf "snapshot %d matches itself" i)
+        true
+        (State.matches st regs ~block:snap.State.block snap))
+    (Replay.snapshots r)
+
+(* Each single architectural difference breaks the match: a GP bit, FP
+   zero signs, NaN payloads, a predicate, a memory byte, the block. The
+   golden side is a snapshot of the restored machine itself, so every
+   mutation below is the only difference. *)
+let test_mismatch_mutants () =
+  let d = decoded () in
+  let r = capture ~init_stride:4 ~target:8 d in
+  let cache = d.Decode.config.Casted_machine.Config.cache in
+  let snaps = Replay.snapshots r in
+  let snap = snaps.(Array.length snaps / 2) in
+  let st, regs = State.restore ~cache snap in
+  let block = snap.State.block in
+  let matches golden = State.matches st regs ~block golden in
+  let golden () = State.snapshot st ~regs ~block in
+  let expect msg want golden =
+    Alcotest.(check bool) msg want (matches golden)
+  in
+  (* GP: one flipped bit. *)
+  let g = golden () in
+  let b0 = Bytes.get regs.State.gp 0 in
+  Bytes.set regs.State.gp 0 (Char.chr (Char.code b0 lxor 0x10));
+  expect "flipped GP bit" false g;
+  Bytes.set regs.State.gp 0 b0;
+  expect "GP restored" true g;
+  (* FP: 0.0 vs -0.0, then two NaNs with different payloads. *)
+  regs.State.fpv.(0) <- 0.0;
+  let g = golden () in
+  regs.State.fpv.(0) <- -0.0;
+  expect "FP -0.0 vs 0.0" false g;
+  let nan1 = Int64.float_of_bits 0x7FF8_0000_0000_0001L in
+  let nan2 = Int64.float_of_bits 0x7FF8_0000_0000_0002L in
+  regs.State.fpv.(0) <- nan1;
+  let g = golden () in
+  expect "same NaN payload" true g;
+  regs.State.fpv.(0) <- nan2;
+  expect "different NaN payload" false g;
+  regs.State.fpv.(0) <- nan1;
+  (* Predicates. *)
+  let g = golden () in
+  regs.State.prv.(0) <- not regs.State.prv.(0);
+  expect "flipped predicate" false g;
+  regs.State.prv.(0) <- not regs.State.prv.(0);
+  expect "predicate restored" true g;
+  (* Memory: a byte in a page no one had dirtied. *)
+  let g = golden () in
+  let addr = Int64.of_int (Memory.size st.State.mem - 8) in
+  let old = Memory.read st.State.mem ~addr ~width:Opcode.W1 ~signed:false in
+  Memory.write st.State.mem ~addr ~width:Opcode.W1 (Int64.logxor old 1L);
+  expect "byte in a page only the trial dirtied" false g;
+  Memory.write st.State.mem ~addr ~width:Opcode.W1 old;
+  expect "byte written back" true g;
+  (* Same dynamic count, another block. *)
+  Alcotest.(check bool) "same dyn, different block" false
+    (State.matches st regs ~block:(block + 1) g);
+  (* A later snapshot sits at another dynamic count. *)
+  Alcotest.(check bool) "later snapshot" false
+    (matches snaps.(Array.length snaps - 1))
+
+(* Memory.matches page by page, on bare arenas: pages only the trial
+   dirtied, only the golden run dirtied, both, and a ragged last page;
+   the comparison leaves the journal as it found it. *)
+let test_memory_matches () =
+  let size = (2 * 4096) + 13 in
+  let base = Memory.pristine ~size [ (0, "pristine") ] in
+  let write m addr v =
+    Memory.write m ~addr:(Int64.of_int addr) ~width:Opcode.W1 (Int64.of_int v)
+  in
+  let read m addr =
+    Int64.to_int
+      (Memory.read m ~addr:(Int64.of_int addr) ~width:Opcode.W1 ~signed:false)
+  in
+  let clean = Memory.delta (Memory.of_image base) in
+  let check msg want m d =
+    Alcotest.(check bool) msg want (Memory.matches m ~base d)
+  in
+  (* Trial-only page. *)
+  let m = Memory.of_image base in
+  check "untouched arena" true m clean;
+  write m 5000 7;
+  check "page only the trial dirtied" false m clean;
+  write m 5000 0;
+  check "page dirtied back to pristine" true m clean;
+  (* Golden-only page: the golden run wrote the ragged last page. *)
+  let g = Memory.of_image base in
+  write g (size - 1) 9;
+  let dg = Memory.delta g in
+  let m = Memory.of_image base in
+  check "page only the golden run dirtied" false m dg;
+  Memory.apply_delta m dg;
+  check "delta applied" true m dg;
+  (* Both sides dirtied the page, one byte differs. *)
+  write m (size - 2) 1;
+  check "page both dirtied, a byte differs" false m dg;
+  write m (size - 2) 0;
+  check "page both dirtied, equal" true m dg;
+  (* A trial-only page after a matching delta page. *)
+  write m 10 1;
+  check "journal-only page after delta pages" false m dg;
+  (* The journal survived: undo restores the pristine image. *)
+  Memory.undo_writes m base;
+  Alcotest.(check int) "undo after matches: last page" 0 (read m (size - 1));
+  Alcotest.(check int) "undo after matches: first page" (Char.code 'p')
+    (read m 0);
+  check "undone arena is pristine" true m clean
+
+(* Every registry workload x NOED/SCED/DCED/CASTED/DME/TMR x every
+   fault model: the campaign trial (restore, run, stop on
+   re-convergence) lands in the class of the same fault run to the end
+   from the same snapshot with no watcher. *)
+let test_early_exit_classes_match () =
+  let trials = 10 in
+  List.iter
+    (fun name ->
+      let w = Option.get (Casted_workloads.Registry.find name) in
+      let program = w.W.build W.Fault in
+      List.iter
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
+          let d = Decode.of_schedule c.Pipeline.schedule in
+          let p = Compile.of_decoded d in
+          let g = Montecarlo.golden_decoded ~replay:true d in
+          let r = Option.get g.Montecarlo.replay in
+          List.iter
+            (fun model ->
+              if Fault.population_size model g.Montecarlo.pop > 0 then
+                for index = 0 to trials - 1 do
+                  let rng = Rng.create ~seed:(Rng.derive ~seed:11 index) in
+                  let fault =
+                    Fault.random model rng ~population:g.Montecarlo.pop
+                  in
+                  let full =
+                    Montecarlo.classify_result ~golden:g.Montecarlo.run
+                      (try
+                         Ok
+                           (Compile.run ~fault ~fuel:g.Montecarlo.fuel
+                              ?snapshot:(Replay.find r fault) p)
+                       with e -> Error e)
+                  in
+                  let early =
+                    Montecarlo.trial ~model ~golden:g ~seed:11 ~index p
+                  in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s/%s %s trial %d" name
+                       (Scheme.name scheme) (Fault.model_name model) index)
+                    (Montecarlo.class_name full)
+                    (Montecarlo.class_name early)
+                done)
+            Fault.all_models)
+        Scheme.[ Noed; Sced; Dced; Casted; Dme; Tmr ])
+    (Casted_workloads.Registry.names ())
+
 let suite =
   ( "replay",
     [
@@ -175,4 +392,12 @@ let suite =
         test_campaign_replay_invariant;
       Alcotest.test_case "find picks latest valid snapshot" `Quick
         test_find_latest_valid;
+      Alcotest.test_case "restored snapshot matches itself" `Quick
+        test_restored_snapshot_matches;
+      Alcotest.test_case "single differences break the match" `Quick
+        test_mismatch_mutants;
+      Alcotest.test_case "memory match: trial, golden, both pages" `Quick
+        test_memory_matches;
+      Alcotest.test_case "early exit: classes = watcher-free run" `Slow
+        test_early_exit_classes_match;
     ] )
