@@ -86,10 +86,8 @@ let delay_arg =
   Arg.(value & opt delay_conv 2 & info [ "delay" ] ~doc:"Inter-cluster delay.")
 
 let size_arg_with default =
-  let parse = function
-    | "perf" -> Ok W.Perf
-    | "fault" -> Ok W.Fault
-    | s -> Error (`Msg ("unknown size " ^ s))
+  let parse s =
+    Option.to_result ~none:(`Msg ("unknown size " ^ s)) (W.size_of_name s)
   in
   let print ppf s = Format.pp_print_string ppf (W.size_name s) in
   let size_conv = Arg.conv (parse, print) in
@@ -879,28 +877,6 @@ let store_dir_pos =
     & pos 0 (some string) None
     & info [] ~docv:"DIR" ~doc:"Result store directory.")
 
-let parse_size = function
-  | "perf" -> Some W.Perf
-  | "fault" -> Some W.Fault
-  | _ -> None
-
-(* Rebuild the engine campaign coordinates from an entry's explicit
-   spec fields. [None] when any name no longer resolves (a store from a
-   different casted version). *)
-let campaign_of_spec (spec : Store.spec) =
-  match
-    ( Registry.find spec.Store.workload,
-      parse_size spec.Store.size,
-      Scheme.of_string spec.Store.scheme,
-      Casted_sim.Fault.model_of_string spec.Store.model )
-  with
-  | Some _, Some size, Some scheme, Some model ->
-      Some
-        ( Casted_engine.Cache.key ~workload:spec.Store.workload ~size ~scheme
-            ~issue_width:spec.Store.issue ~delay:spec.Store.delay (),
-          model )
-  | _ -> None
-
 let pp_counts ppf counts =
   let names = [| "benign"; "detected"; "exception"; "sdc"; "timeout";
                  "recovered" |] in
@@ -983,18 +959,17 @@ let store_audit_cmd =
         with_engine jobs (fun engine ->
             List.iter
               (fun (e : Store.entry) ->
-                match Option.map campaign_of_spec e.Store.spec with
-                | None | Some None ->
+                match Option.bind e.Store.spec Engine.key_of_spec with
+                | None ->
                     incr skipped;
                     Printf.eprintf
                       "casted: skipping %s (no reconstructible spec)\n"
                       (Store.address e.Store.key)
-                | Some (Some (key, model)) ->
+                | Some (key, model) ->
                     incr audited;
                     let k = e.Store.key in
                     let retry_budget =
-                      if k.Store.retry_budget < 0 then None
-                      else Some k.Store.retry_budget
+                      Store.retry_budget_of_field k.Store.retry_budget
                     in
                     let shard = k.Store.shard in
                     let trials =
@@ -1148,13 +1123,8 @@ let work_cmd =
                   incr broken;
                   Printf.eprintf "casted: %s\n" msg
               | Ok (u : Work.unit_spec) -> (
-                  match
-                    ( Registry.find u.Work.workload,
-                      parse_size u.Work.size,
-                      Scheme.of_string u.Work.scheme,
-                      Casted_sim.Fault.model_of_string u.Work.model )
-                  with
-                  | Some _, Some size, Some scheme, Some model -> (
+                  match Engine.key_of_spec (Work.spec u) with
+                  | Some (key, model) -> (
                       match Work.claim s u with
                       | Work.Busy owner ->
                           incr busy;
@@ -1164,15 +1134,9 @@ let work_cmd =
                           Fun.protect
                             ~finally:(fun () -> Work.release s u)
                             (fun () ->
-                              let key =
-                                Casted_engine.Cache.key
-                                  ~workload:u.Work.workload ~size ~scheme
-                                  ~issue_width:u.Work.issue
-                                  ~delay:u.Work.delay ()
-                              in
                               let retry_budget =
-                                if u.Work.retry_budget < 0 then None
-                                else Some u.Work.retry_budget
+                                Store.retry_budget_of_field
+                                  u.Work.retry_budget
                               in
                               let sc =
                                 Engine.campaign_stored engine
@@ -1188,7 +1152,7 @@ let work_cmd =
                                 "work: %s — %d served, %d simulated@."
                                 (Work.address u) sc.Engine.served
                                 sc.Engine.simulated))
-                  | _ ->
+                  | None ->
                       incr broken;
                       Printf.eprintf
                         "casted: unit %s names an unknown \

@@ -73,39 +73,82 @@ let identity k =
   in
   Format.asprintf "%a%s" pp_key k extras
 
-(* The key is a flat record of immediates and small variant records, so
-   polymorphic equality and hashing are exact. *)
-type t = {
-  table : (key, Pipeline.compiled) Hashtbl.t;
-  decoded_table : (key, Casted_sim.Decode.t) Hashtbl.t;
-  replay_table : (key, Casted_sim.Replay.t) Hashtbl.t;
-  compiled_table : (key, Casted_sim.Compile.t) Hashtbl.t;
-  mutex : Mutex.t;
+(* One memo table per artifact of a key. Every lookup follows one
+   discipline: look up under the table's mutex; on a miss, build outside
+   it so distinct keys build in parallel; on a same-key race the first
+   insert wins, so every caller gets the physically equal value and the
+   loser counts as a hit. Each lookup emits the table's hit or miss
+   metric. The key is a flat record of immediates and
+   small variant records, so polymorphic equality and hashing are
+   exact. *)
+type 'v memo = {
+  table : (key, 'v) Hashtbl.t;
+  lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
-  mutable decoded_hits : int;
-  mutable decoded_misses : int;
-  mutable replay_hits : int;
-  mutable replay_misses : int;
-  mutable compiled_hits : int;
-  mutable compiled_misses : int;
+  hit_metric : string;
+  miss_metric : string;
+}
+
+let memo ~hit_metric ~miss_metric =
+  {
+    table = Hashtbl.create 64;
+    lock = Mutex.create ();
+    hits = 0;
+    misses = 0;
+    hit_metric;
+    miss_metric;
+  }
+
+let find m k ~build =
+  let hit v =
+    m.hits <- m.hits + 1;
+    (v, true)
+  in
+  let v, was_hit =
+    match
+      Mutex.protect m.lock (fun () ->
+          Option.map hit (Hashtbl.find_opt m.table k))
+    with
+    | Some found -> found
+    | None ->
+        let v = build k in
+        Mutex.protect m.lock (fun () ->
+            match Hashtbl.find_opt m.table k with
+            | Some prior -> hit prior
+            | None ->
+                m.misses <- m.misses + 1;
+                Hashtbl.add m.table k v;
+                (v, false))
+  in
+  Casted_obs.Metrics.incr (if was_hit then m.hit_metric else m.miss_metric);
+  v
+
+(* The per-key artifact chain: schedule -> decoded -> stage-2 compiled,
+   plus the golden-run snapshot set captured on the compiled program.
+   Each is immutable once built (a compiled run builds its own context),
+   so one value is shared by every campaign, sweep point and pool
+   domain on the engine. *)
+type t = {
+  compiles : Pipeline.compiled memo;
+  decodes : Casted_sim.Decode.t memo;
+  programs : Casted_sim.Compile.t memo;
+  replays : Casted_sim.Replay.t memo;
 }
 
 let create () =
   {
-    table = Hashtbl.create 64;
-    decoded_table = Hashtbl.create 64;
-    replay_table = Hashtbl.create 64;
-    compiled_table = Hashtbl.create 64;
-    mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    decoded_hits = 0;
-    decoded_misses = 0;
-    replay_hits = 0;
-    replay_misses = 0;
-    compiled_hits = 0;
-    compiled_misses = 0;
+    compiles =
+      memo ~hit_metric:"engine.cache.hits" ~miss_metric:"engine.cache.misses";
+    decodes =
+      memo ~hit_metric:"engine.cache.decoded_hits"
+        ~miss_metric:"engine.cache.decoded_misses";
+    programs =
+      memo ~hit_metric:"engine.cache.compiled_hits"
+        ~miss_metric:"engine.cache.compiled_misses";
+    replays =
+      memo ~hit_metric:"engine.cache.replay_hits"
+        ~miss_metric:"engine.cache.replay_misses";
   }
 
 let build k =
@@ -119,141 +162,23 @@ let build k =
     ~optimize:k.optimize ~scheme:k.scheme ~issue_width:k.issue_width
     ~delay:k.delay program
 
-let compile t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.table k with
-  | Some c ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.hits";
-      c
-  | None ->
-      (* Compile outside the lock so distinct keys compile in parallel.
-         On a same-key race the first insert wins, so every caller gets
-         the physically equal compile. *)
-      Mutex.unlock t.mutex;
-      let c = build k in
-      Mutex.lock t.mutex;
-      let c, hit =
-        match Hashtbl.find_opt t.table k with
-        | Some prior ->
-            t.hits <- t.hits + 1;
-            (prior, true)
-        | None ->
-            t.misses <- t.misses + 1;
-            Hashtbl.add t.table k c;
-            (c, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.hits" else "engine.cache.misses");
-      c
+let compile t k = find t.compiles k ~build
 
-(* Decoded programs are memoized separately from compiles: a campaign
-   needs the execution-ready form, a report only the schedule. Same
-   discipline as [compile] — decode outside the lock, first insert
-   wins — so every trial of every campaign on one engine shares the
-   physically equal decoded program. *)
 let decoded t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.decoded_table k with
-  | Some d ->
-      t.decoded_hits <- t.decoded_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.decoded_hits";
-      d
-  | None ->
-      Mutex.unlock t.mutex;
-      let c = compile t k in
-      let d = Casted_sim.Decode.of_schedule c.Pipeline.schedule in
-      Mutex.lock t.mutex;
-      let d, hit =
-        match Hashtbl.find_opt t.decoded_table k with
-        | Some prior ->
-            t.decoded_hits <- t.decoded_hits + 1;
-            (prior, true)
-        | None ->
-            t.decoded_misses <- t.decoded_misses + 1;
-            Hashtbl.add t.decoded_table k d;
-            (d, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.decoded_hits"
-         else "engine.cache.decoded_misses");
-      d
+  find t.decodes k ~build:(fun k ->
+      Casted_sim.Decode.of_schedule (compile t k).Pipeline.schedule)
 
-(* Stage-2 compiled programs complete the per-key artifact chain:
-   schedule -> decoded -> compiled. The compiled form holds no mutable
-   state (a [cctx] is built per run), so one program is shared by every
-   trial of every campaign and pool domain on the engine. Same
-   discipline: compile outside the lock, first insert wins. *)
 let compiled t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.compiled_table k with
-  | Some c ->
-      t.compiled_hits <- t.compiled_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.compiled_hits";
-      c
-  | None ->
-      Mutex.unlock t.mutex;
-      let d = decoded t k in
-      let c = Casted_sim.Compile.of_decoded d in
-      Mutex.lock t.mutex;
-      let c, hit =
-        match Hashtbl.find_opt t.compiled_table k with
-        | Some prior ->
-            t.compiled_hits <- t.compiled_hits + 1;
-            (prior, true)
-        | None ->
-            t.compiled_misses <- t.compiled_misses + 1;
-            Hashtbl.add t.compiled_table k c;
-            (c, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.compiled_hits"
-         else "engine.cache.compiled_misses");
-      c
+  find t.programs k ~build:(fun k ->
+      Casted_sim.Compile.of_decoded (decoded t k))
 
-(* Replay snapshot sets ride alongside the compiled program: captured
-   once per key (one golden run on the memoized stage-2 program, so the
-   capture costs no compile of its own), then shared read-only by every
-   campaign and pool domain revisiting the configuration — a sweep
-   re-running one point never re-captures. Same discipline: capture
-   outside the lock, first insert wins. *)
+(* A capture is one golden run on the memoized stage-2 program, so it
+   costs no compile of its own. *)
 let replay t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.replay_table k with
-  | Some r ->
-      t.replay_hits <- t.replay_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.replay_hits";
-      r
-  | None ->
-      Mutex.unlock t.mutex;
+  find t.replays k ~build:(fun k ->
       let p = compiled t k in
-      let r =
-        Casted_sim.Replay.capture (fun ~on_block ->
-            Casted_sim.Compile.run ~on_block p)
-      in
-      Mutex.lock t.mutex;
-      let r, hit =
-        match Hashtbl.find_opt t.replay_table k with
-        | Some prior ->
-            t.replay_hits <- t.replay_hits + 1;
-            (prior, true)
-        | None ->
-            t.replay_misses <- t.replay_misses + 1;
-            Hashtbl.add t.replay_table k r;
-            (r, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.replay_hits"
-         else "engine.cache.replay_misses");
-      r
+      Casted_sim.Replay.capture (fun ~on_block ->
+          Casted_sim.Compile.run ~on_block p))
 
 type stats = {
   hits : int;
@@ -271,22 +196,24 @@ type stats = {
 }
 
 let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      entries = Hashtbl.length t.table;
-      decoded_hits = t.decoded_hits;
-      decoded_misses = t.decoded_misses;
-      decoded_entries = Hashtbl.length t.decoded_table;
-      replay_hits = t.replay_hits;
-      replay_misses = t.replay_misses;
-      replay_entries = Hashtbl.length t.replay_table;
-      compiled_hits = t.compiled_hits;
-      compiled_misses = t.compiled_misses;
-      compiled_entries = Hashtbl.length t.compiled_table;
-    }
+  let read (m : _ memo) =
+    Mutex.protect m.lock (fun () -> (m.hits, m.misses, Hashtbl.length m.table))
   in
-  Mutex.unlock t.mutex;
-  s
+  let hits, misses, entries = read t.compiles in
+  let decoded_hits, decoded_misses, decoded_entries = read t.decodes in
+  let replay_hits, replay_misses, replay_entries = read t.replays in
+  let compiled_hits, compiled_misses, compiled_entries = read t.programs in
+  {
+    hits;
+    misses;
+    entries;
+    decoded_hits;
+    decoded_misses;
+    decoded_entries;
+    replay_hits;
+    replay_misses;
+    replay_entries;
+    compiled_hits;
+    compiled_misses;
+    compiled_entries;
+  }

@@ -9,10 +9,14 @@
     engine, and repeated lookups return the {e physically equal}
     compile.
 
-    The cache is domain-safe: lookups and inserts are serialised by a
-    mutex, while compiles run outside it so distinct keys compile in
-    parallel. If two domains race to compile the same key, the first
-    insert wins and both receive the same value. *)
+    The same key also memoizes the artifacts derived from the compile
+    ({!decoded}, {!compiled}, {!replay}). All four tables share one
+    memo discipline and are domain-safe: lookups and inserts are
+    serialised by the table's mutex, while builds run outside it so
+    distinct keys build in parallel. If two domains race to build the
+    same key, the first insert wins, both receive the same value, and
+    the loser's lookup counts as a hit — so a table's misses are the
+    builds it kept, and hits plus misses are its lookups. *)
 
 type key = {
   workload : string;  (** registry name, e.g. ["cjpeg"] *)
@@ -65,16 +69,14 @@ val compile : t -> key -> Casted_detect.Pipeline.compiled
     compiling and decoding on first use. Repeated lookups return the
     {e physically equal} decoded program, so every campaign, sweep
     point and pool worker resolving the same configuration on one
-    engine executes the same decoded object. Same locking discipline
-    as {!compile}: decode runs outside the mutex, first insert wins. *)
+    engine executes the same decoded object. *)
 val decoded : t -> key -> Casted_sim.Decode.t
 
 (** [replay t key] returns the memoized golden-run snapshot set
     ({!Casted_sim.Replay.capture} of a run of {!compiled}) for [key],
-    capturing it on first use. The set is immutable; repeated lookups return the
-    physically equal value, so every campaign and pool worker on one
-    engine replays from the same snapshots. Same locking discipline as
-    {!compile}. *)
+    capturing it on first use. The set is immutable; repeated lookups
+    return the physically equal value, so every campaign and pool
+    worker on one engine replays from the same snapshots. *)
 val replay : t -> key -> Casted_sim.Replay.t
 
 (** [compiled t key] returns the memoized stage-2 compiled program
@@ -82,8 +84,7 @@ val replay : t -> key -> Casted_sim.Replay.t
     compiling it on first use. The program is immutable (per-run state
     lives in the run's own context); repeated lookups return the
     physically equal value, so every trial of every campaign and pool
-    worker on one engine threads through the same closures. Same
-    locking discipline as {!compile}. *)
+    worker on one engine threads through the same closures. *)
 val compiled : t -> key -> Casted_sim.Compile.t
 
 type stats = {
@@ -91,13 +92,13 @@ type stats = {
   misses : int;
   entries : int;
   decoded_hits : int;  (** {!decoded} lookups served from the table *)
-  decoded_misses : int;  (** decodes actually performed *)
+  decoded_misses : int;  (** decodes kept in the table *)
   decoded_entries : int;
   replay_hits : int;  (** {!replay} lookups served from the table *)
-  replay_misses : int;  (** snapshot captures actually performed *)
+  replay_misses : int;  (** snapshot captures kept in the table *)
   replay_entries : int;
   compiled_hits : int;  (** {!compiled} lookups served from the table *)
-  compiled_misses : int;  (** stage-2 compiles actually performed *)
+  compiled_misses : int;  (** stage-2 compiles kept in the table *)
   compiled_entries : int;
 }
 

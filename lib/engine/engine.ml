@@ -6,6 +6,7 @@ module Pipeline = Casted_detect.Pipeline
 module Simulator = Casted_sim.Simulator
 module Outcome = Casted_sim.Outcome
 module Montecarlo = Casted_sim.Montecarlo
+module Chunk_grid = Casted_exec.Chunk_grid
 
 type job_counters = {
   compiles : int;
@@ -179,6 +180,20 @@ let spec_of_key (key : Cache.key) model =
       }
   else None
 
+let key_of_spec (spec : Store.spec) =
+  match
+    ( Registry.find spec.Store.workload,
+      Workload.size_of_name spec.Store.size,
+      Scheme.of_string spec.Store.scheme,
+      Casted_sim.Fault.model_of_string spec.Store.model )
+  with
+  | Some _, Some size, Some scheme, Some model ->
+      Some
+        ( Cache.key ~workload:spec.Store.workload ~size ~scheme
+            ~issue_width:spec.Store.issue ~delay:spec.Store.delay (),
+          model )
+  | _ -> None
+
 let result_of_entry ~model (e : Store.entry) =
   let name = Casted_sim.Fault.model_name model in
   if not (String.equal e.Store.model name) then
@@ -228,52 +243,18 @@ let check_golden_agreement ~what (e : Store.entry) (r : Montecarlo.result) =
 let store_fail msg = invalid_arg ("Engine.campaign: result store: " ^ msg)
 let store_get = function Ok v -> v | Error msg -> store_fail msg
 
-(* The absolute 64-trial chunk grid (see Montecarlo): shard [k] of [n]
-   owns the chunks whose index is congruent to [k] mod [n]. A banked
-   partial shard entry holds a whole number of owned chunks, so its
-   resume point is found by walking the grid until the owned-trial
-   count matches the banked tally. *)
-let owned_chunks ~shard:(k, n) ~trials =
-  let chunk = Montecarlo.chunk_trials in
-  let rec go lo acc =
-    if lo >= trials then List.rev acc
-    else
-      let hi = min trials (lo + chunk) in
-      go hi (if lo / chunk mod n = k then (lo, hi) :: acc else acc)
-  in
-  go 0 []
-
-let shard_share ~shard ~trials =
-  List.fold_left
-    (fun acc (lo, hi) -> acc + (hi - lo))
-    0
-    (owned_chunks ~shard ~trials)
-
 (* Trial index at which a partial shard tally of [banked] owned trials
-   resumes: the end of the owned chunk where the running count reaches
-   [banked]. The partial entries written by the campaign's bank hook
-   always land on chunk boundaries; anything else is a corrupt store. *)
+   resumes. The campaign's bank hook always lands on chunk boundaries;
+   anything else is a corrupt store. *)
 let shard_resume_index ~shard ~trials banked =
-  let rec go acc = function
-    | _ when acc = banked -> 0
-    | [] ->
-        invalid_arg
-          (Printf.sprintf
-             "Engine.campaign: partial shard entry banked %d trials, more \
-              than the shard owns — corrupt store"
-             banked)
-    | (lo, hi) :: rest ->
-        let acc = acc + (hi - lo) in
-        if acc = banked then hi
-        else if acc > banked then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.campaign: partial shard entry banked %d trials, not \
-                a whole number of 64-trial chunks — corrupt store"
-               banked)
-        else go acc rest
-  in
-  go 0 (owned_chunks ~shard ~trials)
+  match Chunk_grid.resume_index ~shard ~trials banked with
+  | Some i -> i
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Engine.campaign: partial shard entry banked %d trials, not a \
+            whole prefix of the shard's %d-trial chunks — corrupt store"
+           banked Chunk_grid.size)
 
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?(replay = true)
@@ -309,9 +290,8 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         complete = shard = (0, 1);
       }
   | Some s ->
-      let retry_for_store = Option.value retry_budget ~default:(-1) in
       let skey =
-        Store.key ~retry_budget:retry_for_store ~shard
+        Store.key ?retry_budget ~shard
           ~identity:(campaign_identity key model) ~seed ~fuel_factor ~trials
           ()
       in
@@ -340,9 +320,7 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
       let write_merged () =
         (* All shards banked: publish the summed tally as the cell's
            full entry so every later lookup is a single-read hit. *)
-        match
-          store_get (Store.merge_shards ~chunk:Montecarlo.chunk_trials s skey)
-        with
+        match store_get (Store.merge_shards s skey) with
         | None -> None
         | Some merged ->
             Store.put s merged;
@@ -440,7 +418,7 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
            otherwise fill this shard — banking the partial tally at
            every owned 64-trial chunk so a killed worker's finished
            chunks survive — and merge if that was the last one. *)
-        let share = shard_share ~shard ~trials in
+        let share = Chunk_grid.share ~shard ~trials in
         let full_key = { skey with Store.shard = (0, 1) } in
         (* This shard's tally is in: publish the merged cell if the
            other shards have landed too, else report the shard alone. *)

@@ -175,6 +175,13 @@ val campaign_stored :
     tests alongside {!Cache.identity}. *)
 val campaign_identity : Cache.key -> Casted_sim.Fault.model -> string
 
+(** The engine coordinates of a store entry's explicit spec fields —
+    the inverse of the spec a store-backed campaign banks. [None] when
+    any name no longer resolves (a store written by a different casted
+    version). *)
+val key_of_spec :
+  Casted_store.Store.spec -> (Cache.key * Casted_sim.Fault.model) option
+
 (** [sweep t ~size ()] runs the performance grid of the paper's
     Figs. 6-8: NOED and SCED once per issue width, DCED and CASTED per
     (issue, delay). Points come back in deterministic grid order. Each

@@ -147,9 +147,6 @@ let golden_decoded ?fuel_factor ?replay ?replay_set decoded =
   golden_of ?fuel_factor ?replay ?replay_set (fun () ->
       Compile.of_decoded decoded)
 
-let golden ?fuel_factor sched =
-  golden_decoded ?fuel_factor (Decode.of_schedule sched)
-
 (* How one trial ran. *)
 type trial_report = {
   cls : classification;
@@ -276,12 +273,9 @@ let tally ?(model = Fault.Reg_bit) ~golden:g classes =
   Array.iter (fun c -> counts.(idx c) <- counts.(idx c) + 1) classes;
   result_of_counts ~golden:g ~model ~trials:(Array.length classes) counts
 
-(* Campaigns advance in fixed-size chunks. Early-stop checks and bank
-   calls happen only at chunk boundaries, which are absolute trial
-   indices — so the set of boundaries (and therefore the stopping point
-   and every banked prefix) is identical whatever the pool size and
-   wherever a previous run was killed. *)
-let chunk_trials = 64
+module Chunk_grid = Casted_exec.Chunk_grid
+
+let chunk_trials = Chunk_grid.size
 
 let check_ci_halfwidth = function
   | Some w when not (Float.is_finite w && w > 0.0) ->
@@ -313,24 +307,10 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     invalid_arg
       "Montecarlo.run: a sharded campaign cannot combine with ci_halfwidth \
        (shards merge through the result store)";
-  (* A shard owns the chunks whose index (on the absolute grid anchored
-     at trial 0) is congruent to it modulo the shard count. The grid is
-     identical for every shard, so the union of all shards' trials is
-     exactly [0, trials) with no overlap, and summed tallies are
-     bit-identical to the single-process campaign. *)
-  let owned lo = shard_n = 1 || lo / chunk_trials mod shard_n = shard_k in
-  (* Trials this process owns on the grid strictly below [start] — what
-     a resumed shard's prior counts must sum to (for an unsharded
-     campaign this is just [start]). *)
-  let owned_below start =
-    let rec go lo acc =
-      if lo >= start then acc
-      else
-        let hi = min start (lo + chunk_trials) in
-        go (lo + chunk_trials) (if owned lo then acc + (hi - lo) else acc)
-    in
-    go 0 0
-  in
+  (* Trials this process owns strictly below [start] — what a resumed
+     shard's prior counts must sum to (for an unsharded campaign this is
+     just [start]). *)
+  let owned_below start = Chunk_grid.share ~shard ~trials:start in
   (match prior with
   | None -> ()
   | Some (start, counts) ->
@@ -415,7 +395,7 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let rec go lo =
     if lo < trials && not (stop lo) then begin
       let hi = min trials (lo + chunk_trials) in
-      if owned lo then begin
+      if Chunk_grid.owns ~shard lo then begin
         Array.iter
           (fun t ->
             counts.(idx t.cls) <- counts.(idx t.cls) + 1;

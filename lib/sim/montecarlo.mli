@@ -120,12 +120,8 @@ type golden = {
 (** The {!Fault.population} counted by a finished run. *)
 val population_of_run : Outcome.run -> Fault.population
 
-(** Execute the golden run. Raises [Invalid_argument] if it does not
-    exit cleanly. *)
-val golden : ?fuel_factor:int -> Casted_sched.Schedule.t -> golden
-
-(** {!golden} over an already-decoded program (skips the decode). The
-    golden run executes on the compiled engine.
+(** Execute the golden run of a decoded program on the compiled engine.
+    Raises [Invalid_argument] if it does not exit cleanly.
 
     @param replay capture a snapshot set during the golden run
       ({!Replay.capture}) for prefix replay; the captured golden run is
@@ -189,10 +185,11 @@ val of_counts :
   int array ->
   result
 
-(** Campaigns advance in chunks of this many trials; early-stop checks
-    and [bank] calls happen only at chunk boundaries (absolute trial
-    indices), which is why neither the pool size nor a kill point can
-    change a campaign's result. *)
+(** Campaigns advance in chunks of this many trials
+    ({!Casted_exec.Chunk_grid.size}); early-stop checks and [bank] calls
+    happen only at chunk boundaries (absolute trial indices), which is
+    why neither the pool size nor a kill point can change a campaign's
+    result. *)
 val chunk_trials : int
 
 (** The sequential stop rule of [ci_halfwidth]: true once [r]'s

@@ -1,6 +1,8 @@
 (* On-disk content-addressed campaign-result store. See store.mli for
    the layout and merge semantics. *)
 
+module Chunk_grid = Casted_exec.Chunk_grid
+
 type key = {
   identity : string;
   seed : int;
@@ -28,6 +30,8 @@ let key ?(retry_budget = -1) ?(shard = (0, 1)) ~identity ~seed ~fuel_factor
     trials;
     ci_halfwidth = None;
   }
+
+let retry_budget_of_field b = if b < 0 then None else Some b
 
 let valid_ci_halfwidth w = Float.is_finite w && w > 0.0
 
@@ -408,22 +412,7 @@ let list t =
          names)
   end
 
-(* Expected trial count of shard [s] of [n] over [0, trials): the
-   chunks (64-trial groups, Montecarlo.chunk_trials) whose index mod n
-   is s. Must mirror the montecarlo chunk grid exactly. *)
-let shard_share ~chunk ~trials ~n s =
-  let total = ref 0 in
-  let lo = ref 0 in
-  let i = ref 0 in
-  while !lo < trials do
-    let hi = min trials (!lo + chunk) in
-    if !i mod n = s then total := !total + (hi - !lo);
-    lo := hi;
-    incr i
-  done;
-  !total
-
-let merge_shards ?(chunk = 64) t k =
+let merge_shards t k =
   let _, n = k.shard in
   let rec gather s acc =
     if s >= n then Ok (Some (List.rev acc))
@@ -439,8 +428,8 @@ let merge_shards ?(chunk = 64) t k =
   | Ok (Some shards)
     when List.exists
            (fun e ->
-             let s, _ = e.key.shard in
-             e.trials_done < shard_share ~chunk ~trials:k.trials ~n s)
+             e.trials_done
+             < Chunk_grid.share ~shard:e.key.shard ~trials:k.trials)
            shards ->
       (* A shard below its share is a partial tally banked by a worker
          still running (or killed mid-campaign) — the cell is simply
@@ -454,7 +443,9 @@ let merge_shards ?(chunk = 64) t k =
           (fun acc e ->
             let* () = acc in
             let s, _ = e.key.shard in
-            let expected = shard_share ~chunk ~trials:k.trials ~n s in
+            let expected =
+              Chunk_grid.share ~shard:e.key.shard ~trials:k.trials
+            in
             if e.trials_done <> expected then
               Error
                 (Printf.sprintf

@@ -31,8 +31,8 @@
     {!Casted_sim.Montecarlo.trial}). A full entry carries the tally of
     trials [0, trials_done); a shard entry ([shard = (k, n)], [n > 1])
     carries the tally of the chunks owned by shard [k] out of [n] over
-    a fixed total; summing all [n] shard entries reproduces the
-    single-process tally bit-for-bit.
+    a fixed total ({!Casted_exec.Chunk_grid}); summing all [n] shard
+    entries reproduces the single-process tally bit-for-bit.
 
     {b Integrity.} Every read re-derives the canonical key string from
     the entry's own fields and refuses (loudly, [Error]) an entry whose
@@ -72,6 +72,11 @@ val key :
   trials:int ->
   unit ->
   key
+
+(** The retry budget a recorded [retry_budget] field stands for: [-1],
+    {!key}'s default, is [None] (no recovery loop, the scheme's
+    default). *)
+val retry_budget_of_field : int -> int option
 
 (** [early_stop ~ci_halfwidth k] is [k] as the cell of a campaign that
     stops once the detected-rate Wilson half-width reaches
@@ -150,13 +155,13 @@ val list : t -> ((entry, string) result list, string) result
     (shard [(0, 1)], [trials_done = trials]). Returns [Ok None] while
     shards are missing or still partial (a shard worker banks its
     running tally after every finished chunk, so an entry below its
-    share just means that worker has not finished); [Error] on corrupt
-    entries or on shards that
+    share just means that worker has not finished). Each shard's share
+    is {!Casted_exec.Chunk_grid.share}, the same grid the campaign ran
+    on. [Error] on corrupt entries, on a shard tallying more than its
+    share (banked from a different chunk grid), or on shards that
     disagree about golden cycles / population (which would mean the
-    shards did not run the same cell). [chunk] is the campaign chunk
-    size the shards split on (pass
-    {!Casted_sim.Montecarlo.chunk_trials}; default 64). *)
-val merge_shards : ?chunk:int -> t -> key -> (entry option, string) result
+    shards did not run the same cell). *)
+val merge_shards : t -> key -> (entry option, string) result
 
 (** Remove orphan tmp files older than [age_s] seconds (default 60) —
     debris of SIGKILLed writers. Returns how many were removed. *)

@@ -22,6 +22,16 @@ let address u =
 
 let hash u = Digest.to_hex (Digest.string (address u))
 
+let spec u =
+  {
+    Store.workload = u.workload;
+    size = u.size;
+    scheme = u.scheme;
+    issue = u.issue;
+    delay = u.delay;
+    model = u.model;
+  }
+
 let queue_dir store = Filename.concat (Store.dir store) "queue"
 let locks_dir store = Filename.concat (Store.dir store) "locks"
 let unit_path store u = Filename.concat (queue_dir store) (hash u ^ ".unit")

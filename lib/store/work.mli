@@ -35,6 +35,9 @@ val address : unit_spec -> string
 
 val hash : unit_spec -> string
 
+(** The unit's cell coordinates, in the form a store entry records. *)
+val spec : unit_spec -> Store.spec
+
 (** [enqueue store u] writes the unit file if absent. Returns [true]
     when newly enqueued, [false] when the identical unit was already
     queued. Raises [Invalid_argument] on a malformed spec (empty or

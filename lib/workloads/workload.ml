@@ -8,3 +8,8 @@ type t = {
 }
 
 let size_name = function Perf -> "perf" | Fault -> "fault"
+
+let size_of_name = function
+  | "perf" -> Some Perf
+  | "fault" -> Some Fault
+  | _ -> None

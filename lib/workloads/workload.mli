@@ -16,3 +16,6 @@ type t = {
 }
 
 val size_name : size -> string
+
+(** Inverse of {!size_name}; [None] for any other string. *)
+val size_of_name : string -> size option

@@ -137,7 +137,7 @@ let test_empty_population_is_benign () =
     Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:1 (kernel ())
   in
   let s = c.Pipeline.schedule in
-  let g = Montecarlo.golden s in
+  let g = Montecarlo.golden_decoded (Casted_sim.Decode.of_schedule s) in
   Alcotest.(check int) "no cross-cluster reads on one cluster" 0
     g.Montecarlo.pop.Fault.xcluster_reads;
   (* A single trial forced through an empty pool still classifies
@@ -202,7 +202,7 @@ let test_early_stop_rejects_bad_target () =
 (* The tally of trials [0, n), as a killed campaign would have banked
    it (counts order). *)
 let prefix_counts s ~seed n =
-  let g = Montecarlo.golden s in
+  let g = Montecarlo.golden_decoded (Casted_sim.Decode.of_schedule s) in
   let p = compiled_of s in
   Montecarlo.counts
     (Montecarlo.tally ~golden:g

@@ -128,6 +128,56 @@ let test_engine_shares_cache () =
       Alcotest.(check int) "campaign reused the sweep compile" misses
         (Cache.stats (Engine.cache e)).Cache.misses)
 
+(* The replay table: a capture builds the whole artifact chain once,
+   and every later lookup of any table is a hit on the same value. *)
+let test_cache_replay_counters () =
+  let cache = Cache.create () in
+  let a = Cache.replay cache spec in
+  let b = Cache.replay cache spec in
+  Alcotest.(check bool) "physically equal snapshot sets" true (a == b);
+  ignore (Cache.compiled cache spec);
+  ignore (Cache.decoded cache spec);
+  ignore (Cache.compile cache spec);
+  let s = Cache.stats cache in
+  let table name (hits, misses, entries) =
+    Alcotest.(check (list int))
+      (name ^ ": hits, misses, entries") [ 1; 1; 1 ] [ hits; misses; entries ]
+  in
+  table "replay"
+    (s.Cache.replay_hits, s.Cache.replay_misses, s.Cache.replay_entries);
+  table "compiled"
+    (s.Cache.compiled_hits, s.Cache.compiled_misses, s.Cache.compiled_entries);
+  table "decoded"
+    (s.Cache.decoded_hits, s.Cache.decoded_misses, s.Cache.decoded_entries);
+  table "compile" (s.Cache.hits, s.Cache.misses, s.Cache.entries)
+
+(* Every table under a same-key race on four domains: one physically
+   equal value for every lookup, one build kept, and each losing
+   racer counted as a hit. *)
+let test_cache_same_key_races () =
+  let lookups = 8 in
+  let race name lookup counters =
+    let cache = Cache.create () in
+    let got =
+      Pool.with_pool ~jobs:4 (fun pool ->
+          Pool.map pool (fun () -> lookup cache spec) (Array.make lookups ()))
+    in
+    Alcotest.(check bool)
+      (name ^ ": one physically equal value") true
+      (Array.for_all (fun v -> v == got.(0)) got);
+    let hits, misses = counters (Cache.stats cache) in
+    Alcotest.(check int) (name ^ ": one miss") 1 misses;
+    Alcotest.(check int) (name ^ ": hits + misses = lookups") lookups
+      (hits + misses)
+  in
+  race "compile" Cache.compile (fun s -> (s.Cache.hits, s.Cache.misses));
+  race "decoded" Cache.decoded (fun s ->
+      (s.Cache.decoded_hits, s.Cache.decoded_misses));
+  race "compiled" Cache.compiled (fun s ->
+      (s.Cache.compiled_hits, s.Cache.compiled_misses));
+  race "replay" Cache.replay (fun s ->
+      (s.Cache.replay_hits, s.Cache.replay_misses))
+
 (* (c) Pool shutdown drains cleanly: every mapped task ran exactly once,
    results are in input order, and nothing is lost across batches. *)
 let test_pool_drains () =
@@ -330,6 +380,8 @@ let suite =
       case "decoded program physically shared"
         test_cache_decoded_physically_shared;
       case "engine shares cache across jobs" test_engine_shares_cache;
+      case "replay table counters" test_cache_replay_counters;
+      case "same-key race on every cache table" test_cache_same_key_races;
       case "pool drains on shutdown" test_pool_drains;
       case "pool rejects use after shutdown" test_pool_rejects_use_after_shutdown;
       case "pool propagates exceptions" test_pool_propagates_exceptions;

@@ -10,6 +10,7 @@ module Cache = Casted_engine.Cache
 module Montecarlo = Casted_sim.Montecarlo
 module Fault = Casted_sim.Fault
 module Workload = Casted_workloads.Workload
+module Chunk_grid = Casted_exec.Chunk_grid
 
 let spec =
   Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
@@ -517,6 +518,71 @@ let test_gc_shards_after_merge () =
           let warm = Engine.campaign_stored e ~seed ~store:s ~trials spec in
           Alcotest.(check int) "full entry intact" 0 warm.Engine.simulated))
 
+(* The chunk grid over every shard count 1..6: the shards' chunks
+   partition [0, trials) on chunk-size boundaries, their shares sum to
+   [trials], and every whole-chunk prefix of a shard resumes at the end
+   of its last chunk, while a tally off the prefixes resumes nowhere. *)
+let prop_chunk_grid (n, trials) =
+  let shards = List.init n (fun k -> (k, n)) in
+  let chunks shard = Chunk_grid.chunks ~shard ~trials in
+  let rec tiles expected = function
+    | [] -> expected = trials
+    | (lo, hi) :: rest ->
+        lo = expected && lo mod Chunk_grid.size = 0 && lo < hi
+        && hi - lo <= Chunk_grid.size && tiles hi rest
+  in
+  let resumes shard =
+    let rec go banked = function
+      | [] -> Chunk_grid.resume_index ~shard ~trials (banked + 1) = None
+      | (lo, hi) :: rest ->
+          let banked' = banked + (hi - lo) in
+          Chunk_grid.owns ~shard lo
+          && Chunk_grid.resume_index ~shard ~trials banked' = Some hi
+          && (hi - lo = 1
+             || Chunk_grid.resume_index ~shard ~trials (banked + 1) = None)
+          && go banked' rest
+    in
+    Chunk_grid.resume_index ~shard ~trials 0 = Some 0 && go 0 (chunks shard)
+  in
+  tiles 0 (List.sort compare (List.concat_map chunks shards))
+  && List.fold_left (fun acc shard -> acc + Chunk_grid.share ~shard ~trials) 0
+       shards
+     = trials
+  && List.for_all resumes shards
+
+(* [merge_shards] on hand-banked shard entries: shares merge, a shard
+   short of its share is still outstanding, and a shard over its share
+   was banked on another grid. With 200 trials over 2 shards, shard 0
+   owns chunks 0 and 2 (128 trials) and shard 1 chunks 1 and 3 (72). *)
+let test_merge_rejects_off_grid_shard () =
+  let trials = 200 in
+  let shard k counts = sample_entry ~shard:(k, 2) ~trials ~counts () in
+  let merge s =
+    Store.merge_shards s (shard 0 [| 128; 0; 0; 0; 0; 0 |]).Store.key
+  in
+  with_store (fun s ->
+      Store.put s (shard 0 [| 100; 28; 0; 0; 0; 0 |]);
+      Store.put s (shard 1 [| 60; 12; 0; 0; 0; 0 |]);
+      (match merge s with
+      | Ok (Some e) ->
+          Alcotest.(check (array int)) "merged counts" [| 160; 40; 0; 0; 0; 0 |]
+            e.Store.counts;
+          Alcotest.(check int) "merged trials" trials e.Store.trials_done
+      | Ok None -> Alcotest.fail "complete shards did not merge"
+      | Error msg -> Alcotest.fail msg);
+      Store.put s (shard 1 [| 60; 4; 0; 0; 0; 0 |]);
+      (match merge s with
+      | Ok None -> ()
+      | Ok (Some _) -> Alcotest.fail "merged a shard short of its share"
+      | Error msg -> Alcotest.fail msg);
+      Store.put s (shard 1 [| 60; 20; 0; 0; 0; 0 |]);
+      match merge s with
+      | Error msg ->
+          Alcotest.(check bool)
+            ("names the grid: " ^ msg) true
+            (contains msg "banked from a different chunk grid")
+      | Ok _ -> Alcotest.fail "merged a shard over its share")
+
 let suite =
   ( "store",
     [
@@ -537,4 +603,9 @@ let suite =
       case "work queue enqueue/claim/release" test_work_queue_and_claims;
       case "stale lock of a dead worker is broken" test_work_stale_lock_broken;
       case "gc sweeps merged-away shard entries" test_gc_shards_after_merge;
+      qcheck "chunk grid partitions, shares and resumes"
+        QCheck2.Gen.(pair (int_range 1 6) (int_range 0 1000))
+        prop_chunk_grid;
+      case "merge rejects a shard off its grid share"
+        test_merge_rejects_off_grid_shard;
     ] )
