@@ -1,12 +1,13 @@
 let size = 64
 
 let owns ~shard:(k, n) lo = lo / size mod n = k
+let chunk_end ~trials lo = min trials ((lo / size + 1) * size)
 
 let chunks ~shard ~trials =
   let rec go lo acc =
     if lo >= trials then List.rev acc
     else
-      let hi = min trials (lo + size) in
+      let hi = chunk_end ~trials lo in
       go hi (if owns ~shard lo then (lo, hi) :: acc else acc)
   in
   go 0 []

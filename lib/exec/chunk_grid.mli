@@ -22,6 +22,12 @@ val size : int
     [shard]. *)
 val owns : shard:int * int -> int -> bool
 
+(** [chunk_end ~trials lo] is the end of the chunk holding trial [lo]:
+    the first grid point above [lo], clipped to [trials]. A campaign
+    resumed at an index off the grid steps there first, so every later
+    chunk, early-stop check and bank point is on the grid. *)
+val chunk_end : trials:int -> int -> int
+
 (** The [[lo, hi)] bounds of [shard]'s chunks over [[0, trials)], in
     trial order. *)
 val chunks : shard:int * int -> trials:int -> (int * int) list

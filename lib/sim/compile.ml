@@ -18,7 +18,9 @@
    itself, def-slot injection after the write-back, branch-counter
    increment after the predicate read — and the verify oracle holds
    every production path to the reference over the whole example
-   matrix.
+   matrix. Campaign trials run untimed ([run ~timed:false]): the same
+   values and events without the cache model and the issue scan, whose
+   cycles no trial's class reads.
 
    The only hook is at block boundaries: [on_block] fires at each
    entry-function block top (call depth 1), exactly where the
@@ -50,6 +52,9 @@ type cctx = {
   st : State.t;
   funcs : cfunc array;
   fuel : int;
+  (* false: the untimed mode campaign trials run in — no cache model,
+     no issue scan (see [run]). *)
+  timed : bool;
   delay : int;  (* cross-cluster interconnect delay, from the config *)
   (* The memory arena's live bytes and size, for the in-range fast
      path (State.t's arena is fixed for the run). *)
@@ -253,8 +258,11 @@ let[@inline] touch_mem c (addr : int64) =
 let[@inline] addr_int (addr : int64) =
   if addr < 0L then 0 else Int64.to_int (Int64.logand addr 0x3FFF_FFFFL)
 
+(* The access latency; an untimed run skips the model and reads 0,
+   since nothing it computes waits on a ready time. *)
 let[@inline] cache c (addr : int64) ~write =
-  Hierarchy.access c.st.State.hier ~addr:(addr_int addr) ~write
+  if c.timed then Hierarchy.access c.st.State.hier ~addr:(addr_int addr) ~write
+  else 0
 
 let[@inline] width_bytes (w : Opcode.width) =
   match w with Opcode.W1 -> 1 | Opcode.W2 -> 2 | Opcode.W4 -> 4 | Opcode.W8 -> 8
@@ -432,7 +440,9 @@ let[@inline] exec_st c fr ~role ~cluster w aval aaddr (imm : int64) =
    compute the lockstep issue time over every operand of the whole
    bundle, then execute the flattened body at that time. Tail-recursive,
    allocation-free. The block-top hook fires where the interpreter's
-   does: before the block runs, only with the call stack empty. *)
+   does: before the block runs, only with the call stack empty. An
+   untimed run skips the operand scan and issues each bundle at its
+   scheduled offset or one past the last, whichever is later. *)
 
 (* Issue-time scan over one packed queue: fold cross-cluster-delayed
    operand arrival times into st.tmax. *)
@@ -461,11 +471,17 @@ let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
     if cb.c_oob then invalid_arg oob;
     let t0 = st.State.time + 1 in
     let nb = block_start + cb.c_at in
-    st.State.tmax <- (if nb > t0 then nb else t0);
-    scan_q st fr.State.gp_ready fr.State.gp_home c.delay cb.q_gp;
-    scan_q st fr.State.fp_ready fr.State.fp_home c.delay cb.q_fp;
-    scan_q st fr.State.pr_ready fr.State.pr_home c.delay cb.q_pr;
-    let t = st.State.tmax in
+    let t = if nb > t0 then nb else t0 in
+    let t =
+      if c.timed then begin
+        st.State.tmax <- t;
+        scan_q st fr.State.gp_ready fr.State.gp_home c.delay cb.q_gp;
+        scan_q st fr.State.fp_ready fr.State.fp_home c.delay cb.q_fp;
+        scan_q st fr.State.pr_ready fr.State.pr_home c.delay cb.q_pr;
+        st.State.tmax
+      end
+      else t
+    in
     st.State.time <- t;
     let body = cb.c_body in
     for k = 0 to Array.length body - 1 do
@@ -1034,7 +1050,7 @@ let arms_of_fault = function
   | Some (Fault.Xcluster_flip { target_read; bit }) ->
       (0, 0L, 0, 0, 0, 0, target_read + 1, Fault.burst_mask ~bit ~width:1)
 
-let make_cctx (p : t) ~fault ~fuel ~on_block st =
+let make_cctx (p : t) ~timed ~fault ~fuel ~on_block st =
   let def_arm, def_mask, mem_arm, mem_off, mem_bit, br_arm, x_arm, x_mask =
     arms_of_fault fault
   in
@@ -1043,6 +1059,7 @@ let make_cctx (p : t) ~fault ~fuel ~on_block st =
     st;
     funcs = p.cfuncs;
     fuel;
+    timed;
     delay = p.d.Decode.config.Config.delay;
     arena = Memory.unsafe_bytes mem;
     arena_size = Memory.size mem;
@@ -1076,28 +1093,33 @@ let exec_entry c entry =
 
 (* One run of the entry function on a fresh machine, or resumed from
    [from] — a snapshot taken at an entry-function block top. Returns
-   the machine and the thunk that executes it. *)
-let launch (p : t) ~fault ~fuel ~on_block ~from =
+   the machine and the thunk that executes it. An untimed machine sits
+   on the domain's untimed hierarchy, which it never touches. *)
+let launch (p : t) ~timed ~fault ~fuel ~on_block ~from =
   let d = p.d in
   let cache = d.Decode.config.Config.cache in
   match from with
   | None ->
-      let st = State.fresh ~image:d.Decode.image ~cache ~perfect:false in
-      let c = make_cctx p ~fault ~fuel ~on_block st in
+      let hier =
+        if timed then State.scratch_hierarchy cache ~perfect:false
+        else State.untimed_hierarchy cache
+      in
+      let st = State.fresh ~image:d.Decode.image ~hier in
+      let c = make_cctx p ~timed ~fault ~fuel ~on_block st in
       (st, fun () -> exec_entry c d.Decode.entry)
   | Some snap ->
-      let st, fr = State.restore ~cache snap in
-      let c = make_cctx p ~fault ~fuel ~on_block st in
+      let st, fr = State.restore ~timed ~cache snap in
+      let c = make_cctx p ~timed ~fault ~fuel ~on_block st in
       let blocks = (Array.unsafe_get c.funcs d.Decode.entry).c_blocks in
       let start = snap.State.block in
       if start < 0 || start >= Array.length blocks then invalid_arg oob;
       (st, fun () -> exec_cblocks c fr blocks start)
 
-let finish (p : t) ~with_mem_digest st termination =
+let finish (p : t) ~timed ~with_mem_digest st termination =
   let d = p.d in
   Runtime.finish ~config:d.Decode.config ~output_base:d.Decode.output_base
     ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
-    ~with_mem_digest st termination
+    ~with_mem_digest ~timed st termination
 
 (* Region rollback: when a check fires (or the machine traps), restore
    the latest checkpoint — the last checkpoint-flagged block top of the
@@ -1119,7 +1141,7 @@ let finish (p : t) ~with_mem_digest st termination =
    side effects, so the rebuilt snapshot is exactly the one an eager
    snapshot would have captured; the rebuild is simulator work, not
    machine work, and is not folded into the run. *)
-let recover (p : t) ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
+let recover (p : t) ~timed ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
   let d = p.d in
   let eblocks = d.Decode.funcs.(d.Decode.entry).Decode.blocks in
   let rebuild (fault, from, ordinal) =
@@ -1132,7 +1154,7 @@ let recover (p : t) ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
           raise (Reached (State.snapshot st ~regs:fr ~block:cur))
       end
     in
-    let _, go = launch p ~fault ~fuel ~on_block:(Some on_block) ~from in
+    let _, go = launch p ~timed ~fault ~fuel ~on_block:(Some on_block) ~from in
     match go () with
     | () -> invalid_arg "Compile.run: checkpoint not reached"
     | exception Reached snap ->
@@ -1152,9 +1174,11 @@ let recover (p : t) ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
   let rec attempt ~fault ~retries ~from =
     let hits = ref 0 in
     let on_block _ _ cur = if eblocks.(cur).Decode.checkpoint then incr hits in
-    let st, go = launch p ~fault ~fuel ~on_block:(Some on_block) ~from in
+    let st, go =
+      launch p ~timed ~fault ~fuel ~on_block:(Some on_block) ~from
+    in
     let assemble termination =
-      let r = finish p ~with_mem_digest st termination in
+      let r = finish p ~timed ~with_mem_digest st termination in
       if !wasted_cycles = 0 && !wasted_dyn = 0 then r
       else
         let cycles = r.Outcome.cycles + !wasted_cycles in
@@ -1202,14 +1226,15 @@ let recover (p : t) ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
   attempt ~fault ~retries:0 ~from
 
 let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) ?snapshot
-    ?on_block ?retry_budget (p : t) =
+    ?on_block ?retry_budget ?(timed = true) (p : t) =
   match retry_budget with
   | Some retry_budget ->
       if on_block <> None then
         invalid_arg "Compile.run: on_block cannot combine with retry_budget";
-      recover p ~fault ~fuel ~with_mem_digest ~retry_budget ~from:snapshot
+      recover p ~timed ~fault ~fuel ~with_mem_digest ~retry_budget
+        ~from:snapshot
   | None ->
-      let st, go = launch p ~fault ~fuel ~on_block ~from:snapshot in
+      let st, go = launch p ~timed ~fault ~fuel ~on_block ~from:snapshot in
       let termination =
         Runtime.termination_of (fun () ->
             go ();
@@ -1218,4 +1243,4 @@ let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) ?snapshot
       in
       let module M = Casted_obs.Metrics in
       if snapshot <> None && M.enabled () then M.incr "sim.replays";
-      finish p ~with_mem_digest st termination
+      finish p ~timed ~with_mem_digest st termination

@@ -38,6 +38,7 @@ val run :
   ?snapshot:State.snapshot ->
   ?on_block:(State.t -> State.regfile -> int -> unit) ->
   ?retry_budget:int ->
+  ?timed:bool ->
   t ->
   Outcome.run
 (** Execute a compiled program. Same semantics and same results as
@@ -77,4 +78,19 @@ val run :
       failed attempt up to it (simulator work, not folded in; counted
       by the [sim.checkpoint_rebuild_insns] metric). A fault-free run
       therefore costs what a plain run does and returns the same
-      {!Outcome.run}. Cannot combine with [on_block]. *)
+      {!Outcome.run}. Cannot combine with [on_block].
+    @param timed [false] runs untimed, the mode every Monte-Carlo trial
+      runs in ({!Montecarlo.trial_instrumented}); default [true]. An
+      untimed run drives no cache model (no hierarchy access per memory
+      operation, no hierarchy restore from [snapshot]) and no per-bundle
+      operand-ready scan. It executes the same instructions with the
+      same values, memory, termination, output and event counters
+      ([dyn_insns], [dyn_defs], [dyn_mem], [dyn_branches], [dyn_xreads],
+      [dyn_corrections]; fuel counts [dyn_insns]) as the timed run, and
+      keeps register homes, which cross-cluster reads and
+      {!Fault.Xcluster_flip} injection count on. Its [cycles],
+      [slots_total] and [cache] fields are not measurements: each
+      bundle issues at its scheduled offset without operand stalls, and
+      the cache statistics read zero ({!State.untimed_hierarchy}); the
+      run adds nothing to the cycle, slot, occupancy and cache
+      metrics. *)

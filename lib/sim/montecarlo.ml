@@ -198,7 +198,14 @@ let watch r fault ~from =
    soon as it re-converges with the golden run ([watch]). Rollback
    trials ([retry_budget]) own their restore points (the region
    checkpoints, rebuilt on demand), so golden-prefix replay stays out
-   of their picture. *)
+   of their picture.
+
+   Every trial runs untimed (Compile.run ~timed:false): no cache model,
+   no issue scan. Its class reads termination, exit code, output and
+   [dyn_corrections] ([classify]), or the architectural state and event
+   counters ([watch]) — never a cycle — and no opcode reads the clock,
+   so the class is the timed run's; the campaign's cycle figure is the
+   golden run's, which stays timed. *)
 let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
   if Fault.population_size model g.pop = 0 then
     (* The fault path does not exist in this configuration (e.g. no
@@ -215,7 +222,9 @@ let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
         let on_block = watch r fault ~from:(Option.value from ~default:(-1)) in
         let golden_dyn = g.run.Outcome.dyn_insns in
         let cls, upto, converged =
-          match Compile.run ~fault ~fuel:g.fuel ?snapshot ~on_block p with
+          match
+            Compile.run ~fault ~fuel:g.fuel ?snapshot ~on_block ~timed:false p
+          with
           | run -> (classify ~golden:g.run run, golden_dyn, false)
           | exception Converged { dyn; corrected } ->
               ((if corrected then Recovered else Benign), dyn, true)
@@ -233,7 +242,10 @@ let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
     | _ ->
         let cls =
           classify_result ~golden:g.run
-            (try Ok (Compile.run ~fault ~fuel:g.fuel ?retry_budget p)
+            (try
+               Ok
+                 (Compile.run ~fault ~fuel:g.fuel ?retry_budget ~timed:false
+                    p)
              with e -> Error e)
         in
         { cls; executed = 1.0; replayed = false; converged = false }
@@ -318,9 +330,11 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         invalid_arg
           (Printf.sprintf "Montecarlo.run: prior index %d outside [0, %d]"
              start trials);
-      (* The stop rule is checked at the grid points from [start] on: a
-         prior off the grid would move every later check. *)
-      if ci_halfwidth <> None && start mod chunk_trials <> 0 && start <> trials
+      (* The stop rule is checked at [start], then at every grid point
+         after it: a prior off the grid would add a check off it. *)
+      if
+        ci_halfwidth <> None
+        && Chunk_grid.resume_index ~shard ~trials start = None
       then
         invalid_arg
           (Printf.sprintf
@@ -394,7 +408,7 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   in
   let rec go lo =
     if lo < trials && not (stop lo) then begin
-      let hi = min trials (lo + chunk_trials) in
+      let hi = Chunk_grid.chunk_end ~trials lo in
       if Chunk_grid.owns ~shard lo then begin
         Array.iter
           (fun t ->

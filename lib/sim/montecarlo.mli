@@ -149,7 +149,10 @@ val golden_decoded :
     [Runtime.finish], so the [sim.runs]/[sim.insns] metrics do not
     count it; [sim.converged] does. A model whose population is empty
     in this configuration yields [Benign]; a simulation that raises
-    yields [Exception].
+    yields [Exception]. The trial runs untimed ({!Compile.run}
+    [~timed:false]): its class reads no cycle, so it is the timed run's
+    class, and a run it finishes adds nothing to the [sim.cycles],
+    [sim.slots_offered], [sim.occupancy] and [cache.*] metrics.
 
     @param retry_budget run the trial with region recovery
       ([Compile.run ~retry_budget]) — the rollback-scheme campaign path;
@@ -236,7 +239,9 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       crash-resume path: a cell with [done] trials banked simulates
       only [done, trials), bit-identical to the uninterrupted run. With
       a shard, [counts] must cover exactly the shard's own chunks below
-      [done] (the banked partial entry of a killed worker). With
+      [done] (the banked partial entry of a killed worker). A [done]
+      off the grid (a cell banked by a shorter request) first runs to
+      the next grid point, so every later chunk stays on the grid. With
       [ci_halfwidth], [done] must be a multiple of {!chunk_trials} (or
       [trials]) so the stop rule is checked at the same points. *)
 val run :
@@ -264,7 +269,8 @@ val run :
       (the engine passes its memoized one) instead of capturing afresh.
       Supplying it enables replay regardless of the [replay] flag.
     @param bank called after every finished owned chunk except the last
-      with the next trial index and the partial tally so far — the
+      with the next trial index (a grid point) and the partial tally
+      so far — the
       result store's partial-banking hook: a SIGKILLed campaign's
       completed chunks survive and are served on restart. The final
       tally is returned normally, not banked. *)

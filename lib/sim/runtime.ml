@@ -31,38 +31,41 @@ let addr_int addr =
 
 (* Surface one finished run into the metrics registry. Runs entirely on
    the calling domain's shard, after the simulation is done, so it can
-   never perturb the simulation itself. *)
-let record_metrics (r : Outcome.run) =
+   never perturb the simulation itself. An untimed run's cycles, slots
+   and cache counts are not measurements, so it adds none. *)
+let record_metrics ~timed (r : Outcome.run) =
   let module M = Casted_obs.Metrics in
   if M.enabled () then begin
     M.incr "sim.runs";
-    M.incr ~by:r.Outcome.cycles "sim.cycles";
     M.incr ~by:r.Outcome.dyn_insns "sim.insns";
     M.incr ~by:r.Outcome.dyn_mem "sim.mem_accesses";
     M.incr ~by:r.Outcome.dyn_branches "sim.branches";
     M.incr ~by:r.Outcome.dyn_xreads "sim.xcluster_reads";
     M.incr ~by:r.Outcome.dyn_checks "sim.checks_executed";
-    M.incr ~by:r.Outcome.slots_total "sim.slots_offered";
     M.incr ~by:(Outcome.trapped r) "sim.traps";
     (match r.Outcome.termination with
     | Outcome.Detected _ -> M.incr "sim.detections"
     | _ -> ());
-    M.observe "sim.occupancy" (Outcome.occupancy r);
-    let c = r.Outcome.cache in
-    M.incr ~by:c.Casted_cache.Hierarchy.l1_hits "cache.l1.hits";
-    M.incr ~by:c.Casted_cache.Hierarchy.l1_misses "cache.l1.misses";
-    M.incr ~by:c.Casted_cache.Hierarchy.l2_hits "cache.l2.hits";
-    M.incr ~by:c.Casted_cache.Hierarchy.l2_misses "cache.l2.misses";
-    M.incr ~by:c.Casted_cache.Hierarchy.l3_hits "cache.l3.hits";
-    M.incr ~by:c.Casted_cache.Hierarchy.l3_misses "cache.l3.misses";
-    M.incr ~by:c.Casted_cache.Hierarchy.writebacks "cache.writebacks"
+    if timed then begin
+      M.incr ~by:r.Outcome.cycles "sim.cycles";
+      M.incr ~by:r.Outcome.slots_total "sim.slots_offered";
+      M.observe "sim.occupancy" (Outcome.occupancy r);
+      let c = r.Outcome.cache in
+      M.incr ~by:c.Casted_cache.Hierarchy.l1_hits "cache.l1.hits";
+      M.incr ~by:c.Casted_cache.Hierarchy.l1_misses "cache.l1.misses";
+      M.incr ~by:c.Casted_cache.Hierarchy.l2_hits "cache.l2.hits";
+      M.incr ~by:c.Casted_cache.Hierarchy.l2_misses "cache.l2.misses";
+      M.incr ~by:c.Casted_cache.Hierarchy.l3_hits "cache.l3.hits";
+      M.incr ~by:c.Casted_cache.Hierarchy.l3_misses "cache.l3.misses";
+      M.incr ~by:c.Casted_cache.Hierarchy.writebacks "cache.writebacks"
+    end
   end
 
 (* Assemble the Outcome.run from a finished (or trapped) machine. Shared
    by the full, replayed and compiled paths so they can only differ
    through State itself. *)
 let finish ~config ~output_base ~output_len ~digest_len ~with_mem_digest
-    (st : State.t) termination =
+    ~timed (st : State.t) termination =
   let output = Memory.extract st.State.mem ~base:output_base ~len:output_len in
   let cycles = st.State.time + 1 in
   let r =
@@ -95,7 +98,7 @@ let finish ~config ~output_base ~output_len ~digest_len ~with_mem_digest
          else "");
     }
   in
-  record_metrics r;
+  record_metrics ~timed r;
   r
 
 let termination_of f =

@@ -478,7 +478,8 @@ let reference ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
   let st, go =
     match snapshot with
     | None ->
-        (State.fresh ~image:d.Decode.image ~cache ~perfect:perfect_cache,
+        ( State.fresh ~image:d.Decode.image
+            ~hier:(State.scratch_hierarchy cache ~perfect:perfect_cache),
          fun ctx -> exec_func ctx entry ~nargs:0)
     | Some snap ->
         let st, fr = State.restore ~cache snap in
@@ -496,7 +497,7 @@ let reference ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
   in
   Runtime.finish ~config:ctx.config ~output_base:d.Decode.output_base
     ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
-    ~with_mem_digest st termination
+    ~with_mem_digest ~timed:true st termination
 
 (* Production runs: the closure-threaded engine (Compile). *)
 let run_compiled ?fault ?fuel ?with_mem_digest p =

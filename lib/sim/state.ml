@@ -158,11 +158,30 @@ let scratch_hierarchy cc ~perfect =
       r := Some (cc, perfect, h);
       h
 
-let fresh ~image ~cache ~perfect =
+(* An untimed run (Compile.run ~timed:false) never touches its
+   hierarchy: no access, no reset, no restore. It still needs one for
+   State.t and for the all-zero statistics its outcome reports, so each
+   domain keeps a second slot, built once from the first geometry the
+   domain sees — an untouched hierarchy reads zero whatever its
+   geometry. A slot of its own, not the timed one above: interleaving
+   timed golden runs with untimed trials then rebuilds neither. *)
+let untimed_hier : Hierarchy.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let untimed_hierarchy cc =
+  let r = Domain.DLS.get untimed_hier in
+  match !r with
+  | Some h -> h
+  | None ->
+      let h = Hierarchy.create cc in
+      r := Some h;
+      h
+
+let fresh ~image ~hier =
   {
     mem = scratch_memory image;
     base = image;
-    hier = scratch_hierarchy cache ~perfect;
+    hier;
     time = -1;
     dyn = 0;
     defs = 0;
@@ -219,11 +238,18 @@ let snapshot st ~regs ~block =
     cache = Hierarchy.snapshot st.hier;
   }
 
-let restore ~cache snap =
+let restore ?(timed = true) ~cache snap =
   let hier =
-    scratch_hierarchy cache ~perfect:(Hierarchy.snapshot_perfect snap.cache)
+    if timed then begin
+      let h =
+        scratch_hierarchy cache
+          ~perfect:(Hierarchy.snapshot_perfect snap.cache)
+      in
+      Hierarchy.restore h snap.cache;
+      h
+    end
+    else untimed_hierarchy cache
   in
-  Hierarchy.restore hier snap.cache;
   let mem = scratch_memory snap.mem_base in
   Memory.apply_delta mem snap.mem_delta;
   let st =

@@ -85,17 +85,25 @@ type t = {
 val scratch_memory : Bytes.t -> Memory.t
 
 (** Per-domain scratch cache hierarchy for (geometry, perfect), reset
-    field-by-field per run. *)
+    field-by-field per run. The hierarchy of every timed run. *)
 val scratch_hierarchy :
   Casted_machine.Config.cache_config -> perfect:bool -> Casted_cache.Hierarchy.t
 
+(** The calling domain's untimed hierarchy: the one an untimed run
+    ({!Compile.run} [~timed:false]) sits on. Built once per domain
+    (from the first geometry passed) in a slot apart from
+    {!scratch_hierarchy}'s, and never accessed, reset or restored, so
+    it costs an untimed run nothing and every statistic it reports is
+    zero. In an untimed run, [time] and the hierarchy are therefore not
+    measurements: the clock advances without operand stalls and the
+    cache statistics read zero. *)
+val untimed_hierarchy :
+  Casted_machine.Config.cache_config -> Casted_cache.Hierarchy.t
+
 (** Machine state at the start of a run (clock at -1, counters zero),
-    backed by the calling domain's scratch arena and hierarchy. *)
-val fresh :
-  image:Bytes.t ->
-  cache:Casted_machine.Config.cache_config ->
-  perfect:bool ->
-  t
+    backed by the calling domain's scratch arena and by [hier] (one of
+    the two per-domain hierarchies above). *)
+val fresh : image:Bytes.t -> hier:Casted_cache.Hierarchy.t -> t
 
 (** A deep, immutable copy of the machine at an entry-function
     block-loop top: counters, clock, entry register file, memory state
@@ -129,8 +137,15 @@ val snapshot : t -> regs:regfile -> block:int -> snapshot
     sparse hierarchy restore) and returns it with a private copy of the
     snapshot's register file. The returned state has [depth = 1] and no
     pending transfer — ready for the entry function's block loop at
-    [snap.block]. *)
+    [snap.block].
+
+    With [~timed:false] (default [true]) the machine sits on
+    {!untimed_hierarchy} and the snapshot's cache state is not
+    restored; the clock, counters, registers (ready times and homes
+    included) and memory are restored as in a timed restore. For
+    untimed runs only. *)
 val restore :
+  ?timed:bool ->
   cache:Casted_machine.Config.cache_config -> snapshot -> t * regfile
 
 (** [matches st regs ~block snap] is true when the machine at an

@@ -230,6 +230,22 @@ let test_resume_bit_identical () =
         [ 1; 4 ])
     [ 64; 128 ]
 
+(* A cell banked off the grid (100 trials, from a shorter request) and
+   extended to 300 runs to the next grid point first: it banks at 128,
+   192 and 256, as a cold run does, and ends on the cold run's tally. *)
+let test_off_grid_resume_steps_to_grid () =
+  let s = schedule () in
+  let seed = 5 and trials = 300 in
+  let banked = ref [] in
+  let bank ~next _ = banked := next :: !banked in
+  let resumed =
+    Montecarlo.run_compiled ~seed ~prior:(100, prefix_counts s ~seed 100)
+      ~bank ~trials (compiled_of s)
+  in
+  Alcotest.(check (list int)) "bank points" [ 128; 192; 256 ]
+    (List.rev !banked);
+  same_result "resumed off the grid" resumed (Montecarlo.run ~seed ~trials s)
+
 (* A prior that cannot be the banked prefix of this campaign is a loud
    error, not a silently wrong tally. *)
 let test_resume_rejects_malformed_prior () =
@@ -393,4 +409,6 @@ let suite =
       Alcotest.test_case "every scheme x model: jobs 1 = jobs 4 = full-length"
         `Slow test_matrix_pool_invariant;
       case "pool map_result isolates raising tasks" test_pool_map_result;
+      case "off-grid resume steps to the grid"
+        test_off_grid_resume_steps_to_grid;
     ] )

@@ -266,6 +266,74 @@ let test_allocation_budget () =
         Scheme.[ Noed; Casted; Dme; Tmr ])
     Casted_workloads.Registry.all
 
+(* Campaign trials run untimed, and an untimed run leaves the domain's
+   timed scratch hierarchy exactly as the last timed run left it: after
+   replayed and full-length faulty trials and a fault-free untimed run,
+   the next timed run gets the same physical hierarchy back, in the same
+   state. The untimed run reports zero cache statistics, counts the
+   timed run's events, and stays inside the allocation budget above. *)
+let test_untimed_leaves_timed_hierarchy () =
+  let module H = Casted_cache.Hierarchy in
+  let budget = 0.5 in
+  List.iter
+    (fun (w : W.t) ->
+      let program = w.W.build W.Fault in
+      List.iter
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
+          let d = Decode.of_schedule c.Pipeline.schedule in
+          let p = Compile.of_decoded d in
+          let g = Montecarlo.golden_decoded ~replay:true d in
+          let id = Printf.sprintf "%s/%s" w.W.name (Scheme.name scheme) in
+          let hier = ref None in
+          let on_block st _ _ = hier := Some st.State.hier in
+          let timed = Compile.run ~on_block p in
+          let h = Option.get !hier in
+          let before = H.snapshot h in
+          for index = 0 to 7 do
+            let (_ : Montecarlo.classification) =
+              Montecarlo.trial ~golden:g ~seed:3 ~index p
+            in
+            ()
+          done;
+          let (_ : Montecarlo.classification) =
+            Montecarlo.trial ~golden:{ g with Montecarlo.replay = None }
+              ~seed:3 ~index:0 p
+          in
+          let (_ : Outcome.run) = Compile.run ~timed:false p in
+          let words = Gc.minor_words () in
+          let r = Compile.run ~timed:false p in
+          let per_insn =
+            (Gc.minor_words () -. words) /. float_of_int r.Outcome.dyn_insns
+          in
+          if not (per_insn < budget) then
+            Alcotest.failf "%s: untimed, %.3f minor words per instruction" id
+              per_insn;
+          Alcotest.(check bool)
+            (id ^ ": timed hierarchy state untouched")
+            true
+            (H.snapshot h = before);
+          let zero = H.stats (H.create d.Decode.config.Config.cache) in
+          Alcotest.(check bool) (id ^ ": untimed cache stats read zero") true
+            (r.Outcome.cache = zero);
+          Alcotest.(check (list int))
+            (id ^ ": untimed run counts the timed run's events")
+            [ timed.Outcome.dyn_insns; timed.Outcome.dyn_defs;
+              timed.Outcome.dyn_mem; timed.Outcome.dyn_branches;
+              timed.Outcome.dyn_xreads; timed.Outcome.exit_code ]
+            [ r.Outcome.dyn_insns; r.Outcome.dyn_defs; r.Outcome.dyn_mem;
+              r.Outcome.dyn_branches; r.Outcome.dyn_xreads;
+              r.Outcome.exit_code ];
+          Alcotest.(check string) (id ^ ": untimed output")
+            timed.Outcome.output r.Outcome.output;
+          let (_ : Outcome.run) = Compile.run ~on_block p in
+          Alcotest.(check bool)
+            (id ^ ": timed runs keep their hierarchy")
+            true
+            (Option.get !hier == h))
+        Scheme.[ Noed; Casted; Dme; Tmr ])
+    Casted_workloads.Registry.all
+
 let trap_parity_on_arena size =
   let data = [ (size - 8, "\x81\x82\x83\x84\x85\x86\x87\x88") ] in
   (* Loaded values go to the output region, so they are live. *)
@@ -389,6 +457,8 @@ let suite =
         test_capture_matches_reference;
       case "fault-free runs allocate < 0.5 words per instruction"
         test_allocation_budget;
+      case "untimed runs leave the timed hierarchy untouched"
+        test_untimed_leaves_timed_hierarchy;
       case "arena-edge accesses trap alike on both engines"
         test_trap_parity_at_arena_edges;
     ] )

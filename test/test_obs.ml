@@ -196,8 +196,8 @@ let test_metrics_campaign_determinism () =
     List.filter
       (fun (name, v) ->
         (match v with Metrics.Counter _ -> true | _ -> false)
-        && (String.length name >= 3 && String.sub name 0 3 = "sim."
-           || String.length name >= 3 && String.sub name 0 3 = "mc."))
+        && (String.starts_with ~prefix:"sim." name
+           || String.starts_with ~prefix:"mc." name))
       snap
   in
   let baseline = campaign () in
@@ -216,6 +216,10 @@ let test_metrics_campaign_determinism () =
   Alcotest.(check bool) "metrics do not perturb the tally" true (baseline = r1);
   Alcotest.(check bool) "jobs=4 tally identical" true (baseline = r4);
   Alcotest.(check bool) "some sim metrics recorded" true (snap1 <> []);
+  (* Trials run untimed: only the golden run counts cycles. *)
+  Alcotest.(check bool) "sim.cycles = the golden run's cycles" true
+    (List.assoc_opt "sim.cycles" snap1
+    = Some (Metrics.Counter baseline.Montecarlo.golden_cycles));
   Alcotest.(check bool) "merged metrics identical at jobs=1 and jobs=4" true
     (snap1 = snap4)
 

@@ -381,6 +381,54 @@ let test_early_exit_classes_match () =
         Scheme.[ Noed; Sced; Dced; Casted; Dme; Tmr ])
     (Casted_workloads.Registry.names ())
 
+(* Rollback trials run untimed as well, region checkpoints rebuilt and
+   restored untimed included: over every workload and fault model, the
+   class of [Montecarlo.trial ~retry_budget] is the class of the same
+   fault under the timed [Compile.run ~retry_budget]. *)
+let test_rollback_untimed_classes_match () =
+  let trials = 6 and retry_budget = 3 in
+  let recovered = ref 0 in
+  List.iter
+    (fun name ->
+      let w = Option.get (Casted_workloads.Registry.find name) in
+      let c =
+        Pipeline.compile ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2
+          (w.W.build W.Fault)
+      in
+      let d = Decode.of_schedule c.Pipeline.schedule in
+      let p = Compile.of_decoded d in
+      let g = Montecarlo.golden_decoded d in
+      List.iter
+        (fun model ->
+          if Fault.population_size model g.Montecarlo.pop > 0 then
+            for index = 0 to trials - 1 do
+              let rng = Rng.create ~seed:(Rng.derive ~seed:11 index) in
+              let fault = Fault.random model rng ~population:g.Montecarlo.pop in
+              let timed =
+                Montecarlo.classify_result ~golden:g.Montecarlo.run
+                  (try
+                     Ok
+                       (Compile.run ~fault ~fuel:g.Montecarlo.fuel
+                          ~retry_budget p)
+                   with e -> Error e)
+              in
+              let untimed =
+                Montecarlo.trial ~retry_budget ~model ~golden:g ~seed:11 ~index
+                  p
+              in
+              if untimed = Montecarlo.Recovered then incr recovered;
+              Alcotest.(check string)
+                (Printf.sprintf "%s/ROLLBACK %s trial %d" name
+                   (Fault.model_name model) index)
+                (Montecarlo.class_name timed)
+                (Montecarlo.class_name untimed)
+            done)
+        Fault.all_models)
+    (Casted_workloads.Registry.names ());
+  (* Some trials rolled back, so the untimed rebuild-and-restore path
+     ran. *)
+  Alcotest.(check bool) "some trials recovered" true (!recovered > 0)
+
 let suite =
   ( "replay",
     [
@@ -400,4 +448,6 @@ let suite =
         test_memory_matches;
       Alcotest.test_case "early exit: classes = watcher-free run" `Slow
         test_early_exit_classes_match;
+      Alcotest.test_case "rollback: untimed trial class = timed run" `Slow
+        test_rollback_untimed_classes_match;
     ] )
