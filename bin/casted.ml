@@ -427,15 +427,6 @@ let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"Print the paper's static tables (I-III)")
     Term.(const run $ issue_arg $ delay_arg)
 
-let no_replay_arg =
-  let doc =
-    "Disable golden-prefix replay and run every trial full-length. Replay \
-     (the default) starts each trial from the golden-run snapshot nearest \
-     its injection point; results are bit-identical either way, replay is \
-     just faster."
-  in
-  Arg.(value & flag & info [ "no-replay" ] ~doc)
-
 let retry_budget_arg =
   let doc =
     "Rollback retry budget: how many region re-executions a trial may \
@@ -459,8 +450,8 @@ let min_recovered_arg =
     & info [ "min-recovered" ] ~docv:"PCT" ~doc)
 
 let campaign_cmd =
-  let run bench scheme issue delay trials model ci_halfwidth no_replay
-      retry_budget min_recovered store_dir shard jobs trace metrics =
+  let run bench scheme issue delay trials model ci_halfwidth retry_budget
+      min_recovered store_dir shard jobs trace metrics =
     if shard <> None && store_dir = None then begin
       Printf.eprintf "casted: --shard requires --store DIR\n";
       exit 2
@@ -485,8 +476,8 @@ let campaign_cmd =
         in
         let store = Option.map open_store store_dir in
         let sc =
-          Engine.campaign_stored engine ~model ?ci_halfwidth
-            ~replay:(not no_replay) ?retry_budget ?store ?shard ~trials spec
+          Engine.campaign_stored engine ~model ?ci_halfwidth ?retry_budget
+            ?store ?shard ~trials spec
         in
         let result = sc.Engine.result in
         Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
@@ -557,7 +548,7 @@ let campaign_cmd =
           recovered-fraction / MWTF reporting)")
     Term.(
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
-      $ model_arg $ ci_halfwidth_arg $ no_replay_arg $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
+      $ model_arg $ ci_halfwidth_arg $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
       $ jobs_arg $ trace_arg $ metrics_arg)
 
 let recover_cmd =
@@ -638,7 +629,10 @@ let profile_cmd =
     0
   in
   let top =
-    Arg.(value & opt int 12 & info [ "top" ] ~doc:"How many blocks to show.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 12
+      & info [ "top" ] ~doc:"How many blocks to show.")
   in
   let json =
     Arg.(
@@ -721,45 +715,6 @@ let asm_cmd =
        ~doc:"Parse a .casted assembly file, then harden and simulate it")
     Term.(const run $ file $ scheme_arg $ issue_arg $ delay_arg $ emit)
 
-let trace_cmd =
-  let run bench scheme issue delay size trials trace metrics =
-    let path = Option.value trace ~default:"trace.json" in
-    with_obs ~trace:(Some path) ~metrics (fun () ->
-        let w = find_workload bench in
-        let program = w.W.build size in
-        let compiled =
-          Pipeline.compile ~scheme ~issue_width:issue ~delay program
-        in
-        let r = Simulator.run compiled.Pipeline.schedule in
-        Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
-          Casted_machine.Config.pp compiled.Pipeline.config;
-        Format.printf "golden: %a@." Outcome.pp r;
-        if trials > 0 then begin
-          let mc = Montecarlo.run ~trials compiled.Pipeline.schedule in
-          Format.printf "faults: %a@." Montecarlo.pp mc
-        end;
-        0)
-  in
-  let trials =
-    Arg.(
-      value
-      & opt (int_at_least 0) 0
-      & info [ "trials" ]
-          ~doc:
-            "Also run a Monte-Carlo campaign of $(docv) trials so the trace \
-             shows the chunked campaign timeline (0: compile + simulate \
-             only).")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Compile and simulate one benchmark with span tracing on, writing \
-          Chrome trace_event JSON (default trace.json) for chrome://tracing \
-          or Perfetto")
-    Term.(
-      const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ size_arg
-      $ trials $ trace_arg $ metrics_arg)
-
 let verify_cmd =
   let run benches size jobs json =
     List.iter (fun b -> ignore (find_workload b)) benches;
@@ -835,7 +790,8 @@ let fuzz_cmd =
   in
   let programs =
     Arg.(
-      value & opt int 200
+      value
+      & opt (int_at_least 1) 200
       & info [ "programs" ] ~docv:"N" ~doc:"How many programs to generate.")
   in
   let seed =
@@ -849,7 +805,7 @@ let fuzz_cmd =
   let program =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0)) None
       & info [ "program" ] ~docv:"K"
           ~doc:"Replay a single program index instead of a campaign.")
   in
@@ -948,7 +904,7 @@ let store_audit_cmd =
         (* Deterministic sample: the listing is sorted by address, take
            an even stride through it. *)
         let picked =
-          if sample <= 0 || sample >= List.length entries then entries
+          if sample = 0 || sample >= List.length entries then entries
           else begin
             let arr = Array.of_list entries in
             let n = Array.length arr in
@@ -1009,7 +965,8 @@ let store_audit_cmd =
   in
   let sample =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "sample" ] ~docv:"N"
           ~doc:
             "Audit only $(docv) entries (an even, deterministic stride \
@@ -1205,7 +1162,8 @@ let work_cmd =
   in
   let fuel =
     Arg.(
-      value & opt int 10
+      value
+      & opt (int_at_least 1) 10
       & info [ "fuel" ] ~docv:"F" ~doc:"Fuel factor for enqueued units.")
   in
   let enqueue =
@@ -1289,7 +1247,7 @@ let main =
       list_cmd; compile_cmd; run_cmd; sweep_cmd; scaling_cmd; faults_cmd;
       campaign_cmd; dme_cmd; tables_cmd; recover_cmd; placement_cmd;
       profile_cmd;
-      pressure_cmd; asm_cmd; trace_cmd; verify_cmd; fuzz_cmd; store_cmd;
+      pressure_cmd; asm_cmd; verify_cmd; fuzz_cmd; store_cmd;
       work_cmd; repro_cmd; version_cmd;
     ]
 

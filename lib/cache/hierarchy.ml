@@ -65,7 +65,6 @@ let stats t =
   }
 
 let reset t = Array.iter Level.clear t.levels
-let is_perfect t = t.perfect
 
 type snapshot = { levels : Level.snapshot array; snap_perfect : bool }
 

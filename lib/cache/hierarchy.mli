@@ -30,9 +30,6 @@ val perfect : Casted_machine.Config.cache_config -> t
 val stats : t -> stats
 val reset : t -> unit
 
-(** Whether this hierarchy was built with {!perfect}. *)
-val is_perfect : t -> bool
-
 (** Immutable copy of the whole hierarchy's state (all levels' tags,
     dirty bits, LRU stamps, statistics) plus the perfect-cache flag.
     Never mutated after capture, so safe to share across domains. *)

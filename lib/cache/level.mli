@@ -23,7 +23,6 @@ val probe : t -> addr:int -> bool
 val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
-val reset_stats : t -> unit
 
 (** Back to the pristine all-invalid state. O(sets touched since the
     last clear), not O(capacity): mutations are journalled. *)

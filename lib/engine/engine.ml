@@ -8,29 +8,6 @@ module Outcome = Casted_sim.Outcome
 module Montecarlo = Casted_sim.Montecarlo
 module Chunk_grid = Casted_exec.Chunk_grid
 
-type job_counters = {
-  compiles : int;
-  compile_s : float;
-  simulates : int;
-  simulate_s : float;
-  campaigns : int;
-  campaign_s : float;
-  sweeps : int;
-  sweep_s : float;
-}
-
-let zero_counters =
-  {
-    compiles = 0;
-    compile_s = 0.0;
-    simulates = 0;
-    simulate_s = 0.0;
-    campaigns = 0;
-    campaign_s = 0.0;
-    sweeps = 0;
-    sweep_s = 0.0;
-  }
-
 type store_counters = {
   full_hits : int;
   partial_hits : int;
@@ -54,7 +31,6 @@ type t = {
   pool : Pool.t;
   cache : Cache.t;
   mutex : Mutex.t;
-  mutable counts : job_counters;
   mutable store_counts : store_counters;
 }
 
@@ -71,7 +47,6 @@ let create ?jobs () =
     pool = Pool.create ~jobs ();
     cache = Cache.create ();
     mutex = Mutex.create ();
-    counts = zero_counters;
     store_counts = zero_store_counters;
   }
 
@@ -84,30 +59,7 @@ let with_engine ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let timed t kind f =
-  let span_name =
-    match kind with
-    | `Compile -> "engine.compile"
-    | `Simulate -> "engine.simulate"
-    | `Campaign -> "engine.campaign"
-    | `Sweep -> "engine.sweep"
-  in
-  let f () = Casted_obs.Trace.with_span ~cat:"engine" span_name f in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  Mutex.lock t.mutex;
-  let c = t.counts in
-  t.counts <-
-    (match kind with
-    | `Compile -> { c with compiles = c.compiles + 1; compile_s = c.compile_s +. dt }
-    | `Simulate ->
-        { c with simulates = c.simulates + 1; simulate_s = c.simulate_s +. dt }
-    | `Campaign ->
-        { c with campaigns = c.campaigns + 1; campaign_s = c.campaign_s +. dt }
-    | `Sweep -> { c with sweeps = c.sweeps + 1; sweep_s = c.sweep_s +. dt });
-  Mutex.unlock t.mutex;
-  r
+let span name f = Casted_obs.Trace.with_span ~cat:"engine" name f
 
 type sweep_point = {
   benchmark : string;
@@ -117,13 +69,14 @@ type sweep_point = {
   run : Outcome.run;
 }
 
-let compile t key = timed t `Compile (fun () -> Cache.compile t.cache key)
+let compile t key =
+  span "engine.compile" (fun () -> Cache.compile t.cache key)
 
 let simulate t key =
   let compiled = compile t key in
   let decoded = Cache.decoded t.cache key in
   let run =
-    timed t `Simulate (fun () -> Simulator.run_decoded decoded)
+    span "engine.simulate" (fun () -> Simulator.run_decoded decoded)
   in
   (compiled, run)
 
@@ -257,28 +210,25 @@ let shard_resume_index ~shard ~trials banked =
            banked Chunk_grid.size)
 
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?(replay = true)
-    ?retry_budget ?store ?(shard = (0, 1)) ~trials key =
+    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?retry_budget ?store
+    ?(shard = (0, 1)) ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
-  (* Compile (cached) under the compile timer, then hand the memoized
-     stage-2 program — and, with replay on, the memoized golden-run
-     snapshot set — to the campaign: thousands of trials, one decode,
-     one stage-2 compile, one capture, shared read-only across pool
-     domains and across campaigns revisiting this configuration.
-     Rollback campaigns run on the same program. The store's full-hit
-     path never gets here: a banked tally costs no compile, no decode,
-     no golden run. *)
+  (* Compile (cached) under the compile span, then hand the memoized
+     stage-2 program — and, for a replaying campaign, the memoized
+     golden-run snapshot set — to the campaign: thousands of trials,
+     one decode, one stage-2 compile, one capture, shared read-only
+     across pool domains and across campaigns revisiting this
+     configuration. Montecarlo decides whether the campaign replays
+     (it does unless it has a retry budget), so the snapshot set is
+     handed over unforced. The store's full-hit path never gets here:
+     a banked tally costs no compile, no decode, no golden run. *)
   let simulate ?prior ?bank ~shard n_trials =
     let (_ : Pipeline.compiled) = compile t key in
-    let replay = replay && retry_budget = None in
-    let replay_set =
-      if replay then Some (Cache.replay t.cache key) else None
-    in
     let compiled = Cache.compiled t.cache key in
-    timed t `Campaign (fun () ->
+    span "engine.campaign" (fun () ->
         Montecarlo.run_compiled ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ~replay ?replay_set ?retry_budget ~shard ?prior ?bank
-          ~trials:n_trials compiled)
+          ?ci_halfwidth ~replay_set:(lazy (Cache.replay t.cache key))
+          ?retry_budget ~shard ?prior ?bank ~trials:n_trials compiled)
   in
   match store with
   | None ->
@@ -449,10 +399,10 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                 merged_or ~simulated:result.Montecarlo.trials result ~served:0)
       end
 
-let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
-    ?retry_budget ?store ?shard ~trials key =
-  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
-     ?retry_budget ?store ?shard ~trials key)
+let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?store
+    ?shard ~trials key =
+  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget
+     ?store ?shard ~trials key)
     .result
 
 (* One grid cell: NOED/SCED are single-core, so they are measured once
@@ -491,7 +441,7 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
   let specs =
     Array.of_list (sweep_specs ~size ~benchmarks ~issues ~delays)
   in
-  timed t `Sweep (fun () ->
+  span "engine.sweep" (fun () ->
       Array.to_list
         (Pool.map t.pool
            (fun ((key : Cache.key), record_delay) ->
@@ -511,72 +461,8 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
              })
            specs))
 
-let counters t =
-  Mutex.lock t.mutex;
-  let c = t.counts in
-  Mutex.unlock t.mutex;
-  c
-
 let store_counters t =
   Mutex.lock t.mutex;
   let c = t.store_counts in
   Mutex.unlock t.mutex;
   c
-
-let utilisation t =
-  let s = Pool.stats t.pool in
-  let c = counters t in
-  let cs = Cache.stats t.cache in
-  let throughput =
-    if s.Pool.wall_s > 0.0 then float_of_int s.Pool.tasks /. s.Pool.wall_s
-    else 0.0
-  in
-  let kind name n secs =
-    if n = 0 then None else Some (Printf.sprintf "%d %s (%.1fs)" n name secs)
-  in
-  let jobs_line =
-    match
-      List.filter_map Fun.id
-        [
-          kind "compiles" c.compiles c.compile_s;
-          kind "simulates" c.simulates c.simulate_s;
-          kind "campaigns" c.campaigns c.campaign_s;
-          kind "sweeps" c.sweeps c.sweep_s;
-        ]
-    with
-    | [] -> "jobs:    none"
-    | parts -> "jobs:    " ^ String.concat ", " parts
-  in
-  let sc = store_counters t in
-  let store_lines =
-    if sc = zero_store_counters then []
-    else
-      [
-        Printf.sprintf
-          "store:   %d full hits, %d partial, %d misses, %d writes — %d \
-           trials served, %d simulated"
-          sc.full_hits sc.partial_hits sc.store_misses sc.store_writes
-          sc.trials_served sc.trials_simulated;
-      ]
-  in
-  String.concat "\n"
-    ([
-       Printf.sprintf
-         "engine:  %d jobs (%d worker domains), %d tasks, %.1f tasks/s"
-         s.Pool.jobs s.Pool.domains s.Pool.tasks throughput;
-       Printf.sprintf "busy:    %.1fs over %.1fs wall, utilisation %.0f%%"
-         s.Pool.busy_s s.Pool.wall_s
-         (100.0 *. Pool.utilisation s);
-       jobs_line;
-       Printf.sprintf "cache:   %d entries, %d hits, %d misses" cs.Cache.entries
-         cs.Cache.hits cs.Cache.misses;
-       Printf.sprintf "decoded: %d entries, %d hits, %d misses"
-         cs.Cache.decoded_entries cs.Cache.decoded_hits
-         cs.Cache.decoded_misses;
-       Printf.sprintf "replay:  %d snapshot sets, %d hits, %d captures"
-         cs.Cache.replay_entries cs.Cache.replay_hits cs.Cache.replay_misses;
-       Printf.sprintf "threaded: %d programs, %d hits, %d compiles"
-         cs.Cache.compiled_entries cs.Cache.compiled_hits
-         cs.Cache.compiled_misses;
-     ]
-    @ store_lines @ [ "" ])

@@ -8,9 +8,10 @@
     - a {!Casted_exec.Pool} of worker domains that fans out the
       embarrassingly parallel parts (sweep points, campaign trials);
     - a {!Cache} of compiled schedules so configurations shared between
-      experiments compile exactly once;
-    - per-job timing and throughput counters, rendered by
-      {!utilisation}.
+      experiments compile exactly once.
+
+    Each job (compile, simulate, campaign, sweep) runs inside an
+    [engine.*] trace span ({!Casted_obs.Trace}).
 
     {b Determinism contract.} Engine results never depend on the number
     of domains: sweep points are returned in grid order, and every
@@ -56,23 +57,24 @@ val simulate :
 
 (** [campaign t ~trials spec] compiles [spec] (cached) and fans
     [trials] Monte-Carlo trials over the pool. Identical to the
-    sequential {!Casted_sim.Montecarlo.run} with the same [seed];
-    the optional knobs ([model], [ci_halfwidth], [replay]) are
-    forwarded to it. With [replay] on (the default) the golden-run
-    snapshot set comes from the engine cache ({!Cache.replay}), so
-    campaigns revisiting a configuration share one capture. Every
-    golden run and trial executes on the stage-2 closure-threaded
-    engine ({!Casted_sim.Compile}), on the program the engine cache
-    memoizes ({!Cache.compiled}) — one stage-2 compile per
-    configuration, shared by every campaign and pool domain.
+    sequential {!Casted_sim.Montecarlo.run} with the same [seed]; the
+    optional knobs ([model], [ci_halfwidth]) are forwarded to it. A
+    campaign without a retry budget replays
+    ({!Casted_sim.Montecarlo.run}), from the snapshot set the engine
+    cache memoizes ({!Cache.replay}), so campaigns revisiting a
+    configuration share one capture. Every golden run and trial
+    executes on the stage-2 closure-threaded engine
+    ({!Casted_sim.Compile}), on the program the engine cache memoizes
+    ({!Cache.compiled}) — one stage-2 compile per configuration, shared
+    by every campaign and pool domain.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
     trial with region recovery ({!Casted_sim.Compile.run}
     [~retry_budget], the same engine and the same cached program) under
-    [retry_budget] (default {!default_retry_budget}) and replay forced
-    off — a rollback trial restores its own region checkpoints, which
-    prefix replay cannot express. Pass [retry_budget] explicitly to
-    override the budget (or to run any other scheme recovering).
+    [retry_budget] (default {!default_retry_budget}), full-length — a
+    rollback trial restores its own region checkpoints, which prefix
+    replay cannot express. Pass [retry_budget] explicitly to override
+    the budget (or to run any other scheme recovering).
 
     With [store] set the campaign becomes incremental: see
     {!campaign_stored}, of which this is the [.result] projection. *)
@@ -82,7 +84,6 @@ val campaign :
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?replay:bool ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
@@ -162,7 +163,6 @@ val campaign_stored :
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?replay:bool ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
@@ -199,19 +199,6 @@ val sweep :
 
 (** {2 Instrumentation} *)
 
-type job_counters = {
-  compiles : int;
-  compile_s : float;
-  simulates : int;
-  simulate_s : float;
-  campaigns : int;
-  campaign_s : float;
-  sweeps : int;
-  sweep_s : float;
-}
-
-val counters : t -> job_counters
-
 (** Result-store traffic across this engine's store-backed campaigns
     (all zero when no campaign used a store). *)
 type store_counters = {
@@ -224,8 +211,3 @@ type store_counters = {
 }
 
 val store_counters : t -> store_counters
-
-(** Multi-line human-readable summary: pool size and utilisation, task
-    throughput, per-job-kind counts and times, cache hit rate, and —
-    when a result store saw traffic — store hit/miss/trial counters. *)
-val utilisation : t -> string

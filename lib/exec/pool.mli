@@ -46,7 +46,7 @@ val shutdown : t -> unit
     afterwards, also on exception. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** Lifetime counters, for the engine utilisation summary. *)
+(** Lifetime counters (the bench records them in BENCH.json). *)
 type stats = {
   jobs : int;  (** executors ([domains] + the caller) *)
   domains : int;  (** worker domains spawned *)
@@ -68,6 +68,3 @@ val utilisation : stats -> float
     [$CASTED_JOBS] is an [Error] carrying a human-readable message —
     callers must reject it loudly, not fall back silently. *)
 val default_jobs : unit -> (int, string) result
-
-(** Parse a user-supplied job count ([--jobs] or [$CASTED_JOBS]). *)
-val parse_jobs : string -> (int, string) result

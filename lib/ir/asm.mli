@@ -33,8 +33,6 @@
 (** Serialise a whole program. *)
 val print : Program.t -> string
 
-val print_func : Func.t -> string
-
 (** Parse a program. Returns [Error message] with a line number on
     syntax errors; the result is not validated (run {!Validate} next). *)
 val parse : string -> (Program.t, string) result

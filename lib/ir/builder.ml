@@ -35,11 +35,6 @@ let block t label =
   t.cur_label <- Some label;
   t.cur_body <- []
 
-let current_label t =
-  match t.cur_label with
-  | Some l -> l
-  | None -> invalid_arg "Builder.current_label: no open block"
-
 let push t insn =
   match t.cur_label with
   | None -> invalid_arg "Builder: emitting outside of a block"
@@ -173,14 +168,14 @@ let call t ?dst name args =
   let defs = match dst with None -> [||] | Some r -> [| r |] in
   emit t ~op:Opcode.Call ~defs ~uses:(Array.of_list args) ~target:name ()
 
-let counted_loop_gen t ?(name = "loop") ~from ~cond ?(step = 1L) body =
+let counted_loop t ?(name = "loop") ~from ~until ?(step = 1L) body =
   let head = fresh_label t (name ^ "_head") in
   let body_l = fresh_label t (name ^ "_body") in
   let exit_l = fresh_label t (name ^ "_exit") in
   let iv = movi t from in
   br t head;
   block t head;
-  let p = cond t iv in
+  let p = cmpi t Cond.Lt iv until in
   brc t p ~if_:body_l ~else_:exit_l;
   block t body_l;
   body t iv;
@@ -188,16 +183,6 @@ let counted_loop_gen t ?(name = "loop") ~from ~cond ?(step = 1L) body =
   br t head;
   block t exit_l;
   ()
-
-let counted_loop t ?name ~from ~until ?step body =
-  counted_loop_gen t ?name ~from
-    ~cond:(fun t iv -> cmpi t Cond.Lt iv until)
-    ?step body
-
-let counted_loop_r t ?name ~from ~until ?step body =
-  counted_loop_gen t ?name ~from
-    ~cond:(fun t iv -> cmp t Cond.Lt iv until)
-    ?step body
 
 let if_ t ?(name = "if") p then_ else_ =
   let then_l = fresh_label t (name ^ "_then") in

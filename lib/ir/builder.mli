@@ -43,9 +43,6 @@ val fresh_label : t -> string -> string
     terminated. *)
 val block : t -> string -> unit
 
-(** Label of the block currently being filled. *)
-val current_label : t -> string
-
 (** {1 Generic emission} *)
 
 val emit :
@@ -134,16 +131,6 @@ val counted_loop :
   ?name:string ->
   from:int64 ->
   until:int64 ->
-  ?step:int64 ->
-  (t -> Reg.t -> unit) ->
-  unit
-
-(** Like {!counted_loop} but the bound is a register. *)
-val counted_loop_r :
-  t ->
-  ?name:string ->
-  from:int64 ->
-  until:Reg.t ->
   ?step:int64 ->
   (t -> Reg.t -> unit) ->
   unit

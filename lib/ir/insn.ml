@@ -19,19 +19,10 @@ let make ~id ~op ?(defs = [||]) ?(uses = [||]) ?(imm = 0L) ?(fimm = 0.0)
     ?(protects = -1) () =
   { id; op; defs; uses; imm; fimm; target; target2; role; replica_of; protects }
 
-let with_id t id = { t with id }
-let with_defs t defs = { t with defs }
-let with_uses t uses = { t with uses }
-let with_role t role = { t with role }
 let map_uses f t = { t with uses = Array.map f t.uses }
 let map_defs f t = { t with defs = Array.map f t.defs }
 let is_terminator t = Opcode.is_terminator t.op
 let is_check t = Opcode.is_check t.op
-
-let non_replicated t =
-  match t.role with
-  | Check | Shadow_copy -> true
-  | Original | Replica -> not (Opcode.replicable t.op)
 
 let role_to_string = function
   | Original -> "orig"

@@ -44,13 +44,6 @@ val make :
   unit ->
   t
 
-(** Functional updates. Each returns a new instruction. *)
-
-val with_id : t -> int -> t
-val with_defs : t -> Reg.t array -> t
-val with_uses : t -> Reg.t array -> t
-val with_role : t -> role -> t
-
 (** [map_uses f t] rewrites every use register through [f]. *)
 val map_uses : (Reg.t -> Reg.t) -> t -> t
 
@@ -59,11 +52,6 @@ val map_defs : (Reg.t -> Reg.t) -> t -> t
 val is_terminator : t -> bool
 val is_check : t -> bool
 
-(** True when the detection pass must not replicate this instruction
-    (stores, control flow, checks and shadow copies). *)
-val non_replicated : t -> bool
-
 val role_to_string : role -> string
-val pp_role : Format.formatter -> role -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -12,12 +12,6 @@ type t = {
 
 val compute : Cfg.t -> t
 
-(** Registers read by the instruction (including call arguments and
-    returned values). *)
-val insn_uses : Insn.t -> Reg.t list
-
-val insn_defs : Insn.t -> Reg.t list
-
 (** [live_before t block_index] walks the block backwards and returns the
     set of live registers immediately before each instruction, in
     instruction order. *)

@@ -50,17 +50,6 @@ type t =
   | Cpt
   | Nop
 
-type unit_kind = U_int | U_fp | U_mem | U_branch
-
-let unit_kind = function
-  | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sra | Mov
-  | Movi | Addi | Muli | Andi | Xori | Shli | Shri | Srai | Cmp _ | Cmpi _ | Sel
-  | Chk | Cpt | Nop ->
-      U_int
-  | Fadd | Fsub | Fmul | Fdiv | Fmov | Fmovi | Fcmp _ | Itof | Ftoi -> U_fp
-  | Ld _ | Lds _ | St _ | Fld | Fst -> U_mem
-  | Br | Brc _ | Call | Ret | Halt -> U_branch
-
 let is_load = function Ld _ | Lds _ | Fld -> true | _ -> false
 let is_store = function St _ | Fst -> true | _ -> false
 let is_mem op = is_load op || is_store op

@@ -10,7 +10,6 @@
 type width = W1 | W2 | W4 | W8
 
 val width_bytes : width -> int
-val pp_width : Format.formatter -> width -> unit
 
 type t =
   (* Integer ALU, register-register. *)
@@ -70,11 +69,6 @@ type t =
              boundary where the simulator snapshots the machine.
              Emitted by the rollback pass; executes as a no-op. *)
   | Nop
-
-(** Functional-unit class, used for statistics and the pretty printer. *)
-type unit_kind = U_int | U_fp | U_mem | U_branch
-
-val unit_kind : t -> unit_kind
 
 (** {1 Classification used by the error-detection pass} *)
 

@@ -22,8 +22,6 @@ let entry_func t = find_func t t.entry
 let num_insns t =
   List.fold_left (fun acc f -> acc + Func.num_insns f) 0 t.funcs
 
-let map_funcs f t = { t with funcs = List.map f t.funcs }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>program (entry %s, mem %d bytes)" t.entry
     t.mem_size;

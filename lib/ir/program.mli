@@ -36,7 +36,4 @@ val find_func : t -> string -> Func.t
 val entry_func : t -> Func.t
 val num_insns : t -> int
 
-(** Map every function through [f] (used by compiler passes). *)
-val map_funcs : (Func.t -> Func.t) -> t -> t
-
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,5 @@
 (** [check_program p] returns the list of violations ([] if well formed). *)
 val check_program : Program.t -> string list
 
-val check_func : Program.t -> Func.t -> string list
-
 (** Raises [Invalid_argument] listing the violations, if any. *)
 val check_exn : Program.t -> unit

@@ -16,7 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 (** Look up a key of an [Obj]; [None] on missing key or non-object. *)

@@ -13,46 +13,6 @@ let write_file ~path contents =
 
 (* Metrics. *)
 
-let value_fields = function
-  | Metrics.Counter n -> ("counter", [ ("value", Json.Int n) ])
-  | Metrics.Gauge { high; samples } ->
-      ("gauge", [ ("high", Json.Float high); ("samples", Json.Int samples) ])
-  | Metrics.Histogram { count; sum; min; max } ->
-      ( "histogram",
-        [
-          ("count", Json.Int count);
-          ("sum", Json.Float sum);
-          ("min", Json.Float min);
-          ("max", Json.Float max);
-        ] )
-
-let metrics_json () =
-  Json.Obj
-    (List.map
-       (fun (name, v) ->
-         let kind, fields = value_fields v in
-         (name, Json.Obj (("kind", Json.String kind) :: fields)))
-       (Metrics.snapshot ()))
-
-let metrics_csv () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "name,kind,count,sum,min,max\n";
-  List.iter
-    (fun (name, v) ->
-      let row kind count sum min_ max_ =
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,%d,%s,%s,%s\n" name kind count sum min_ max_)
-      in
-      let f x = Printf.sprintf "%g" x in
-      match v with
-      | Metrics.Counter n -> row "counter" n "" "" ""
-      | Metrics.Gauge { high; samples } ->
-          row "gauge" samples "" "" (f high)
-      | Metrics.Histogram { count; sum; min; max } ->
-          row "histogram" count (f sum) (f min) (f max))
-    (Metrics.snapshot ());
-  Buffer.contents buf
-
 let metrics_text () =
   match Metrics.snapshot () with
   | [] -> ""

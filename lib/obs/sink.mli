@@ -9,9 +9,6 @@ val write_file : path:string -> string -> unit
 
 (** {2 Metrics} *)
 
-val metrics_json : unit -> Json.t
-val metrics_csv : unit -> string
-
 (** Aligned table; empty string when nothing was recorded. *)
 val metrics_text : unit -> string
 

@@ -15,8 +15,8 @@ type row = {
   result : Montecarlo.result;
 }
 
-let campaign_on engine ?(seed = 0xCA57ED) ?(model = Fault.Reg_bit)
-    ?ci_halfwidth ?store ~trials ~benchmark ~scheme ~issue ~delay () =
+let campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme ~issue
+    ~delay () =
   (match Registry.find benchmark with
   | Some _ -> ()
   | None -> invalid_arg ("Coverage: unknown benchmark " ^ benchmark));
@@ -24,48 +24,35 @@ let campaign_on engine ?(seed = 0xCA57ED) ?(model = Fault.Reg_bit)
     Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
       ~issue_width:issue ~delay ()
   in
-  let result =
-    Engine.campaign engine ~seed ~model ?ci_halfwidth ?store ~trials spec
-  in
+  let result = Engine.campaign engine ?seed ?model ?store ~trials spec in
   { benchmark; scheme; issue; delay; result }
 
-let with_engine ?engine f =
-  match engine with Some e -> f e | None -> Engine.with_engine f
-
-let campaign ?engine ?seed ?model ?ci_halfwidth ~trials ~benchmark ~scheme
-    ~issue ~delay () =
-  with_engine ?engine (fun e ->
-      campaign_on e ?seed ?model ?ci_halfwidth ~trials ~benchmark ~scheme
-        ~issue ~delay ())
-
-let fig9 ?engine ?seed ?model ?store ?(trials = 300) ?benchmarks () =
+let fig9 ~engine ?seed ?model ?store ?(trials = 300) ?benchmarks () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Registry.names ()
   in
-  with_engine ?engine (fun e ->
+  List.concat_map
+    (fun benchmark ->
+      List.map
+        (fun scheme ->
+          campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme
+            ~issue:2 ~delay:2 ())
+        Scheme.all)
+    benchmarks
+
+let fig10 ~engine ?seed ?model ?store ?(trials = 300) ?(benchmark = "h263dec")
+    ?(schemes = Scheme.all) () =
+  List.concat_map
+    (fun issue ->
       List.concat_map
-        (fun benchmark ->
+        (fun delay ->
           List.map
             (fun scheme ->
-              campaign_on e ?seed ?model ?store ~trials ~benchmark ~scheme
-                ~issue:2 ~delay:2 ())
-            Scheme.all)
-        benchmarks)
-
-let fig10 ?engine ?seed ?model ?store ?(trials = 300) ?(benchmark = "h263dec")
-    ?(schemes = Scheme.all) () =
-  with_engine ?engine (fun e ->
-      List.concat_map
-        (fun issue ->
-          List.concat_map
-            (fun delay ->
-              List.map
-                (fun scheme ->
-                  campaign_on e ?seed ?model ?store ~trials ~benchmark ~scheme
-                    ~issue ~delay ())
-                schemes)
-            [ 1; 2; 3; 4 ])
+              campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme
+                ~issue ~delay ())
+            schemes)
         [ 1; 2; 3; 4 ])
+    [ 1; 2; 3; 4 ]
 
 let render rows =
   let headers =
@@ -116,13 +103,12 @@ type dme_escape = {
   caught_fraction : float;  (* (casted - dme) / casted SDC rate, >= 0 *)
 }
 
-let dme_coverage_on engine ?(seed = 0xCA57ED)
-    ?(models = [ Fault.Mem; Fault.Xcluster ]) ?store ?(trials = 2000)
-    ?(issue = 2) ?(delay = 2) ~benchmark () =
+let dme_coverage ~engine ?seed ?(models = [ Fault.Mem; Fault.Xcluster ])
+    ?store ?(trials = 2000) ?(issue = 2) ?(delay = 2) ~benchmark () =
   List.map
     (fun model ->
       let run scheme =
-        (campaign_on engine ~seed ~model ?store ~trials ~benchmark ~scheme
+        (campaign ~engine ?seed ~model ?store ~trials ~benchmark ~scheme
            ~issue ~delay ())
           .result
       in
@@ -141,12 +127,6 @@ let dme_coverage_on engine ?(seed = 0xCA57ED)
         caught_fraction = caught;
       })
     models
-
-let dme_coverage ?engine ?seed ?models ?store ?trials ?issue ?delay
-    ~benchmark () =
-  with_engine ?engine (fun e ->
-      dme_coverage_on e ?seed ?models ?store ?trials ?issue ?delay ~benchmark
-        ())
 
 let render_dme rows =
   let headers =
@@ -179,32 +159,35 @@ let mwtf_string m =
   if Float.is_integer m && Float.abs m < 1e9 then Printf.sprintf "%.0f" m
   else Printf.sprintf "%.2f" m
 
-let recovery_table ?engine ?seed ?(model = Fault.Reg_bit) ?retry_budget ?store
-    ~trials ~benchmark ~issue ~delay () =
-  with_engine ?engine (fun e ->
-      let baseline_cycles = noed_cycles e ~benchmark ~issue in
-      let row scheme =
-        let r =
-          Engine.campaign e ?seed ~model ?retry_budget ?store ~trials
+let recovery_table ~engine ?seed ?model ?retry_budget ?store ~trials
+    ~benchmark ~issue ~delay () =
+  let baseline_cycles = noed_cycles engine ~benchmark ~issue in
+  let results =
+    List.map
+      (fun scheme ->
+        ( scheme,
+          Engine.campaign engine ?seed ?model ?retry_budget ?store ~trials
             (Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
-               ~issue_width:issue ~delay ())
-        in
-        Printf.sprintf "%-10s %8.2fx %9.1f %10.1f %10.1f %6.1f %8s\n"
-          (Scheme.name scheme)
-          (float_of_int r.Montecarlo.golden_cycles
-          /. float_of_int baseline_cycles)
-          (Montecarlo.percent r Montecarlo.Benign)
-          (Montecarlo.percent r Montecarlo.Recovered)
-          (Montecarlo.percent r Montecarlo.Detected)
-          (Montecarlo.percent r Montecarlo.Data_corrupt)
-          (mwtf_string (Montecarlo.mwtf ~baseline_cycles r))
-      in
-      String.concat ""
-        (Printf.sprintf
-           "%s issue %d delay %d: %d %s trials per scheme (NOED baseline %d \
-            cycles)\n"
-           benchmark issue delay trials (Fault.model_name model)
-           baseline_cycles
-        :: Printf.sprintf "%-10s %9s %9s %10s %10s %6s %8s\n" "scheme"
-             "overhead" "benign%" "recovered%" "detected%" "sdc%" "mwtf"
-        :: List.map row [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]))
+               ~issue_width:issue ~delay ()) ))
+      [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]
+  in
+  let row (scheme, r) =
+    Printf.sprintf "%-10s %8.2fx %9.1f %10.1f %10.1f %6.1f %8s\n"
+      (Scheme.name scheme)
+      (float_of_int r.Montecarlo.golden_cycles /. float_of_int baseline_cycles)
+      (Montecarlo.percent r Montecarlo.Benign)
+      (Montecarlo.percent r Montecarlo.Recovered)
+      (Montecarlo.percent r Montecarlo.Detected)
+      (Montecarlo.percent r Montecarlo.Data_corrupt)
+      (mwtf_string (Montecarlo.mwtf ~baseline_cycles r))
+  in
+  String.concat ""
+    (Printf.sprintf
+       "%s issue %d delay %d: %d %s trials per scheme (NOED baseline %d \
+        cycles)\n"
+       benchmark issue delay trials
+       (Fault.model_name (snd (List.hd results)).Montecarlo.model)
+       baseline_cycles
+    :: Printf.sprintf "%-10s %9s %9s %10s %10s %6s %8s\n" "scheme"
+         "overhead" "benign%" "recovered%" "detected%" "sdc%" "mwtf"
+    :: List.map row results)

@@ -18,23 +18,21 @@ type row = {
   result : Montecarlo.result;
 }
 
-(** Run one campaign.
+(** Run one campaign on [engine].
 
     Campaigns are {!Casted_engine.Engine} jobs: the schedule comes from
     the engine's compile cache, and the Monte-Carlo trials fan out over
     its domain pool (bit-identical to a sequential run for the same
-    [seed]). Pass [engine] to share the pool and cache across
-    campaigns; otherwise a private engine is created per call. [model]
-    selects the fault model (default the paper's register bit flip);
-    [ci_halfwidth] enables sequential early stopping. The experiments
-    below take [store]: their campaigns are then served from, and
-    banked into, that result store ({!Casted_engine.Engine.campaign_stored}),
-    with tallies bit-identical to a storeless run. *)
+    [seed]). [seed] and [model] default as in
+    {!Casted_engine.Engine.campaign}. With [store], campaigns here and
+    in the experiments below are served from, and banked into, that
+    result store ({!Casted_engine.Engine.campaign_stored}), with
+    tallies bit-identical to a storeless run. *)
 val campaign :
-  ?engine:Casted_engine.Engine.t ->
+  engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
-  ?ci_halfwidth:float ->
+  ?store:Casted_store.Store.t ->
   trials:int ->
   benchmark:string ->
   scheme:Scheme.t ->
@@ -45,7 +43,7 @@ val campaign :
 
 (** Fig. 9: all benchmarks x all schemes at (issue, delay) = (2, 2). *)
 val fig9 :
-  ?engine:Casted_engine.Engine.t ->
+  engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
   ?store:Casted_store.Store.t ->
@@ -56,7 +54,7 @@ val fig9 :
 
 (** Fig. 10: one benchmark across issue widths 1–4 x delays 1–4. *)
 val fig10 :
-  ?engine:Casted_engine.Engine.t ->
+  engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
   ?store:Casted_store.Store.t ->
@@ -86,7 +84,7 @@ type dme_escape = {
 }
 
 val dme_coverage :
-  ?engine:Casted_engine.Engine.t ->
+  engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?models:Casted_sim.Fault.model list ->
   ?store:Casted_store.Store.t ->
@@ -114,7 +112,7 @@ val mwtf_string : float -> string
     side: a title line, then one row per scheme with runtime overhead
     over NOED, benign/recovered/detected/SDC percentages and MWTF. *)
 val recovery_table :
-  ?engine:Casted_engine.Engine.t ->
+  engine:Casted_engine.Engine.t ->
   ?seed:int ->
   ?model:Casted_sim.Fault.model ->
   ?retry_budget:int ->

@@ -13,7 +13,5 @@ type strategy =
           and shadow copies on cluster 1 (requires >= 2 clusters) *)
   | Adaptive of Bug.options  (** Bottom-Up-Greedy (paper Algorithm 2) *)
 
-val strategy_name : strategy -> string
-
 (** [compute strategy config dfg] returns the cluster of each DFG node. *)
 val compute : strategy -> Casted_machine.Config.t -> Dfg.t -> int array

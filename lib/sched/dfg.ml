@@ -116,8 +116,6 @@ let heights t =
   done;
   h
 
-let topological_order t = Array.init (num_nodes t) (fun i -> i)
-
 let critical_path t =
   Array.fold_left max 0 (heights t)
 

@@ -40,10 +40,6 @@ val num_nodes : t -> int
     instructions first). *)
 val heights : t -> int array
 
-(** A topological order of the nodes (program order is always one since
-    edges only point forward). *)
-val topological_order : t -> int array
-
 (** Length of the critical path in cycles. *)
 val critical_path : t -> int
 

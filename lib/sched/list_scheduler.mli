@@ -17,13 +17,6 @@ val schedule_block :
   label:string ->
   Schedule.block_schedule
 
-(** Schedule every block of a function under the given strategy. *)
-val schedule_func :
-  Casted_machine.Config.t ->
-  Assign.strategy ->
-  Casted_ir.Func.t ->
-  Schedule.func_schedule
-
 (** Schedule a whole program. *)
 val schedule_program :
   Casted_machine.Config.t ->

@@ -23,12 +23,6 @@ type t = {
 
 let block_length b = Array.length b.bundles
 
-let block_insns b =
-  Array.fold_left
-    (fun acc bundle ->
-      Array.fold_left (fun acc insns -> acc + Array.length insns) acc bundle)
-    0 b.bundles
-
 let find_func t name =
   match List.assoc_opt name t.funcs with
   | Some fs -> fs
@@ -47,9 +41,6 @@ let find_block fs label =
     else go (i + 1)
   in
   go 0
-
-let static_length fs =
-  Array.fold_left (fun acc b -> acc + block_length b) 0 fs.blocks
 
 let pp_block ppf b =
   Format.fprintf ppf "@[<v>%s: (%d cycles)" b.label (block_length b);

@@ -32,9 +32,6 @@ type t = {
 
 val block_length : block_schedule -> int
 
-(** Static instruction count of a block schedule. *)
-val block_insns : block_schedule -> int
-
 (** [find_func t name] returns the schedule of function [name]. Raises
     [Invalid_argument] naming the missing function (and the functions
     the schedule does define) when [name] is unknown — reachable only on
@@ -42,9 +39,6 @@ val block_insns : block_schedule -> int
     time. *)
 val find_func : t -> string -> func_schedule
 val find_block : func_schedule -> string -> block_schedule
-
-(** Sum of block lengths — a static lower bound on execution cycles. *)
-val static_length : func_schedule -> int
 
 (** Render a block like the paper's Fig. 2/3 schedules: one row per
     cycle, one column per cluster. *)

@@ -111,20 +111,18 @@ let population_of_run (r : Outcome.run) =
     xcluster_reads = r.Outcome.dyn_xreads;
   }
 
+let check_fuel_factor fuel_factor =
+  if fuel_factor < 1 then
+    invalid_arg
+      (Printf.sprintf "Montecarlo.run: fuel_factor must be at least 1, got %d"
+         fuel_factor)
+
 (* The golden run of the program [compiled] yields, on the compiled
-   engine. The replay capture pass IS a golden run (the snapshot hook
-   only copies state), so campaigns with replay on pay no extra run;
-   with a pre-captured set nothing is compiled or run at all. *)
-let golden_of ?(fuel_factor = 10) ?(replay = false) ?replay_set compiled =
-  let capture () =
-    let p = compiled () in
-    Replay.capture (fun ~on_block -> Compile.run ~on_block p)
-  in
-  let replay_set =
-    match replay_set with
-    | Some _ as r -> r
-    | None -> if replay then Some (capture ()) else None
-  in
+   engine. With a replay set nothing is compiled or run: the capture
+   pass that built it IS a golden run (the snapshot hook only copies
+   state). *)
+let golden_of ?(fuel_factor = 10) ?replay_set compiled =
+  check_fuel_factor fuel_factor;
   let run =
     match replay_set with
     | Some r -> Replay.golden r
@@ -143,9 +141,8 @@ let golden_of ?(fuel_factor = 10) ?(replay = false) ?replay_set compiled =
     replay = replay_set;
   }
 
-let golden_decoded ?fuel_factor ?replay ?replay_set decoded =
-  golden_of ?fuel_factor ?replay ?replay_set (fun () ->
-      Compile.of_decoded decoded)
+let golden_decoded ?fuel_factor ?replay_set decoded =
+  golden_of ?fuel_factor ?replay_set (fun () -> Compile.of_decoded decoded)
 
 (* How one trial ran. *)
 type trial_report = {
@@ -304,9 +301,10 @@ let early_stop_reached ~ci_halfwidth r =
   narrow_enough ~target:ci_halfwidth ~detected:r.detected ~trials:r.trials
 
 let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Fault.Reg_bit) ?ci_halfwidth ?(replay = true) ?replay_set
-    ?retry_budget ?(shard = (0, 1)) ?prior ?bank ~trials p =
+    ?(model = Fault.Reg_bit) ?ci_halfwidth ?replay_set ?retry_budget
+    ?(shard = (0, 1)) ?prior ?bank ~trials p =
   check_ci_halfwidth ci_halfwidth;
+  check_fuel_factor fuel_factor;
   (* Sharded campaigns own their merge bookkeeping (the result store);
      an early stop would make a shard's tally depend on where the other
      shards stopped, so the combination is rejected outright. *)
@@ -353,14 +351,21 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               recorded"
              (Array.fold_left ( + ) 0 counts)
              (owned_below start)));
-  (* Rollback trials restore their own region checkpoints mid-run, which
-     golden-prefix replay's restored-suffix execution cannot express:
-     replay is forced off for recovering campaigns. *)
-  let replay = replay && retry_budget = None in
-  let replay_set = if retry_budget = None then replay_set else None in
+  (* The replay rule: a campaign replays, with the re-convergence
+     watcher, exactly when it has no retry budget. Rollback trials
+     restore their own region checkpoints mid-run, which golden-prefix
+     replay's restored-suffix execution cannot express, so they run
+     full-length and a handed-in set is never forced. *)
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
-        golden_of ~fuel_factor ~replay ?replay_set (fun () -> p))
+        let replay_set =
+          match (retry_budget, replay_set) with
+          | Some _, _ -> None
+          | None, Some r -> Some (Lazy.force r)
+          | None, None ->
+              Some (Replay.capture (fun ~on_block -> Compile.run ~on_block p))
+        in
+        golden_of ~fuel_factor ?replay_set (fun () -> p))
   in
   (* A program with no fault sites for this model (no memory traffic
      for [Mem], a single cluster for [Xcluster], ...) has nothing to
@@ -467,10 +472,10 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
 (* Decode and compile once per campaign, not once per trial: the
    compiled program is immutable and shared read-only by every pool
    domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?retry_budget
-    ?shard ?prior ~trials sched =
-  run_compiled ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
-    ?retry_budget ?shard ?prior ~trials
+let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?shard
+    ?prior ~trials sched =
+  run_compiled ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget
+    ?shard ?prior ~trials
     (Compile.of_decoded (Decode.of_schedule sched))
 
 (* Per-class counts in the [idx] order — what the result store

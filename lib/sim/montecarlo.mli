@@ -65,7 +65,7 @@ type result = {
   population : int;  (** size of the campaign model's injection pool *)
   model : Fault.model;
   replay : replay_stats option;
-      (** [Some] iff the campaign ran with golden-prefix replay *)
+      (** [Some] iff the campaign replayed (it had no retry budget) *)
 }
 
 val count : result -> classification -> int
@@ -107,8 +107,8 @@ val classify_result :
   golden:Outcome.run -> (Outcome.run, exn) Stdlib.result -> classification
 
 (** The golden (fault-free) reference: its run, the per-model injection
-    populations, the faulty-run fuel budget, and (with replay on) the
-    snapshot set trials start from. *)
+    populations, the faulty-run fuel budget, and (for a replaying
+    campaign) the snapshot set trials start from. *)
 type golden = {
   run : Outcome.run;
   pop : Fault.population;  (** dynamic event populations *)
@@ -121,16 +121,15 @@ type golden = {
 val population_of_run : Outcome.run -> Fault.population
 
 (** Execute the golden run of a decoded program on the compiled engine.
-    Raises [Invalid_argument] if it does not exit cleanly.
+    Without [replay_set] the golden carries no snapshot set, so every
+    {!trial} on it runs full-length: the reference a replaying campaign
+    must reproduce. Raises [Invalid_argument] if the run does not exit
+    cleanly or [fuel_factor] (default 10) is below 1.
 
-    @param replay capture a snapshot set during the golden run
-      ({!Replay.capture}) for prefix replay; the captured golden run is
-      bit-identical to a plain one (default false).
-    @param replay_set use this pre-captured set (e.g. the engine
-      cache's memoized one) instead of capturing; implies replay, and
-      its golden run is the campaign's (nothing is run here). *)
-val golden_decoded :
-  ?fuel_factor:int -> ?replay:bool -> ?replay_set:Replay.t -> Decode.t -> golden
+    @param replay_set use this captured set ({!Replay.capture}, or the
+      engine cache's memoized one): its golden run is the reference
+      (nothing is run here) and trials start from its snapshots. *)
+val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> golden
 
 (** [trial ~golden ~seed ~index compiled] runs faulty trial [index] of
     a campaign with the given campaign [seed] and fault [model]
@@ -205,7 +204,14 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
 
 (** [run ~seed ~trials schedule] runs the campaign. The fuel of each
     faulty run is [fuel_factor] (default 10) times the golden dynamic
-    instruction count, reproducing the simulator time-out of the paper.
+    instruction count, reproducing the simulator time-out of the paper;
+    a [fuel_factor] below 1 raises [Invalid_argument].
+
+    A campaign without [retry_budget] replays: it captures snapshots on
+    the golden run, starts each trial from the latest snapshot
+    preceding its fault's trigger event and stops it once it
+    re-converges with the golden run ({!trial}). The tally is the one
+    full-length trials reach, for every fault model at any pool size.
 
     @param pool fan trials over these domains; the per-trial seed
       derivation makes the result identical field-for-field to the
@@ -216,15 +222,11 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       half-width (percentage points) is at or below this target
       ({!early_stop_reached}). Must be positive and finite, else
       [Invalid_argument].
-    @param replay golden-prefix replay (default true): capture
-      snapshots on the golden run and start each trial from the latest
-      snapshot preceding its fault's trigger event. Bit-identical
-      results — same tallies, same intervals — for every fault model at
-      any pool size; only the wall clock changes.
     @param retry_budget run every trial with region recovery under
-      this rollback budget (the rollback-scheme campaign path). Forces
-      replay off: rollback trials restore their own region checkpoints,
-      which prefix replay cannot express.
+      this rollback budget (the rollback-scheme campaign path). Such a
+      campaign does not replay: rollback trials restore their own
+      region checkpoints, which prefix replay cannot express, so every
+      trial runs full-length.
     @param shard [(k, n)]: simulate only the chunks whose index on the
       absolute chunk grid is congruent to [k] modulo [n] (default
       [(0, 1)] — everything). The grid is anchored at trial 0 and
@@ -250,7 +252,6 @@ val run :
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?replay:bool ->
   ?retry_budget:int ->
   ?shard:int * int ->
   ?prior:int * int array ->
@@ -265,9 +266,10 @@ val run :
     re-compiles it. The program is immutable and shared read-only
     across pool domains; every golden run and trial executes on it.
 
-    @param replay_set start trials from this pre-captured snapshot set
-      (the engine passes its memoized one) instead of capturing afresh.
-      Supplying it enables replay regardless of the [replay] flag.
+    @param replay_set the snapshot set a replaying campaign starts its
+      trials from (the engine passes its memoized one) instead of
+      capturing afresh. Forced only when the campaign replays, that is
+      without [retry_budget].
     @param bank called after every finished owned chunk except the last
       with the next trial index (a grid point) and the partial tally
       so far — the
@@ -280,8 +282,7 @@ val run_compiled :
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?replay:bool ->
-  ?replay_set:Replay.t ->
+  ?replay_set:Replay.t Lazy.t ->
   ?retry_budget:int ->
   ?shard:int * int ->
   ?prior:int * int array ->

@@ -40,9 +40,6 @@ val make_regfile : Casted_ir.Func.t -> time:int -> regfile
     readable at [time], homes unset. *)
 val reset_regfile : regfile -> time:int -> unit
 
-(** Deep copy; the GP file is copied byte for byte. *)
-val copy_regfile : regfile -> regfile
-
 (** Checked GP accessors: an index outside the frame raises
     [Invalid_argument "index out of bounds"]. *)
 val get_gp : regfile -> int -> int64

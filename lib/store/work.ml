@@ -106,6 +106,13 @@ let parse ~path content =
       let* seed = int "seed" in
       let* trials = int "trials" in
       let* fuel_factor = int "fuel_factor" in
+      let* () =
+        if fuel_factor >= 1 then Ok ()
+        else
+          Error
+            (Printf.sprintf "%s: field fuel_factor must be at least 1, got %d"
+               path fuel_factor)
+      in
       let* retry_budget = int "retry_budget" in
       let u =
         {

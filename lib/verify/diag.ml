@@ -30,24 +30,6 @@ let rule_name = function
   | Shadow_collision -> "shadow-collision"
   | Decorrelation_violation -> "decorrelation-violation"
 
-let all_rules =
-  [
-    Replica_overlap;
-    Missing_replica;
-    Missing_check;
-    Missing_shadow_copy;
-    Bundle_overflow;
-    Unresolved_target;
-    Delay_violation;
-    Schedule_mismatch;
-    Missing_vote;
-    Partial_vote_rewrite;
-    Missing_checkpoint;
-    Misplaced_checkpoint;
-    Shadow_collision;
-    Decorrelation_violation;
-  ]
-
 type t = {
   rule : rule;
   func : string;

@@ -62,7 +62,6 @@ type rule =
           [shadow_base] *)
 
 val rule_name : rule -> string
-val all_rules : rule list
 
 type t = {
   rule : rule;

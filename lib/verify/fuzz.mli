@@ -16,10 +16,6 @@
 (** One statement of the generator's structured recipe language. *)
 type stmt
 
-(** The cells a fuzzed program is pushed through when none are given:
-    all four schemes over a small spread of issue widths and delays. *)
-val default_cells : Oracle.cell list
-
 (** [recipe ~seed index] is the deterministic recipe for program
     [index] of campaign [seed]. *)
 val recipe : seed:int -> int -> stmt list
@@ -30,8 +26,9 @@ val recipe : seed:int -> int -> stmt list
 val emit_program : stmt list -> Casted_ir.Program.t
 
 (** [check_program program] validates, compiles, lints and
-    differentially runs [program] over [cells]; empty lists mean the
-    pipeline is clean on it. *)
+    differentially runs [program] over [cells] (default: all seven
+    schemes over a small spread of issue widths and delays); empty
+    lists mean the pipeline is clean on it. *)
 val check_program :
   ?cells:Oracle.cell list ->
   ?fuel:int ->

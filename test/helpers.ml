@@ -53,6 +53,23 @@ let capture ?init_stride ?target decoded =
   Casted_sim.Replay.capture ?init_stride ?target (fun ~on_block ->
       Casted_sim.Compile.run ~on_block p)
 
+(* The full-length reference a replaying campaign must reproduce: every
+   trial drawn and tallied one by one against a golden run with no
+   snapshot set, so no trial restores a snapshot or stops early. A
+   model with no injection sites tallies no trials, as a campaign
+   clamps them. *)
+let full_length_tally ?retry_budget ~model ~seed ~trials decoded =
+  let module Montecarlo = Casted_sim.Montecarlo in
+  let golden = Montecarlo.golden_decoded decoded in
+  let p = Casted_sim.Compile.of_decoded decoded in
+  let trials =
+    if Casted_sim.Fault.population_size model golden.Montecarlo.pop = 0 then 0
+    else trials
+  in
+  Montecarlo.tally ~model ~golden
+    (Array.init trials (fun index ->
+         Montecarlo.trial ?retry_budget ~model ~golden ~seed ~index p))
+
 (* Read the first 8 output bytes as an int64. *)
 let out64 (r : Outcome.run) =
   if String.length r.Outcome.output < 8 then

@@ -199,6 +199,37 @@ let test_early_stop_rejects_bad_target () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
+(* A fuel factor below 1 gives every trial no budget at all: the
+   campaign, the golden run and an engine campaign all refuse it with a
+   located message instead of tallying every trial as a timeout. *)
+let test_fuel_factor_below_one_rejected () =
+  let s = schedule () in
+  let d = Casted_sim.Decode.of_schedule s in
+  let key =
+    Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
+      ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ()
+  in
+  let expect what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (what ^ ": message names fuel_factor")
+          true
+          (String.starts_with ~prefix:"Montecarlo.run: fuel_factor" msg)
+  in
+  List.iter
+    (fun fuel_factor ->
+      let what name = Printf.sprintf "%s fuel_factor %d" name fuel_factor in
+      expect (what "run") (fun () ->
+          ignore (Montecarlo.run ~fuel_factor ~trials:10 s));
+      expect (what "golden") (fun () ->
+          ignore (Montecarlo.golden_decoded ~fuel_factor d));
+      expect (what "engine campaign") (fun () ->
+          Engine.with_engine ~jobs:1 (fun e ->
+              ignore (Engine.campaign e ~fuel_factor ~trials:10 key))))
+    [ 0; -1 ]
+
 (* The tally of trials [0, n), as a killed campaign would have banked
    it (counts order). *)
 let prefix_counts s ~seed n =
@@ -335,7 +366,9 @@ let test_dme_campaign_deterministic () =
 
 (* Every scheme under every fault model: the engine's campaign tally is
    the same at jobs 1 and 4, and equals the full-length reference
-   (replay off: no snapshot restore, no early exit). *)
+   (every trial tallied from a golden run with no snapshot set: no
+   snapshot restore, no early exit). Only the rollback campaign, which
+   has a retry budget, runs without replay. *)
 let test_matrix_pool_invariant () =
   let converged = ref 0 in
   List.iter
@@ -344,17 +377,31 @@ let test_matrix_pool_invariant () =
         Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme
           ~issue_width:2 ~delay:2 ()
       in
+      let decoded =
+        Engine.with_engine ~jobs:1 (fun e ->
+            Casted_engine.Cache.decoded (Engine.cache e) key)
+      in
+      let retry_budget =
+        if scheme = Scheme.Rollback then Some Engine.default_retry_budget
+        else None
+      in
       List.iter
         (fun model ->
-          let run ?(replay = true) jobs =
+          let run jobs =
             Engine.with_engine ~jobs (fun e ->
-                Engine.campaign e ~seed:21 ~model ~replay ~trials:96 key)
+                Engine.campaign e ~seed:21 ~model ~trials:96 key)
           in
           let cell = Scheme.name scheme ^ "/" ^ Fault.model_name model in
           let seq = run 1 in
           same_result (cell ^ " jobs=4 vs jobs=1") (run 4) seq;
-          same_result (cell ^ " replay vs full-length") (run ~replay:false 1)
+          same_result (cell ^ " replay vs full-length")
+            (full_length_tally ?retry_budget ~model ~seed:21 ~trials:96
+               decoded)
             seq;
+          Alcotest.(check bool)
+            (cell ^ " replays iff it has no retry budget")
+            (retry_budget = None)
+            (seq.Montecarlo.replay <> None);
           Option.iter
             (fun s -> converged := !converged + s.Montecarlo.converged)
             seq.Montecarlo.replay)
@@ -411,4 +458,6 @@ let suite =
       case "pool map_result isolates raising tasks" test_pool_map_result;
       case "off-grid resume steps to the grid"
         test_off_grid_resume_steps_to_grid;
+      case "fuel factor below 1 is rejected"
+        test_fuel_factor_below_one_rejected;
     ] )

@@ -84,27 +84,28 @@ let reference_trial ~model ~(golden : Montecarlo.golden) ~seed ~index d =
        with e -> Error e)
 
 (* Faulty trials: the campaign's trial on the compiled engine lands in
-   the reference interpreter's class for every fault model, with and
-   without golden-prefix replay composed in. *)
+   the reference interpreter's class for every fault model, on the
+   full-length reference (a golden with no snapshot set) and with
+   golden-prefix replay composed in. *)
 let test_faulty_trials_every_model () =
   let decoded = cjpeg_decoded () in
   let compiled = Compile.of_decoded decoded in
-  let check ~replay =
-    let golden = Montecarlo.golden_decoded ~replay decoded in
+  let check path golden =
     List.iter
       (fun model ->
         for index = 0 to 15 do
           let a = reference_trial ~model ~golden ~seed:42 ~index decoded in
           let b = Montecarlo.trial ~model ~golden ~seed:42 ~index compiled in
           Alcotest.(check string)
-            (Printf.sprintf "%s trial %d (replay=%b)"
-               (Fault.model_name model) index replay)
+            (Printf.sprintf "%s trial %d (%s)" (Fault.model_name model) index
+               path)
             (Montecarlo.class_name a) (Montecarlo.class_name b)
         done)
       Fault.all_models
   in
-  check ~replay:false;
-  check ~replay:true
+  check "full-length" (Montecarlo.golden_decoded decoded);
+  check "replayed"
+    (Montecarlo.golden_decoded ~replay_set:(capture decoded) decoded)
 
 (* Every workload at Fault size, i2/d2, under a detection, a
    multi-version, a voting and a checkpointing scheme plus the
@@ -228,7 +229,9 @@ let test_campaign_jobs_bit_identity () =
   let four = Engine.with_engine ~jobs:4 campaign in
   same_result "jobs 1 vs 4 (compiled)" one four;
   let decoded = cjpeg_decoded () in
-  let golden = Montecarlo.golden_decoded ~replay:true decoded in
+  let golden =
+    Montecarlo.golden_decoded ~replay_set:(capture decoded) decoded
+  in
   let reference =
     Montecarlo.tally ~golden
       (Array.init trials (fun index ->
@@ -283,7 +286,7 @@ let test_untimed_leaves_timed_hierarchy () =
           let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
           let d = Decode.of_schedule c.Pipeline.schedule in
           let p = Compile.of_decoded d in
-          let g = Montecarlo.golden_decoded ~replay:true d in
+          let g = Montecarlo.golden_decoded ~replay_set:(capture d) d in
           let id = Printf.sprintf "%s/%s" w.W.name (Scheme.name scheme) in
           let hier = ref None in
           let on_block st _ _ = hier := Some st.State.hier in

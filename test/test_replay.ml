@@ -103,33 +103,31 @@ let test_trials_bit_identical () =
     Fault.all_models;
   Alcotest.(check bool) "replay path exercised" true (!replayed_total > 100)
 
-(* Campaign invariance: replay on, replay off, sequential and pooled
-   all land on the same tally, for every fault model. The kernel is
-   shorter than the default first stride, so the replay-on campaigns
-   also run on a dense snapshot set, where trials both restore a
-   snapshot and stop early at a later one. *)
+(* Campaign invariance: the full-length reference (every trial tallied
+   from a golden run with no snapshot set), the replaying campaign,
+   sequential and pooled, all land on the same tally, for every fault
+   model. The kernel is shorter than the default first stride, so the
+   campaigns also run on a dense snapshot set, where trials both
+   restore a snapshot and stop early at a later one. *)
 let test_campaign_replay_invariant () =
   let sched = schedule () in
   let p = Casted_sim.Compile.of_decoded (Decode.of_schedule sched) in
   let dense = capture ~init_stride:4 ~target:8 (decoded ()) in
   List.iter
     (fun model ->
-      let run ?pool ~replay () =
-        Montecarlo.run ?pool ~seed:42 ~model ~trials:128 ~replay sched
+      let run ?pool () =
+        Montecarlo.run ?pool ~seed:42 ~model ~trials:128 sched
       in
       let run_dense ?pool () =
         Montecarlo.run_compiled ?pool ~seed:42 ~model ~trials:128
-          ~replay_set:dense p
+          ~replay_set:(Lazy.from_val dense) p
       in
-      let off = run ~replay:false () in
-      let on_seq = run ~replay:true () in
+      let off = full_length_tally ~model ~seed:42 ~trials:128 (decoded ()) in
+      let on_seq = run () in
       let dense_seq = run_dense () in
       let name = Fault.model_name model in
-      same_counts (name ^ ": replay on vs off") off on_seq;
-      same_counts (name ^ ": dense replay vs off") off dense_seq;
-      Alcotest.(check bool)
-        (name ^ ": off reports no replay stats")
-        true (off.Montecarlo.replay = None);
+      same_counts (name ^ ": replay vs full-length") off on_seq;
+      same_counts (name ^ ": dense replay vs full-length") off dense_seq;
       let stats (r : Montecarlo.result) =
         match r.Montecarlo.replay with
         | None -> Alcotest.fail (name ^ ": replay stats missing")
@@ -160,8 +158,7 @@ let test_campaign_replay_invariant () =
       Pool.with_pool ~jobs:4 (fun pool ->
           same_counts
             (name ^ ": replay pooled vs sequential full")
-            off
-            (run ~pool ~replay:true ());
+            off (run ~pool ());
           same_counts
             (name ^ ": dense replay pooled vs sequential full")
             off (run_dense ~pool ())))
@@ -350,7 +347,7 @@ let test_early_exit_classes_match () =
           let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
           let d = Decode.of_schedule c.Pipeline.schedule in
           let p = Compile.of_decoded d in
-          let g = Montecarlo.golden_decoded ~replay:true d in
+          let g = Montecarlo.golden_decoded ~replay_set:(capture d) d in
           let r = Option.get g.Montecarlo.replay in
           List.iter
             (fun model ->

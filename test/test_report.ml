@@ -107,8 +107,9 @@ let test_render_nonempty () =
 
 let test_campaign_row () =
   let row =
-    Coverage.campaign ~trials:30 ~benchmark:"cjpeg" ~scheme:Scheme.Casted
-      ~issue:2 ~delay:2 ()
+    Engine.with_engine (fun engine ->
+        Coverage.campaign ~engine ~trials:30 ~benchmark:"cjpeg"
+          ~scheme:Scheme.Casted ~issue:2 ~delay:2 ())
   in
   let r = row.Coverage.result in
   Alcotest.(check int) "trials recorded" 30 r.Montecarlo.trials;
@@ -121,10 +122,11 @@ let test_campaign_row () =
 
 let test_coverage_render () =
   let rows =
-    [
-      Coverage.campaign ~trials:10 ~benchmark:"cjpeg" ~scheme:Scheme.Noed
-        ~issue:2 ~delay:2 ();
-    ]
+    Engine.with_engine (fun engine ->
+        [
+          Coverage.campaign ~engine ~trials:10 ~benchmark:"cjpeg"
+            ~scheme:Scheme.Noed ~issue:2 ~delay:2 ();
+        ])
   in
   let s = Coverage.render rows in
   let contains hay needle =
@@ -166,18 +168,24 @@ let test_repro_warm_store () =
             in
             ( text,
               Engine.store_counters engine,
-              (Engine.counters engine).Engine.campaigns ))
+              Casted_engine.Cache.stats (Engine.cache engine) ))
       in
-      let cold, cold_counts, _ = pass () in
-      let warm, warm_counts, warm_campaigns = pass () in
+      let cold, cold_counts, cold_cache = pass () in
+      let warm, warm_counts, warm_cache = pass () in
       Alcotest.(check bool) "cold pass simulates" true
         (cold_counts.Engine.trials_simulated > 0);
       Alcotest.(check int) "warm pass simulates nothing" 0
         warm_counts.Engine.trials_simulated;
       (* A campaign that bypassed the store would simulate outside the
-         store counters; the engine counts every simulated campaign. *)
-      Alcotest.(check int) "warm pass runs no engine campaign" 0
-        warm_campaigns;
+         store counters; only a simulating engine campaign fetches the
+         stage-2 program and the snapshot set. *)
+      let module Cache = Casted_engine.Cache in
+      Alcotest.(check bool) "cold pass fetches stage-2 programs" true
+        (cold_cache.Cache.compiled_misses > 0);
+      Alcotest.(check int) "warm pass fetches no stage-2 program" 0
+        (warm_cache.Cache.compiled_hits + warm_cache.Cache.compiled_misses);
+      Alcotest.(check int) "warm pass fetches no snapshot set" 0
+        (warm_cache.Cache.replay_hits + warm_cache.Cache.replay_misses);
       Alcotest.(check int) "warm pass serves every trial"
         (cold_counts.Engine.trials_served + cold_counts.Engine.trials_simulated)
         warm_counts.Engine.trials_served;
@@ -188,7 +196,9 @@ let test_repro_warm_store () =
            trials) ================\n%s\n================ Fig. 10"
           trials
           (Coverage.render
-             (Coverage.fig9 ~seed:Repro.seed ~trials ~benchmarks ()))
+             (Engine.with_engine (fun engine ->
+                  Coverage.fig9 ~engine ~seed:Repro.seed ~trials ~benchmarks
+                    ())))
       in
       Alcotest.(check bool) "Fig. 9 block is Coverage.render of fig9" true
         (contains cold fig9))

@@ -449,6 +449,33 @@ let test_work_queue_and_claims () =
       | Work.Busy o -> Alcotest.failf "released unit busy (%s)" o);
       Work.release s u)
 
+(* A queued unit with no fuel would bank a tally of timeouts: reading
+   the queue reports it as a broken unit, naming the field. *)
+let test_work_unit_without_fuel_broken () =
+  with_store (fun s ->
+      let u =
+        {
+          Work.workload = "cjpeg";
+          size = "fault";
+          scheme = "CASTED";
+          issue = 2;
+          delay = 2;
+          model = "reg-bit";
+          seed = 7;
+          trials = 64;
+          fuel_factor = 0;
+          retry_budget = -1;
+        }
+      in
+      ignore (Work.enqueue s u : bool);
+      match Work.units s with
+      | Ok [ Error msg ] ->
+          Alcotest.(check bool) "message names fuel_factor" true
+            (contains msg "fuel_factor must be at least 1")
+      | Ok [ Ok _ ] -> Alcotest.fail "a unit without fuel was accepted"
+      | Ok l -> Alcotest.failf "expected one unit, got %d" (List.length l)
+      | Error msg -> Alcotest.fail msg)
+
 let test_work_stale_lock_broken () =
   with_store_dir (fun dir ->
       let s = Store.open_exn ~create:true dir in
@@ -608,4 +635,6 @@ let suite =
         prop_chunk_grid;
       case "merge rejects a shard off its grid share"
         test_merge_rejects_off_grid_shard;
+      case "queued unit without fuel is broken"
+        test_work_unit_without_fuel_broken;
     ] )
