@@ -159,28 +159,6 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-let shard_conv =
-  let parse s =
-    match String.split_on_char '/' s with
-    | [ k; n ] -> (
-        match (int_of_string_opt k, int_of_string_opt n) with
-        | Some k, Some n when n >= 1 && k >= 0 && k < n -> Ok (k, n)
-        | _ -> Error (`Msg (Printf.sprintf "bad shard %S (use K/N, 0 <= K < N)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad shard %S (use K/N, 0 <= K < N)" s))
-  in
-  let print ppf (k, n) = Format.fprintf ppf "%d/%d" k n in
-  Arg.conv (parse, print)
-
-let shard_arg =
-  let doc =
-    "Simulate only shard $(docv) (= K/N, zero-based) of the campaign: the \
-     64-trial chunks whose index ≡ K (mod N). Requires $(b,--store); run \
-     the other shards as separate processes against the same store and \
-     the cell's merged tally — bit-identical to an unsharded run — is \
-     published when the last shard lands."
-  in
-  Arg.(value & opt (some shard_conv) None & info [ "shard" ] ~docv:"K/N" ~doc)
-
 let open_store ?(create = true) dir =
   match Store.open_dir ~create dir with
   | Ok s -> s
@@ -451,17 +429,7 @@ let min_recovered_arg =
 
 let campaign_cmd =
   let run bench scheme issue delay trials model ci_halfwidth retry_budget
-      min_recovered store_dir shard jobs trace metrics =
-    if shard <> None && store_dir = None then begin
-      Printf.eprintf "casted: --shard requires --store DIR\n";
-      exit 2
-    end;
-    if shard <> None && ci_halfwidth <> None then begin
-      Printf.eprintf
-        "casted: --shard cannot be combined with --ci-halfwidth (a shard \
-         cannot know where the whole campaign stops)\n";
-      exit 2
-    end;
+      min_recovered store_dir jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     with_engine jobs (fun engine ->
         (match Casted_workloads.Registry.find bench with
@@ -477,7 +445,7 @@ let campaign_cmd =
         let store = Option.map open_store store_dir in
         let sc =
           Engine.campaign_stored engine ~model ?ci_halfwidth ?retry_budget
-            ?store ?shard ~trials spec
+            ?store ~trials spec
         in
         let result = sc.Engine.result in
         Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
@@ -499,18 +467,11 @@ let campaign_cmd =
              ±%.2fpp)@."
             result.Montecarlo.trials trials
             (Option.value ci_halfwidth ~default:0.0);
-        (match (store_dir, shard) with
-        | Some dir, _ ->
-            Format.printf
-              "store: %s — %d trials served, %d simulated%s@." dir
-              sc.Engine.served sc.Engine.simulated
-              (if sc.Engine.complete then ""
-               else
-                 Format.asprintf " (shard %d/%d tally only — other shards \
-                                  outstanding)"
-                   (fst (Option.value shard ~default:(0, 1)))
-                   (snd (Option.value shard ~default:(0, 1))))
-        | None, _ -> ());
+        Option.iter
+          (fun dir ->
+            Format.printf "store: %s — %d trials served, %d simulated@." dir
+              sc.Engine.served sc.Engine.simulated)
+          store_dir;
         Format.printf "%a@." Montecarlo.pp result;
         (match result.Montecarlo.replay with
         | Some s -> Format.printf "%a@." Montecarlo.pp_replay s
@@ -529,8 +490,7 @@ let campaign_cmd =
           (Report.Coverage.mwtf_string
              (Montecarlo.mwtf ~baseline_cycles result));
         match min_recovered with
-        | Some threshold when sc.Engine.complete && recovered_pct < threshold
-          ->
+        | Some threshold when recovered_pct < threshold ->
             Printf.eprintf
               "casted: recovered fraction %.1f%% is below the required \
                %.1f%%\n"
@@ -543,13 +503,13 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Run one Monte-Carlo fault campaign (incremental and crash-safe \
-          against a persistent result store, shardable across processes, \
-          with Wilson confidence intervals, optional early stopping, and \
-          recovered-fraction / MWTF reporting)")
+          against a persistent result store, with Wilson confidence \
+          intervals, optional early stopping, and recovered-fraction / MWTF \
+          reporting)")
     Term.(
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
-      $ model_arg $ ci_halfwidth_arg $ retry_budget_arg $ min_recovered_arg $ store_arg $ shard_arg
-      $ jobs_arg $ trace_arg $ metrics_arg)
+      $ model_arg $ ci_halfwidth_arg $ retry_budget_arg $ min_recovered_arg
+      $ store_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let recover_cmd =
   let run bench issue delay trials model retry_budget jobs trace metrics =
@@ -927,15 +887,10 @@ let store_audit_cmd =
                     let retry_budget =
                       Store.retry_budget_of_field k.Store.retry_budget
                     in
-                    let shard = k.Store.shard in
-                    let trials =
-                      if snd shard = 1 then e.Store.trials_done
-                      else k.Store.trials
-                    in
                     let r =
                       Engine.campaign engine ~seed:k.Store.seed
                         ~fuel_factor:k.Store.fuel_factor ~model ?retry_budget
-                        ~shard ~trials key
+                        ~trials:e.Store.trials_done key
                     in
                     if
                       Montecarlo.counts r <> e.Store.counts
@@ -985,16 +940,8 @@ let store_gc_cmd =
     let s = open_store ~create:false dir in
     let tmp = Store.gc_tmp s in
     let locks = Work.gc_locks ~force s in
-    match Store.gc_shards s with
-    | Error msg ->
-        Printf.eprintf "casted: %s\n" msg;
-        1
-    | Ok shards ->
-        Format.printf
-          "gc: removed %d tmp files, %d stale locks, %d merged-away shard \
-           entries@."
-          tmp locks shards;
-        0
+    Format.printf "gc: removed %d tmp files, %d stale locks@." tmp locks;
+    0
   in
   let force =
     Arg.(
@@ -1007,9 +954,8 @@ let store_gc_cmd =
   Cmd.v
     (Cmd.info "gc"
        ~doc:
-         "Sweep debris: orphan tmp files from killed writers, stale locks \
-          of dead workers, and shard entries already covered by a merged \
-          full entry")
+         "Sweep debris: orphan tmp files from killed writers and stale \
+          locks of dead workers")
     Term.(const run $ store_dir_pos $ force)
 
 let store_cmd =
@@ -1212,8 +1158,11 @@ let repro_cmd =
           (Engine.jobs engine)
           (match store_dir with
           | Some dir ->
-              Printf.sprintf "; store %s: %d trials served, %d simulated" dir
-                c.Engine.trials_served c.Engine.trials_simulated
+              Printf.sprintf
+                "; store %s: %d trials served, %d simulated; %d ablation \
+                 trials simulated outside the store"
+                dir c.Engine.trials_served c.Engine.trials_simulated
+                (Report.Repro.unstored_trials ~trials)
           | None -> ""));
     0
   in
@@ -1225,7 +1174,9 @@ let repro_cmd =
           recovery and DME, at seed 0xCA57ED. The report goes to stdout and \
           is identical for every $(b,--jobs) and store state; the wall clock \
           and store traffic go to stderr. With $(b,--store) every engine \
-          campaign is banked, so a rerun simulates none of them.")
+          campaign is banked, so a rerun simulates none of them; the \
+          late-CSE ablation's trials run outside the store every time and \
+          are counted separately.")
     Term.(
       const run $ size_arg_with W.Perf $ trials_arg $ store_arg
       $ jobs_arg)

@@ -6,7 +6,6 @@ module Pipeline = Casted_detect.Pipeline
 module Simulator = Casted_sim.Simulator
 module Outcome = Casted_sim.Outcome
 module Montecarlo = Casted_sim.Montecarlo
-module Chunk_grid = Casted_exec.Chunk_grid
 
 type store_counters = {
   full_hits : int;
@@ -102,7 +101,6 @@ type stored_campaign = {
   result : Montecarlo.result;
   simulated : int;
   served : int;
-  complete : bool;
 }
 
 let bump_store t f =
@@ -196,22 +194,9 @@ let check_golden_agreement ~what (e : Store.entry) (r : Montecarlo.result) =
 let store_fail msg = invalid_arg ("Engine.campaign: result store: " ^ msg)
 let store_get = function Ok v -> v | Error msg -> store_fail msg
 
-(* Trial index at which a partial shard tally of [banked] owned trials
-   resumes. The campaign's bank hook always lands on chunk boundaries;
-   anything else is a corrupt store. *)
-let shard_resume_index ~shard ~trials banked =
-  match Chunk_grid.resume_index ~shard ~trials banked with
-  | Some i -> i
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Engine.campaign: partial shard entry banked %d trials, not a \
-            whole prefix of the shard's %d-trial chunks — corrupt store"
-           banked Chunk_grid.size)
-
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?retry_budget ?store
-    ?(shard = (0, 1)) ~trials key =
+    ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
   (* Compile (cached) under the compile span, then hand the memoized
      stage-2 program — and, for a replaying campaign, the memoized
@@ -222,28 +207,22 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
      (it does unless it has a retry budget), so the snapshot set is
      handed over unforced. The store's full-hit path never gets here:
      a banked tally costs no compile, no decode, no golden run. *)
-  let simulate ?prior ?bank ~shard n_trials =
+  let simulate ?prior ?bank () =
     let (_ : Pipeline.compiled) = compile t key in
     let compiled = Cache.compiled t.cache key in
     span "engine.campaign" (fun () ->
         Montecarlo.run_compiled ~pool:t.pool ~seed ~fuel_factor ~model
           ?ci_halfwidth ~replay_set:(lazy (Cache.replay t.cache key))
-          ?retry_budget ~shard ?prior ?bank ~trials:n_trials compiled)
+          ?retry_budget ?prior ?bank ~trials compiled)
   in
   match store with
   | None ->
-      let result = simulate ~shard trials in
-      {
-        result;
-        simulated = result.Montecarlo.trials;
-        served = 0;
-        complete = shard = (0, 1);
-      }
+      let result = simulate () in
+      { result; simulated = result.Montecarlo.trials; served = 0 }
   | Some s ->
       let skey =
-        Store.key ?retry_budget ~shard
-          ~identity:(campaign_identity key model) ~seed ~fuel_factor ~trials
-          ()
+        Store.key ?retry_budget ~identity:(campaign_identity key model) ~seed
+          ~fuel_factor ~trials ()
       in
       let skey =
         match ci_halfwidth with
@@ -251,34 +230,15 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         | None -> skey
       in
       let spec = spec_of_key key model in
-      let serve ?(simulated = 0) (e : Store.entry) ~complete =
-        {
-          result = result_of_entry ~model e;
-          simulated;
-          served = e.Store.trials_done - simulated;
-          complete;
-        }
-      in
       let put r =
         Store.put s (entry_of_result ~spec skey r);
         bump_store t (fun c -> { c with store_writes = c.store_writes + 1 })
       in
-      (* Bank the running tally after every finished owned 64-trial
-         chunk, so a killed campaign's finished chunks survive and a
-         rerun resumes after the last of them. *)
+      (* Bank the running tally after every finished 64-trial chunk, so
+         a killed campaign's finished chunks survive and a rerun resumes
+         after the last of them. *)
       let bank ~next:_ r = put r in
-      let write_merged () =
-        (* All shards banked: publish the summed tally as the cell's
-           full entry so every later lookup is a single-read hit. *)
-        match store_get (Store.merge_shards s skey) with
-        | None -> None
-        | Some merged ->
-            Store.put s merged;
-            bump_store t (fun c ->
-                { c with store_writes = c.store_writes + 1 });
-            Some merged
-      in
-      let full_hit (e : Store.entry) ~complete =
+      let full_hit (e : Store.entry) =
         bump_store t (fun c ->
             {
               c with
@@ -286,10 +246,14 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               trials_served = c.trials_served + e.Store.trials_done;
             });
         Casted_obs.Metrics.incr "engine.store.full_hits";
-        serve e ~complete
+        {
+          result = result_of_entry ~model e;
+          simulated = 0;
+          served = e.Store.trials_done;
+        }
       in
       let miss ?bank () =
-        let result = simulate ~shard ?bank trials in
+        let result = simulate ?bank () in
         bump_store t (fun c ->
             {
               c with
@@ -299,13 +263,13 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         Casted_obs.Metrics.incr "engine.store.misses";
         result
       in
-      (* Resume a banked entry at trial index [start]; [simulated]
-         counts only the trials this call ran. *)
-      let resume ~what (e : Store.entry) ~start =
+      (* Incremental fill or crash resume: continue from the banked
+         tally, then extend the entry. *)
+      let resume (e : Store.entry) =
         let result =
-          simulate ~shard ~prior:(start, e.Store.counts) ~bank trials
+          simulate ~prior:(e.Store.trials_done, e.Store.counts) ~bank ()
         in
-        check_golden_agreement ~what e result;
+        check_golden_agreement ~what:"incremental resume" e result;
         put result;
         let simulated = result.Montecarlo.trials - e.Store.trials_done in
         bump_store t (fun c ->
@@ -316,7 +280,7 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               trials_simulated = c.trials_simulated + simulated;
             });
         Casted_obs.Metrics.incr "engine.store.partial_hits";
-        (result, simulated)
+        { result; simulated; served = e.Store.trials_done }
       in
       (* An early-stop cell is finished once its banked tally already
          satisfies the stop rule: the campaign checked it at every
@@ -330,79 +294,26 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               (result_of_entry ~model e)
         | None -> false
       in
-      if snd shard = 1 then begin
-        match store_get (Store.find s skey) with
-        | Some e when finished e -> full_hit e ~complete:true
-        | Some e when e.Store.trials_done < trials ->
-            (* Incremental fill or crash resume: continue from the
-               banked tally, then extend the entry. *)
-            let result, simulated =
-              resume ~what:"incremental resume" e ~start:e.Store.trials_done
-            in
-            { result; simulated; served = e.Store.trials_done; complete = true }
-        | Some e ->
-            (* The banked tally covers MORE trials than requested; the
-               first [trials] of it cannot be recovered from counts.
-               Simulate the request fresh and leave the richer entry
-               alone (no banking either). *)
-            let result = miss () in
-            check_golden_agreement ~what:"oversized entry" e result;
-            {
-              result;
-              simulated = result.Montecarlo.trials;
-              served = 0;
-              complete = true;
-            }
-        | None ->
-            let result = miss ~bank () in
-            put result;
-            {
-              result;
-              simulated = result.Montecarlo.trials;
-              served = 0;
-              complete = true;
-            }
-      end
-      else begin
-        (* Shard worker: serve the cell if it is already complete,
-           otherwise fill this shard — banking the partial tally at
-           every owned 64-trial chunk so a killed worker's finished
-           chunks survive — and merge if that was the last one. *)
-        let share = Chunk_grid.share ~shard ~trials in
-        let full_key = { skey with Store.shard = (0, 1) } in
-        (* This shard's tally is in: publish the merged cell if the
-           other shards have landed too, else report the shard alone. *)
-        let merged_or ~simulated (result : Montecarlo.result) ~served =
-          match write_merged () with
-          | Some merged -> serve merged ~simulated ~complete:true
-          | None -> { result; simulated; served; complete = false }
-        in
-        match store_get (Store.find s full_key) with
-        | Some e when e.Store.trials_done = trials -> full_hit e ~complete:true
-        | _ -> (
-            match store_get (Store.find s skey) with
-            | Some own when own.Store.trials_done = share ->
-                let own = full_hit own ~complete:false in
-                merged_or ~simulated:0 own.result ~served:own.served
-            | Some own ->
-                (* Partial shard entry — a previous worker was killed
-                   mid-campaign. Resume after its last banked chunk. *)
-                let result, simulated =
-                  resume ~what:"partial shard resume" own
-                    ~start:
-                      (shard_resume_index ~shard ~trials own.Store.trials_done)
-                in
-                merged_or ~simulated result ~served:own.Store.trials_done
-            | None ->
-                let result = miss ~bank () in
-                put result;
-                merged_or ~simulated:result.Montecarlo.trials result ~served:0)
-      end
+      match store_get (Store.find s skey) with
+      | Some e when finished e -> full_hit e
+      | Some e when e.Store.trials_done < trials -> resume e
+      | Some e ->
+          (* The banked tally covers MORE trials than requested; the
+             first [trials] of it cannot be recovered from counts.
+             Simulate the request fresh and leave the richer entry alone
+             (no banking either). *)
+          let result = miss () in
+          check_golden_agreement ~what:"oversized entry" e result;
+          { result; simulated = result.Montecarlo.trials; served = 0 }
+      | None ->
+          let result = miss ~bank () in
+          put result;
+          { result; simulated = result.Montecarlo.trials; served = 0 }
 
 let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?store
-    ?shard ~trials key =
+    ~trials key =
   (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget
-     ?store ?shard ~trials key)
+     ?store ~trials key)
     .result
 
 (* One grid cell: NOED/SCED are single-core, so they are measured once

@@ -86,7 +86,6 @@ val campaign :
   ?ci_halfwidth:float ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
-  ?shard:int * int ->
   trials:int ->
   Cache.key ->
   Casted_sim.Montecarlo.result
@@ -97,19 +96,14 @@ val default_retry_budget : int
 
 (** {2 The persistent result store} *)
 
-(** What a store-backed campaign actually did. [result] is the tally
-    this process can vouch for: the cell's full tally when [complete],
-    otherwise just this shard's share. [simulated] trials were run by
-    this call; [served] came out of the store. Both count the trials
-    of [result] (or of this shard), so they sum to fewer than the
-    request when an early-stop campaign stopped. *)
+(** What a store-backed campaign actually did. [simulated] trials were
+    run by this call; [served] came out of the store. Both count the
+    trials of [result], so they sum to fewer than the request when an
+    early-stop campaign stopped. *)
 type stored_campaign = {
   result : Casted_sim.Montecarlo.result;
   simulated : int;  (** trials this call actually simulated *)
   served : int;  (** trials served from banked store entries *)
-  complete : bool;
-      (** [result] covers all [trials] of the cell (as opposed to one
-          shard of a cell whose other shards are still outstanding) *)
 }
 
 (** [campaign_stored t ~store ~trials spec] is {!campaign} made
@@ -131,32 +125,17 @@ type stored_campaign = {
     chunks in the store and a rerun resumes after the last of them —
     the partial-hit path, bit-identical to an uninterrupted run.
 
-    With [shard = (k, n)], this process simulates only the campaign
-    chunks owned by shard [k] of [n] (absolute 64-trial grid, so the
-    [n] shards partition the trial space exactly), banks the shard
-    entry, and — if it completed the cell — merges all [n] shard
-    entries into the full entry. [complete = false] means other shards
-    are still outstanding; re-running any shard once they land (or
-    {!Casted_store.Store.merge_shards}) produces the merged tally,
-    bit-identical to an unsharded run. A shard worker also banks its
-    partial tally after {e every} finished owned chunk, so a worker
-    killed mid-campaign leaves its completed chunks in the store;
-    re-running that shard resumes after the last banked chunk instead
-    of starting over (counted as a partial hit).
-
     With [ci_halfwidth] the cell is an early-stop cell
     ({!Casted_store.Store.early_stop}): its address also pins [trials]
     and the target, because both decide where the stop fires. Its entry
     is a full hit when [trials_done = trials] or when the stop rule
     already holds on the banked counts
     ({!Casted_sim.Montecarlo.early_stop_reached}); otherwise it resumes
-    at its banked index, always a multiple of 64. Early stopping cannot
-    combine with [shard]. A resumed cell whose golden run disagrees
-    with the banked entry raises [Invalid_argument] — the identity no
-    longer pins the simulation.
+    at its banked index, always a multiple of 64. A resumed cell whose
+    golden run disagrees with the banked entry raises
+    [Invalid_argument] — the identity no longer pins the simulation.
 
-    Without [store] this is exactly {!campaign} (plus the shard
-    restriction when [shard] is given). *)
+    Without [store] this is exactly {!campaign}. *)
 val campaign_stored :
   t ->
   ?seed:int ->
@@ -165,7 +144,6 @@ val campaign_stored :
   ?ci_halfwidth:float ->
   ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
-  ?shard:int * int ->
   trials:int ->
   Cache.key ->
   stored_campaign
@@ -205,7 +183,7 @@ type store_counters = {
   full_hits : int;  (** cells served entirely from the store *)
   partial_hits : int;  (** cells resumed from a banked prefix *)
   store_misses : int;  (** cells simulated from scratch *)
-  store_writes : int;  (** entries written (new, extended or merged) *)
+  store_writes : int;  (** entries written (new or extended) *)
   trials_served : int;  (** trials that needed no simulation *)
   trials_simulated : int;  (** trials actually run by store campaigns *)
 }

@@ -95,6 +95,10 @@ let cse_kernel () =
   Casted_ir.Program.make ~funcs:[ B.finish b ] ~entry:"main"
     ~mem_size:(1 lsl 16) ~output_base:0x40 ~output_len:8 ()
 
+(* The three campaigns of [cse_on_hardened] run on a hand-built kernel,
+   not an engine cell, so every pass simulates them outside the store. *)
+let unstored_trials ~trials = 3 * trials
+
 let cse_on_hardened engine ~trials =
   let module Pass = Casted_opt.Pass in
   let hardened, _ = Transform.program Options.default (cse_kernel ()) in

@@ -27,7 +27,8 @@ val seed : int
     - With [store], every engine campaign is served from and banked
       into that result store, so a warm rerun simulates none of them.
       The late-CSE ablation's three campaigns run on a hand-built
-      kernel that is not an engine cell and are simulated every time. *)
+      kernel that is not an engine cell and are simulated every time
+      ({!unstored_trials}). *)
 val run :
   engine:Casted_engine.Engine.t ->
   ?store:Casted_store.Store.t ->
@@ -36,3 +37,8 @@ val run :
   trials:int ->
   unit ->
   string
+
+(** [unstored_trials ~trials] is how many trials {!run} simulates
+    outside the engine and its store on every pass, warm or cold: the
+    late-CSE ablation's three campaigns of [trials] each. *)
+val unstored_trials : trials:int -> int

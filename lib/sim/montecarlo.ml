@@ -282,9 +282,16 @@ let tally ?(model = Fault.Reg_bit) ~golden:g classes =
   Array.iter (fun c -> counts.(idx c) <- counts.(idx c) + 1) classes;
   result_of_counts ~golden:g ~model ~trials:(Array.length classes) counts
 
-module Chunk_grid = Casted_exec.Chunk_grid
+(* The absolute chunk grid: chunk [i] is trials [[i * chunk_trials,
+   (i + 1) * chunk_trials)], clipped to the campaign length. Early-stop
+   checks and banked partial tallies happen only at its points, so
+   neither the pool size nor a kill point can move them. *)
+let chunk_trials = 64
 
-let chunk_trials = Chunk_grid.size
+(* The end of the chunk holding trial [lo]: the first grid point above
+   [lo], clipped to [trials]. A campaign resumed off the grid steps
+   there first, so every later chunk and bank point is on the grid. *)
+let chunk_end ~trials lo = min trials ((lo / chunk_trials + 1) * chunk_trials)
 
 let check_ci_halfwidth = function
   | Some w when not (Float.is_finite w && w > 0.0) ->
@@ -302,25 +309,9 @@ let early_stop_reached ~ci_halfwidth r =
 
 let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Fault.Reg_bit) ?ci_halfwidth ?replay_set ?retry_budget
-    ?(shard = (0, 1)) ?prior ?bank ~trials p =
+    ?prior ?bank ~trials p =
   check_ci_halfwidth ci_halfwidth;
   check_fuel_factor fuel_factor;
-  (* Sharded campaigns own their merge bookkeeping (the result store);
-     an early stop would make a shard's tally depend on where the other
-     shards stopped, so the combination is rejected outright. *)
-  let shard_k, shard_n = shard in
-  if shard_n < 1 || shard_k < 0 || shard_k >= shard_n then
-    invalid_arg
-      (Printf.sprintf "Montecarlo.run: shard %d/%d is malformed" shard_k
-         shard_n);
-  if shard_n > 1 && ci_halfwidth <> None then
-    invalid_arg
-      "Montecarlo.run: a sharded campaign cannot combine with ci_halfwidth \
-       (shards merge through the result store)";
-  (* Trials this process owns strictly below [start] — what a resumed
-     shard's prior counts must sum to (for an unsharded campaign this is
-     just [start]). *)
-  let owned_below start = Chunk_grid.share ~shard ~trials:start in
   (match prior with
   | None -> ()
   | Some (start, counts) ->
@@ -330,9 +321,7 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
              start trials);
       (* The stop rule is checked at [start], then at every grid point
          after it: a prior off the grid would add a check off it. *)
-      if
-        ci_halfwidth <> None
-        && Chunk_grid.resume_index ~shard ~trials start = None
+      if ci_halfwidth <> None && start mod chunk_trials <> 0 && start <> trials
       then
         invalid_arg
           (Printf.sprintf
@@ -344,13 +333,13 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
           (Printf.sprintf
              "Montecarlo.run: prior carries %d outcome classes, expected %d"
              (Array.length counts) n_classes);
-      if Array.fold_left ( + ) 0 counts <> owned_below start then
+      if Array.fold_left ( + ) 0 counts <> start then
         invalid_arg
           (Printf.sprintf
              "Montecarlo.run: prior counts sum to %d but %d trials are \
               recorded"
              (Array.fold_left ( + ) 0 counts)
-             (owned_below start)));
+             start));
   (* The replay rule: a campaign replays, with the re-convergence
      watcher, exactly when it has no retry budget. Rollback trials
      restore their own region checkpoints mid-run, which golden-prefix
@@ -412,44 +401,35 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         narrow_enough ~target ~detected:counts.(idx Detected) ~trials:done_
   in
   let rec go lo =
-    if lo < trials && not (stop lo) then begin
-      let hi = Chunk_grid.chunk_end ~trials lo in
-      if Chunk_grid.owns ~shard lo then begin
-        Array.iter
-          (fun t ->
-            counts.(idx t.cls) <- counts.(idx t.cls) + 1;
-            if g.replay <> None then begin
-              if t.replayed then incr n_replayed else incr n_full;
-              if t.converged then incr n_converged;
-              suffix_sum := !suffix_sum +. t.executed;
-              if Casted_obs.Metrics.enabled () then begin
-                Casted_obs.Metrics.incr
-                  (if t.replayed then "replay.hits" else "replay.misses");
-                if t.converged then Casted_obs.Metrics.incr "sim.converged";
-                Casted_obs.Metrics.observe "replay.suffix_fraction"
-                  t.executed
-              end
-            end)
-          (map_chunk lo hi);
-        (* Bank the partial tally at every finished owned chunk (the
-           final tally is returned normally): a killed campaign's
-           completed chunks survive and get served on restart. *)
-        match bank with
-        | Some f when hi < trials ->
-            f ~next:hi
-              (result_of_counts ~golden:g ~model
-                 ~trials:(Array.fold_left ( + ) 0 counts)
-                 counts)
-        | _ -> ()
-      end;
+    if lo >= trials || stop lo then lo
+    else begin
+      let hi = chunk_end ~trials lo in
+      Array.iter
+        (fun t ->
+          counts.(idx t.cls) <- counts.(idx t.cls) + 1;
+          if g.replay <> None then begin
+            if t.replayed then incr n_replayed else incr n_full;
+            if t.converged then incr n_converged;
+            suffix_sum := !suffix_sum +. t.executed;
+            if Casted_obs.Metrics.enabled () then begin
+              Casted_obs.Metrics.incr
+                (if t.replayed then "replay.hits" else "replay.misses");
+              if t.converged then Casted_obs.Metrics.incr "sim.converged";
+              Casted_obs.Metrics.observe "replay.suffix_fraction" t.executed
+            end
+          end)
+        (map_chunk lo hi);
+      (* Bank the partial tally at every finished chunk (the final
+         tally is returned normally): a killed campaign's completed
+         chunks survive and get served on restart. *)
+      (match bank with
+      | Some f when hi < trials ->
+          f ~next:hi (result_of_counts ~golden:g ~model ~trials:hi counts)
+      | _ -> ());
       go hi
     end
   in
-  go start;
-  (* Tallied trials: the absolute index for a plain campaign, only the
-     owned chunks for a shard. The counts are the ground truth either
-     way. *)
-  let done_ = Array.fold_left ( + ) 0 counts in
+  let done_ = go start in
   let replay_stats =
     match g.replay with
     | None -> None
@@ -472,10 +452,10 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
 (* Decode and compile once per campaign, not once per trial: the
    compiled program is immutable and shared read-only by every pool
    domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?shard
-    ?prior ~trials sched =
+let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?prior
+    ~trials sched =
   run_compiled ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget
-    ?shard ?prior ~trials
+    ?prior ~trials
     (Compile.of_decoded (Decode.of_schedule sched))
 
 (* Per-class counts in the [idx] order — what the result store

@@ -187,11 +187,10 @@ val of_counts :
   int array ->
   result
 
-(** Campaigns advance in chunks of this many trials
-    ({!Casted_exec.Chunk_grid.size}); early-stop checks and [bank] calls
-    happen only at chunk boundaries (absolute trial indices), which is
-    why neither the pool size nor a kill point can change a campaign's
-    result. *)
+(** Campaigns advance in chunks of this many trials (64), on a grid
+    anchored at trial 0; early-stop checks and [bank] calls happen only
+    at chunk boundaries (absolute trial indices), which is why neither
+    the pool size nor a kill point can change a campaign's result. *)
 val chunk_trials : int
 
 (** The sequential stop rule of [ci_halfwidth]: true once [r]'s
@@ -227,23 +226,14 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       campaign does not replay: rollback trials restore their own
       region checkpoints, which prefix replay cannot express, so every
       trial runs full-length.
-    @param shard [(k, n)]: simulate only the chunks whose index on the
-      absolute chunk grid is congruent to [k] modulo [n] (default
-      [(0, 1)] — everything). The grid is anchored at trial 0 and
-      identical for every shard, so the [n] shard tallies partition
-      [0, trials) exactly and sum to the single-process tally
-      bit-for-bit (the result store performs that merge). A sharded
-      campaign's [result.trials] counts only its own trials. [n > 1]
-      cannot combine with [ci_halfwidth].
     @param prior [(done, counts)]: resume from a persisted tally —
       start at trial index [done] with per-class [counts] ({!counts}
       order) pre-seeded. This is the result store's incremental and
       crash-resume path: a cell with [done] trials banked simulates
-      only [done, trials), bit-identical to the uninterrupted run. With
-      a shard, [counts] must cover exactly the shard's own chunks below
-      [done] (the banked partial entry of a killed worker). A [done]
-      off the grid (a cell banked by a shorter request) first runs to
-      the next grid point, so every later chunk stays on the grid. With
+      only [done, trials), bit-identical to the uninterrupted run.
+      [counts] must sum to [done]. A [done] off the grid (a cell banked
+      by a shorter request) first runs to the next grid point, so every
+      later chunk stays on the grid. With
       [ci_halfwidth], [done] must be a multiple of {!chunk_trials} (or
       [trials]) so the stop rule is checked at the same points. *)
 val run :
@@ -253,7 +243,6 @@ val run :
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
   ?retry_budget:int ->
-  ?shard:int * int ->
   ?prior:int * int array ->
   trials:int ->
   Casted_sched.Schedule.t ->
@@ -270,10 +259,9 @@ val run :
       trials from (the engine passes its memoized one) instead of
       capturing afresh. Forced only when the campaign replays, that is
       without [retry_budget].
-    @param bank called after every finished owned chunk except the last
+    @param bank called after every finished chunk except the last
       with the next trial index (a grid point) and the partial tally
-      so far — the
-      result store's partial-banking hook: a SIGKILLed campaign's
+      so far — the result store's partial-banking hook: a SIGKILLed campaign's
       completed chunks survive and are served on restart. The final
       tally is returned normally, not banked. *)
 val run_compiled :
@@ -284,7 +272,6 @@ val run_compiled :
   ?ci_halfwidth:float ->
   ?replay_set:Replay.t Lazy.t ->
   ?retry_budget:int ->
-  ?shard:int * int ->
   ?prior:int * int array ->
   ?bank:(next:int -> result -> unit) ->
   trials:int ->

@@ -30,9 +30,9 @@ let addr_int addr =
   else Int64.to_int (Int64.logand addr 0x3FFF_FFFFL)
 
 (* Surface one finished run into the metrics registry. Runs entirely on
-   the calling domain's shard, after the simulation is done, so it can
-   never perturb the simulation itself. An untimed run's cycles, slots
-   and cache counts are not measurements, so it adds none. *)
+   the calling domain's metrics slot, after the simulation is done, so
+   it can never perturb the simulation itself. An untimed run's cycles,
+   slots and cache counts are not measurements, so it adds none. *)
 let record_metrics ~timed (r : Outcome.run) =
   let module M = Casted_obs.Metrics in
   if M.enabled () then begin

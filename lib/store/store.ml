@@ -1,35 +1,20 @@
 (* On-disk content-addressed campaign-result store. See store.mli for
-   the layout and merge semantics. *)
-
-module Chunk_grid = Casted_exec.Chunk_grid
+   the layout and extension semantics. *)
 
 type key = {
   identity : string;
   seed : int;
   fuel_factor : int;
   retry_budget : int;
-  shard : int * int;
   trials : int;
   ci_halfwidth : float option;
 }
 
-let key ?(retry_budget = -1) ?(shard = (0, 1)) ~identity ~seed ~fuel_factor
-    ~trials () =
-  let k, n = shard in
-  if n < 1 || k < 0 || k >= n then
-    invalid_arg (Printf.sprintf "Store.key: shard %d/%d is malformed" k n);
+let key ?(retry_budget = -1) ~identity ~seed ~fuel_factor ~trials () =
   if trials < 0 then invalid_arg "Store.key: trials must be non-negative";
   if String.contains identity '\n' || String.contains identity '|' then
     invalid_arg "Store.key: identity must not contain newlines or '|'";
-  {
-    identity;
-    seed;
-    fuel_factor;
-    retry_budget;
-    shard;
-    trials;
-    ci_halfwidth = None;
-  }
+  { identity; seed; fuel_factor; retry_budget; trials; ci_halfwidth = None }
 
 let retry_budget_of_field b = if b < 0 then None else Some b
 
@@ -38,8 +23,6 @@ let valid_ci_halfwidth w = Float.is_finite w && w > 0.0
 let early_stop ~ci_halfwidth k =
   if not (valid_ci_halfwidth ci_halfwidth) then
     invalid_arg "Store.early_stop: ci_halfwidth must be positive and finite";
-  if k.shard <> (0, 1) then
-    invalid_arg "Store.early_stop: an early-stop cell cannot be sharded";
   { k with ci_halfwidth = Some ci_halfwidth }
 
 (* The shortest decimal rendering that reads back as the same float, so
@@ -51,23 +34,19 @@ let render_float w =
   in
   go 15
 
-(* The canonical address. A full entry (shard 0/1) is addressed without
-   its trial count so it can extend in place as more trials accumulate;
-   a shard entry is pinned to its campaign length, since its chunk
-   ownership only means anything for one fixed total. An early-stop
-   cell is pinned to its requested length and its stop target: both
-   decide where the stop fires. Pinned by golden tests: changing this
-   shape orphans every store on disk. *)
+(* The canonical address. A full entry is addressed without its trial
+   count so it can extend in place as more trials accumulate. An
+   early-stop cell is pinned to its requested length and its stop
+   target: both decide where the stop fires. Pinned by golden tests:
+   changing this shape orphans every store on disk. *)
 let address k =
   let base =
     Printf.sprintf "%s|seed=%d|fuel=%d|retry=%d" k.identity k.seed
       k.fuel_factor k.retry_budget
   in
-  match (k.shard, k.ci_halfwidth) with
-  | (0, 1), None -> base
-  | (0, 1), Some w ->
-      Printf.sprintf "%s|trials=%d|ci=%s" base k.trials (render_float w)
-  | (s, n), _ -> Printf.sprintf "%s|trials=%d|shard=%d/%d" base k.trials s n
+  match k.ci_halfwidth with
+  | None -> base
+  | Some w -> Printf.sprintf "%s|trials=%d|ci=%s" base k.trials (render_float w)
 
 let hash k = Digest.to_hex (Digest.string (address k))
 
@@ -224,13 +203,11 @@ let int_field ~path table name =
 let render_entry e =
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  let k, n = e.key.shard in
   line "%s" entry_magic;
   line "identity=%s" e.key.identity;
   line "seed=%d" e.key.seed;
   line "fuel_factor=%d" e.key.fuel_factor;
   line "retry_budget=%d" e.key.retry_budget;
-  line "shard=%d/%d" k n;
   line "trials=%d" e.key.trials;
   Option.iter (fun w -> line "ci=%s" (render_float w)) e.key.ci_halfwidth;
   line "trials_done=%d" e.trials_done;
@@ -270,15 +247,18 @@ let parse_entry ~path content =
       let* seed = int_field ~path table "seed" in
       let* fuel_factor = int_field ~path table "fuel_factor" in
       let* retry_budget = int_field ~path table "retry_budget" in
-      let* shard_s = field ~path table "shard" in
-      let* shard =
-        match String.split_on_char '/' shard_s with
-        | [ k; n ] -> (
-            match (int_of_string_opt k, int_of_string_opt n) with
-            | Some k, Some n when n >= 1 && k >= 0 && k < n -> Ok (k, n)
-            | _ -> Error (Printf.sprintf "%s: malformed shard %S" path shard_s)
-            )
-        | _ -> Error (Printf.sprintf "%s: malformed shard %S" path shard_s)
+      (* Entries written before sharding was retired carry a shard line:
+         [0/1] is a full or early-stop entry, anything else one shard's
+         share of a cell, which nothing reads any more. *)
+      let* () =
+        match Hashtbl.find_opt table "shard" with
+        | None | Some "0/1" -> Ok ()
+        | Some v ->
+            Error
+              (Printf.sprintf
+                 "%s: shard %S — sharded entries are no longer supported; \
+                  the file can be deleted"
+                 path v)
       in
       let* trials = int_field ~path table "trials" in
       let* ci_halfwidth =
@@ -286,7 +266,7 @@ let parse_entry ~path content =
         | None -> Ok None
         | Some v -> (
             match float_of_string_opt v with
-            | Some w when valid_ci_halfwidth w && shard = (0, 1) -> Ok (Some w)
+            | Some w when valid_ci_halfwidth w -> Ok (Some w)
             | _ -> Error (Printf.sprintf "%s: malformed ci %S" path v))
       in
       let* trials_done = int_field ~path table "trials_done" in
@@ -317,8 +297,7 @@ let parse_entry ~path content =
       let e =
         {
           key =
-            { identity; seed; fuel_factor; retry_budget; shard; trials;
-              ci_halfwidth };
+            { identity; seed; fuel_factor; retry_budget; trials; ci_halfwidth };
           trials_done;
           counts;
           golden_cycles;
@@ -412,86 +391,6 @@ let list t =
          names)
   end
 
-let merge_shards t k =
-  let _, n = k.shard in
-  let rec gather s acc =
-    if s >= n then Ok (Some (List.rev acc))
-    else
-      match find t { k with shard = (s, n) } with
-      | Error msg -> Error msg
-      | Ok None -> Ok None
-      | Ok (Some e) -> gather (s + 1) (e :: acc)
-  in
-  match gather 0 [] with
-  | Error msg -> Error msg
-  | Ok None -> Ok None
-  | Ok (Some shards)
-    when List.exists
-           (fun e ->
-             e.trials_done
-             < Chunk_grid.share ~shard:e.key.shard ~trials:k.trials)
-           shards ->
-      (* A shard below its share is a partial tally banked by a worker
-         still running (or killed mid-campaign) — the cell is simply
-         not complete yet, same as a missing shard entry. *)
-      Ok None
-  | Ok (Some shards) ->
-      let reference = List.hd shards in
-      let counts = Array.make (Array.length reference.counts) 0 in
-      let* () =
-        List.fold_left
-          (fun acc e ->
-            let* () = acc in
-            let s, _ = e.key.shard in
-            let expected =
-              Chunk_grid.share ~shard:e.key.shard ~trials:k.trials
-            in
-            if e.trials_done <> expected then
-              Error
-                (Printf.sprintf
-                   "shard %d/%d of %S tallied %d trials, expected %d — \
-                    banked from a different chunk grid"
-                   s n k.identity e.trials_done expected)
-            else if Array.length e.counts <> Array.length counts then
-              Error
-                (Printf.sprintf
-                   "shard %d/%d of %S has %d outcome classes, shard 0 has %d"
-                   s n k.identity (Array.length e.counts)
-                   (Array.length counts))
-            else if
-              e.golden_cycles <> reference.golden_cycles
-              || e.golden_dyn <> reference.golden_dyn
-              || e.population <> reference.population
-              || not (String.equal e.model reference.model)
-            then
-              Error
-                (Printf.sprintf
-                   "shard %d/%d of %S disagrees with shard 0 about the \
-                    golden run (cycles/dyn/population/model) — shards did \
-                    not simulate the same cell"
-                   s n k.identity)
-            else begin
-              Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) e.counts;
-              Ok ()
-            end)
-          (Ok ()) shards
-      in
-      let sum = Array.fold_left ( + ) 0 counts in
-      if sum <> k.trials then
-        Error
-          (Printf.sprintf
-             "merged shards of %S tally %d trials, expected %d" k.identity
-             sum k.trials)
-      else
-        Ok
-          (Some
-             {
-               reference with
-               key = { k with shard = (0, 1) };
-               trials_done = k.trials;
-               counts;
-             })
-
 let gc_tmp ?(age_s = 60.0) t =
   let now = Unix.gettimeofday () in
   let removed = ref 0 in
@@ -523,27 +422,6 @@ let gc_tmp ?(age_s = 60.0) t =
   sweep (Filename.concat t.dir "locks");
   sweep t.dir;
   !removed
-
-let gc_shards t =
-  let* entries = list t in
-  let shard_entries =
-    List.filter_map
-      (fun e ->
-        match e with
-        | Ok e when snd e.key.shard > 1 -> Some e
-        | _ -> None)
-      entries
-  in
-  let removed = ref 0 in
-  List.iter
-    (fun (e : entry) ->
-      match find t { e.key with shard = (0, 1) } with
-      | Ok (Some full) when full.trials_done >= e.key.trials ->
-          (try Sys.remove (entry_path t e.key) with Sys_error _ -> ());
-          incr removed
-      | _ -> ())
-    shard_entries;
-  Ok !removed
 
 let stats t =
   Mutex.lock t.mutex;

@@ -15,7 +15,7 @@
 
     {v
     DIR/MANIFEST            "casted-store v1" — version sentinel
-    DIR/entries/<md5>.entry one tally per campaign cell (or shard)
+    DIR/entries/<md5>.entry one tally per campaign cell
     DIR/queue/<md5>.unit    work units (see {!Work})
     DIR/locks/<md5>.lock    in-flight claims (see {!Work})
     v}
@@ -26,18 +26,18 @@
     bit-identical tally for equal [trials]), and a lookup is one hash
     plus one file read.
 
-    {b Merge semantics.} Tallies merge by summing per-class counts,
-    because trial [i]'s outcome depends only on [(seed, i, model)] (see
-    {!Casted_sim.Montecarlo.trial}). A full entry carries the tally of
-    trials [0, trials_done); a shard entry ([shard = (k, n)], [n > 1])
-    carries the tally of the chunks owned by shard [k] out of [n] over
-    a fixed total ({!Casted_exec.Chunk_grid}); summing all [n] shard
-    entries reproduces the single-process tally bit-for-bit.
+    {b Extension.} An entry carries the tally of trials
+    [0, trials_done). Because trial [i]'s outcome depends only on
+    [(seed, i, model)] (see {!Casted_sim.Montecarlo.trial}), a campaign
+    resumed at [trials_done] and summed onto the banked counts
+    reproduces the uninterrupted tally bit-for-bit.
 
     {b Integrity.} Every read re-derives the canonical key string from
     the entry's own fields and refuses (loudly, [Error]) an entry whose
     hash does not match its filename, whose counts do not sum to its
-    recorded trials, or whose version sentinel is unknown. Writes are
+    recorded trials, or whose version sentinel is unknown. An entry of
+    one shard of a cell, written before sharding was retired, is
+    refused the same way; its file can be deleted. Writes are
     atomic (unique tmp file + [rename]), so a SIGKILL can never leave a
     half-written entry behind — at worst an orphan tmp file that
     {!gc_tmp} sweeps.
@@ -47,25 +47,22 @@
 
 (** A campaign cell's identity. [identity] is the engine's rendering of
     (workload, scheme, config, fault model). [retry_budget] is [-1] when
-    the campaign runs no recovery loop. [shard = (k, n)] with [n = 1] is
-    a full (unsharded) entry; [trials] is the requested campaign length
-    for shard and early-stop entries and is {e not} part of a plain full
-    entry's address (full entries extend in place as more trials
-    accumulate). [ci_halfwidth] is the detected-rate stop target of an
-    early-stop cell ({!early_stop}), [None] otherwise. *)
+    the campaign runs no recovery loop. [trials] is the requested
+    campaign length; it is part of an early-stop entry's address but
+    {e not} of a plain full entry's (full entries extend in place as
+    more trials accumulate). [ci_halfwidth] is the detected-rate stop
+    target of an early-stop cell ({!early_stop}), [None] otherwise. *)
 type key = {
   identity : string;
   seed : int;
   fuel_factor : int;
   retry_budget : int;
-  shard : int * int;
   trials : int;
   ci_halfwidth : float option;
 }
 
 val key :
   ?retry_budget:int ->
-  ?shard:int * int ->
   identity:string ->
   seed:int ->
   fuel_factor:int ->
@@ -81,12 +78,12 @@ val retry_budget_of_field : int -> int option
 (** [early_stop ~ci_halfwidth k] is [k] as the cell of a campaign that
     stops once the detected-rate Wilson half-width reaches
     [ci_halfwidth] percentage points. Raises [Invalid_argument] unless
-    the target is positive and finite and [k] is unsharded. *)
+    the target is positive and finite. *)
 val early_stop : ci_halfwidth:float -> key -> key
 
 (** The canonical string hashed into the entry's filename: [identity
-    |seed=S|fuel=F|retry=R], then [|trials=N|shard=K/M] for a shard
-    entry or [|trials=N|ci=W] for an early-stop cell, [W] the shortest
+    |seed=S|fuel=F|retry=R], then [|trials=N|ci=W] for an early-stop
+    cell, [W] the shortest
     decimal that reads back as the target. Pinned by golden tests —
     changing its shape orphans every store on disk. *)
 val address : key -> string
@@ -149,27 +146,9 @@ val put : t -> entry -> unit
     is an [Error] naming the file. *)
 val list : t -> ((entry, string) result list, string) result
 
-(** [merge_shards t key] — [key] with [shard = (_, n)], [n >= 1] —
-    looks up all [n] shard entries of the cell and, when every one is
-    present and complete, returns the summed tally as a full entry
-    (shard [(0, 1)], [trials_done = trials]). Returns [Ok None] while
-    shards are missing or still partial (a shard worker banks its
-    running tally after every finished chunk, so an entry below its
-    share just means that worker has not finished). Each shard's share
-    is {!Casted_exec.Chunk_grid.share}, the same grid the campaign ran
-    on. [Error] on corrupt entries, on a shard tallying more than its
-    share (banked from a different chunk grid), or on shards that
-    disagree about golden cycles / population (which would mean the
-    shards did not run the same cell). *)
-val merge_shards : t -> key -> (entry option, string) result
-
 (** Remove orphan tmp files older than [age_s] seconds (default 60) —
     debris of SIGKILLed writers. Returns how many were removed. *)
 val gc_tmp : ?age_s:float -> t -> int
-
-(** Remove shard entries whose cell already has a full entry covering
-    at least as many trials. Returns how many were removed. *)
-val gc_shards : t -> (int, string) result
 
 (** Lifetime counters of this handle (process-local). *)
 type stats = {

@@ -4,32 +4,29 @@
 #   1. zero-resimulation fast path — a campaign run cold into a store
 #      and rerun warm must serve every trial from disk (0 simulated)
 #      with a tally bit-identical to a storeless reference run;
-#   2. crash resume — an unsharded store campaign is SIGKILLed once its
-#      entry file appears; rerunning it at --jobs 1 and --jobs 4 serves
+#   2. crash resume — a store campaign is SIGKILLed once its entry file
+#      appears; rerunning it at --jobs 1 and --jobs 4 serves
 #      the banked chunks (nonzero served trials) and reproduces the
 #      reference tally;
 #   3. early-stop cells — a --ci-halfwidth campaign run cold into a
 #      store stops early exactly where the storeless run stops, and the
 #      warm rerun simulates nothing;
-#   4. crash-tolerant sharding — a shard worker is SIGKILLed
-#      mid-flight after banking its first partial chunk; re-running the
-#      killed shard serves the banked chunks (nonzero served trials),
-#      simulates only the rest, completes the cell, and the merged
-#      tally matches the uninterrupted reference bit-for-bit;
-#   5. store hygiene — `casted store gc` sweeps the killed worker's
-#      debris and `casted store audit` re-simulates a banked entry and
-#      agrees with it;
-#   6. worker queue drill — `casted work --enqueue` fills a matrix,
+#   4. store hygiene — `casted store gc` sweeps the debris of part 2's
+#      killed campaign, `casted store audit` re-simulates a banked entry
+#      and agrees with it, and an entry of one shard of a cell (written
+#      before sharding was retired) is a located error in `casted store
+#      ls` and `audit`, not a crash;
+#   5. worker queue drill — `casted work --enqueue` fills a matrix,
 #      a second drain of the same queue simulates nothing.
 #
-# The SIGKILL drills poll for the first banked entry and kill at once;
+# The SIGKILL drill polls for the first banked entry and kills at once;
 # TRIALS must be long enough that the kill lands mid-run.
 #
 # Knobs:
 #   CASTED_BIN  path to the casted binary
 #               (default _build/default/bin/casted.exe)
 #   TRIALS      campaign length (default 24000; must be long enough
-#               that the shard kill lands before that worker finishes)
+#               that the SIGKILL lands before the campaign finishes)
 #   MODEL       fault model to campaign under (default reg-bit)
 set -euo pipefail
 
@@ -91,7 +88,7 @@ number_before() { # out word — the number printed before "word"
   grep -oE "[0-9]+ $2" "$1" | grep -oE '[0-9]+' | head -1
 }
 
-echo "== crash resume: unsharded campaign SIGKILLed after banking a chunk"
+echo "== crash resume: campaign SIGKILLed after banking a chunk"
 store3="$workdir/store3"
 "$BIN" "${ARGS[@]}" --jobs 1 --store "$store3" > "$workdir/killed.out" 2>&1 &
 pid=$!
@@ -147,68 +144,31 @@ must_serve "$workdir/ci.cold.out" 0 "$stop" "cold --ci-halfwidth"
 must_serve "$workdir/ci.warm.out" "$stop" 0 "warm --ci-halfwidth"
 echo "   stopped early at $stop trials, cold and warm"
 
-echo "== shard drill: shard 0 SIGKILLed after banking a partial chunk"
-store2="$workdir/store2"
-"$BIN" "${ARGS[@]}" --jobs 1 --store "$store2" --shard 0/2 \
-  > "$workdir/shard0.out" 2>&1 &
-pid0=$!
-# A shard worker banks its running tally after every finished owned
-# 64-trial chunk. Poll for the first banked partial entry, then kill
-# the worker mid-campaign.
-banked=yes
-wait_for_entry "$store2" || banked=no
-kill -9 "$pid0" 2>/dev/null || true
-wait "$pid0" 2>/dev/null || true
-if [ "$banked" = no ]; then
-  echo "store_check: shard 0 exited without banking a partial entry —" >&2
-  echo "             partial-chunk banking is broken (or TRIALS too low)" >&2
-  cat "$workdir/shard0.out" >&2
-  exit 1
-fi
-echo "   killed shard 0 with its partial tally banked"
-
-echo "== the surviving shard completes its half"
-"$BIN" "${ARGS[@]}" --jobs 1 --store "$store2" --shard 1/2 \
-  > "$workdir/shard1.out"
-if ! grep -q "other shards outstanding" "$workdir/shard1.out"; then
-  echo "store_check: shard 1 merged against shard 0's partial entry" >&2
-  cat "$workdir/shard1.out" >&2
-  exit 1
-fi
-
-echo "== re-run the killed shard: serves banked chunks, completes, merges"
-"$BIN" "${ARGS[@]}" --jobs 1 --store "$store2" --shard 0/2 \
-  > "$workdir/shard0.resumed.out"
-if grep -q "other shards outstanding" "$workdir/shard0.resumed.out"; then
-  echo "store_check: resumed shard did not merge the cell" >&2
-  cat "$workdir/shard0.resumed.out" >&2
-  exit 1
-fi
-served=$(number_before "$workdir/shard0.resumed.out" "trials served")
-simulated=$(number_before "$workdir/shard0.resumed.out" simulated)
-if [ "${served:-0}" -eq 0 ]; then
-  echo "store_check: resumed shard served zero trials — the killed" >&2
-  echo "             worker's banked chunks were not reused" >&2
-  cat "$workdir/shard0.resumed.out" >&2
-  exit 1
-fi
-if [ "${simulated:-0}" -eq 0 ]; then
-  echo "store_check: resumed shard simulated nothing — shard 0 finished" >&2
-  echo "             before the kill; raise TRIALS" >&2
-  exit 1
-fi
-echo "   resumed shard served $served banked trials, simulated $simulated"
-must_match "$workdir/reference.tally" "$workdir/shard0.resumed.out" \
-  "resumed shard merge"
-
-echo "== merged cell serves an unsharded rerun with zero simulation"
-"$BIN" "${ARGS[@]}" --jobs 4 --store "$store2" > "$workdir/merged.out"
-must_serve "$workdir/merged.out" "$TRIALS" 0 "merged rerun"
-must_match "$workdir/reference.tally" "$workdir/merged.out" "merged rerun"
-
-echo "== gc sweeps the killed worker's debris; audit re-simulates"
-"$BIN" store gc "$store2"
+echo "== gc sweeps the killed campaign's debris; audit re-simulates"
+"$BIN" store gc "$store3"
 "$BIN" store audit "$store" --sample 1 --jobs 2
+
+echo "== an entry of a retired shard is a located error, not a crash"
+legacy="$workdir/legacy"
+mkdir -p "$legacy/entries"
+echo "casted-store v1" > "$legacy/MANIFEST"
+shard_entry="$legacy/entries/bbcec7c3ea7cebef0fc30d268bdd0f78.entry"
+printf '%s\n' "casted-store-entry v1" \
+  "identity=cjpeg/fault/CASTED/i2/d2/reg-bit" seed=13260781 fuel_factor=10 \
+  retry_budget=-1 shard=1/2 trials=200 trials_done=72 counts=8,61,3,0,0,0 \
+  golden_cycles=4654 golden_dyn=13418 population=11634 model=reg-bit \
+  > "$shard_entry"
+for cmd in ls audit; do
+  rc=0
+  "$BIN" store "$cmd" "$legacy" > "$workdir/legacy.$cmd.out" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ] || grep -q "exception" "$workdir/legacy.$cmd.out" \
+      || ! grep -q "$shard_entry: .*no longer supported" \
+        "$workdir/legacy.$cmd.out"; then
+    echo "store_check: store $cmd on a shard entry (exit $rc)" >&2
+    cat "$workdir/legacy.$cmd.out" >&2
+    exit 1
+  fi
+done
 
 echo "== worker queue drill: enqueue a matrix, drain it twice"
 wstore="$workdir/wstore"
@@ -226,5 +186,5 @@ fi
 
 echo "store_check: OK — warm store serves campaigns with zero simulation,"
 echo "             early-stop cells stop where storeless runs stop, and a"
-echo "             SIGKILLed campaign's or shard worker's banked chunks are"
-echo "             reused on the way to the bit-identical tally"
+echo "             SIGKILLed campaign's banked chunks are reused on the way"
+echo "             to the bit-identical tally"

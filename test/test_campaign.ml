@@ -277,6 +277,49 @@ let test_off_grid_resume_steps_to_grid () =
     (List.rev !banked);
   same_result "resumed off the grid" resumed (Montecarlo.run ~seed ~trials s)
 
+(* The chunk grid, from any resume index: a campaign resumed at
+   [start], on the grid or off it, banks at exactly the grid points
+   between [start] and [trials] and ends on the cold tally; an
+   early-stop campaign accepts [start] only at a grid point or the end.
+   Per-trial classes are computed once and summed into every prefix. *)
+let grid_classes =
+  lazy
+    (let s = schedule () in
+     let g = Montecarlo.golden_decoded (Casted_sim.Decode.of_schedule s) in
+     let p = compiled_of s in
+     (p, g, Array.init 400 (fun index -> Montecarlo.trial ~golden:g ~seed:5 ~index p)))
+
+let prop_chunk_grid (trials, start) =
+  let start = start mod (trials + 1) in
+  let p, g, classes = Lazy.force grid_classes in
+  let tally n =
+    Montecarlo.counts (Montecarlo.tally ~golden:g (Array.sub classes 0 n))
+  in
+  let banked = ref [] in
+  let resumed =
+    Montecarlo.run_compiled ~seed:5 ~prior:(start, tally start)
+      ~bank:(fun ~next _ -> banked := next :: !banked)
+      ~trials p
+  in
+  let grid_points =
+    List.filter
+      (fun i -> i > start && i < trials)
+      (List.init (trials / Montecarlo.chunk_trials + 1) (fun k ->
+           k * Montecarlo.chunk_trials))
+  in
+  let early_stop_accepts =
+    match
+      Montecarlo.run_compiled ~seed:5 ~ci_halfwidth:100.0
+        ~prior:(start, tally start) ~trials p
+    with
+    | (_ : Montecarlo.result) -> true
+    | exception Invalid_argument _ -> false
+  in
+  Montecarlo.counts resumed = tally trials
+  && List.rev !banked = grid_points
+  && early_stop_accepts
+     = (start mod Montecarlo.chunk_trials = 0 || start = trials)
+
 (* A prior that cannot be the banked prefix of this campaign is a loud
    error, not a silently wrong tally. *)
 let test_resume_rejects_malformed_prior () =
@@ -460,4 +503,7 @@ let suite =
         test_off_grid_resume_steps_to_grid;
       case "fuel factor below 1 is rejected"
         test_fuel_factor_below_one_rejected;
+      qcheck ~count:100 "chunk grid: every prefix resumes bit-identically"
+        QCheck2.Gen.(pair (int_range 0 400) (int_range 0 400))
+        prop_chunk_grid;
     ] )

@@ -1,6 +1,6 @@
 (* The persistent result store: content addressing, atomic writes,
-   corruption refusal, incremental campaigns, shard merging and the
-   work queue. *)
+   corruption refusal, incremental campaigns, entries of older versions
+   and the work queue. *)
 
 open Helpers
 module Store = Casted_store.Store
@@ -10,7 +10,6 @@ module Cache = Casted_engine.Cache
 module Montecarlo = Casted_sim.Montecarlo
 module Fault = Casted_sim.Fault
 module Workload = Casted_workloads.Workload
-module Chunk_grid = Casted_exec.Chunk_grid
 
 let spec =
   Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
@@ -40,15 +39,6 @@ let test_address_golden () =
   Alcotest.(check string)
     "full entry address" "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1"
     (Store.address full);
-  let shard =
-    Store.key ~retry_budget:3 ~shard:(1, 4)
-      ~identity:"cjpeg/fault/ROLLBACK/i2/d2/reg-bit" ~seed:7 ~fuel_factor:10
-      ~trials:256 ()
-  in
-  Alcotest.(check string)
-    "shard entry address"
-    "cjpeg/fault/ROLLBACK/i2/d2/reg-bit|seed=7|fuel=10|retry=3|trials=256|shard=1/4"
-    (Store.address shard);
   Alcotest.(check string)
     "early-stop cell address"
     "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1|trials=256|ci=0.1"
@@ -74,11 +64,10 @@ let test_address_golden () =
          retry_budget = -1;
        })
 
-let sample_entry ?(identity = "cjpeg/fault/CASTED/i2/d2/reg-bit") ?shard
+let sample_entry ?(identity = "cjpeg/fault/CASTED/i2/d2/reg-bit")
     ?(trials = 100) ?(counts = [| 10; 85; 3; 1; 1; 0 |]) () =
   let key =
-    Store.key ~retry_budget:(-1) ?shard ~identity ~seed:7 ~fuel_factor:10
-      ~trials ()
+    Store.key ~retry_budget:(-1) ~identity ~seed:7 ~fuel_factor:10 ~trials ()
   in
   {
     Store.key;
@@ -235,8 +224,10 @@ let test_campaign_twice_zero_resim () =
             warm.Engine.simulated;
           Alcotest.(check int) "warm run served everything" trials
             warm.Engine.served;
-          Alcotest.(check bool) "both complete" true
-            (cold.Engine.complete && warm.Engine.complete);
+          Alcotest.(check (pair int int)) "both tally every trial"
+            (trials, trials)
+            (cold.Engine.result.Montecarlo.trials,
+             warm.Engine.result.Montecarlo.trials);
           same_result
             (Printf.sprintf "jobs=%d warm vs cold" jobs)
             warm.Engine.result cold.Engine.result;
@@ -281,48 +272,6 @@ let test_incremental_extend () =
           in
           Alcotest.(check int) "128-trial entry still banked" 0
             again.Engine.simulated))
-
-(* The sharding regression: a 2-shard run against one store merges to
-   the bit-identical tally of a 1-shard run — at jobs=1 and jobs=4. *)
-let test_shard_merge_matches_single () =
-  List.iter
-    (fun jobs ->
-      with_store (fun s ->
-          let trials = 192 and seed = 3 in
-          let single =
-            Engine.with_engine ~jobs (fun e ->
-                Engine.campaign e ~seed ~trials spec)
-          in
-          let s0, s1 =
-            Engine.with_engine ~jobs (fun e ->
-                let s0 =
-                  Engine.campaign_stored e ~seed ~store:s ~shard:(0, 2)
-                    ~trials spec
-                in
-                let s1 =
-                  Engine.campaign_stored e ~seed ~store:s ~shard:(1, 2)
-                    ~trials spec
-                in
-                (s0, s1))
-          in
-          Alcotest.(check bool) "shard 0 incomplete alone" false
-            s0.Engine.complete;
-          Alcotest.(check bool) "last shard completes the cell" true
-            s1.Engine.complete;
-          Alcotest.(check int) "shards partition the trials" trials
-            (s0.Engine.simulated + s1.Engine.simulated);
-          same_result
-            (Printf.sprintf "jobs=%d merged vs single" jobs)
-            s1.Engine.result single;
-          (* The merged full entry now serves unsharded requests. *)
-          let warm =
-            Engine.with_engine ~jobs:1 (fun e ->
-                Engine.campaign_stored e ~seed ~store:s ~trials spec)
-          in
-          Alcotest.(check int) "merged entry serves with zero simulation" 0
-            warm.Engine.simulated;
-          same_result "served merge" warm.Engine.result single))
-    [ 1; 4 ]
 
 (* Early-stop cells: a store campaign with a stop target stops exactly
    where the storeless campaign does, re-serves with zero simulation,
@@ -389,9 +338,7 @@ let test_early_stop_cells () =
             (reference.Montecarlo.trials - 64)
             resumed.Engine.simulated;
           same_result "resumed vs storeless" resumed.Engine.result reference));
-  let plain ?shard trials =
-    Store.key ?shard ~identity:"c" ~seed ~fuel_factor:10 ~trials ()
-  in
+  let plain trials = Store.key ~identity:"c" ~seed ~fuel_factor:10 ~trials () in
   let address ~trials ~ci_halfwidth =
     Store.address (Store.early_stop ~ci_halfwidth (plain trials))
   in
@@ -402,15 +349,9 @@ let test_early_stop_cells () =
     (base <> address ~trials ~ci_halfwidth:4.0);
   Alcotest.(check bool) "the plain cell has its own address" true
     (base <> Store.address (plain trials));
-  List.iter
-    (fun (msg, ci_halfwidth, key) ->
-      match Store.early_stop ~ci_halfwidth key with
-      | (_ : Store.key) -> Alcotest.fail (msg ^ ": no exception")
-      | exception Invalid_argument _ -> ())
-    [
-      ("non-finite target", Float.nan, plain trials);
-      ("sharded cell", ci_halfwidth, plain ~shard:(0, 2) trials);
-    ]
+  match Store.early_stop ~ci_halfwidth:Float.nan (plain trials) with
+  | (_ : Store.key) -> Alcotest.fail "non-finite target: no exception"
+  | exception Invalid_argument _ -> ()
 
 let test_work_queue_and_claims () =
   with_store (fun s ->
@@ -526,89 +467,100 @@ let test_work_stale_lock_broken () =
       Alcotest.(check int) "gc removed the stale lock" 1 (Work.gc_locks s);
       Alcotest.(check int) "nothing left to gc" 0 (Work.gc_locks s))
 
-let test_gc_shards_after_merge () =
-  with_store (fun s ->
-      let trials = 128 and seed = 13 in
-      Engine.with_engine ~jobs:2 (fun e ->
-          let _ =
-            Engine.campaign_stored e ~seed ~store:s ~shard:(0, 2) ~trials spec
-          in
-          let last =
-            Engine.campaign_stored e ~seed ~store:s ~shard:(1, 2) ~trials spec
-          in
-          Alcotest.(check bool) "merged" true last.Engine.complete);
-      (match Store.gc_shards s with
-      | Ok n -> Alcotest.(check int) "both shard entries swept" 2 n
-      | Error msg -> Alcotest.fail msg);
-      (* The merged full entry survives the sweep. *)
+(* Entries as the last sharding-aware version wrote them: every entry
+   carries a [shard=] line. A full (0/1) entry and an early-stop entry
+   keep their addresses and are served unchanged; one shard's share of
+   a cell is refused as a located error. The texts are real entries for
+   cjpeg / CASTED issue 2 delay 2 at the default seed. *)
+let legacy_entry ~shard ~trials ?ci ~trials_done ~counts () =
+  String.concat "\n"
+    ([
+       "casted-store-entry v1";
+       "identity=cjpeg/fault/CASTED/i2/d2/reg-bit";
+       "seed=13260781";
+       "fuel_factor=10";
+       "retry_budget=-1";
+       "shard=" ^ shard;
+       "trials=" ^ trials;
+     ]
+    @ Option.to_list (Option.map (fun w -> "ci=" ^ w) ci)
+    @ [
+        "trials_done=" ^ trials_done;
+        "counts=" ^ counts;
+        "golden_cycles=4654";
+        "golden_dyn=13418";
+        "population=11634";
+        "model=reg-bit";
+        "workload=cjpeg";
+        "size=fault";
+        "scheme=CASTED";
+        "issue=2";
+        "delay=2";
+        "";
+      ])
+
+let legacy_full =
+  legacy_entry ~shard:"0/1" ~trials:"100" ~trials_done:"100"
+    ~counts:"8,91,1,0,0,0" ()
+
+let legacy_early_stop =
+  legacy_entry ~shard:"0/1" ~trials:"2000" ~ci:"8" ~trials_done:"64"
+    ~counts:"5,59,0,0,0,0" ()
+
+let legacy_shard =
+  legacy_entry ~shard:"1/2" ~trials:"200" ~trials_done:"72"
+    ~counts:"8,61,3,0,0,0" ()
+
+let test_legacy_entries () =
+  with_store_dir (fun dir ->
+      let s = Store.open_exn ~create:true dir in
+      let plant name text =
+        let path = Filename.concat (Filename.concat dir "entries") name in
+        let oc = open_out_bin path in
+        output_string oc text;
+        close_out oc;
+        path
+      in
+      plant "1cd7d968e7e8b1a7437efd3559e626dc.entry" legacy_full |> ignore;
+      plant "f55661538531176e320d9e5b4ae2949c.entry" legacy_early_stop
+      |> ignore;
       Engine.with_engine ~jobs:1 (fun e ->
-          let warm = Engine.campaign_stored e ~seed ~store:s ~trials spec in
-          Alcotest.(check int) "full entry intact" 0 warm.Engine.simulated))
-
-(* The chunk grid over every shard count 1..6: the shards' chunks
-   partition [0, trials) on chunk-size boundaries, their shares sum to
-   [trials], and every whole-chunk prefix of a shard resumes at the end
-   of its last chunk, while a tally off the prefixes resumes nowhere. *)
-let prop_chunk_grid (n, trials) =
-  let shards = List.init n (fun k -> (k, n)) in
-  let chunks shard = Chunk_grid.chunks ~shard ~trials in
-  let rec tiles expected = function
-    | [] -> expected = trials
-    | (lo, hi) :: rest ->
-        lo = expected && lo mod Chunk_grid.size = 0 && lo < hi
-        && hi - lo <= Chunk_grid.size && tiles hi rest
-  in
-  let resumes shard =
-    let rec go banked = function
-      | [] -> Chunk_grid.resume_index ~shard ~trials (banked + 1) = None
-      | (lo, hi) :: rest ->
-          let banked' = banked + (hi - lo) in
-          Chunk_grid.owns ~shard lo
-          && Chunk_grid.resume_index ~shard ~trials banked' = Some hi
-          && (hi - lo = 1
-             || Chunk_grid.resume_index ~shard ~trials (banked + 1) = None)
-          && go banked' rest
-    in
-    Chunk_grid.resume_index ~shard ~trials 0 = Some 0 && go 0 (chunks shard)
-  in
-  tiles 0 (List.sort compare (List.concat_map chunks shards))
-  && List.fold_left (fun acc shard -> acc + Chunk_grid.share ~shard ~trials) 0
-       shards
-     = trials
-  && List.for_all resumes shards
-
-(* [merge_shards] on hand-banked shard entries: shares merge, a shard
-   short of its share is still outstanding, and a shard over its share
-   was banked on another grid. With 200 trials over 2 shards, shard 0
-   owns chunks 0 and 2 (128 trials) and shard 1 chunks 1 and 3 (72). *)
-let test_merge_rejects_off_grid_shard () =
-  let trials = 200 in
-  let shard k counts = sample_entry ~shard:(k, 2) ~trials ~counts () in
-  let merge s =
-    Store.merge_shards s (shard 0 [| 128; 0; 0; 0; 0; 0 |]).Store.key
-  in
-  with_store (fun s ->
-      Store.put s (shard 0 [| 100; 28; 0; 0; 0; 0 |]);
-      Store.put s (shard 1 [| 60; 12; 0; 0; 0; 0 |]);
-      (match merge s with
-      | Ok (Some e) ->
-          Alcotest.(check (array int)) "merged counts" [| 160; 40; 0; 0; 0; 0 |]
-            e.Store.counts;
-          Alcotest.(check int) "merged trials" trials e.Store.trials_done
-      | Ok None -> Alcotest.fail "complete shards did not merge"
+          let full = Engine.campaign_stored e ~store:s ~trials:100 spec in
+          Alcotest.(check (array int)) "full entry served unchanged"
+            [| 8; 91; 1; 0; 0; 0 |]
+            (Montecarlo.counts full.Engine.result);
+          Alcotest.(check int) "full entry simulated nothing" 0
+            full.Engine.simulated;
+          same_result "full entry vs a fresh campaign" full.Engine.result
+            (Engine.campaign e ~trials:100 spec);
+          let early =
+            Engine.campaign_stored e ~store:s ~ci_halfwidth:8.0 ~trials:2000
+              spec
+          in
+          Alcotest.(check (array int)) "early-stop entry served unchanged"
+            [| 5; 59; 0; 0; 0; 0 |]
+            (Montecarlo.counts early.Engine.result);
+          Alcotest.(check int) "early-stop entry simulated nothing" 0
+            early.Engine.simulated);
+      let refused what ~path = function
+        | Error msg ->
+            Alcotest.(check bool)
+              (what ^ " names the file and says why: " ^ msg) true
+              (contains msg path
+              && contains msg "no longer supported"
+              && contains msg "can be deleted")
+        | Ok _ -> Alcotest.fail (what ^ ": shard entry accepted")
+      in
+      let path = plant "bbcec7c3ea7cebef0fc30d268bdd0f78.entry" legacy_shard in
+      (match Store.list s with
+      | Ok [ Ok _; e; Ok _ ] -> refused "list" ~path e
+      | Ok l -> Alcotest.failf "list: %d entries" (List.length l)
       | Error msg -> Alcotest.fail msg);
-      Store.put s (shard 1 [| 60; 4; 0; 0; 0; 0 |]);
-      (match merge s with
-      | Ok None -> ()
-      | Ok (Some _) -> Alcotest.fail "merged a shard short of its share"
-      | Error msg -> Alcotest.fail msg);
-      Store.put s (shard 1 [| 60; 20; 0; 0; 0; 0 |]);
-      match merge s with
-      | Error msg ->
-          Alcotest.(check bool)
-            ("names the grid: " ^ msg) true
-            (contains msg "banked from a different chunk grid")
-      | Ok _ -> Alcotest.fail "merged a shard over its share")
+      (* The same text under a lookup's address is refused for what it
+         is, before the address check calls it misplaced. *)
+      let key = (sample_entry ()).Store.key in
+      let path = plant (Store.hash key ^ ".entry") legacy_shard in
+      refused "find" ~path (Store.find s key))
 
 let suite =
   ( "store",
@@ -623,18 +575,11 @@ let suite =
         test_campaign_twice_zero_resim;
       case "incremental extension simulates only the delta"
         test_incremental_extend;
-      case "2-shard run merges bit-identically to 1 process"
-        test_shard_merge_matches_single;
       case "early-stop cells stop, re-serve and resume identically"
         test_early_stop_cells;
       case "work queue enqueue/claim/release" test_work_queue_and_claims;
       case "stale lock of a dead worker is broken" test_work_stale_lock_broken;
-      case "gc sweeps merged-away shard entries" test_gc_shards_after_merge;
-      qcheck "chunk grid partitions, shares and resumes"
-        QCheck2.Gen.(pair (int_range 1 6) (int_range 0 1000))
-        prop_chunk_grid;
-      case "merge rejects a shard off its grid share"
-        test_merge_rejects_off_grid_shard;
       case "queued unit without fuel is broken"
         test_work_unit_without_fuel_broken;
+      case "entries of the sharding-aware version" test_legacy_entries;
     ] )

@@ -600,6 +600,71 @@ let test_fuzz_programs_run () =
           Outcome.pp_termination t
   done
 
+(* Robustness of the assembly front end: a few hundred seeded
+   mutations of fuzzer programs' assembly each end in a parse error, a
+   validation error or a bounded CASTED run, never in an uncaught
+   exception. All three ends must occur, so the pin cannot pass by
+   rejecting everything. *)
+let test_mutated_asm_never_raises () =
+  let rng = Random.State.make [| 0xA5A5 |] in
+  let sources =
+    Array.init 6 (fun index ->
+        Array.of_list
+          (String.split_on_char '\n'
+             (Casted_ir.Asm.print
+                (Fuzz.emit_program (Fuzz.recipe ~seed:0xC457ED index)))))
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let mutate source =
+    let lines = Array.copy source in
+    let n = Array.length lines in
+    let i = Random.State.int rng n and j = Random.State.int rng n in
+    (match Random.State.int rng 5 with
+    | 0 -> lines.(i) <- ""
+    | 1 -> lines.(i) <- lines.(j)
+    | 2 ->
+        lines.(i) <- source.(j);
+        lines.(j) <- source.(i)
+    | 3 ->
+        (* Swap one word for a word of another line. *)
+        let words = Array.of_list (String.split_on_char ' ' lines.(i)) in
+        words.(Random.State.int rng (Array.length words)) <-
+          pick (Array.of_list (String.split_on_char ' ' lines.(j)));
+        lines.(i) <- String.concat " " (Array.to_list words)
+    | _ ->
+        let line = Bytes.of_string lines.(i) in
+        if Bytes.length line > 0 then
+          Bytes.set line
+            (Random.State.int rng (Bytes.length line))
+            (pick [| '0'; '9'; '-'; ','; '.'; ':'; ' '; 'r'; 'f'; 'p'; '@' |]);
+        lines.(i) <- Bytes.to_string line);
+    String.concat "\n" (Array.to_list lines)
+  in
+  let parse_errors = ref 0 and invalid = ref 0 and ran = ref 0 in
+  for k = 0 to 399 do
+    let text = mutate sources.(k mod Array.length sources) in
+    try
+      match Casted_ir.Asm.parse text with
+      | Error _ -> incr parse_errors
+      | Ok p -> (
+          match Casted_ir.Validate.check_program p with
+          | _ :: _ -> incr invalid
+          | [] ->
+              let c =
+                Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 p
+              in
+              ignore (Simulator.run ~fuel:200_000 c.Pipeline.schedule);
+              incr ran)
+    with e ->
+      Alcotest.failf "mutation %d raised %s on:\n%s" k (Printexc.to_string e)
+        text
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "all three ends occur (%d parse, %d invalid, %d ran)"
+       !parse_errors !invalid !ran)
+    true
+    (!parse_errors > 0 && !invalid > 0 && !ran > 0)
+
 let suite =
   ( "verify",
     [
@@ -640,4 +705,5 @@ let suite =
       case "fuzz: four-way oracle includes the compiled engine"
         test_fuzz_four_way_includes_compiled;
       case "fuzz: generated programs exit cleanly" test_fuzz_programs_run;
+      case "fuzz: mutated assembly never raises" test_mutated_asm_never_raises;
     ] )
