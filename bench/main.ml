@@ -131,9 +131,12 @@ let section_recovery_overhead () =
      region head materializes a snapshot again. *)
   let fault_free_ratio =
     let p =
-      Casted_engine.Cache.compiled (Engine.cache engine)
-        (Casted_engine.Cache.key ~workload:"181.mcf" ~size:W.Fault
-           ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 ())
+      Casted_sim.Compile.of_decoded
+        (Casted_sim.Decode.of_schedule
+           (Engine.compile engine
+              (Casted_engine.Cache.key ~workload:"181.mcf" ~size:W.Fault
+                 ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2 ()))
+             .Pipeline.schedule)
     in
     let plain = median_time (fun () -> Casted_sim.Compile.run p) in
     let recovering =
@@ -240,8 +243,8 @@ let sim_throughput_json : Obs.Json.t ref = ref Obs.Json.Null
 
 let section_sim_throughput () =
   banner "Simulator throughput (pre-decoded core, cjpeg CASTED i2 d2)";
-  (* Earlier sections leave a large live heap (engine caches full of
-     compiled programs); compact so GC pressure from *their* garbage
+  (* Earlier sections leave a live heap (the engine's memoized
+     compiles); compact so GC pressure from *their* garbage
      does not tax the per-trial rates measured here — replayed trials
      are short, so they are hit hardest. *)
   Gc.compact ();
@@ -263,8 +266,8 @@ let section_sim_throughput () =
   let golden_dyn = golden.Montecarlo.run.Outcome.dyn_insns in
   let tput_trials = if fast then 256 else 1024 in
   (* One-off stage-2 compile of the decoded program into pre-bound
-     closures — a campaign compiles (or pulls from the engine cache)
-     once and every domain shares the immutable program. *)
+     closures — a campaign compiles once and every domain shares the
+     immutable program. *)
   let t0 = Unix.gettimeofday () in
   for _ = 1 to decode_reps do
     ignore (Casted_sim.Compile.of_decoded decoded)
@@ -272,8 +275,8 @@ let section_sim_throughput () =
   let compile_s = (Unix.gettimeofday () -. t0) /. float_of_int decode_reps in
   let stage2 = Casted_sim.Compile.of_decoded decoded in
   (* One-off capture of the golden-prefix snapshot set — a campaign
-     captures (or pulls from the engine cache) exactly once, so its cost
-     is reported next to decode, not folded into the per-trial rates. *)
+     captures exactly once, so its cost is reported next to decode, not
+     folded into the per-trial rates. *)
   let t0 = Unix.gettimeofday () in
   let replay_set =
     Casted_sim.Replay.capture (fun ~on_block ->
@@ -311,14 +314,13 @@ let section_sim_throughput () =
     in
     (Array.fold_left ( +. ) 0.0 suffixes /. float_of_int tput_trials, [])
   in
-  (* Campaign trials stop once they re-converge with the golden run, so
-     the compiled rows also report the share that did: losing the early
-     exit shows as a converged fraction of 0. *)
+  (* A whole campaign, as the engine runs one: its own decode, stage-2
+     compile and capture (~1 ms) are part of the row. Campaign trials
+     stop once they re-converge with the golden run, so the compiled
+     rows also report the share that did: losing the early exit shows
+     as a converged fraction of 0. *)
   let on_compiled pool =
-    let r =
-      Montecarlo.run_compiled ~pool ~seed ~trials:tput_trials
-        ~replay_set:(Lazy.from_val replay_set) stage2
-    in
+    let r = Montecarlo.run ~pool ~seed ~trials:tput_trials sched in
     assert (r.Montecarlo.trials = tput_trials);
     match r.Montecarlo.replay with
     | Some s ->

@@ -432,12 +432,7 @@ let campaign_cmd =
       min_recovered store_dir jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     with_engine jobs (fun engine ->
-        (match Casted_workloads.Registry.find bench with
-        | Some _ -> ()
-        | None ->
-            Printf.eprintf "unknown benchmark %s (try: %s)\n" bench
-              (String.concat ", " (Casted_workloads.Registry.names ()));
-            exit 2);
+        ignore (find_workload bench);
         let spec =
           Casted_engine.Cache.key ~workload:bench ~size:W.Fault ~scheme
             ~issue_width:issue ~delay ()

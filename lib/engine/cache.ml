@@ -126,9 +126,9 @@ let find m k ~build =
 
 (* The per-key artifact chain: schedule -> decoded -> stage-2 compiled,
    plus the golden-run snapshot set captured on the compiled program.
-   Each is immutable once built (a compiled run builds its own context),
-   so one value is shared by every campaign, sweep point and pool
-   domain on the engine. *)
+   Only [compiles] serves the library; campaigns, sweeps and
+   simulations build the rest for their own run. The other three
+   tables serve only the benchmark harness. *)
 type t = {
   compiles : Pipeline.compiled memo;
   decodes : Casted_sim.Decode.t memo;

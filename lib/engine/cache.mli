@@ -9,14 +9,28 @@
     engine, and repeated lookups return the {e physically equal}
     compile.
 
-    The same key also memoizes the artifacts derived from the compile
-    ({!decoded}, {!compiled}, {!replay}). All four tables share one
-    memo discipline and are domain-safe: lookups and inserts are
-    serialised by the table's mutex, while builds run outside it so
-    distinct keys build in parallel. If two domains race to build the
-    same key, the first insert wins, both receive the same value, and
-    the loser's lookup counts as a hit — so a table's misses are the
-    builds it kept, and hits plus misses are its lookups. *)
+    The compile is the only artifact the library memoizes. Everything
+    derived from it lives only as long as the run that built it: a
+    campaign ({!Casted_sim.Montecarlo.run}) decodes, stage-2 compiles
+    and captures its own snapshot set and drops all three when it
+    returns, and a sweep point or simulation decodes for its one run.
+    So the engine's resident memory grows with the number of compiled
+    configurations, not with the snapshot sets of every campaign it
+    ran.
+
+    The {!decoded}, {!compiled} and {!replay} tables below are read by
+    no path in the library or the CLI. They remain only because the
+    benchmark harness ([perfbench/harness.ml]) reads them and their
+    {!stats} fields; they go once the harness runs campaigns through
+    the engine.
+
+    All four tables share one memo discipline and are domain-safe:
+    lookups and inserts are serialised by the table's mutex, while
+    builds run outside it so distinct keys build in parallel. If two
+    domains race to build the same key, the first insert wins, both
+    receive the same value, and the loser's lookup counts as a hit — so
+    a table's misses are the builds it kept, and hits plus misses are
+    its lookups. *)
 
 type key = {
   workload : string;  (** registry name, e.g. ["cjpeg"] *)
@@ -67,24 +81,20 @@ val compile : t -> key -> Casted_detect.Pipeline.compiled
 (** [decoded t key] returns the memoized pre-decoded execution form
     ({!Casted_sim.Decode.of_schedule}) of [key]'s compiled schedule,
     compiling and decoding on first use. Repeated lookups return the
-    {e physically equal} decoded program, so every campaign, sweep
-    point and pool worker resolving the same configuration on one
-    engine executes the same decoded object. *)
+    {e physically equal} decoded program. Benchmark harness only. *)
 val decoded : t -> key -> Casted_sim.Decode.t
 
 (** [replay t key] returns the memoized golden-run snapshot set
     ({!Casted_sim.Replay.capture} of a run of {!compiled}) for [key],
     capturing it on first use. The set is immutable; repeated lookups
-    return the physically equal value, so every campaign and pool
-    worker on one engine replays from the same snapshots. *)
+    return the physically equal value. Benchmark harness only. *)
 val replay : t -> key -> Casted_sim.Replay.t
 
 (** [compiled t key] returns the memoized stage-2 compiled program
     ({!Casted_sim.Compile.of_decoded} over {!decoded}) for [key],
     compiling it on first use. The program is immutable (per-run state
     lives in the run's own context); repeated lookups return the
-    physically equal value, so every trial of every campaign and pool
-    worker on one engine threads through the same closures. *)
+    physically equal value. Benchmark harness only. *)
 val compiled : t -> key -> Casted_sim.Compile.t
 
 type stats = {

@@ -73,9 +73,9 @@ let compile t key =
 
 let simulate t key =
   let compiled = compile t key in
-  let decoded = Cache.decoded t.cache key in
   let run =
-    span "engine.simulate" (fun () -> Simulator.run_decoded decoded)
+    span "engine.simulate" (fun () ->
+        Simulator.run compiled.Pipeline.schedule)
   in
   (compiled, run)
 
@@ -198,22 +198,15 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?retry_budget ?store
     ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
-  (* Compile (cached) under the compile span, then hand the memoized
-     stage-2 program — and, for a replaying campaign, the memoized
-     golden-run snapshot set — to the campaign: thousands of trials,
-     one decode, one stage-2 compile, one capture, shared read-only
-     across pool domains and across campaigns revisiting this
-     configuration. Montecarlo decides whether the campaign replays
-     (it does unless it has a retry budget), so the snapshot set is
-     handed over unforced. The store's full-hit path never gets here:
-     a banked tally costs no compile, no decode, no golden run. *)
+  (* Compile (cached) under the compile span; the campaign decodes,
+     stage-2 compiles and captures its own snapshot set, and drops them
+     when it returns. The store's full-hit path never gets here: a
+     banked tally costs no compile, no decode, no golden run. *)
   let simulate ?prior ?bank () =
-    let (_ : Pipeline.compiled) = compile t key in
-    let compiled = Cache.compiled t.cache key in
+    let compiled = compile t key in
     span "engine.campaign" (fun () ->
-        Montecarlo.run_compiled ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ~replay_set:(lazy (Cache.replay t.cache key))
-          ?retry_budget ?prior ?bank ~trials compiled)
+        Montecarlo.run ~pool:t.pool ~seed ~fuel_factor ~model ?ci_halfwidth
+          ?retry_budget ?prior ?bank ~trials compiled.Pipeline.schedule)
   in
   match store with
   | None ->
@@ -356,7 +349,9 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
       Array.to_list
         (Pool.map t.pool
            (fun ((key : Cache.key), record_delay) ->
-             let run = Simulator.run_decoded (Cache.decoded t.cache key) in
+             let run =
+               Simulator.run (Cache.compile t.cache key).Pipeline.schedule
+             in
              (match run.Outcome.termination with
              | Outcome.Exit 0 -> ()
              | term ->

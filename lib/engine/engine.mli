@@ -8,7 +8,10 @@
     - a {!Casted_exec.Pool} of worker domains that fans out the
       embarrassingly parallel parts (sweep points, campaign trials);
     - a {!Cache} of compiled schedules so configurations shared between
-      experiments compile exactly once.
+      experiments compile exactly once. The compile is all it keeps:
+      each campaign, sweep point and simulation builds the decoded
+      program, stage-2 program and snapshot set it runs on, and drops
+      them when it is done.
 
     Each job (compile, simulate, campaign, sweep) runs inside an
     [engine.*] trace span ({!Casted_obs.Trace}).
@@ -50,27 +53,25 @@ type sweep_point = {
 
 val compile : t -> Cache.key -> Casted_detect.Pipeline.compiled
 
-(** [simulate t spec] compiles [spec] (cached) and runs it once,
-    fault-free, on the compiled engine. *)
+(** [simulate t spec] compiles [spec] (cached) and runs the compile's
+    schedule once, fault-free, on the compiled engine
+    ({!Casted_sim.Simulator.run}). *)
 val simulate :
   t -> Cache.key -> Casted_detect.Pipeline.compiled * Casted_sim.Outcome.run
 
 (** [campaign t ~trials spec] compiles [spec] (cached) and fans
     [trials] Monte-Carlo trials over the pool. Identical to the
     sequential {!Casted_sim.Montecarlo.run} with the same [seed]; the
-    optional knobs ([model], [ci_halfwidth]) are forwarded to it. A
-    campaign without a retry budget replays
-    ({!Casted_sim.Montecarlo.run}), from the snapshot set the engine
-    cache memoizes ({!Cache.replay}), so campaigns revisiting a
-    configuration share one capture. Every golden run and trial
-    executes on the stage-2 closure-threaded engine
-    ({!Casted_sim.Compile}), on the program the engine cache memoizes
-    ({!Cache.compiled}) — one stage-2 compile per configuration, shared
-    by every campaign and pool domain.
+    optional knobs ([model], [ci_halfwidth]) are forwarded to it. The
+    campaign runs {!Casted_sim.Montecarlo.run} on the cached compile's
+    schedule: it decodes, stage-2 compiles and (without a retry budget)
+    captures its golden-run snapshot set once, shares them read-only
+    across the pool's domains and drops them when it returns, so a
+    grid of campaigns holds only one cell's artifacts at a time.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
     trial with region recovery ({!Casted_sim.Compile.run}
-    [~retry_budget], the same engine and the same cached program) under
+    [~retry_budget], the same engine and the same program) under
     [retry_budget] (default {!default_retry_budget}), full-length — a
     rollback trial restores its own region checkpoints, which prefix
     replay cannot express. Pass [retry_budget] explicitly to override
@@ -163,9 +164,10 @@ val key_of_spec :
 (** [sweep t ~size ()] runs the performance grid of the paper's
     Figs. 6-8: NOED and SCED once per issue width, DCED and CASTED per
     (issue, delay). Points come back in deterministic grid order. Each
-    point runs once on the compiled engine; its stage-2 program is
-    compiled for that run and not memoized, so a sweep's resident
-    memory does not grow with the grid. *)
+    point runs the cached compile's schedule once on the compiled
+    engine ({!Casted_sim.Simulator.run}); its decoded and stage-2
+    programs are built for that run and not memoized, so a sweep's
+    resident memory does not grow with the grid. *)
 val sweep :
   t ->
   size:Casted_workloads.Workload.size ->

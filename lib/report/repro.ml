@@ -62,11 +62,11 @@ let perfect_cache engine =
            Cache.key ~workload:"181.mcf" ~size:W.Fault ~scheme ~issue_width:2
              ~delay:2 ()
          in
-         let _, real = Engine.simulate engine key in
+         let compiled, real = Engine.simulate engine key in
          (* The perfect-cache mode exists on the reference interpreter. *)
          let ideal =
            Casted_sim.Simulator.reference ~perfect_cache:true
-             (Cache.decoded (Engine.cache engine) key)
+             (Casted_sim.Decode.of_schedule compiled.Pipeline.schedule)
          in
          Printf.sprintf "%-7s real cache %6d cycles, perfect L1 %6d cycles\n"
            (Scheme.name scheme) real.Outcome.cycles ideal.Outcome.cycles)

@@ -26,7 +26,8 @@ type t
 
 val of_decoded : Decode.t -> t
 (** Lower a decoded program to threaded code. Costs one pass over the
-    program; memoized per schedule in [Engine.Cache]. *)
+    program; a campaign lowers once and shares the result across its
+    pool domains ({!Montecarlo.run}). *)
 
 val decoded : t -> Decode.t
 (** The decoded program this was compiled from (shared, not copied). *)

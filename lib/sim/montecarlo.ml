@@ -307,9 +307,8 @@ let early_stop_reached ~ci_halfwidth r =
   check_ci_halfwidth (Some ci_halfwidth);
   narrow_enough ~target:ci_halfwidth ~detected:r.detected ~trials:r.trials
 
-let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Fault.Reg_bit) ?ci_halfwidth ?replay_set ?retry_budget
-    ?prior ?bank ~trials p =
+let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
+    ?ci_halfwidth ?retry_budget ?prior ?bank ~trials sched =
   check_ci_halfwidth ci_halfwidth;
   check_fuel_factor fuel_factor;
   (match prior with
@@ -340,18 +339,22 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               recorded"
              (Array.fold_left ( + ) 0 counts)
              start));
+  (* One decode and one stage-2 compile per campaign, not per trial:
+     the program is immutable and shared read-only by every pool
+     domain. It, and the snapshot set below, live only as long as this
+     call. *)
+  let p = Compile.of_decoded (Decode.of_schedule sched) in
   (* The replay rule: a campaign replays, with the re-convergence
      watcher, exactly when it has no retry budget. Rollback trials
      restore their own region checkpoints mid-run, which golden-prefix
      replay's restored-suffix execution cannot express, so they run
-     full-length and a handed-in set is never forced. *)
+     full-length and nothing is captured. *)
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
         let replay_set =
-          match (retry_budget, replay_set) with
-          | Some _, _ -> None
-          | None, Some r -> Some (Lazy.force r)
-          | None, None ->
+          match retry_budget with
+          | Some _ -> None
+          | None ->
               Some (Replay.capture (fun ~on_block -> Compile.run ~on_block p))
         in
         golden_of ~fuel_factor ?replay_set (fun () -> p))
@@ -448,15 +451,6 @@ let run_compiled ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
           }
   in
   result_of_counts ?replay_stats ~golden:g ~model ~trials:done_ counts
-
-(* Decode and compile once per campaign, not once per trial: the
-   compiled program is immutable and shared read-only by every pool
-   domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?prior
-    ~trials sched =
-  run_compiled ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget
-    ?prior ~trials
-    (Compile.of_decoded (Decode.of_schedule sched))
 
 (* Per-class counts in the [idx] order — what the result store
    persists. *)

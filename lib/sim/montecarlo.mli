@@ -126,9 +126,9 @@ val population_of_run : Outcome.run -> Fault.population
     must reproduce. Raises [Invalid_argument] if the run does not exit
     cleanly or [fuel_factor] (default 10) is below 1.
 
-    @param replay_set use this captured set ({!Replay.capture}, or the
-      engine cache's memoized one): its golden run is the reference
-      (nothing is run here) and trials start from its snapshots. *)
+    @param replay_set use this captured set ({!Replay.capture}): its
+      golden run is the reference (nothing is run here) and trials
+      start from its snapshots. *)
 val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> golden
 
 (** [trial ~golden ~seed ~index compiled] runs faulty trial [index] of
@@ -146,7 +146,7 @@ val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> gol
     the trial is [Recovered] if a vote corrected a copy and [Benign]
     otherwise — the class the full run would reach. Such a trial skips
     [Runtime.finish], so the [sim.runs]/[sim.insns] metrics do not
-    count it; [sim.converged] does. A model whose population is empty
+    count it; {!run}'s [sim.converged] does. A model whose population is empty
     in this configuration yields [Benign]; a simulation that raises
     yields [Exception]. The trial runs untimed ({!Compile.run}
     [~timed:false]): its class reads no cycle, so it is the timed run's
@@ -206,11 +206,16 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
     instruction count, reproducing the simulator time-out of the paper;
     a [fuel_factor] below 1 raises [Invalid_argument].
 
-    A campaign without [retry_budget] replays: it captures snapshots on
-    the golden run, starts each trial from the latest snapshot
-    preceding its fault's trigger event and stops it once it
-    re-converges with the golden run ({!trial}). The tally is the one
-    full-length trials reach, for every fault model at any pool size.
+    The campaign decodes and stage-2 compiles [schedule] once
+    ({!Decode.of_schedule}, {!Compile.of_decoded}); every golden run
+    and trial executes on that one immutable program, shared read-only
+    across pool domains. A campaign without [retry_budget] replays: it
+    captures snapshots on the golden run, starts each trial from the
+    latest snapshot preceding its fault's trigger event and stops it
+    once it re-converges with the golden run ({!trial}). The tally is
+    the one full-length trials reach, for every fault model at any pool
+    size. The program and the snapshot set live only as long as the
+    call: nothing outlives the campaign but its result.
 
     @param pool fan trials over these domains; the per-trial seed
       derivation makes the result identical field-for-field to the
@@ -235,7 +240,12 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       by a shorter request) first runs to the next grid point, so every
       later chunk stays on the grid. With
       [ci_halfwidth], [done] must be a multiple of {!chunk_trials} (or
-      [trials]) so the stop rule is checked at the same points. *)
+      [trials]) so the stop rule is checked at the same points.
+    @param bank called after every finished chunk except the last
+      with the next trial index (a grid point) and the partial tally
+      so far — the result store's partial-banking hook: a SIGKILLed
+      campaign's completed chunks survive and are served on restart.
+      The final tally is returned normally, not banked. *)
 val run :
   ?pool:Casted_exec.Pool.t ->
   ?seed:int ->
@@ -244,38 +254,9 @@ val run :
   ?ci_halfwidth:float ->
   ?retry_budget:int ->
   ?prior:int * int array ->
-  trials:int ->
-  Casted_sched.Schedule.t ->
-  result
-
-(** {!run} over a stage-2-compiled program. [run sched] is exactly
-    [run_compiled (Compile.of_decoded (Decode.of_schedule sched))] — the
-    engine's campaign path passes the engine cache's memoized program
-    here, so a sweep re-running one configuration never re-decodes or
-    re-compiles it. The program is immutable and shared read-only
-    across pool domains; every golden run and trial executes on it.
-
-    @param replay_set the snapshot set a replaying campaign starts its
-      trials from (the engine passes its memoized one) instead of
-      capturing afresh. Forced only when the campaign replays, that is
-      without [retry_budget].
-    @param bank called after every finished chunk except the last
-      with the next trial index (a grid point) and the partial tally
-      so far — the result store's partial-banking hook: a SIGKILLed campaign's
-      completed chunks survive and are served on restart. The final
-      tally is returned normally, not banked. *)
-val run_compiled :
-  ?pool:Casted_exec.Pool.t ->
-  ?seed:int ->
-  ?fuel_factor:int ->
-  ?model:Fault.model ->
-  ?ci_halfwidth:float ->
-  ?replay_set:Replay.t Lazy.t ->
-  ?retry_budget:int ->
-  ?prior:int * int array ->
   ?bank:(next:int -> result -> unit) ->
   trials:int ->
-  Compile.t ->
+  Casted_sched.Schedule.t ->
   result
 
 (** Render the tally with a 95% Wilson interval on every class rate. *)

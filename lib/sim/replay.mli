@@ -10,8 +10,8 @@
     full run exactly, paying only the post-snapshot suffix.
 
     A capture set is immutable after {!capture} and safe to share
-    read-only across pool domains; the engine memoizes it alongside the
-    decoded program. *)
+    read-only across pool domains; a campaign captures one set and
+    drops it when it returns ({!Montecarlo.run}). *)
 
 type t
 

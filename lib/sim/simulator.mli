@@ -73,8 +73,7 @@ val run_recovering :
   Outcome.run
 
 (** [run_compiled compiled] is {!Compile.run} on a stage-2-compiled
-    program ({!Compile.of_decoded}). Campaigns compile once (memoized in
-    [Engine.Cache]) and run every trial on this path. *)
+    program ({!Compile.of_decoded}). *)
 val run_compiled :
   ?fault:Fault.t ->
   ?fuel:int ->

@@ -11,11 +11,11 @@
 #   3. early-stop cells — a --ci-halfwidth campaign run cold into a
 #      store stops early exactly where the storeless run stops, and the
 #      warm rerun simulates nothing;
-#   4. store hygiene — `casted store gc` sweeps the debris of part 2's
-#      killed campaign, `casted store audit` re-simulates a banked entry
-#      and agrees with it, and an entry of one shard of a cell (written
-#      before sharding was retired) is a located error in `casted store
-#      ls` and `audit`, not a crash;
+#   4. store hygiene — `casted store gc` sweeps an aged tmp file
+#      planted in part 2's killed store, `casted store audit`
+#      re-simulates a banked entry and agrees with it, and an entry of
+#      one shard of a cell (written before sharding was retired) is a
+#      located error in `casted store ls` and `audit`, not a crash;
 #   5. worker queue drill — `casted work --enqueue` fills a matrix,
 #      a second drain of the same queue simulates nothing.
 #
@@ -145,7 +145,17 @@ must_serve "$workdir/ci.warm.out" "$stop" 0 "warm --ci-halfwidth"
 echo "   stopped early at $stop trials, cold and warm"
 
 echo "== gc sweeps the killed campaign's debris; audit re-simulates"
-"$BIN" store gc "$store3"
+# gc removes only tmp files older than a minute, so plant one that a
+# writer killed two minutes ago would have left.
+debris="$store3/entries/0123abcd.entry.tmp.99999"
+printf 'half-written' > "$debris"
+touch -d '2 minutes ago' "$debris"
+"$BIN" store gc "$store3" | tee "$workdir/gc.out"
+if ! grep -q "^gc: removed 1 tmp files" "$workdir/gc.out" \
+    || [ -e "$debris" ]; then
+  echo "store_check: store gc did not sweep the aged tmp file" >&2
+  exit 1
+fi
 "$BIN" store audit "$store" --sample 1 --jobs 2
 
 echo "== an entry of a retired shard is a located error, not a crash"

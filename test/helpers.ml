@@ -42,6 +42,21 @@ let run_scheme ?(issue_width = 2) ?(delay = 2) scheme program =
   let c = Pipeline.compile ~scheme ~issue_width ~delay program in
   Simulator.run c.Pipeline.schedule
 
+(* Run [f] with metrics collection on, then turn it back off and clear
+   the registry, so the rest of the suite runs unobserved. *)
+let with_metrics f =
+  Casted_obs.Metrics.reset ();
+  Casted_obs.Metrics.set_enabled true;
+  Fun.protect f ~finally:(fun () ->
+      Casted_obs.Metrics.set_enabled false;
+      Casted_obs.Metrics.reset ())
+
+(* A counter's merged value so far (0 if never incremented). *)
+let counter name =
+  match List.assoc_opt name (Casted_obs.Metrics.snapshot ()) with
+  | Some (Casted_obs.Metrics.Counter n) -> n
+  | _ -> 0
+
 (* The stage-2 program campaigns and trials run on. *)
 let compiled_of sched =
   Casted_sim.Compile.of_decoded (Casted_sim.Decode.of_schedule sched)

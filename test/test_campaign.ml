@@ -270,8 +270,8 @@ let test_off_grid_resume_steps_to_grid () =
   let banked = ref [] in
   let bank ~next _ = banked := next :: !banked in
   let resumed =
-    Montecarlo.run_compiled ~seed ~prior:(100, prefix_counts s ~seed 100)
-      ~bank ~trials (compiled_of s)
+    Montecarlo.run ~seed ~prior:(100, prefix_counts s ~seed 100) ~bank ~trials
+      s
   in
   Alcotest.(check (list int)) "bank points" [ 128; 192; 256 ]
     (List.rev !banked);
@@ -287,19 +287,19 @@ let grid_classes =
     (let s = schedule () in
      let g = Montecarlo.golden_decoded (Casted_sim.Decode.of_schedule s) in
      let p = compiled_of s in
-     (p, g, Array.init 400 (fun index -> Montecarlo.trial ~golden:g ~seed:5 ~index p)))
+     (s, g, Array.init 400 (fun index -> Montecarlo.trial ~golden:g ~seed:5 ~index p)))
 
 let prop_chunk_grid (trials, start) =
   let start = start mod (trials + 1) in
-  let p, g, classes = Lazy.force grid_classes in
+  let s, g, classes = Lazy.force grid_classes in
   let tally n =
     Montecarlo.counts (Montecarlo.tally ~golden:g (Array.sub classes 0 n))
   in
   let banked = ref [] in
   let resumed =
-    Montecarlo.run_compiled ~seed:5 ~prior:(start, tally start)
+    Montecarlo.run ~seed:5 ~prior:(start, tally start)
       ~bank:(fun ~next _ -> banked := next :: !banked)
-      ~trials p
+      ~trials s
   in
   let grid_points =
     List.filter
@@ -309,8 +309,8 @@ let prop_chunk_grid (trials, start) =
   in
   let early_stop_accepts =
     match
-      Montecarlo.run_compiled ~seed:5 ~ci_halfwidth:100.0
-        ~prior:(start, tally start) ~trials p
+      Montecarlo.run ~seed:5 ~ci_halfwidth:100.0 ~prior:(start, tally start)
+        ~trials s
     with
     | (_ : Montecarlo.result) -> true
     | exception Invalid_argument _ -> false
@@ -407,6 +407,42 @@ let test_dme_campaign_deterministic () =
   Alcotest.(check bool) "DME sheds CASTED-escaping mem SDCs" true
     (seq.Montecarlo.corrupt < casted.Montecarlo.corrupt)
 
+(* The robustness matrix on cjpeg: every scheme under every fault model,
+   on the narrowest and the widest machine, runs its trials through the
+   engine without raising. The only cells without injection sites are
+   the single-cluster schemes under the cross-cluster model. *)
+let test_robustness_matrix () =
+  let trials = 8 in
+  Engine.with_engine ~jobs:2 (fun e ->
+      List.iter
+        (fun (issue, delay) ->
+          List.iter
+            (fun scheme ->
+              let key =
+                Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
+                  ~scheme ~issue_width:issue ~delay ()
+              in
+              List.iter
+                (fun model ->
+                  let cell =
+                    Printf.sprintf "%s/%s i%d d%d" (Scheme.name scheme)
+                      (Fault.model_name model) issue delay
+                  in
+                  let r = Engine.campaign e ~model ~trials key in
+                  let single_cluster =
+                    scheme = Scheme.Noed || scheme = Scheme.Sced
+                  in
+                  Alcotest.(check bool)
+                    (cell ^ ": inapplicable")
+                    (single_cluster && model = Fault.Xcluster)
+                    (Montecarlo.inapplicable r);
+                  if not (Montecarlo.inapplicable r) then
+                    Alcotest.(check int) (cell ^ ": trials") trials
+                      r.Montecarlo.trials)
+                Fault.all_models)
+            Scheme.all)
+        [ (1, 1); (4, 4) ])
+
 (* Every scheme under every fault model: the engine's campaign tally is
    the same at jobs 1 and 4, and equals the full-length reference
    (every trial tallied from a golden run with no snapshot set: no
@@ -422,7 +458,8 @@ let test_matrix_pool_invariant () =
       in
       let decoded =
         Engine.with_engine ~jobs:1 (fun e ->
-            Casted_engine.Cache.decoded (Engine.cache e) key)
+            Casted_sim.Decode.of_schedule
+              (Engine.compile e key).Pipeline.schedule)
       in
       let retry_budget =
         if scheme = Scheme.Rollback then Some Engine.default_retry_budget
@@ -506,4 +543,6 @@ let suite =
       qcheck ~count:100 "chunk grid: every prefix resumes bit-identically"
         QCheck2.Gen.(pair (int_range 0 400) (int_range 0 400))
         prop_chunk_grid;
+      case "robustness matrix: cjpeg schemes x models x machines"
+        test_robustness_matrix;
     ] )

@@ -78,9 +78,8 @@ let test_cache_physical_equality () =
   Alcotest.(check int) "hits" 1 s.Cache.hits;
   Alcotest.(check int) "entries" 2 s.Cache.entries
 
-(* The pre-decoded program is memoized like the compile: repeated
-   lookups, pool workers and whole campaigns all execute the physically
-   equal decoded object — one decode per configuration per engine. *)
+(* The decoded table keeps the compile's memo discipline: repeated
+   lookups and pool workers see the physically equal decoded object. *)
 let test_cache_decoded_physically_shared () =
   let cache = Cache.create () in
   let a = Cache.decoded cache spec in
@@ -111,12 +110,7 @@ let test_cache_decoded_physically_shared () =
           (Array.init 8 Fun.id)
       in
       Alcotest.(check bool) "shared across pool workers" true
-        (Array.for_all Fun.id seen);
-      (* A whole campaign performs exactly zero additional decodes. *)
-      let before = (Cache.stats (Engine.cache e)).Cache.decoded_misses in
-      let _ = Engine.campaign e ~trials:10 spec in
-      Alcotest.(check int) "campaign decoded nothing new" before
-        (Cache.stats (Engine.cache e)).Cache.decoded_misses)
+        (Array.for_all Fun.id seen))
 
 (* The engine shares one cache across experiments: a compile then a
    campaign on a shared configuration must not recompile it. *)
@@ -127,6 +121,28 @@ let test_engine_shares_cache () =
       let _ = Engine.campaign e ~trials:5 spec in
       Alcotest.(check int) "campaign reused the sweep compile" misses
         (Cache.stats (Engine.cache e)).Cache.misses)
+
+(* The engine memoizes only the compile: a stored campaign, a sweep and
+   a simulate each build their decoded program, stage-2 program and
+   snapshot set for their own run and drop them, so the derived tables
+   are never touched. *)
+let test_engine_memoizes_only_compiles () =
+  with_store (fun store ->
+      Engine.with_engine ~jobs:2 (fun e ->
+          let (_ : Engine.stored_campaign) =
+            Engine.campaign_stored e ~store ~trials:10 spec
+          in
+          let (_ : Engine.sweep_point list) =
+            Engine.sweep e ~size:Workload.Fault ~benchmarks:[ "cjpeg" ]
+              ~issues:[ 2 ] ~delays:[ 2 ] ()
+          in
+          let _ = Engine.simulate e spec in
+          let s = Cache.stats (Engine.cache e) in
+          Alcotest.(check bool) "compile entries" true (s.Cache.entries > 0);
+          Alcotest.(check (list int))
+            "decoded, compiled and replay entries" [ 0; 0; 0 ]
+            [ s.Cache.decoded_entries; s.Cache.compiled_entries;
+              s.Cache.replay_entries ]))
 
 (* The replay table: a capture builds the whole artifact chain once,
    and every later lookup of any table is a hit on the same value. *)
@@ -380,6 +396,7 @@ let suite =
       case "decoded program physically shared"
         test_cache_decoded_physically_shared;
       case "engine shares cache across jobs" test_engine_shares_cache;
+      case "engine memoizes only compiles" test_engine_memoizes_only_compiles;
       case "replay table counters" test_cache_replay_counters;
       case "same-key race on every cache table" test_cache_same_key_races;
       case "pool drains on shutdown" test_pool_drains;

@@ -6,14 +6,8 @@ module Pool = Casted_exec.Pool
 module Montecarlo = Casted_sim.Montecarlo
 
 (* Every test that enables collection turns it back off and clears the
-   global registries, so the rest of the suite runs unobserved. *)
-let with_metrics f =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect f ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-
+   global registries, so the rest of the suite runs unobserved
+   ([Helpers.with_metrics] does so for metrics). *)
 let with_trace f =
   Trace.clear ();
   Trace.set_enabled true;

@@ -107,34 +107,48 @@ let test_trials_bit_identical () =
    from a golden run with no snapshot set), the replaying campaign,
    sequential and pooled, all land on the same tally, for every fault
    model. The kernel is shorter than the default first stride, so the
-   campaigns also run on a dense snapshot set, where trials both
-   restore a snapshot and stop early at a later one. *)
+   same trials also run, and are tallied, against a golden carrying a
+   dense snapshot set, where trials both restore a snapshot and stop
+   early at a later one. *)
 let test_campaign_replay_invariant () =
   let sched = schedule () in
-  let p = Casted_sim.Compile.of_decoded (Decode.of_schedule sched) in
-  let dense = capture ~init_stride:4 ~target:8 (decoded ()) in
+  let d = decoded () in
+  let p = Compile.of_decoded d in
+  let dense =
+    Montecarlo.golden_decoded ~replay_set:(capture ~init_stride:4 ~target:8 d) d
+  in
+  let trials = 128 in
   List.iter
     (fun model ->
-      let run ?pool () =
-        Montecarlo.run ?pool ~seed:42 ~model ~trials:128 sched
-      in
+      let run ?pool () = Montecarlo.run ?pool ~seed:42 ~model ~trials sched in
       let run_dense ?pool () =
-        Montecarlo.run_compiled ?pool ~seed:42 ~model ~trials:128
-          ~replay_set:(Lazy.from_val dense) p
+        let one index =
+          Montecarlo.trial ~model ~golden:dense ~seed:42 ~index p
+        in
+        let indices = Array.init trials Fun.id in
+        Montecarlo.tally ~model ~golden:dense
+          (match pool with
+          | Some pool -> Pool.map pool one indices
+          | None -> Array.map one indices)
       in
-      let off = full_length_tally ~model ~seed:42 ~trials:128 (decoded ()) in
+      let off = full_length_tally ~model ~seed:42 ~trials d in
       let on_seq = run () in
-      let dense_seq = run_dense () in
+      (* A trial that re-converges stops before its run finishes, so
+         [sim.runs] does not count it. *)
+      let dense_seq, finished =
+        with_metrics (fun () ->
+            let r = run_dense () in
+            (r, counter "sim.runs"))
+      in
       let name = Fault.model_name model in
       same_counts (name ^ ": replay vs full-length") off on_seq;
       same_counts (name ^ ": dense replay vs full-length") off dense_seq;
-      let stats (r : Montecarlo.result) =
-        match r.Montecarlo.replay with
+      (match on_seq.Montecarlo.replay with
         | None -> Alcotest.fail (name ^ ": replay stats missing")
         | Some s ->
             Alcotest.(check int)
               (name ^ ": every trial accounted")
-              128
+              trials
               (s.Montecarlo.replayed + s.Montecarlo.full_runs);
             Alcotest.(check bool)
               (name ^ ": mean suffix within [0,1]")
@@ -145,16 +159,11 @@ let test_campaign_replay_invariant () =
               (name ^ ": converged <= replayed + full runs")
               true
               (s.Montecarlo.converged
-              <= s.Montecarlo.replayed + s.Montecarlo.full_runs);
-            s
-      in
-      let (_ : Montecarlo.replay_stats) = stats on_seq in
-      let s = stats dense_seq in
+              <= s.Montecarlo.replayed + s.Montecarlo.full_runs));
       if model = Fault.Reg_bit then
         Alcotest.(check bool)
-          (name ^ ": some trials re-converge early")
-          true
-          (s.Montecarlo.converged > 0);
+          (name ^ ": some dense trials re-converge early")
+          true (finished < trials);
       Pool.with_pool ~jobs:4 (fun pool ->
           same_counts
             (name ^ ": replay pooled vs sequential full")

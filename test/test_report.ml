@@ -166,26 +166,24 @@ let test_repro_warm_store () =
               Repro.run ~engine ~store ~benchmarks
                 ~size:Casted_workloads.Workload.Fault ~trials ()
             in
-            ( text,
-              Engine.store_counters engine,
-              Casted_engine.Cache.stats (Engine.cache engine) ))
+            (text, Engine.store_counters engine))
       in
-      let cold, cold_counts, cold_cache = pass () in
-      let warm, warm_counts, warm_cache = pass () in
+      let cold, cold_counts = pass () in
+      let (warm, warm_counts), warm_trials =
+        with_metrics (fun () ->
+            let warm = pass () in
+            (warm, counter "mc.trials"))
+      in
       Alcotest.(check bool) "cold pass simulates" true
         (cold_counts.Engine.trials_simulated > 0);
       Alcotest.(check int) "warm pass simulates nothing" 0
         warm_counts.Engine.trials_simulated;
       (* A campaign that bypassed the store would simulate outside the
-         store counters; only a simulating engine campaign fetches the
-         stage-2 program and the snapshot set. *)
-      let module Cache = Casted_engine.Cache in
-      Alcotest.(check bool) "cold pass fetches stage-2 programs" true
-        (cold_cache.Cache.compiled_misses > 0);
-      Alcotest.(check int) "warm pass fetches no stage-2 program" 0
-        (warm_cache.Cache.compiled_hits + warm_cache.Cache.compiled_misses);
-      Alcotest.(check int) "warm pass fetches no snapshot set" 0
-        (warm_cache.Cache.replay_hits + warm_cache.Cache.replay_misses);
+         store counters, but every simulated trial counts in
+         [mc.trials]: the warm pass runs only the late-CSE ablation's. *)
+      Alcotest.(check int) "warm pass runs only the unstored trials"
+        (Repro.unstored_trials ~trials)
+        warm_trials;
       Alcotest.(check int) "warm pass serves every trial"
         (cold_counts.Engine.trials_served + cold_counts.Engine.trials_simulated)
         warm_counts.Engine.trials_served;

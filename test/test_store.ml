@@ -128,6 +128,36 @@ let test_reopen_persists () =
       | Ok None -> Alcotest.fail "entry lost across reopen"
       | Error msg -> Alcotest.fail msg)
 
+(* gc sweeps only orphan tmp files past the age threshold: a SIGKILLed
+   writer's aged debris goes, a writer's fresh tmp file and the real
+   entries stay. *)
+let test_gc_tmp_sweeps_only_aged () =
+  with_store_dir (fun dir ->
+      let s = Store.open_exn ~create:true dir in
+      let e = sample_entry () in
+      Store.put s e;
+      let tmp pid =
+        let path =
+          Filename.concat (Filename.concat dir "entries")
+            (Printf.sprintf "0123abcd.entry.tmp.%d" pid)
+        in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc "half-written");
+        path
+      in
+      let aged = tmp 4242 and fresh = tmp 4243 in
+      let two_minutes_ago = Unix.gettimeofday () -. 120.0 in
+      Unix.utimes aged two_minutes_ago two_minutes_ago;
+      Alcotest.(check int) "one tmp file removed" 1 (Store.gc_tmp s);
+      Alcotest.(check bool) "aged tmp file gone" false (Sys.file_exists aged);
+      Alcotest.(check bool) "fresh tmp file kept" true (Sys.file_exists fresh);
+      match Store.list s with
+      | Ok [ Ok got ] ->
+          Alcotest.(check (array int)) "entry still reads" e.Store.counts
+            got.Store.counts
+      | Ok _ -> Alcotest.fail "expected exactly the one entry"
+      | Error msg -> Alcotest.fail msg)
+
 let expect_error msg = function
   | Error _ -> ()
   | Ok _ -> Alcotest.fail msg
@@ -568,6 +598,7 @@ let suite =
       case "address golden pins" test_address_golden;
       case "entry roundtrip and counters" test_roundtrip;
       case "entries persist across reopen" test_reopen_persists;
+      case "gc sweeps only aged tmp files" test_gc_tmp_sweeps_only_aged;
       case "corrupt / mis-addressed / wrong-version refused"
         test_corruption_refused;
       case "non-store directory refused" test_open_refuses_non_store;
