@@ -52,6 +52,16 @@ let positive_float =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+let percentage =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 100.0 -> Ok p
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected a percentage in [0, 100], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let bench_arg =
   let doc = "Benchmark name (see $(b,casted list))." in
   Arg.(value & opt string "cjpeg" & info [ "w"; "benchmark" ] ~doc)
@@ -173,15 +183,15 @@ let jobs_arg =
      $(b,CASTED_JOBS) or the number of cores. Results are identical for \
      every $(docv), including 1 (sequential)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+  Arg.(
+    value
+    & opt (some (int_at_least 1)) None
+    & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
-(* Resolve --jobs against CASTED_JOBS / core count, rejecting malformed
-   values loudly. *)
+(* Resolve --jobs against CASTED_JOBS / core count, rejecting a
+   malformed CASTED_JOBS loudly. *)
 let resolve_jobs = function
-  | Some n when n >= 1 -> n
-  | Some n ->
-      Printf.eprintf "casted: --jobs must be >= 1 (got %d)\n" n;
-      exit 2
+  | Some n -> n
   | None -> (
       match Pool.default_jobs () with
       | Ok n -> n
@@ -424,7 +434,7 @@ let min_recovered_arg =
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some percentage) None
     & info [ "min-recovered" ] ~docv:"PCT" ~doc)
 
 let campaign_cmd =

@@ -190,10 +190,6 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
-let utilisation s =
-  if s.wall_s <= 0.0 then 0.0
-  else Float.min 1.0 (Float.max 0.0 (s.busy_s /. (s.wall_s *. float_of_int s.jobs)))
-
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Ok n

@@ -46,7 +46,7 @@ val shutdown : t -> unit
     afterwards, also on exception. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** Lifetime counters (the bench records them in BENCH.json). *)
+(** Lifetime counters. *)
 type stats = {
   jobs : int;  (** executors ([domains] + the caller) *)
   domains : int;  (** worker domains spawned *)
@@ -56,10 +56,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** [utilisation s] = [busy_s / (wall_s * jobs)], clamped to [0, 1]:
-    the fraction of available executor time spent running tasks. *)
-val utilisation : stats -> float
 
 (** {2 Sizing knobs} *)
 

@@ -1,11 +1,5 @@
-(** Exporters for the collected metrics and traces.
-
-    Three formats: human-readable text, CSV (one row per metric) and
-    JSON; plus atomic file output (tmp + rename, so a crash mid-write
-    never leaves a truncated artifact behind). *)
-
-(** Write [contents] to [path] atomically (tmp file + rename). *)
-val write_file : path:string -> string -> unit
+(** Exporters for the collected metrics and traces: an aligned text
+    table of the metrics, and the trace timeline as Chrome trace JSON. *)
 
 (** {2 Metrics} *)
 
@@ -14,5 +8,7 @@ val metrics_text : unit -> string
 
 (** {2 Traces} *)
 
-(** Write the current {!Trace} timeline as Chrome trace JSON. *)
+(** Write the current {!Trace} timeline as Chrome trace JSON,
+    atomically (tmp file + rename, so a crash mid-write never leaves a
+    truncated artifact behind). *)
 val write_trace : path:string -> unit

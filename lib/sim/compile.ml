@@ -1084,7 +1084,7 @@ let exec_entry c entry =
   if st.State.depth > Runtime.max_call_depth then
     raise (Trap.Trap Trap.Stack_overflow);
   let cf = Array.unsafe_get c.funcs entry in
-  let fr = State.make_regfile cf.c_func ~time:(st.State.time + 1) in
+  let fr = State.entry_regfile cf.c_func ~time:(st.State.time + 1) in
   (match cf.c_func.Func.params with
   | [] -> ()
   | _ :: _ -> invalid_arg "Simulator: call arity mismatch");

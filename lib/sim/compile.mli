@@ -81,7 +81,7 @@ val run :
       therefore costs what a plain run does and returns the same
       {!Outcome.run}. Cannot combine with [on_block].
     @param timed [false] runs untimed, the mode every Monte-Carlo trial
-      runs in ({!Montecarlo.trial_instrumented}); default [true]. An
+      runs in ({!Montecarlo.trial}); default [true]. An
       untimed run drives no cache model (no hierarchy access per memory
       operation, no hierarchy restore from [snapshot]) and no per-bundle
       operand-ready scan. It executes the same instructions with the

@@ -83,6 +83,59 @@ let copy_regfile rf =
     pr_home = Array.copy rf.pr_home;
   }
 
+let blit_regfile ~src ~dst =
+  let blit a b = Array.blit a 0 b 0 (Array.length a) in
+  Bytes.blit src.gp 0 dst.gp 0 (Bytes.length src.gp);
+  blit src.fpv dst.fpv;
+  blit src.prv dst.prv;
+  blit src.gp_ready dst.gp_ready;
+  blit src.fp_ready dst.fp_ready;
+  blit src.pr_ready dst.pr_ready;
+  blit src.gp_home dst.gp_home;
+  blit src.fp_home dst.fp_home;
+  blit src.pr_home dst.pr_home
+
+(* Each executor domain also keeps one entry register file, as it
+   keeps the memory arena below: a function with more than ~250
+   registers has register arrays too large for the minor heap, so a
+   fresh file per run would be allocated straight into the major heap
+   on every trial. The entry frame is dead once its run returns
+   (callee frames are the engine's own), so the next run on the domain
+   takes it over: reset on a fresh run, overwritten on a restore. *)
+let scratch_regs : regfile option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let scratch_shaped ~gp ~fp ~pr =
+  match !(Domain.DLS.get scratch_regs) with
+  | Some rf
+    when Bytes.length rf.gp = gp * 8
+         && Array.length rf.fpv = fp
+         && Array.length rf.prv = pr ->
+      Some rf
+  | _ -> None
+
+let keep rf =
+  Domain.DLS.get scratch_regs := Some rf;
+  rf
+
+let entry_regfile func ~time =
+  let n c = max 1 (Func.reg_count func c) in
+  match scratch_shaped ~gp:(n Reg.Gp) ~fp:(n Reg.Fp) ~pr:(n Reg.Pr) with
+  | Some rf ->
+      reset_regfile rf ~time;
+      rf
+  | None -> keep (make_regfile func ~time)
+
+let entry_regfile_of src =
+  match
+    scratch_shaped ~gp:(Bytes.length src.gp / 8) ~fp:(Array.length src.fpv)
+      ~pr:(Array.length src.prv)
+  with
+  | Some rf ->
+      blit_regfile ~src ~dst:rf;
+      rf
+  | None -> keep (copy_regfile src)
+
 (* A value crossing a call boundary. *)
 type value = V_gp of int64 | V_fp of float | V_pr of bool
 
@@ -273,7 +326,7 @@ let restore ?(timed = true) ~cache snap =
       retv = None;
     }
   in
-  (st, copy_regfile snap.regs)
+  (st, entry_regfile_of snap.regs)
 
 (* Architectural equality with a snapshot, cheapest test first: the
    position, the predicates, the GP bytes, the FP values bit for bit

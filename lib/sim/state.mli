@@ -40,6 +40,14 @@ val make_regfile : Casted_ir.Func.t -> time:int -> regfile
     readable at [time], homes unset. *)
 val reset_regfile : regfile -> time:int -> unit
 
+(** [entry_regfile func ~time] is the calling domain's entry register
+    file, in the state {!make_regfile} builds: the one frame a run's
+    entry function executes in. Reused across runs on the same domain
+    (reset, not reallocated, when [func]'s register counts match the
+    last run's), so it is only valid until the domain's next run
+    starts. *)
+val entry_regfile : Casted_ir.Func.t -> time:int -> regfile
+
 (** Checked GP accessors: an index outside the frame raises
     [Invalid_argument "index out of bounds"]. *)
 val get_gp : regfile -> int -> int64
@@ -131,10 +139,11 @@ val snapshot : t -> regs:regfile -> block:int -> snapshot
 
 (** [restore ~cache snap] rebuilds an equivalent machine on the calling
     domain's scratch (dirty-page undo + delta apply on the arena,
-    sparse hierarchy restore) and returns it with a private copy of the
-    snapshot's register file. The returned state has [depth = 1] and no
-    pending transfer — ready for the entry function's block loop at
-    [snap.block].
+    sparse hierarchy restore) and returns it with the domain's entry
+    register file ({!entry_regfile}) overwritten with the snapshot's.
+    The snapshot itself is never written. The returned state has
+    [depth = 1] and no pending transfer — ready for the entry
+    function's block loop at [snap.block].
 
     With [~timed:false] (default [true]) the machine sits on
     {!untimed_hierarchy} and the snapshot's cache state is not

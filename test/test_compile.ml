@@ -244,10 +244,15 @@ let test_campaign_jobs_bit_identity () =
    unboxed bytes, ALU/compare/memory closures are specialised per
    opcode, condition and width, the cache model answers with a bool
    and callee frames are reused. What is left per run is the machine
-   itself (entry frame, counters, output) — well under half a word per
-   dynamic instruction on every workload, in the -opaque dev build this
-   suite runs in, where a single int64 crossing a module boundary
-   boxes. *)
+   itself (counters, output) — well under half a word per dynamic
+   instruction on every workload, in the -opaque dev build this suite
+   runs in, where a single int64 crossing a module boundary boxes.
+
+   ROLLBACK runs fault-free with its retry budget, as a rollback
+   campaign's trials do: checkpoints stay lazy, counted at each region
+   head and materialized only when a rollback is due. A snapshot at
+   every checkpoint block top costs 3 (cjpeg) to 59 (181.mcf) words
+   per instruction. *)
 let test_allocation_budget () =
   let budget = 0.5 in
   List.iter
@@ -257,16 +262,79 @@ let test_allocation_budget () =
         (fun scheme ->
           let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
           let p = Compile.of_decoded (Decode.of_schedule c.Pipeline.schedule) in
+          let retry_budget =
+            if scheme = Scheme.Rollback then Some Engine.default_retry_budget
+            else None
+          in
           (* Warm the domain's scratch arena and hierarchy first. *)
-          let (_ : Outcome.run) = Compile.run p in
+          let (_ : Outcome.run) = Compile.run ?retry_budget p in
           let before = Gc.minor_words () in
-          let r = Compile.run p in
+          let r = Compile.run ?retry_budget p in
           let words = Gc.minor_words () -. before in
           let per_insn = words /. float_of_int r.Outcome.dyn_insns in
           if not (per_insn < budget) then
             Alcotest.failf "%s/%s: %.3f minor words per instruction (%d insns)"
               w.W.name (Scheme.name scheme) per_insn r.Outcome.dyn_insns)
-        Scheme.[ Noed; Casted; Dme; Tmr ])
+        Scheme.[ Noed; Casted; Dme; Tmr; Rollback ])
+    Casted_workloads.Registry.all
+
+(* Words a run of [f] allocates straight into the major heap: blocks
+   too large for the minor heap (over 256 words), which the minor
+   allocation budget above does not see. The counters settle only at
+   a major slice, so a full major collection precedes each reading. *)
+let direct_major_words f =
+  let direct () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  f ();
+  direct () -. before
+
+(* A trial allocates nothing sizeable: the entry register file is the
+   domain's, reset on a fresh run and overwritten on a restore, like
+   the memory arena. A register file per run would put over a thousand
+   words per trial straight into the major heap on a workload with
+   hundreds of registers (cjpeg/CASTED's entry function has 380 GP),
+   which sets the collector's pace for a whole campaign. Covers
+   replayed trials, full-length trials and fault-free untimed runs on
+   every workload. *)
+let test_trials_skip_major_heap () =
+  let budget = 64.0 in
+  List.iter
+    (fun (w : W.t) ->
+      let c =
+        Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2
+          (w.W.build W.Fault)
+      in
+      let d = Decode.of_schedule c.Pipeline.schedule in
+      let p = Compile.of_decoded d in
+      let g = Montecarlo.golden_decoded ~replay_set:(capture d) d in
+      let trials golden () =
+        for index = 0 to 63 do
+          let (_ : Montecarlo.classification) =
+            Montecarlo.trial ~golden ~seed:5 ~index p
+          in
+          ()
+        done
+      in
+      let check what n f =
+        f ();
+        let per_run = direct_major_words f /. float_of_int n in
+        if not (per_run < budget) then
+          Alcotest.failf "%s/CASTED %s: %.0f words per run straight into the \
+             major heap"
+            w.W.name what per_run
+      in
+      check "replayed trials" 64 (trials g);
+      check "full-length trials" 64
+        (trials { g with Montecarlo.replay = None });
+      check "fault-free untimed runs" 8 (fun () ->
+          for _ = 1 to 8 do
+            let (_ : Outcome.run) = Compile.run ~timed:false p in
+            ()
+          done))
     Casted_workloads.Registry.all
 
 (* Campaign trials run untimed, and an untimed run leaves the domain's
@@ -464,4 +532,6 @@ let suite =
         test_untimed_leaves_timed_hierarchy;
       case "arena-edge accesses trap alike on both engines"
         test_trap_parity_at_arena_edges;
+      case "trials allocate nothing straight into the major heap"
+        test_trials_skip_major_heap;
     ] )

@@ -435,6 +435,23 @@ let test_rollback_untimed_classes_match () =
      ran. *)
   Alcotest.(check bool) "some trials recovered" true (!recovered > 0)
 
+(* Campaign trials stop once they re-converge with the golden run.
+   A cjpeg/CASTED campaign at fault size is deterministic per seed:
+   251 of these 256 trials replay and 26 re-converge. Without the
+   early exit none would; the floor is 5 %. *)
+let test_campaign_reconverges () =
+  let c =
+    Pipeline.compile ~scheme:Scheme.Casted ~issue_width:2 ~delay:2
+      ((Option.get (Casted_workloads.Registry.find "cjpeg")).W.build W.Fault)
+  in
+  let r = Montecarlo.run ~seed:0xCA57ED ~trials:256 c.Pipeline.schedule in
+  match r.Montecarlo.replay with
+  | None -> Alcotest.fail "campaign without a retry budget did not replay"
+  | Some s ->
+      if s.Montecarlo.converged < 13 then
+        Alcotest.failf "%d of 256 trials re-converged, expected at least 13"
+          s.Montecarlo.converged
+
 let suite =
   ( "replay",
     [
@@ -456,4 +473,6 @@ let suite =
         test_early_exit_classes_match;
       Alcotest.test_case "rollback: untimed trial class = timed run" `Slow
         test_rollback_untimed_classes_match;
+      Alcotest.test_case "campaign trials re-converge early" `Quick
+        test_campaign_reconverges;
     ] )
