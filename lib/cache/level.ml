@@ -22,6 +22,13 @@ type t = {
   touched : int array;  (* stack of touched set indices *)
   touched_flag : Bytes.t;  (* per-set membership bit for the stack *)
   mutable n_touched : int;
+  (* The block of the last access and the way that holds it: an access
+     always leaves its block resident, and only another access (which
+     overwrites the memo) or [clear] can evict it, so a repeat of the
+     same block is a hit on [last_way]. Its set is already journalled.
+     -1 = no memo (blocks are never negative). *)
+  mutable last_block : int;
+  mutable last_way : int;
 }
 
 let log2_exact n =
@@ -53,6 +60,8 @@ let create ~size_bytes ~block_bytes ~assoc =
     touched = Array.make n_sets 0;
     touched_flag = Bytes.make n_sets '\000';
     n_touched = 0;
+    last_block = -1;
+    last_way = 0;
   }
 
 let of_config (c : Casted_machine.Config.cache_level) =
@@ -87,33 +96,45 @@ let access t ~addr ~write =
   if addr < 0 then invalid_arg "Level.access: negative address";
   t.clock <- t.clock + 1;
   let block = addr lsr t.block_shift in
-  let set_idx = set_of t block in
-  let tag = tag_of t block in
-  touch t set_idx;
-  let base = set_idx * t.assoc in
-  let w = find t base tag in
-  if w >= 0 then begin
+  if block = t.last_block then begin
+    let w = t.last_way in
     Array.unsafe_set t.stamps w t.clock;
     if write then Bytes.unsafe_set t.dirty w '\001';
     t.hits <- t.hits + 1;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    (* Evict the first least-recently-used way (invalid ways have stamp
-       0, the oldest). *)
-    let victim = ref base in
-    for i = base + 1 to base + t.assoc - 1 do
-      if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !victim then
-        victim := i
-    done;
-    let v = !victim in
-    if Array.unsafe_get t.tags v >= 0 && Bytes.unsafe_get t.dirty v <> '\000'
-    then t.writebacks <- t.writebacks + 1;
-    Array.unsafe_set t.tags v tag;
-    Bytes.unsafe_set t.dirty v (if write then '\001' else '\000');
-    Array.unsafe_set t.stamps v t.clock;
-    false
+    let set_idx = set_of t block in
+    let tag = tag_of t block in
+    touch t set_idx;
+    let base = set_idx * t.assoc in
+    let w = find t base tag in
+    t.last_block <- block;
+    if w >= 0 then begin
+      t.last_way <- w;
+      Array.unsafe_set t.stamps w t.clock;
+      if write then Bytes.unsafe_set t.dirty w '\001';
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      (* Evict the first least-recently-used way (invalid ways have
+         stamp 0, the oldest). *)
+      let victim = ref base in
+      for i = base + 1 to base + t.assoc - 1 do
+        if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !victim
+        then victim := i
+      done;
+      let v = !victim in
+      if Array.unsafe_get t.tags v >= 0 && Bytes.unsafe_get t.dirty v <> '\000'
+      then t.writebacks <- t.writebacks + 1;
+      Array.unsafe_set t.tags v tag;
+      Bytes.unsafe_set t.dirty v (if write then '\001' else '\000');
+      Array.unsafe_set t.stamps v t.clock;
+      t.last_way <- v;
+      false
+    end
   end
 
 let probe t ~addr =
@@ -141,6 +162,7 @@ let clear t =
     Bytes.fill t.dirty base t.assoc '\000'
   done;
   t.n_touched <- 0;
+  t.last_block <- -1;
   t.clock <- 0;
   reset_stats t
 

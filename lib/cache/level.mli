@@ -14,7 +14,14 @@ val of_config : Casted_machine.Config.cache_level -> t
     returns whether it hit. A miss allocates the block, evicting the
     least-recently-used way; evicting a dirty block counts one
     {!writebacks}. Writes mark the block dirty. Allocation-free.
-    Raises [Invalid_argument] on a negative address. *)
+    Raises [Invalid_argument] on a negative address.
+
+    Fast path: the level remembers the block of its last access and the
+    way that holds it. That block stays resident until the next access
+    (which replaces the memo) or a {!clear}, so an access to the same
+    block goes straight to that way: the same clock tick, stamp, dirty
+    bit and hit count as the full lookup, without the set/tag arithmetic
+    or the way search. {!clear}, and so {!restore}, drops the memo. *)
 val access : t -> addr:int -> write:bool -> bool
 
 (** Lookup without allocation or LRU update (used by tests). *)
@@ -24,8 +31,9 @@ val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
 
-(** Back to the pristine all-invalid state. O(sets touched since the
-    last clear), not O(capacity): mutations are journalled. *)
+(** Back to the pristine all-invalid state, last-access memo included.
+    O(sets touched since the last clear), not O(capacity): mutations
+    are journalled. *)
 val clear : t -> unit
 
 val num_sets : t -> int
@@ -40,7 +48,8 @@ type snapshot
 val snapshot : t -> snapshot
 
 (** Write a snapshot back into a level of the same geometry (clears the
-    level first; O(touched), both sides). *)
+    level first, so the last-access memo starts empty; O(touched), both
+    sides). *)
 val restore : t -> snapshot -> unit
 
 (** Approximate heap footprint of a snapshot, in bytes. *)

@@ -73,16 +73,15 @@ let identity k =
   in
   Format.asprintf "%a%s" pp_key k extras
 
-(* One memo table per artifact of a key. Every lookup follows one
-   discipline: look up under the table's mutex; on a miss, build outside
-   it so distinct keys build in parallel; on a same-key race the first
-   insert wins, so every caller gets the physically equal value and the
-   loser counts as a hit. Each lookup emits the table's hit or miss
-   metric. The key is a flat record of immediates and
-   small variant records, so polymorphic equality and hashing are
-   exact. *)
-type 'v memo = {
-  table : (key, 'v) Hashtbl.t;
+(* One memo table per artifact. Every lookup follows one discipline:
+   look up under the table's mutex; on a miss, build outside it so
+   distinct keys build in parallel; on a same-key race the first insert
+   wins, so every caller gets the physically equal value and the loser
+   counts as a hit. Each lookup emits the table's hit or miss metric.
+   Keys are flat records or pairs of immediates, strings and small
+   variant records, so polymorphic equality and hashing are exact. *)
+type ('k, 'v) memo = {
+  table : ('k, 'v) Hashtbl.t;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -124,20 +123,26 @@ let find m k ~build =
   Casted_obs.Metrics.incr (if was_hit then m.hit_metric else m.miss_metric);
   v
 
-(* The per-key artifact chain: schedule -> decoded -> stage-2 compiled,
-   plus the golden-run snapshot set captured on the compiled program.
-   Only [compiles] serves the library; campaigns, sweeps and
-   simulations build the rest for their own run. The other three
-   tables serve only the benchmark harness. *)
+(* The per-key artifact chain: workload program -> schedule -> decoded
+   -> stage-2 compiled, plus the golden-run snapshot set captured on the
+   compiled program. [builds] and [compiles] serve the library; the
+   program is keyed by (workload, size) alone, since every compile of
+   that pair starts from the same build and no pipeline pass writes its
+   input. Campaigns, sweeps and simulations build the rest for their
+   own run. The other three tables serve only the benchmark harness. *)
 type t = {
-  compiles : Pipeline.compiled memo;
-  decodes : Casted_sim.Decode.t memo;
-  programs : Casted_sim.Compile.t memo;
-  replays : Casted_sim.Replay.t memo;
+  builds : (string * Workload.size, Casted_ir.Program.t) memo;
+  compiles : (key, Pipeline.compiled) memo;
+  decodes : (key, Casted_sim.Decode.t) memo;
+  programs : (key, Casted_sim.Compile.t) memo;
+  replays : (key, Casted_sim.Replay.t) memo;
 }
 
 let create () =
   {
+    builds =
+      memo ~hit_metric:"engine.cache.build_hits"
+        ~miss_metric:"engine.cache.build_misses";
     compiles =
       memo ~hit_metric:"engine.cache.hits" ~miss_metric:"engine.cache.misses";
     decodes =
@@ -151,18 +156,17 @@ let create () =
         ~miss_metric:"engine.cache.replay_misses";
   }
 
-let build k =
-  let w =
-    match Registry.find k.workload with
-    | Some w -> w
-    | None -> invalid_arg ("Cache.compile: unknown workload " ^ k.workload)
-  in
-  let program = w.Workload.build k.size in
-  Pipeline.compile ~options:k.options ?bug_options:k.bug_options
-    ~optimize:k.optimize ~scheme:k.scheme ~issue_width:k.issue_width
-    ~delay:k.delay program
+let program t k =
+  find t.builds (k.workload, k.size) ~build:(fun (name, size) ->
+      match Registry.find name with
+      | Some w -> w.Workload.build size
+      | None -> invalid_arg ("Cache.compile: unknown workload " ^ name))
 
-let compile t k = find t.compiles k ~build
+let compile t k =
+  find t.compiles k ~build:(fun k ->
+      Pipeline.compile ~options:k.options ?bug_options:k.bug_options
+        ~optimize:k.optimize ~scheme:k.scheme ~issue_width:k.issue_width
+        ~delay:k.delay (program t k))
 
 let decoded t k =
   find t.decodes k ~build:(fun k ->
@@ -184,6 +188,7 @@ type stats = {
   hits : int;
   misses : int;
   entries : int;
+  builds : int;
   decoded_hits : int;
   decoded_misses : int;
   decoded_entries : int;
@@ -196,10 +201,11 @@ type stats = {
 }
 
 let stats t =
-  let read (m : _ memo) =
+  let read (m : (_, _) memo) =
     Mutex.protect m.lock (fun () -> (m.hits, m.misses, Hashtbl.length m.table))
   in
   let hits, misses, entries = read t.compiles in
+  let _, _, builds = read t.builds in
   let decoded_hits, decoded_misses, decoded_entries = read t.decodes in
   let replay_hits, replay_misses, replay_entries = read t.replays in
   let compiled_hits, compiled_misses, compiled_entries = read t.programs in
@@ -207,6 +213,7 @@ let stats t =
     hits;
     misses;
     entries;
+    builds;
     decoded_hits;
     decoded_misses;
     decoded_entries;

@@ -9,14 +9,25 @@
     engine, and repeated lookups return the {e physically equal}
     compile.
 
-    The compile is the only artifact the library memoizes. Everything
-    derived from it lives only as long as the run that built it: a
-    campaign ({!Casted_sim.Montecarlo.run}) decodes, stage-2 compiles
-    and captures its own snapshot set and drops all three when it
-    returns, and a sweep point or simulation decodes for its one run.
-    So the engine's resident memory grows with the number of compiled
-    configurations, not with the snapshot sets of every campaign it
-    ran.
+    The library memoizes two artifacts, both for the cache's lifetime:
+    the compile, and the workload program it compiles from. The program
+    is keyed by [(workload, size)] alone ({!program}), so a sweep's 280
+    configurations over seven benchmarks build seven programs, not 280
+    (a perf-size build costs about 0.76 ms, a {!Casted_ir.Clone.program}
+    of it 0.012 ms). Sharing one build is safe because the pipeline
+    never writes its input: every pass that rewrites the program
+    ([Transform], [Recover], [Dme], [Rollback], the NOED path and
+    [Opt.Pass]) clones it first, so the build stays equal to a fresh
+    one and every compile is the one a fresh build would give (pinned
+    by a tier-1 test over every workload, scheme and [optimize]).
+
+    Everything derived from a compile lives only as long as the run that
+    built it: a campaign ({!Casted_sim.Montecarlo.run}) decodes,
+    stage-2 compiles and captures its own snapshot set and drops all
+    three when it returns, and a sweep point or simulation decodes for
+    its one run. So the engine's resident memory grows with the number
+    of compiled configurations and built programs, not with the
+    snapshot sets of every campaign it ran.
 
     The {!decoded}, {!compiled} and {!replay} tables below are read by
     no path in the library or the CLI. They remain only because the
@@ -24,13 +35,14 @@
     {!stats} fields; they go once the harness runs campaigns through
     the engine.
 
-    All four tables share one memo discipline and are domain-safe:
+    All five tables share one memo discipline and are domain-safe:
     lookups and inserts are serialised by the table's mutex, while
     builds run outside it so distinct keys build in parallel. If two
     domains race to build the same key, the first insert wins, both
     receive the same value, and the loser's lookup counts as a hit — so
     a table's misses are the builds it kept, and hits plus misses are
-    its lookups. *)
+    its lookups. Only compiles feed {!stats}' [hits] and [misses]:
+    program builds are counted by [builds] alone. *)
 
 type key = {
   workload : string;  (** registry name, e.g. ["cjpeg"] *)
@@ -73,9 +85,16 @@ type t
 
 val create : unit -> t
 
-(** [compile t key] returns the cached compile for [key], compiling it
-    (workload lookup, program build, full pipeline) on first use.
-    Raises [Invalid_argument] for an unknown workload name. *)
+(** [program t key] returns the workload program [key] compiles from,
+    building it on the first use of [key]'s [(workload, size)]; every
+    key of that pair gets the physically equal program. Callers must
+    not mutate it. Raises [Invalid_argument] for an unknown workload
+    name. *)
+val program : t -> key -> Casted_ir.Program.t
+
+(** [compile t key] returns the cached compile for [key], running the
+    full pipeline over {!program} on first use. Raises
+    [Invalid_argument] for an unknown workload name. *)
 val compile : t -> key -> Casted_detect.Pipeline.compiled
 
 (** [decoded t key] returns the memoized pre-decoded execution form
@@ -98,9 +117,10 @@ val replay : t -> key -> Casted_sim.Replay.t
 val compiled : t -> key -> Casted_sim.Compile.t
 
 type stats = {
-  hits : int;
-  misses : int;
+  hits : int;  (** {!compile} lookups served from the table *)
+  misses : int;  (** compiles kept in the table *)
   entries : int;
+  builds : int;  (** workload programs kept, one per [(workload, size)] *)
   decoded_hits : int;  (** {!decoded} lookups served from the table *)
   decoded_misses : int;  (** decodes kept in the table *)
   decoded_entries : int;

@@ -8,8 +8,9 @@
     - a {!Casted_exec.Pool} of worker domains that fans out the
       embarrassingly parallel parts (sweep points, campaign trials);
     - a {!Cache} of compiled schedules so configurations shared between
-      experiments compile exactly once. The compile is all it keeps:
-      each campaign, sweep point and simulation builds the decoded
+      experiments compile exactly once. The compile, and the workload
+      program it compiles from, are all it keeps: each campaign, sweep
+      point and simulation builds the decoded
       program, stage-2 program and snapshot set it runs on, and drops
       them when it is done.
 

@@ -445,7 +445,10 @@ let[@inline] exec_st c fr ~role ~cluster w aval aaddr (imm : int64) =
    scheduled offset or one past the last, whichever is later. *)
 
 (* Issue-time scan over one packed queue: fold cross-cluster-delayed
-   operand arrival times into st.tmax. *)
+   operand arrival times into st.tmax. The block loop calls it only for
+   a non-empty queue: most bundles of the integer kernels have no FP or
+   predicate operand, and the call itself then costs more than the
+   empty walk it would do. *)
 let scan_q st (ready : int array) (home : int array) delay (q : int array) =
   for i = 0 to Array.length q - 1 do
     let p = Array.unsafe_get q i in
@@ -475,9 +478,15 @@ let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
     let t =
       if c.timed then begin
         st.State.tmax <- t;
-        scan_q st fr.State.gp_ready fr.State.gp_home c.delay cb.q_gp;
-        scan_q st fr.State.fp_ready fr.State.fp_home c.delay cb.q_fp;
-        scan_q st fr.State.pr_ready fr.State.pr_home c.delay cb.q_pr;
+        let q = cb.q_gp in
+        if Array.length q > 0 then
+          scan_q st fr.State.gp_ready fr.State.gp_home c.delay q;
+        let q = cb.q_fp in
+        if Array.length q > 0 then
+          scan_q st fr.State.fp_ready fr.State.fp_home c.delay q;
+        let q = cb.q_pr in
+        if Array.length q > 0 then
+          scan_q st fr.State.pr_ready fr.State.pr_home c.delay q;
         st.State.tmax
       end
       else t

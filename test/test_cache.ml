@@ -52,8 +52,9 @@ let test_bad_geometry_rejected () =
 
 (* A naive write-back, write-allocate LRU level: per set, a list of
    (tag, dirty) lines, most recent first. Returns whether the access
-   hit; [wb] counts dirty evictions. *)
-let naive_level ~sets ~assoc ~block =
+   hit; [wb] counts dirty evictions. [naive_model] also returns the
+   table, so a test can clear, save and restore the whole state. *)
+let naive_model ~sets ~assoc ~block =
   let table = Array.make sets [] in
   let hits = ref 0 and misses = ref 0 and wb = ref 0 in
   let access ~addr ~write =
@@ -78,6 +79,10 @@ let naive_level ~sets ~assoc ~block =
         table.(set) <- (tag, write) :: kept;
         false
   in
+  (table, access, hits, misses, wb)
+
+let naive_level ~sets ~assoc ~block =
+  let _, access, hits, misses, wb = naive_model ~sets ~assoc ~block in
   (access, hits, misses, wb)
 
 let prop_matches_reference =
@@ -135,6 +140,89 @@ let test_level_matches_naive_model () =
       (4, 2, 64); (64, 4, 64); (12, 2, 32); (5, 1, 64); (1, 8, 128); (3, 3, 16);
     ]
 
+(* The last-block fast path against the naive model. Uniform random
+   streams almost never repeat a block, so these streams are runs of
+   accesses within one block and interleavings that alternate two or
+   three blocks (each access moves the memo off the block the next one
+   touches). A [clear] or a snapshot -> restore round trip lands at
+   random points, and the access after one often repeats the block
+   accessed before it, so a memo that outlived either would hit where
+   the model misses. Every access, and the totals after each clear or
+   restore and at the end, must agree. *)
+let test_level_fast_path_matches_naive_model () =
+  List.iter
+    (fun (sets, assoc, block) ->
+      let c =
+        Level.create ~size_bytes:(sets * assoc * block) ~block_bytes:block
+          ~assoc
+      in
+      let table, access, hits, misses, wb = naive_model ~sets ~assoc ~block in
+      let rng = Random.State.make [| 0xfa57; sets; assoc; block |] in
+      let blocks = 4 * sets * assoc in
+      let geometry =
+        Printf.sprintf "%d sets x %d ways x %d B" sets assoc block
+      in
+      let ck what = Alcotest.(check int) (geometry ^ ": " ^ what) in
+      let totals when_ =
+        ck ("hits " ^ when_) !hits (Level.hits c);
+        ck ("misses " ^ when_) !misses (Level.misses c);
+        ck ("writebacks " ^ when_) !wb (Level.writebacks c)
+      in
+      let n = ref 0 and last = ref 0 in
+      let check addr =
+        incr n;
+        last := addr / block;
+        let write = Random.State.bool rng in
+        let expected = access ~addr ~write in
+        if Level.access c ~addr ~write <> expected then
+          Alcotest.failf "%s: access %d (addr %d, write %b) should %s" geometry
+            !n addr write
+            (if expected then "hit" else "miss")
+      in
+      let in_block b = (b * block) + Random.State.int rng block in
+      let pick () =
+        if Random.State.bool rng then !last else Random.State.int rng blocks
+      in
+      let saved = ref None in
+      for _ = 1 to 800 do
+        (match Random.State.int rng 10 with
+        | 0 ->
+            Level.clear c;
+            Array.fill table 0 sets [];
+            hits := 0;
+            misses := 0;
+            wb := 0;
+            totals "after clear"
+        | 1 ->
+            saved :=
+              Some (Level.snapshot c, (Array.copy table, !hits, !misses, !wb))
+        | 2 -> (
+            match !saved with
+            | Some (snap, (t, h, m, w)) ->
+                Level.restore c snap;
+                Array.blit t 0 table 0 sets;
+                hits := h;
+                misses := m;
+                wb := w;
+                totals "after restore"
+            | None -> ())
+        | _ -> ());
+        if Random.State.bool rng then begin
+          let b = pick () in
+          for _ = 0 to Random.State.int rng 8 do
+            check (in_block b)
+          done
+        end
+        else begin
+          let bs = Array.init (2 + Random.State.int rng 2) (fun _ -> pick ()) in
+          for k = 0 to 4 + Random.State.int rng 12 do
+            check (in_block bs.(k mod Array.length bs))
+          done
+        end
+      done;
+      totals "at the end")
+    [ (4, 2, 64); (64, 4, 64); (12, 2, 32); (1, 1, 64); (1, 8, 128); (3, 3, 16) ]
+
 let test_hierarchy_latencies () =
   let h = Hierarchy.create Config.itanium2_cache in
   (* Cold: full miss -> memory latency. *)
@@ -178,4 +266,6 @@ let suite =
       case "hierarchy latencies (Table I)" test_hierarchy_latencies;
       case "L2 hit after L1 eviction" test_hierarchy_l2_hit;
       case "perfect cache ablation" test_perfect_hierarchy;
+      case "level fast path matches the naive model across clear and restore"
+        test_level_fast_path_matches_naive_model;
     ] )

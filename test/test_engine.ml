@@ -387,6 +387,108 @@ let test_identity_golden_configs () =
   Alcotest.(check int) "all distinct" (List.length ids)
     (List.length (List.sort_uniq String.compare ids))
 
+(* The invariant the build memo rests on: the pipeline never writes its
+   input program. Every registry workload at fault size, and one at perf
+   size, is compiled under all seven schemes with and without the
+   optimizer through one cache, so every compile of a (workload, size)
+   starts from the one shared build. The build must still equal a fresh
+   one, allocation counters included, and every schedule must equal the
+   one compiled from a fresh build. *)
+let test_pipeline_never_mutates_its_input () =
+  let cache = Cache.create () in
+  let check_pair workload size =
+    let fresh () =
+      match Casted_workloads.Registry.find workload with
+      | Some w -> w.Workload.build size
+      | None -> Alcotest.failf "unknown workload %s" workload
+    in
+    let keys =
+      List.concat_map
+        (fun scheme ->
+          List.map
+            (fun optimize ->
+              Cache.key ~optimize ~workload ~size ~scheme ~issue_width:2
+                ~delay:2 ())
+            [ false; true ])
+        Scheme.all
+    in
+    List.iter
+      (fun key ->
+        let shared = (Cache.compile cache key).Pipeline.schedule in
+        let alone =
+          (Pipeline.compile ~optimize:key.Cache.optimize
+             ~scheme:key.Cache.scheme ~issue_width:2 ~delay:2 (fresh ()))
+            .Pipeline.schedule
+        in
+        if compare shared alone <> 0 then
+          Alcotest.failf "%a: schedule differs from a fresh build's"
+            Cache.pp_key key)
+      keys;
+    let built = Cache.program cache (List.hd keys) in
+    let pristine = fresh () in
+    let name = workload ^ "/" ^ Workload.size_name size in
+    List.iter2
+      (fun (f : Func.t) (g : Func.t) ->
+        Alcotest.(check int)
+          (name ^ "/" ^ f.Func.name ^ ": next_id") g.Func.next_id f.Func.next_id;
+        Alcotest.(check (array int))
+          (name ^ "/" ^ f.Func.name ^ ": next_reg") g.Func.next_reg
+          f.Func.next_reg)
+      built.Program.funcs pristine.Program.funcs;
+    Alcotest.(check bool) (name ^ ": build equals a fresh build") true
+      (compare built pristine = 0)
+  in
+  List.iter
+    (fun workload -> check_pair workload Workload.Fault)
+    (Casted_workloads.Registry.names ());
+  check_pair "cjpeg" Workload.Perf
+
+(* The build memo: every key of one (workload, size) compiles from the
+   physically equal program, a different size gets its own, a race on
+   one pair keeps one build, and builds never count as compile hits or
+   misses. *)
+let test_cache_build_memo () =
+  let cache = Cache.create () in
+  let a = Cache.program cache spec in
+  let b =
+    Cache.program cache
+      { spec with Cache.scheme = Scheme.Tmr; issue_width = 4; optimize = true }
+  in
+  Alcotest.(check bool) "one program per (workload, size)" true (a == b);
+  let perf = Cache.program cache { spec with Cache.size = Workload.Perf } in
+  Alcotest.(check bool) "sizes build apart" false (perf == a);
+  Alcotest.(check (list int)) "builds, compile hits, compile misses"
+    [ 2; 0; 0 ]
+    (let s = Cache.stats cache in
+     [ s.Cache.builds; s.Cache.hits; s.Cache.misses ]);
+  let cache = Cache.create () in
+  let got =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Pool.map pool
+          (fun issue_width ->
+            Cache.program cache { spec with Cache.issue_width })
+          [| 1; 2 |])
+  in
+  Alcotest.(check bool) "racers share one program" true (got.(0) == got.(1));
+  Alcotest.(check int) "race keeps one build" 1 (Cache.stats cache).Cache.builds;
+  (* A sweep counts compiles as before builds were memoized: one miss
+     per grid point the first time, one hit per point after. *)
+  Engine.with_engine ~jobs:2 (fun e ->
+      let sweep () =
+        ignore
+          (Engine.sweep e ~size:Workload.Fault
+             ~benchmarks:[ "cjpeg"; "181.mcf" ] ~issues:[ 1; 2 ]
+             ~delays:[ 1; 2 ] ())
+      in
+      let counts () =
+        let s = Cache.stats (Engine.cache e) in
+        [ s.Cache.hits; s.Cache.misses; s.Cache.entries; s.Cache.builds ]
+      in
+      sweep ();
+      Alcotest.(check (list int)) "first sweep" [ 0; 24; 24; 2 ] (counts ());
+      sweep ();
+      Alcotest.(check (list int)) "second sweep" [ 24; 24; 24; 2 ] (counts ()))
+
 let suite =
   ( "engine",
     [
@@ -412,4 +514,7 @@ let suite =
         test_identity_golden_matrix;
       case "identity golden: config samples and knob suffixes"
         test_identity_golden_configs;
+      case "pipeline never mutates its input program"
+        test_pipeline_never_mutates_its_input;
+      case "one workload build per (workload, size)" test_cache_build_memo;
     ] )
