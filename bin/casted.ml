@@ -20,14 +20,6 @@ module Work = Casted_store.Work
 
 let version = "1.1.0"
 
-let find_workload name =
-  match Registry.find name with
-  | Some w -> w
-  | None ->
-      Printf.eprintf "unknown benchmark %s (try: %s)\n" name
-        (String.concat ", " (Registry.names ()));
-      exit 2
-
 (* Common options. *)
 
 (* Range-checked numbers: a malformed value is a usage error (exit 124,
@@ -62,9 +54,41 @@ let percentage =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* Every benchmark name is decoded here, once: an unknown name is a
+   usage error naming the argument, before the subcommand runs. *)
+let benchmark_conv =
+  let parse s =
+    Option.to_result
+      ~none:
+        (`Msg
+          (Printf.sprintf "unknown benchmark %s (try: %s)" s
+             (String.concat ", " (Registry.names ()))))
+      (Registry.find s)
+  in
+  let print ppf w = Format.pp_print_string ppf w.W.name in
+  Arg.conv (parse, print)
+
 let bench_arg =
   let doc = "Benchmark name (see $(b,casted list))." in
-  Arg.(value & opt string "cjpeg" & info [ "w"; "benchmark" ] ~doc)
+  Arg.(
+    value
+    & opt benchmark_conv (Option.get (Registry.find "cjpeg"))
+    & info [ "w"; "benchmark" ] ~doc)
+
+(* The positional benchmark list of [sweep], [scaling], [verify] and
+   [work]: [None] (no names given) means every benchmark. *)
+let benchmarks_arg =
+  let names = function
+    | [] -> None
+    | ws -> Some (List.map (fun w -> w.W.name) ws)
+  in
+  Term.(
+    const names
+    $ Arg.(
+        value
+        & pos_all benchmark_conv []
+        & info [] ~docv:"BENCHMARK"
+            ~doc:"Benchmarks (default: all; see $(b,casted list))."))
 
 let scheme_names = String.concat ", " (List.map Scheme.name Scheme.all)
 
@@ -169,12 +193,21 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-let open_store ?(create = true) dir =
-  match Store.open_dir ~create dir with
-  | Ok s -> s
+(* Subcommands return their exit code; the one [exit] is the last line
+   of this file, so [with_obs] always writes its artifacts. An input
+   that can only be checked when the command runs (a store directory,
+   CASTED_JOBS, the work queue) yields [Error msg]: [let*] prints it and
+   ends the subcommand with exit code 2. *)
+let ( let* ) r k =
+  match r with
+  | Ok v -> k v
   | Error msg ->
       Printf.eprintf "casted: %s\n" msg;
-      exit 2
+      2
+
+let open_store = function
+  | None -> Ok None
+  | Some dir -> Result.map Option.some (Store.open_dir ~create:true dir)
 
 let jobs_arg =
   let doc =
@@ -190,16 +223,11 @@ let jobs_arg =
 
 (* Resolve --jobs against CASTED_JOBS / core count, rejecting a
    malformed CASTED_JOBS loudly. *)
-let resolve_jobs = function
-  | Some n -> n
-  | None -> (
-      match Pool.default_jobs () with
-      | Ok n -> n
-      | Error msg ->
-          Printf.eprintf "casted: %s\n" msg;
-          exit 2)
+let resolve_jobs = function Some n -> Ok n | None -> Pool.default_jobs ()
 
-let with_engine jobs f = Engine.with_engine ~jobs:(resolve_jobs jobs) f
+let with_engine jobs f =
+  let* jobs = resolve_jobs jobs in
+  Engine.with_engine ~jobs f
 
 (* Observability options, shared by the experiment subcommands.
    Collection is passive — enabling it never changes a simulation
@@ -223,7 +251,7 @@ let metrics_arg =
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
 (* Run [f] with tracing/metrics enabled as requested, then emit the
-   artifacts — even when [f] exits through an exception. *)
+   artifacts — on every exit code, and even when [f] raises. *)
 let with_obs ~trace ~metrics f =
   if metrics then Obs.Metrics.set_enabled true;
   if trace <> None then Obs.Trace.set_enabled true;
@@ -253,12 +281,14 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the available benchmarks (Table II)")
     Term.(const run $ const ())
 
+(* The one cell compile behind [compile], [run] and [profile]. *)
+let compile_cell (w : W.t) scheme issue delay size =
+  Pipeline.compile ~scheme ~issue_width:issue ~delay (w.W.build size)
+
 let compile_cmd =
-  let run bench scheme issue delay size dump_ir dump_sched =
-    let w = find_workload bench in
-    let program = w.W.build size in
-    let compiled = Pipeline.compile ~scheme ~issue_width:issue ~delay program in
-    Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
+  let run w scheme issue delay size dump_ir dump_sched =
+    let compiled = compile_cell w scheme issue delay size in
+    Format.printf "%s / %s on %a@." w.W.name (Scheme.name scheme)
       Casted_machine.Config.pp compiled.Pipeline.config;
     Format.printf "instrumentation: %a (expansion %.2fx)@." Transform.pp_stats
       compiled.Pipeline.stats
@@ -285,15 +315,11 @@ let compile_cmd =
       $ dump_ir $ dump_sched)
 
 let run_cmd =
-  let run bench scheme issue delay size trace metrics =
+  let run w scheme issue delay size trace metrics =
     with_obs ~trace ~metrics (fun () ->
-        let w = find_workload bench in
-        let program = w.W.build size in
-        let compiled =
-          Pipeline.compile ~scheme ~issue_width:issue ~delay program
-        in
+        let compiled = compile_cell w scheme issue delay size in
         let r = Simulator.run compiled.Pipeline.schedule in
-        Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
+        Format.printf "%s / %s on %a@." w.W.name (Scheme.name scheme)
           Casted_machine.Config.pp compiled.Pipeline.config;
         Format.printf "%a@." Outcome.pp r;
         Format.printf
@@ -313,46 +339,35 @@ let run_cmd =
       $ trace_arg $ metrics_arg)
 
 let sweep_cmd =
-  let run benches size jobs trace metrics =
+  let run benchmarks size jobs trace metrics =
     with_obs ~trace ~metrics (fun () ->
-        let benchmarks = if benches = [] then None else Some benches in
         with_engine jobs (fun engine ->
             let sweep = Report.Perf_sweep.run ~engine ~size ?benchmarks () in
             print_string (Report.Perf_sweep.render_all sweep);
             print_string
               (Report.Perf_sweep.render_summary
-                 (Report.Perf_sweep.summarize sweep)));
-        0)
-  in
-  let benches =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmarks (default: all).")
+                 (Report.Perf_sweep.summarize sweep));
+            0))
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Reproduce Figs. 6-7: slowdowns over issue widths and delays")
     Term.(
-      const run $ benches $ size_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      const run $ benchmarks_arg $ size_arg $ jobs_arg $ trace_arg
+      $ metrics_arg)
 
 let scaling_cmd =
-  let run benches size jobs =
-    let benchmarks = if benches = [] then None else Some benches in
+  let run benchmarks size jobs =
     with_engine jobs (fun engine ->
         let sweep = Report.Perf_sweep.run ~engine ~size ?benchmarks () in
-        print_string (Report.Scaling.render_all sweep));
-    0
-  in
-  let benches =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmarks (default: all).")
+        print_string (Report.Scaling.render_all sweep);
+        0)
   in
   Cmd.v (Cmd.info "scaling" ~doc:"Reproduce Fig. 8: ILP scaling")
-    Term.(const run $ benches $ size_arg $ jobs_arg)
+    Term.(const run $ benchmarks_arg $ size_arg $ jobs_arg)
 
 let faults_cmd =
-  let run fig trials bench model jobs trace metrics =
+  let run fig trials w model jobs trace metrics =
     with_obs ~trace ~metrics (fun () ->
         with_engine jobs (fun engine ->
             let rows =
@@ -360,12 +375,12 @@ let faults_cmd =
               | `Fig9 -> Report.Coverage.fig9 ~engine ~model ~trials ()
               | `Fig10 ->
                   Report.Coverage.fig10 ~engine ~model ~trials
-                    ~benchmark:bench ()
+                    ~benchmark:w.W.name ()
             in
             Printf.printf "fault model: %s (rates ± 95%% Wilson half-width)\n"
               (Casted_sim.Fault.model_name model);
-            print_string (Report.Coverage.render rows));
-        0)
+            print_string (Report.Coverage.render rows);
+            0))
   in
   let fig =
     Arg.(
@@ -381,15 +396,15 @@ let faults_cmd =
       $ trace_arg $ metrics_arg)
 
 let dme_cmd =
-  let run bench trials issue delay jobs trace metrics =
+  let run w trials issue delay jobs trace metrics =
     with_obs ~trace ~metrics (fun () ->
         with_engine jobs (fun engine ->
             let rows =
               Report.Coverage.dme_coverage ~engine ~trials ~issue ~delay
-                ~benchmark:bench ()
+                ~benchmark:w.W.name ()
             in
-            print_string (Report.Coverage.render_dme rows));
-        0)
+            print_string (Report.Coverage.render_dme rows);
+            0))
   in
   Cmd.v
     (Cmd.info "dme"
@@ -438,71 +453,68 @@ let min_recovered_arg =
     & info [ "min-recovered" ] ~docv:"PCT" ~doc)
 
 let campaign_cmd =
-  let run bench scheme issue delay trials model ci_halfwidth retry_budget
+  let run w scheme issue delay trials model ci_halfwidth retry_budget
       min_recovered store_dir jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    with_engine jobs (fun engine ->
-        ignore (find_workload bench);
-        let spec =
-          Casted_engine.Cache.key ~workload:bench ~size:W.Fault ~scheme
-            ~issue_width:issue ~delay ()
-        in
-        let store = Option.map open_store store_dir in
-        let sc =
-          Engine.campaign_stored engine ~model ?ci_halfwidth ?retry_budget
-            ?store ~trials spec
-        in
-        let result = sc.Engine.result in
-        Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
-          (Scheme.name scheme) issue delay (Engine.jobs engine);
-        if Montecarlo.inapplicable result then begin
-          (* No injection sites for this model in this cell (e.g. an
-             xcluster campaign on a single-cluster scheme): a clean
-             skip, distinct from both success (0) and a failed
-             coverage gate (1). *)
-          Format.printf
-            "model %s inapplicable: no injection sites in this cell \
-             (population 0) — skipped@."
-            (Casted_sim.Fault.model_name model);
-          exit 3
-        end;
-        if ci_halfwidth <> None && result.Montecarlo.trials < trials then
-          Format.printf
-            "stopped early at %d/%d trials (detected-rate CI half-width ≤ \
-             ±%.2fpp)@."
-            result.Montecarlo.trials trials
-            (Option.value ci_halfwidth ~default:0.0);
-        Option.iter
-          (fun dir ->
-            Format.printf "store: %s — %d trials served, %d simulated@." dir
-              sc.Engine.served sc.Engine.simulated)
-          store_dir;
-        Format.printf "%a@." Montecarlo.pp result;
-        (match result.Montecarlo.replay with
-        | Some s -> Format.printf "%a@." Montecarlo.pp_replay s
-        | None -> ());
-        let recovered_pct =
-          100.0 *. Montecarlo.recovered_fraction result
-        in
-        let baseline_cycles =
-          Report.Coverage.noed_cycles engine ~benchmark:bench ~issue
-        in
+    with_engine jobs @@ fun engine ->
+    let* store = open_store store_dir in
+    let bench = w.W.name in
+    let spec =
+      Casted_engine.Cache.key ~workload:bench ~size:W.Fault ~scheme
+        ~issue_width:issue ~delay ()
+    in
+    let sc =
+      Engine.campaign_stored engine ~model ?ci_halfwidth ?retry_budget ?store
+        ~trials spec
+    in
+    let result = sc.Engine.result in
+    Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
+      (Scheme.name scheme) issue delay (Engine.jobs engine);
+    if Montecarlo.inapplicable result then begin
+      (* No injection sites for this model in this cell (e.g. an
+         xcluster campaign on a single-cluster scheme): a clean skip,
+         distinct from both success (0) and a failed coverage gate
+         (1). *)
+      Format.printf
+        "model %s inapplicable: no injection sites in this cell \
+         (population 0) — skipped@."
+        (Casted_sim.Fault.model_name model);
+      3
+    end
+    else begin
+      if ci_halfwidth <> None && result.Montecarlo.trials < trials then
         Format.printf
-          "recovered: %d/%d (%.1f%%); MWTF vs NOED (%d baseline cycles): \
-           %s@."
-          result.Montecarlo.recovered result.Montecarlo.trials recovered_pct
-          baseline_cycles
-          (Report.Coverage.mwtf_string
-             (Montecarlo.mwtf ~baseline_cycles result));
-        match min_recovered with
-        | Some threshold when recovered_pct < threshold ->
-            Printf.eprintf
-              "casted: recovered fraction %.1f%% is below the required \
-               %.1f%%\n"
-              recovered_pct threshold;
-            exit 1
-        | _ -> ());
-    0
+          "stopped early at %d/%d trials (detected-rate CI half-width ≤ \
+           ±%.2fpp)@."
+          result.Montecarlo.trials trials
+          (Option.value ci_halfwidth ~default:0.0);
+      Option.iter
+        (fun dir ->
+          Format.printf "store: %s — %d trials served, %d simulated@." dir
+            sc.Engine.served sc.Engine.simulated)
+        store_dir;
+      Format.printf "%a@." Montecarlo.pp result;
+      (match result.Montecarlo.replay with
+      | Some s -> Format.printf "%a@." Montecarlo.pp_replay s
+      | None -> ());
+      let recovered_pct = 100.0 *. Montecarlo.recovered_fraction result in
+      let baseline_cycles =
+        Report.Coverage.noed_cycles engine ~benchmark:bench ~issue
+      in
+      Format.printf
+        "recovered: %d/%d (%.1f%%); MWTF vs NOED (%d baseline cycles): %s@."
+        result.Montecarlo.recovered result.Montecarlo.trials recovered_pct
+        baseline_cycles
+        (Report.Coverage.mwtf_string
+           (Montecarlo.mwtf ~baseline_cycles result));
+      match min_recovered with
+      | Some threshold when recovered_pct < threshold ->
+          Printf.eprintf
+            "casted: recovered fraction %.1f%% is below the required %.1f%%\n"
+            recovered_pct threshold;
+          1
+      | _ -> 0
+    end
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -517,13 +529,12 @@ let campaign_cmd =
       $ store_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let recover_cmd =
-  let run bench issue delay trials model retry_budget jobs trace metrics =
+  let run w issue delay trials model retry_budget jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    ignore (find_workload bench);
-    with_engine jobs (fun engine ->
-        print_string
-          (Report.Coverage.recovery_table ~engine ~model ?retry_budget ~trials
-             ~benchmark:bench ~issue ~delay ()));
+    with_engine jobs @@ fun engine ->
+    print_string
+      (Report.Coverage.recovery_table ~engine ~model ?retry_budget ~trials
+         ~benchmark:w.W.name ~issue ~delay ());
     0
   in
   Cmd.v
@@ -538,9 +549,12 @@ let recover_cmd =
       $ retry_budget_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let placement_cmd =
-  let run bench issue size =
+  let run w issue size =
+    (* A one-domain engine: placement only compiles, through the
+       engine's cache. *)
+    Engine.with_engine ~jobs:1 @@ fun engine ->
     print_string
-      (Report.Utilization.placement_table ~benchmark:bench ~size
+      (Report.Utilization.placement_table ~engine ~benchmark:w.W.name ~size
          ~issue_width:issue ~delays:[ 1; 2; 3; 4 ]);
     0
   in
@@ -550,10 +564,9 @@ let placement_cmd =
     Term.(const run $ bench_arg $ issue_arg $ size_arg)
 
 let profile_cmd =
-  let run bench scheme issue delay size n json =
-    let w = find_workload bench in
-    let program = w.W.build size in
-    let compiled = Pipeline.compile ~scheme ~issue_width:issue ~delay program in
+  let run w scheme issue delay size n json =
+    let bench = w.W.name in
+    let compiled = compile_cell w scheme issue delay size in
     let profile = Casted_sim.Profile.create () in
     let r =
       Simulator.reference ~profile
@@ -612,15 +625,14 @@ let profile_cmd =
       $ top $ json)
 
 let pressure_cmd =
-  let run bench =
-    let w = find_workload bench in
+  let run w =
     let program = w.W.build W.Fault in
     let plain = Casted_ir.Pressure.of_program program in
     let hardened, _ =
       Casted_detect.Transform.program Casted_detect.Options.default program
     in
     let det = Casted_ir.Pressure.of_program hardened in
-    Format.printf "%s register pressure:@." bench;
+    Format.printf "%s register pressure:@." w.W.name;
     Format.printf "  original: %a@." Casted_ir.Pressure.pp plain;
     Format.printf "  hardened: %a@." Casted_ir.Pressure.pp det;
     Format.printf "  spills on a 64/64/32 file (Table I): %b@."
@@ -681,11 +693,10 @@ let asm_cmd =
     Term.(const run $ file $ scheme_arg $ issue_arg $ delay_arg $ emit)
 
 let verify_cmd =
-  let run benches size jobs json =
-    List.iter (fun b -> ignore (find_workload b)) benches;
-    let benchmarks = if benches = [] then None else Some benches in
+  let run benchmarks size jobs json =
+    let* jobs = resolve_jobs jobs in
     let entries =
-      Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      Pool.with_pool ~jobs (fun pool ->
           Casted_verify.Matrix.run ~pool ?benchmarks ~size ())
     in
     if json then
@@ -704,11 +715,6 @@ let verify_cmd =
     end;
     if Casted_verify.Matrix.clean entries then 0 else 1
   in
-  let benches =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmarks to verify (default: all).")
-  in
   let json =
     Arg.(
       value & flag
@@ -721,37 +727,37 @@ let verify_cmd =
           differentially check all six schemes (detection and recovery) \
           against the NOED reference across the example matrix; exits 1 on \
           any diagnostic or divergence")
-    Term.(const run $ benches $ size_arg $ jobs_arg $ json)
+    Term.(const run $ benchmarks_arg $ size_arg $ jobs_arg $ json)
 
 let fuzz_cmd =
   let run programs seed program jobs reproducer =
-    let failure =
-      match program with
-      | Some index ->
-          Printf.printf "fuzz: replaying program %d of seed %d\n%!" index seed;
-          Casted_verify.Fuzz.check_index ~seed index
+    let report n = function
       | None ->
-          Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
-              Casted_verify.Fuzz.run ~pool ~programs ~seed ())
+          Printf.printf "fuzz: %d programs clean (seed %d)\n" n seed;
+          0
+      | Some f ->
+          Format.printf "%a@." Casted_verify.Fuzz.pp_failure f;
+          (match reproducer with
+          | Some path ->
+              let oc = open_out path in
+              output_string oc f.Casted_verify.Fuzz.asm;
+              close_out oc;
+              Printf.printf
+                "fuzz: wrote shrunk reproducer to %s (replay: casted fuzz \
+                 --seed %d --program %d)\n"
+                path seed f.Casted_verify.Fuzz.index
+          | None -> ());
+          1
     in
-    match failure with
+    match program with
+    | Some index ->
+        Printf.printf "fuzz: replaying program %d of seed %d\n%!" index seed;
+        report 1 (Casted_verify.Fuzz.check_index ~seed index)
     | None ->
-        let n = match program with Some _ -> 1 | None -> programs in
-        Printf.printf "fuzz: %d programs clean (seed %d)\n" n seed;
-        0
-    | Some f ->
-        Format.printf "%a@." Casted_verify.Fuzz.pp_failure f;
-        (match reproducer with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc f.Casted_verify.Fuzz.asm;
-            close_out oc;
-            Printf.printf
-              "fuzz: wrote shrunk reproducer to %s (replay: casted fuzz \
-               --seed %d --program %d)\n"
-              path seed f.Casted_verify.Fuzz.index
-        | None -> ());
-        1
+        let* jobs = resolve_jobs jobs in
+        report programs
+          (Pool.with_pool ~jobs (fun pool ->
+               Casted_verify.Fuzz.run ~pool ~programs ~seed ()))
   in
   let programs =
     Arg.(
@@ -812,9 +818,21 @@ let pp_counts ppf counts =
     counts;
   if !first then Format.pp_print_string ppf "empty"
 
+(* Re-run a persisted cell — a banked entry or a queued unit — from its
+   spec and identity fields; [None] when the spec names an unknown
+   workload, size, scheme or fault model. *)
+let persisted_campaign engine ?store ~seed ~fuel_factor ~retry_budget ~trials
+    spec =
+  Option.map
+    (fun (key, model) () ->
+      Engine.campaign_stored engine ~seed ~fuel_factor ~model
+        ?retry_budget:(Store.retry_budget_of_field retry_budget)
+        ?store ~trials key)
+    (Engine.key_of_spec spec)
+
 let store_ls_cmd =
   let run dir =
-    let s = open_store ~create:false dir in
+    let* s = Store.open_dir dir in
     match Store.list s with
     | Error msg ->
         Printf.eprintf "casted: %s\n" msg;
@@ -849,7 +867,7 @@ let store_ls_cmd =
 
 let store_audit_cmd =
   let run dir sample jobs =
-    let s = open_store ~create:false dir in
+    let* s = Store.open_dir dir in
     match Store.list s with
     | Error msg ->
         Printf.eprintf "casted: %s\n" msg;
@@ -877,45 +895,44 @@ let store_audit_cmd =
           end
         in
         let audited = ref 0 and skipped = ref 0 and bad = ref 0 in
-        with_engine jobs (fun engine ->
-            List.iter
-              (fun (e : Store.entry) ->
-                match Option.bind e.Store.spec Engine.key_of_spec with
-                | None ->
-                    incr skipped;
-                    Printf.eprintf
-                      "casted: skipping %s (no reconstructible spec)\n"
-                      (Store.address e.Store.key)
-                | Some (key, model) ->
-                    incr audited;
-                    let k = e.Store.key in
-                    let retry_budget =
-                      Store.retry_budget_of_field k.Store.retry_budget
-                    in
-                    let r =
-                      Engine.campaign engine ~seed:k.Store.seed
-                        ~fuel_factor:k.Store.fuel_factor ~model ?retry_budget
-                        ~trials:e.Store.trials_done key
-                    in
-                    if
-                      Montecarlo.counts r <> e.Store.counts
-                      || r.Montecarlo.golden_cycles <> e.Store.golden_cycles
-                      || r.Montecarlo.golden_dyn <> e.Store.golden_dyn
-                      || r.Montecarlo.population <> e.Store.population
-                    then begin
-                      incr bad;
-                      Format.eprintf
-                        "casted: AUDIT MISMATCH %s@.  banked:      %a \
-                         (golden %d cycles, %d insns, population %d)@.  \
-                         resimulated: %a (golden %d cycles, %d insns, \
-                         population %d)@."
-                        (Store.address e.Store.key)
-                        pp_counts e.Store.counts e.Store.golden_cycles
-                        e.Store.golden_dyn e.Store.population pp_counts
-                        (Montecarlo.counts r) r.Montecarlo.golden_cycles
-                        r.Montecarlo.golden_dyn r.Montecarlo.population
-                    end)
-              picked);
+        with_engine jobs @@ fun engine ->
+        List.iter
+          (fun (e : Store.entry) ->
+            let k = e.Store.key in
+            match
+              Option.bind e.Store.spec
+                (persisted_campaign engine ~seed:k.Store.seed
+                   ~fuel_factor:k.Store.fuel_factor
+                   ~retry_budget:k.Store.retry_budget
+                   ~trials:e.Store.trials_done)
+            with
+            | None ->
+                incr skipped;
+                Printf.eprintf
+                  "casted: skipping %s (no reconstructible spec)\n"
+                  (Store.address e.Store.key)
+            | Some campaign ->
+                incr audited;
+                let r = (campaign ()).Engine.result in
+                if
+                  Montecarlo.counts r <> e.Store.counts
+                  || r.Montecarlo.golden_cycles <> e.Store.golden_cycles
+                  || r.Montecarlo.golden_dyn <> e.Store.golden_dyn
+                  || r.Montecarlo.population <> e.Store.population
+                then begin
+                  incr bad;
+                  Format.eprintf
+                    "casted: AUDIT MISMATCH %s@.  banked:      %a \
+                     (golden %d cycles, %d insns, population %d)@.  \
+                     resimulated: %a (golden %d cycles, %d insns, \
+                     population %d)@."
+                    (Store.address e.Store.key)
+                    pp_counts e.Store.counts e.Store.golden_cycles
+                    e.Store.golden_dyn e.Store.population pp_counts
+                    (Montecarlo.counts r) r.Montecarlo.golden_cycles
+                    r.Montecarlo.golden_dyn r.Montecarlo.population
+                end)
+          picked;
         Format.printf
           "audit: %d entries re-simulated, %d skipped, %d mismatched%s@."
           !audited !skipped !bad
@@ -942,7 +959,7 @@ let store_audit_cmd =
 
 let store_gc_cmd =
   let run dir force =
-    let s = open_store ~create:false dir in
+    let* s = Store.open_dir dir in
     let tmp = Store.gc_tmp s in
     let locks = Work.gc_locks ~force s in
     Format.printf "gc: removed %d tmp files, %d stale locks@." tmp locks;
@@ -973,112 +990,83 @@ let store_cmd =
    tallies into the store. *)
 
 let work_cmd =
-  let run store_dir benches schemes issues delays models trials seed fuel
+  let run store_dir benchmarks schemes issues delays models trials seed fuel
       enqueue enqueue_only jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    let s = open_store store_dir in
-    let enqueued = ref 0 in
+    let* s = Store.open_dir ~create:true store_dir in
     if enqueue || enqueue_only then begin
-      let benchmarks = if benches = [] then Registry.names () else benches in
-      List.iter (fun b -> ignore (find_workload b)) benchmarks;
-      List.iter
-        (fun workload ->
-          List.iter
-            (fun scheme ->
-              List.iter
-                (fun issue ->
-                  List.iter
-                    (fun delay ->
-                      List.iter
-                        (fun model ->
-                          let u =
-                            {
-                              Work.workload;
-                              size = "fault";
-                              scheme = Scheme.name scheme;
-                              issue;
-                              delay;
-                              model = Casted_sim.Fault.model_name model;
-                              seed;
-                              trials;
-                              fuel_factor = fuel;
-                              retry_budget = -1;
-                            }
-                          in
-                          if Work.enqueue s u then incr enqueued)
-                        models)
-                    delays)
-                issues)
-            schemes)
-        benchmarks;
+      let enqueued = ref 0 in
+      let enqueue_unit workload scheme issue delay model =
+        let u =
+          {
+            Work.workload;
+            size = "fault";
+            scheme = Scheme.name scheme;
+            issue;
+            delay;
+            model = Casted_sim.Fault.model_name model;
+            seed;
+            trials;
+            fuel_factor = fuel;
+            retry_budget = -1;
+          }
+        in
+        if Work.enqueue s u then incr enqueued
+      in
+      let each xs f = List.iter f xs in
+      each (Option.value benchmarks ~default:(Registry.names ())) (fun w ->
+          each schemes (fun sc ->
+              each issues (fun i ->
+                  each delays (fun d -> each models (enqueue_unit w sc i d)))));
       Format.printf "work: enqueued %d new units@." !enqueued
     end;
     if enqueue_only then 0
-    else begin
-      let units =
-        match Work.units s with
-        | Ok us -> us
-        | Error msg ->
-            Printf.eprintf "casted: %s\n" msg;
-            exit 2
-      in
+    else
+      let* units = Work.units s in
       let ran = ref 0 and busy = ref 0 and broken = ref 0 in
       let served = ref 0 and simulated = ref 0 in
-      with_engine jobs (fun engine ->
-          List.iter
-            (function
-              | Error msg ->
+      with_engine jobs @@ fun engine ->
+      List.iter
+        (function
+          | Error msg ->
+              incr broken;
+              Printf.eprintf "casted: %s\n" msg
+          | Ok (u : Work.unit_spec) -> (
+              match
+                persisted_campaign engine ~store:s ~seed:u.Work.seed
+                  ~fuel_factor:u.Work.fuel_factor
+                  ~retry_budget:u.Work.retry_budget ~trials:u.Work.trials
+                  (Work.spec u)
+              with
+              | Some campaign -> (
+                  match Work.claim s u with
+                  | Work.Busy owner ->
+                      incr busy;
+                      Format.printf "work: %s busy (%s)@." (Work.address u)
+                        owner
+                  | Work.Claimed ->
+                      Fun.protect
+                        ~finally:(fun () -> Work.release s u)
+                        (fun () ->
+                          let sc = campaign () in
+                          incr ran;
+                          served := !served + sc.Engine.served;
+                          simulated := !simulated + sc.Engine.simulated;
+                          Format.printf "work: %s — %d served, %d simulated@."
+                            (Work.address u) sc.Engine.served
+                            sc.Engine.simulated))
+              | None ->
                   incr broken;
-                  Printf.eprintf "casted: %s\n" msg
-              | Ok (u : Work.unit_spec) -> (
-                  match Engine.key_of_spec (Work.spec u) with
-                  | Some (key, model) -> (
-                      match Work.claim s u with
-                      | Work.Busy owner ->
-                          incr busy;
-                          Format.printf "work: %s busy (%s)@."
-                            (Work.address u) owner
-                      | Work.Claimed ->
-                          Fun.protect
-                            ~finally:(fun () -> Work.release s u)
-                            (fun () ->
-                              let retry_budget =
-                                Store.retry_budget_of_field
-                                  u.Work.retry_budget
-                              in
-                              let sc =
-                                Engine.campaign_stored engine
-                                  ~seed:u.Work.seed
-                                  ~fuel_factor:u.Work.fuel_factor ~model
-                                  ?retry_budget ~store:s
-                                  ~trials:u.Work.trials key
-                              in
-                              incr ran;
-                              served := !served + sc.Engine.served;
-                              simulated := !simulated + sc.Engine.simulated;
-                              Format.printf
-                                "work: %s — %d served, %d simulated@."
-                                (Work.address u) sc.Engine.served
-                                sc.Engine.simulated))
-                  | None ->
-                      incr broken;
-                      Printf.eprintf
-                        "casted: unit %s names an unknown \
-                         workload/scheme/model — skipping\n"
-                        (Work.address u)))
-            units);
+                  Printf.eprintf
+                    "casted: unit %s names an unknown workload/scheme/model \
+                     — skipping\n"
+                    (Work.address u)))
+        units;
       Format.printf
-        "work: %d units run (%d trials served from the store, %d \
-         simulated), %d busy, %d broken@."
+        "work: %d units run (%d trials served from the store, %d simulated), \
+         %d busy, %d broken@."
         !ran !served !simulated !busy !broken;
       if !broken = 0 then 0 else 1
-    end
-  in
-  let benches =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"BENCHMARK"
-          ~doc:"Benchmarks for $(b,--enqueue) (default: all).")
   in
   let schemes =
     Arg.(
@@ -1147,13 +1135,13 @@ let work_cmd =
           number of workers (or hosts sharing the directory) can drain one \
           queue; a killed worker's lock is broken automatically")
     Term.(
-      const run $ store_req $ benches $ schemes $ issues $ delays $ models
+      const run $ store_req $ benchmarks_arg $ schemes $ issues $ delays $ models
       $ trials_arg $ seed $ fuel $ enqueue $ enqueue_only $ jobs_arg
       $ trace_arg $ metrics_arg)
 
 let repro_cmd =
   let run size trials store_dir jobs =
-    let store = Option.map open_store store_dir in
+    let* store = open_store store_dir in
     let t0 = Obs.Clock.now_us () in
     with_engine jobs (fun engine ->
         print_string (Report.Repro.run ~engine ?store ~size ~trials ());
@@ -1168,8 +1156,8 @@ let repro_cmd =
                  trials simulated outside the store"
                 dir c.Engine.trials_served c.Engine.trials_simulated
                 (Report.Repro.unstored_trials ~trials)
-          | None -> ""));
-    0
+          | None -> "");
+        0)
   in
   Cmd.v
     (Cmd.info "repro"

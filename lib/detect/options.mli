@@ -21,3 +21,10 @@ type t = {
 }
 
 val default : t
+
+(** [wants_check t insn]: [t] asks for [insn]'s operands to be protected
+    — stores under [check_stores], conditional branches under
+    [check_branches], calls, returns and halts under [check_calls]. The
+    SWIFT checks of {!Transform} and the TMR votes of {!Recover} both
+    read the flags through this one predicate. *)
+val wants_check : t -> Casted_ir.Insn.t -> bool

@@ -147,14 +147,6 @@ let shadow_params ctx =
     entry.Block.body <- copies @ entry.Block.body
   end
 
-let wants_protection ctx (insn : Insn.t) =
-  let o = ctx.options in
-  match insn.Insn.op with
-  | Opcode.St _ | Opcode.Fst -> o.Options.check_stores
-  | Opcode.Brc _ -> o.Options.check_branches
-  | Opcode.Call | Opcode.Ret | Opcode.Halt -> o.Options.check_calls
-  | _ -> false
-
 (* Majority vote on one general-purpose register: if the two shadows
    agree they outvote the original, otherwise the original wins (a
    single fault can only corrupt one copy). The voted value repairs all
@@ -189,7 +181,7 @@ let fallback_check ctx ~protects r =
 let protect_insn ctx (insn : Insn.t) =
   if insn.Insn.role = Insn.Original
      && (not (Opcode.replicable insn.Insn.op))
-     && wants_protection ctx insn
+     && Options.wants_check ctx.options insn
   then begin
     (* Deduplicate: voting twice on the same register is pure waste. *)
     let seen = Reg.Tbl.create 4 in

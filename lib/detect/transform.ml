@@ -165,19 +165,11 @@ let shadow_params ctx =
   end
 
 (* Step 3: checks (Algorithm 1, emit_check_insns). *)
-let wants_check ctx (insn : Insn.t) =
-  let o = ctx.options in
-  match insn.Insn.op with
-  | Opcode.St _ | Opcode.Fst -> o.Options.check_stores
-  | Opcode.Brc _ -> o.Options.check_branches
-  | Opcode.Call | Opcode.Ret | Opcode.Halt -> o.Options.check_calls
-  | _ -> false
-
 let checks_for ctx insn =
   if
     insn.Insn.role = Insn.Original
     && (not (Opcode.replicable insn.Insn.op))
-    && wants_check ctx insn
+    && Options.wants_check ctx.options insn
   then
     List.filter_map
       (fun r ->

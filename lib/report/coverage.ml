@@ -17,9 +17,6 @@ type row = {
 
 let campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme ~issue
     ~delay () =
-  (match Registry.find benchmark with
-  | Some _ -> ()
-  | None -> invalid_arg ("Coverage: unknown benchmark " ^ benchmark));
   let spec =
     Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
       ~issue_width:issue ~delay ()

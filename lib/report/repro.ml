@@ -207,8 +207,8 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
   section "Placement: where does the code go? (SS IV-B6, adaptivity)"
     (concat_map
        (fun benchmark ->
-         Utilization.placement_table ~benchmark ~size:W.Fault ~issue_width:2
-           ~delays:[ 1; 2; 3; 4 ])
+         Utilization.placement_table ~engine ~benchmark ~size:W.Fault
+           ~issue_width:2 ~delays:[ 1; 2; 3; 4 ])
        [ "cjpeg"; "181.mcf" ]);
   section "Recovery: CASTED vs TMR vs ROLLBACK (issue 2 delay 2)"
     (concat_map

@@ -3,8 +3,8 @@ module Schedule = Casted_sched.Schedule
 module Config = Casted_machine.Config
 module Scheme = Casted_detect.Scheme
 module Pipeline = Casted_detect.Pipeline
-module Workload = Casted_workloads.Workload
-module Registry = Casted_workloads.Registry
+module Engine = Casted_engine.Engine
+module Cache = Casted_engine.Cache
 
 type t = {
   insns_per_cluster : int array;
@@ -58,18 +58,16 @@ let detection_remote_fraction t = frac t.detection_remote t.detection_total
 let original_remote_fraction t = frac t.original_remote t.original_total
 let occupancy_of_run = Casted_sim.Outcome.occupancy
 
-let placement_table ~benchmark ~size ~issue_width ~delays =
-  let w =
-    match Registry.find benchmark with
-    | Some w -> w
-    | None -> invalid_arg ("Utilization: unknown benchmark " ^ benchmark)
-  in
-  let program = w.Workload.build size in
+let placement_table ~engine ~benchmark ~size ~issue_width ~delays =
   let row scheme =
     Scheme.name scheme
     :: List.map
          (fun delay ->
-           let c = Pipeline.compile ~scheme ~issue_width ~delay program in
+           let c =
+             Engine.compile engine
+               (Cache.key ~workload:benchmark ~size ~scheme ~issue_width
+                  ~delay ())
+           in
            let u = analyze c.Pipeline.schedule in
            Printf.sprintf "%.0f%% / %.0f%%"
              (100.0 *. detection_remote_fraction u)

@@ -31,8 +31,10 @@ val original_remote_fraction : t -> float
 val occupancy_of_run : Casted_sim.Outcome.run -> float
 
 (** A table of remote-placement fractions per scheme and delay for one
-    benchmark — the "adaptivity visualised" report. *)
+    benchmark — the "adaptivity visualised" report. Each schedule is
+    compiled through [engine]'s cache. *)
 val placement_table :
+  engine:Casted_engine.Engine.t ->
   benchmark:string ->
   size:Casted_workloads.Workload.size ->
   issue_width:int ->

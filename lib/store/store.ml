@@ -155,7 +155,11 @@ let open_dir ?(create = false) dir =
           store"
          dir)
   else if not (create || Sys.file_exists dir) then
-    Error (Printf.sprintf "%s: no such store (pass --create to make one)" dir)
+    Error
+      (Printf.sprintf
+         "%s: no such store (a --store DIR campaign, repro or work creates \
+          one)"
+         dir)
   else begin
     mkdir_p dir;
     mkdir_p (Filename.concat dir "entries");

@@ -194,13 +194,7 @@ let check_program ?(cells = default_cells) ?(fuel = 1_000_000) program =
   let reference = Oracle.reference ~fuel program in
   List.fold_left
     (fun (diags, divs) cell ->
-      let compiled =
-        Pipeline.compile ~scheme:cell.Oracle.scheme
-          ~issue_width:cell.Oracle.issue_width ~delay:cell.Oracle.delay
-          program
-      in
-      let ds = Lint.schedule ~scheme:cell.Oracle.scheme compiled.Pipeline.schedule in
-      let vs = Oracle.check_cell ~fuel ~reference program cell in
+      let ds, vs = Oracle.check_cell ~fuel ~reference program cell in
       (diags @ List.map (fun d -> (cell, d)) ds, divs @ vs))
     ([], []) cells
 

@@ -59,6 +59,7 @@ let lint_isolation acc ~fname (f : Func.t) =
             i.Insn.defs
       | Insn.Original | Insn.Check -> ())
 
+(* Not [Options.wants_check] on purpose: the linter's independent reading. *)
 let wants_check (options : Options.t) (i : Insn.t) =
   match i.Insn.op with
   | Opcode.St _ | Opcode.Fst -> options.Options.check_stores

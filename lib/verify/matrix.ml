@@ -1,6 +1,5 @@
 module W = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
-module Pipeline = Casted_detect.Pipeline
 module Pool = Casted_exec.Pool
 
 type entry = {
@@ -9,23 +8,6 @@ type entry = {
   diags : Diag.t list;
   divergences : Oracle.divergence list;
 }
-
-(* Each job rebuilds its workload and reference run rather than sharing
-   them across cells: jobs stay self-contained (safe to fan over
-   domains) and a Fault-size build + NOED run costs single-digit
-   milliseconds. *)
-let check_one size (w : W.t) cell =
-  let program = w.W.build size in
-  let compiled =
-    Pipeline.compile ~scheme:cell.Oracle.scheme
-      ~issue_width:cell.Oracle.issue_width ~delay:cell.Oracle.delay program
-  in
-  let diags =
-    Lint.schedule ~scheme:cell.Oracle.scheme compiled.Pipeline.schedule
-  in
-  let reference = Oracle.reference program in
-  let divergences = Oracle.check_cell ~reference program cell in
-  { workload = w.W.name; cell; diags; divergences }
 
 let run ?pool ?benchmarks ?(size = W.Fault) ?(cells = Oracle.cells ()) () =
   let workloads =
@@ -43,17 +25,30 @@ let run ?pool ?benchmarks ?(size = W.Fault) ?(cells = Oracle.cells ()) () =
                      (String.concat ", " (Registry.names ()))))
           names
   in
+  let map f xs =
+    match pool with Some p -> Pool.map p f xs | None -> Array.map f xs
+  in
+  (* Each workload is built and its NOED reference run once; every
+     (workload, cell) job then shares them read-only, since no pipeline
+     pass writes its input program. *)
+  let prepared =
+    map
+      (fun (w : W.t) ->
+        let program = w.W.build size in
+        (w.W.name, program, Oracle.reference program))
+      (Array.of_list workloads)
+  in
   let jobs =
     Array.of_list
-      (List.concat_map (fun w -> List.map (fun c -> (w, c)) cells) workloads)
+      (List.concat_map
+         (fun prep -> List.map (fun c -> (prep, c)) cells)
+         (Array.to_list prepared))
   in
-  let check (w, cell) = check_one size w cell in
-  let entries =
-    match pool with
-    | Some p -> Pool.map p check jobs
-    | None -> Array.map check jobs
+  let check ((workload, program, reference), cell) =
+    let diags, divergences = Oracle.check_cell ~reference program cell in
+    { workload; cell; diags; divergences }
   in
-  Array.to_list entries
+  Array.to_list (map check jobs)
 
 let clean entries =
   List.for_all (fun e -> e.diags = [] && e.divergences = []) entries

@@ -155,6 +155,9 @@ let engine_cross_check ?fuel cell sched =
 let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
     =
   let compiled = compile ?options cell program in
+  let diags =
+    Lint.schedule ?options ~scheme:cell.scheme compiled.Pipeline.schedule
+  in
   let run, engines = engine_cross_check ?fuel cell compiled.Pipeline.schedule in
   let d field reference got = { cell; field; reference; got } in
   let archi =
@@ -184,12 +187,14 @@ let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
           (Digest.to_hex run.Outcome.mem_digest);
       ]
   in
-  archi @ engines
+  (diags, archi @ engines)
 
 let differential ?pool ?issue_widths ?delays ?options ?fuel program =
   let ref_run = reference ?options ?fuel program in
   let cs = Array.of_list (cells ?issue_widths ?delays ()) in
-  let check cell = check_cell ?options ?fuel ~reference:ref_run program cell in
+  let check cell =
+    snd (check_cell ?options ?fuel ~reference:ref_run program cell)
+  in
   let per_cell =
     match pool with
     | Some p -> Pool.map p check cs

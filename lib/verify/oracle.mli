@@ -51,7 +51,8 @@ val reference :
   Casted_sim.Outcome.run
 
 (** [check_cell ?options ?fuel ~reference program cell] compiles
-    [program] for [cell], runs it fault-free, and returns every
+    [program] for [cell] once, lints that schedule ({!Lint.schedule}),
+    runs it fault-free, and returns the lint diagnostics with every
     divergence: the production run's architectural outcome vs the
     cross-scheme [reference], plus the reference-vs-production engine
     cross-check on the cell's own schedule. Divergence fields name the
@@ -62,7 +63,7 @@ val check_cell :
   reference:Casted_sim.Outcome.run ->
   Casted_ir.Program.t ->
   cell ->
-  divergence list
+  Diag.t list * divergence list
 
 (** [differential ?pool ?issue_widths ?delays ?options ?fuel program]
     runs the whole matrix, fanning cells over [pool] when given. The

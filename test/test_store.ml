@@ -592,6 +592,21 @@ let test_legacy_entries () =
       let path = plant (Store.hash key ^ ".entry") legacy_shard in
       refused "find" ~path (Store.find s key))
 
+(* A missing store is an [Error] that says how one gets made — by the
+   subcommands that take --store — and is not created by the attempt. *)
+let test_missing_store_hint () =
+  with_store_dir (fun dir ->
+      match Store.open_dir dir with
+      | Ok _ -> Alcotest.fail "missing store opened"
+      | Error msg ->
+          Alcotest.(check string)
+            "message"
+            (dir
+           ^ ": no such store (a --store DIR campaign, repro or work creates \
+              one)")
+            msg;
+          Alcotest.(check bool) "not created" false (Sys.file_exists dir))
+
 let suite =
   ( "store",
     [
@@ -613,4 +628,5 @@ let suite =
       case "queued unit without fuel is broken"
         test_work_unit_without_fuel_broken;
       case "entries of the sharding-aware version" test_legacy_entries;
+      case "missing store names how to create one" test_missing_store_hint;
     ] )

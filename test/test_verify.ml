@@ -525,7 +525,7 @@ let test_oracle_detects_output_divergence () =
   let p1 = compute_program (fun b -> B.movi b 1L) in
   let p2 = compute_program (fun b -> B.movi b 2L) in
   let reference = Oracle.reference p1 in
-  let divs =
+  let _, divs =
     Oracle.check_cell ~reference p2
       { Oracle.scheme = Scheme.Sced; issue_width = 2; delay = 1 }
   in
@@ -540,6 +540,29 @@ let test_matrix_single_workload () =
   let cells = [ { Oracle.scheme = Scheme.Casted; issue_width = 2; delay = 2 } ] in
   let entries = Matrix.run ~benchmarks:[ "cjpeg" ] ~cells () in
   Alcotest.(check int) "one entry" 1 (List.length entries);
+  Alcotest.(check bool) "clean" true (Matrix.clean entries)
+
+let test_matrix_shares_workloads_in_order () =
+  (* Each workload is built and referenced once and shared by all its
+     cells; entries still come back in (workload, cell) order, every
+     one linted and cross-checked clean. *)
+  let cells =
+    [
+      { Oracle.scheme = Scheme.Sced; issue_width = 1; delay = 1 };
+      { Oracle.scheme = Scheme.Tmr; issue_width = 2; delay = 2 };
+    ]
+  in
+  let entries =
+    Casted_exec.Pool.with_pool ~jobs:2 (fun pool ->
+        Matrix.run ~pool ~benchmarks:[ "h263dec"; "cjpeg" ] ~cells ())
+  in
+  Alcotest.(check (list string))
+    "matrix order"
+    [ "h263dec SCED"; "h263dec TMR"; "cjpeg SCED"; "cjpeg TMR" ]
+    (List.map
+       (fun e ->
+         e.Matrix.workload ^ " " ^ Scheme.name e.Matrix.cell.Oracle.scheme)
+       entries);
   Alcotest.(check bool) "clean" true (Matrix.clean entries)
 
 let test_matrix_rejects_unknown () =
@@ -577,8 +600,11 @@ let test_fuzz_four_way_includes_compiled () =
   List.iter
     (fun cell ->
       match Oracle.check_cell ~reference program cell with
-      | [] -> ()
-      | divs ->
+      | [], [] -> ()
+      | diags, [] ->
+          Alcotest.failf "%a: %d lint diagnostics, first: %a" Oracle.pp_cell
+            cell (List.length diags) Diag.pp (List.hd diags)
+      | _, divs ->
           Alcotest.failf "%a: %d divergences, first: %a" Oracle.pp_cell cell
             (List.length divs) Oracle.pp_divergence (List.hd divs))
     [
@@ -706,4 +732,6 @@ let suite =
         test_fuzz_four_way_includes_compiled;
       case "fuzz: generated programs exit cleanly" test_fuzz_programs_run;
       case "fuzz: mutated assembly never raises" test_mutated_asm_never_raises;
+      case "matrix: workloads shared across cells, in order"
+        test_matrix_shares_workloads_in_order;
     ] )
