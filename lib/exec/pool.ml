@@ -5,6 +5,7 @@ type t = {
   work : Condition.t;  (* signalled when the queue gains tasks or on close *)
   mutable closed : bool;
   mutable domains : unit Domain.t list;
+  mutable tasks_submitted : int;
   mutable tasks_done : int;
   mutable busy_s : float;
   created_at : float;
@@ -37,6 +38,7 @@ let create ~jobs () =
       work = Condition.create ();
       closed = false;
       domains = [];
+      tasks_submitted = 0;
       tasks_done = 0;
       busy_s = 0.0;
       created_at = now ();
@@ -52,106 +54,111 @@ let create ~jobs () =
 let jobs t = t.n_jobs
 
 (* A batch shares the pool mutex; [finished] is signalled when the last
-   task of the batch completes (possibly on a worker domain). *)
-type batch = { mutable remaining : int; finished : Condition.t }
+   task of the batch completes (possibly on a worker domain). Each slot
+   captures its task's result or exception, so one failing task never
+   prevents the rest of the batch from completing. *)
+type 'b batch = {
+  pool : t;
+  results : ('b, exn * Printexc.raw_backtrace) result option array;
+  mutable remaining : int;
+  finished : Condition.t;
+}
 
-(* Shared core of {map} and {map_result}: run every task (capturing
-   exceptions per slot, so one failing task never prevents the rest of
-   the batch from completing) and return the captured results in input
-   order. *)
-let map_capture t f arr =
+(* Every task of every batch goes through the queue, at any pool size:
+   with [jobs = 1] nothing drains it until {!await}, which then runs the
+   batch inline in the caller, in submission order. *)
+let submit t f arr =
+  let n = Array.length arr in
+  let batch =
+    {
+      pool = t;
+      results = Array.make n None;
+      remaining = n;
+      finished = Condition.create ();
+    }
+  in
+  let task i () =
+    let t0 = now () in
+    let r =
+      try
+        Ok (Casted_obs.Trace.with_span ~cat:"pool" "pool.task" (fun () -> f arr.(i)))
+      with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    let dt = now () -. t0 in
+    Mutex.lock t.mutex;
+    batch.results.(i) <- Some r;
+    t.tasks_done <- t.tasks_done + 1;
+    t.busy_s <- t.busy_s +. dt;
+    batch.remaining <- batch.remaining - 1;
+    if batch.remaining = 0 then Condition.broadcast batch.finished;
+    Mutex.unlock t.mutex
+  in
   Mutex.lock t.mutex;
   if t.closed then begin
     Mutex.unlock t.mutex;
     invalid_arg "Pool.map: pool is shut down"
   end;
-  Mutex.unlock t.mutex;
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if t.n_jobs = 1 then
-    Array.map
-      (fun x ->
-        let t0 = now () in
-        let r =
-          try
-            Ok (Casted_obs.Trace.with_span ~cat:"pool" "pool.task" (fun () -> f x))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        t.tasks_done <- t.tasks_done + 1;
-        t.busy_s <- t.busy_s +. (now () -. t0);
-        r)
-      arr
-  else begin
-    let results = Array.make n None in
-    let batch = { remaining = n; finished = Condition.create () } in
-    let task i () =
-      let t0 = now () in
-      let r =
-        try
-          Ok (Casted_obs.Trace.with_span ~cat:"pool" "pool.task" (fun () -> f arr.(i)))
-        with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      let dt = now () -. t0 in
-      Mutex.lock t.mutex;
-      results.(i) <- Some r;
-      t.tasks_done <- t.tasks_done + 1;
-      t.busy_s <- t.busy_s +. dt;
-      batch.remaining <- batch.remaining - 1;
-      if batch.remaining = 0 then Condition.broadcast batch.finished;
-      Mutex.unlock t.mutex
-    in
-    Mutex.lock t.mutex;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue;
-      Casted_obs.Metrics.gauge "pool.queue_depth"
-        (float_of_int (Queue.length t.queue))
-    done;
+  t.tasks_submitted <- t.tasks_submitted + n;
+  for i = 0 to n - 1 do
+    Queue.add (task i) t.queue;
+    Casted_obs.Metrics.gauge "pool.queue_depth"
+      (float_of_int (Queue.length t.queue))
+  done;
+  if n > 0 then begin
     Casted_obs.Metrics.incr ~by:n "pool.tasks_submitted";
-    Condition.broadcast t.work;
-    (* The caller is an executor too: help drain the queue (any batch),
-       then wait for this batch's in-flight tasks. *)
-    let rec help () =
-      if batch.remaining > 0 then
-        if not (Queue.is_empty t.queue) then begin
-          let task = Queue.pop t.queue in
-          Mutex.unlock t.mutex;
-          task ();
-          Mutex.lock t.mutex;
-          help ()
-        end
-        else begin
-          Condition.wait batch.finished t.mutex;
-          help ()
-        end
-    in
-    help ();
-    Mutex.unlock t.mutex;
-    Array.mapi
-      (fun i -> function
-        | Some r -> r
-        | None ->
-            (* The batch counter hit zero, so every task ran; an empty
-               slot means a worker lost its result. Name the slot so the
-               failure is attributable. *)
-            failwith
-              (Printf.sprintf
-                 "Pool.map: batch of %d finished but slot %d has no result \
-                  (worker dropped it?)"
-                 n i))
-      results
-  end
+    Condition.broadcast t.work
+  end;
+  Mutex.unlock t.mutex;
+  batch
 
-let map t f arr =
+(* The caller is an executor too: help drain the queue (any batch),
+   then wait for this batch's in-flight tasks. *)
+let collect batch =
+  let t = batch.pool in
+  Mutex.lock t.mutex;
+  let rec help () =
+    if batch.remaining > 0 then
+      if not (Queue.is_empty t.queue) then begin
+        let task = Queue.pop t.queue in
+        Mutex.unlock t.mutex;
+        task ();
+        Mutex.lock t.mutex;
+        help ()
+      end
+      else begin
+        Condition.wait batch.finished t.mutex;
+        help ()
+      end
+  in
+  help ();
+  Mutex.unlock t.mutex;
+  Array.mapi
+    (fun i -> function
+      | Some r -> r
+      | None ->
+          (* The batch counter hit zero, so every task ran; an empty
+             slot means a worker lost its result. Name the slot so the
+             failure is attributable. *)
+          failwith
+            (Printf.sprintf
+               "Pool.await: batch of %d finished but slot %d has no result \
+                (worker dropped it?)"
+               (Array.length batch.results) i))
+    batch.results
+
+let await batch =
   Array.map
     (function
       | Ok v -> v
       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    (map_capture t f arr)
+    (collect batch)
+
+let map t f arr = await (submit t f arr)
 
 let map_result t f arr =
   Array.map
     (function Ok v -> Ok v | Error (e, _bt) -> Error e)
-    (map_capture t f arr)
+    (collect (submit t f arr))
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))
 
@@ -172,6 +179,7 @@ type stats = {
   jobs : int;
   domains : int;
   tasks : int;
+  pending : int;
   busy_s : float;
   wall_s : float;
 }
@@ -183,6 +191,7 @@ let stats t =
       jobs = t.n_jobs;
       domains = t.n_jobs - 1;
       tasks = t.tasks_done;
+      pending = t.tasks_submitted - t.tasks_done;
       busy_s = t.busy_s;
       wall_s = now () -. t.created_at;
     }

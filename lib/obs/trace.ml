@@ -64,10 +64,13 @@ let tracks () =
 
 let events () =
   tracks ()
-  |> List.concat_map (fun t -> List.rev t.events)
+  |> List.concat_map (fun t -> t.events)
   |> List.stable_sort (fun a b ->
          (* Equal start times (the clock ticks in whole microseconds):
-            the longer span encloses the shorter, so it sorts first. *)
+            the longer span encloses the shorter, so it sorts first.
+            Equal durations too: a track lists its spans latest-finished
+            first, and an enclosing span finishes after what it
+            encloses. *)
          match Float.compare a.ts_us b.ts_us with
          | 0 -> (
              match Float.compare b.dur_us a.dur_us with

@@ -20,24 +20,51 @@ let schedule_block (config : Config.t) (dfg : Dfg.t) ~assignment ~label =
   let issue = Array.make n (-1) in
   let remaining = ref n in
   let cycle = ref 0 in
-  (* Candidate selection is O(n) per slot; blocks are small enough that
-     this quadratic bound is irrelevant next to simulation time. *)
+  (* Candidates: per cluster, the unissued nodes whose predecessors have
+     all issued, in no particular order (the pick rule is a total
+     order). A pick scans its own cluster's candidates only, not the
+     whole block. *)
+  let clusters = config.Config.clusters in
+  let cands =
+    Array.init clusters (fun c ->
+        Array.make
+          (Array.fold_left (fun k a -> if a = c then k + 1 else k) 0 assignment)
+          0)
+  in
+  let n_cands = Array.make clusters 0 in
+  let add i =
+    let c = assignment.(i) in
+    cands.(c).(n_cands.(c)) <- i;
+    n_cands.(c) <- n_cands.(c) + 1
+  in
+  Array.iteri (fun i d -> if d = 0 then add i) indeg;
+  (* The ready candidate of [cluster] with the greatest height, lowest
+     index on ties, removed from the candidates; -1 if none is ready. *)
   let pick_best cluster =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
+    let l = cands.(cluster) in
+    let best = ref (-1) and at = ref (-1) in
+    for k = 0 to n_cands.(cluster) - 1 do
+      let i = l.(k) in
       if
-        issue.(i) < 0 && indeg.(i) = 0
-        && assignment.(i) = cluster
-        && earliest.(i) <= !cycle
+        earliest.(i) <= !cycle
         && (!best < 0
            || heights.(i) > heights.(!best)
            || (heights.(i) = heights.(!best) && i < !best))
-      then best := i
+      then begin
+        best := i;
+        at := k
+      end
     done;
+    if !at >= 0 then begin
+      let last = n_cands.(cluster) - 1 in
+      l.(!at) <- l.(last);
+      n_cands.(cluster) <- last
+    end;
     !best
   in
   while !remaining > 0 do
-    for cluster = 0 to config.Config.clusters - 1 do
+    let before = !remaining in
+    for cluster = 0 to clusters - 1 do
       let slots = ref config.Config.issue_width in
       let stop = ref false in
       while (not !stop) && !slots > 0 do
@@ -58,12 +85,28 @@ let schedule_block (config : Config.t) (dfg : Dfg.t) ~assignment ~label =
               in
               earliest.(e.Dfg.dst) <-
                 max earliest.(e.Dfg.dst) (!cycle + e.Dfg.latency + cross);
-              indeg.(e.Dfg.dst) <- indeg.(e.Dfg.dst) - 1)
+              indeg.(e.Dfg.dst) <- indeg.(e.Dfg.dst) - 1;
+              if indeg.(e.Dfg.dst) = 0 then add e.Dfg.dst)
             dfg.Dfg.succs.(i)
         end
       done
     done;
-    incr cycle
+    (* A cycle that issued nothing changed nothing: every later cycle
+       issues nothing either until the first candidate is ready, so
+       skip to it. *)
+    if !remaining = before then begin
+      let next = ref max_int in
+      Array.iteri
+        (fun c l ->
+          for k = 0 to n_cands.(c) - 1 do
+            next := min !next earliest.(l.(k))
+          done)
+        cands;
+      if !next = max_int then
+        invalid_arg "schedule_block: dependence cycle, no node can issue";
+      cycle := max (!cycle + 1) !next
+    end
+    else incr cycle
   done;
   let length = 1 + Array.fold_left max 0 issue in
   let bundles =

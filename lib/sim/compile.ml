@@ -1109,11 +1109,7 @@ let launch (p : t) ~timed ~fault ~fuel ~on_block ~from =
   let cache = d.Decode.config.Config.cache in
   match from with
   | None ->
-      let hier =
-        if timed then State.scratch_hierarchy cache ~perfect:false
-        else State.untimed_hierarchy cache
-      in
-      let st = State.fresh ~image:d.Decode.image ~hier in
+      let st = State.fresh ~timed ~image:d.Decode.image cache in
       let c = make_cctx p ~timed ~fault ~fuel ~on_block st in
       (st, fun () -> exec_entry c d.Decode.entry)
   | Some snap ->
@@ -1123,6 +1119,10 @@ let launch (p : t) ~timed ~fault ~fuel ~on_block ~from =
       let start = snap.State.block in
       if start < 0 || start >= Array.length blocks then invalid_arg oob;
       (st, fun () -> exec_cblocks c fr blocks start)
+
+let checkpoint (p : t) block =
+  let eblocks = p.d.Decode.funcs.(p.d.Decode.entry).Decode.blocks in
+  block >= 0 && block < Array.length eblocks && eblocks.(block).Decode.checkpoint
 
 let finish (p : t) ~timed ~with_mem_digest st termination =
   let d = p.d in
@@ -1149,10 +1149,22 @@ let finish (p : t) ~timed ~with_mem_digest st termination =
    checkpoint. Simulation is deterministic and State.snapshot has no
    side effects, so the rebuilt snapshot is exactly the one an eager
    snapshot would have captured; the rebuild is simulator work, not
-   machine work, and is not folded into the run. *)
+   machine work, and is not folded into the run.
+
+   A run resumed from a snapshot (a replayed campaign trial) starts at
+   a checkpoint-flagged block top: the block hook fires there first, so
+   the start counts as the attempt's first checkpoint, as it did when
+   the full-length run passed it. The latest checkpoint at any failure,
+   its rebuild, the retries and the outcome are then the full run's. *)
 let recover (p : t) ~timed ~fault ~fuel ~with_mem_digest ~retry_budget ~from =
   let d = p.d in
   let eblocks = d.Decode.funcs.(d.Decode.entry).Decode.blocks in
+  (match from with
+  | Some s when not (checkpoint p s.State.block) ->
+      invalid_arg
+        "Compile.run: a recovering run resumes only at a checkpoint-flagged \
+         block"
+  | _ -> ());
   let rebuild (fault, from, ordinal) =
     let exception Reached of State.snapshot in
     let seen = ref 0 in

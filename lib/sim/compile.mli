@@ -32,6 +32,11 @@ val of_decoded : Decode.t -> t
 val decoded : t -> Decode.t
 (** The decoded program this was compiled from (shared, not copied). *)
 
+val checkpoint : t -> int -> bool
+(** [checkpoint p block] is true when entry-function block [block] is
+    checkpoint-flagged: a rollback region head ({!Casted_ir.Opcode.Cpt}),
+    where a recovering run ([run ~retry_budget]) may resume. *)
+
 val run :
   ?fault:Fault.t ->
   ?fuel:int ->
@@ -55,7 +60,12 @@ val run :
       execute only the suffix. Bit-identical to the full run whenever
       the snapshot precedes the fault's trigger event (see
       {!Replay.find}); counters and cycles resume from the snapshot, so
-      every field reports whole-run totals.
+      every field reports whole-run totals. With [retry_budget] the
+      snapshot must sit at a {!checkpoint} block (else
+      [Invalid_argument]); the start then counts as the run's first
+      checkpoint, so rollbacks, retries and the outcome are the full
+      run's. A timed run needs a snapshot of a timed run
+      ({!State.restore}).
     @param on_block called at every entry-function block top with the
       call stack empty (depth 1) — with the machine state, the entry
       register file and the block index about to execute — exactly
@@ -79,7 +89,9 @@ val run :
       failed attempt up to it (simulator work, not folded in; counted
       by the [sim.checkpoint_rebuild_insns] metric). A fault-free run
       therefore costs what a plain run does and returns the same
-      {!Outcome.run}. Cannot combine with [on_block].
+      {!Outcome.run}. Campaign trials start from the latest
+      checkpoint snapshot preceding their fault ([snapshot]). Cannot
+      combine with [on_block].
     @param timed [false] runs untimed, the mode every Monte-Carlo trial
       runs in ({!Montecarlo.trial}); default [true]. An
       untimed run drives no cache model (no hierarchy access per memory

@@ -117,17 +117,9 @@ let check_fuel_factor fuel_factor =
       (Printf.sprintf "Montecarlo.run: fuel_factor must be at least 1, got %d"
          fuel_factor)
 
-(* The golden run of the program [compiled] yields, on the compiled
-   engine. With a replay set nothing is compiled or run: the capture
-   pass that built it IS a golden run (the snapshot hook only copies
-   state). *)
-let golden_of ?(fuel_factor = 10) ?replay_set compiled =
+(* The golden reference around a finished timed golden [run]. *)
+let golden_of ?(fuel_factor = 10) ?replay_set run =
   check_fuel_factor fuel_factor;
-  let run =
-    match replay_set with
-    | Some r -> Replay.golden r
-    | None -> Compile.run (compiled ())
-  in
   (match run.Outcome.termination with
   | Outcome.Exit _ -> ()
   | t ->
@@ -141,8 +133,35 @@ let golden_of ?(fuel_factor = 10) ?replay_set compiled =
     replay = replay_set;
   }
 
+(* With a replay set nothing is compiled or run: the capture pass that
+   built it IS a golden run (the snapshot hook only copies state). *)
 let golden_decoded ?fuel_factor ?replay_set decoded =
-  golden_of ?fuel_factor ?replay_set (fun () -> Compile.of_decoded decoded)
+  golden_of ?fuel_factor ?replay_set
+    (match replay_set with
+    | Some r -> Replay.golden r
+    | None -> Compile.run (Compile.of_decoded decoded))
+
+(* The untimed capture and the timed golden run of one campaign must be
+   the same execution: every field a trial, a population or a fuel
+   budget reads. Only the cycles and cache statistics may differ. *)
+let check_capture ~timed ~untimed =
+  let differs name a b =
+    if a <> b then
+      failwith
+        (Printf.sprintf
+           "Montecarlo.run: the untimed snapshot capture and the timed golden \
+            run disagree on %s"
+           name)
+  in
+  let o = Outcome.(fun r -> r.termination) in
+  differs "termination" (o timed) (o untimed);
+  differs "exit code" timed.Outcome.exit_code untimed.Outcome.exit_code;
+  differs "output" timed.Outcome.output untimed.Outcome.output;
+  differs "dyn_insns" timed.Outcome.dyn_insns untimed.Outcome.dyn_insns;
+  differs "dyn_defs" timed.Outcome.dyn_defs untimed.Outcome.dyn_defs;
+  differs "dyn_mem" timed.Outcome.dyn_mem untimed.Outcome.dyn_mem;
+  differs "dyn_branches" timed.Outcome.dyn_branches untimed.Outcome.dyn_branches;
+  differs "dyn_xreads" timed.Outcome.dyn_xreads untimed.Outcome.dyn_xreads
 
 (* How one trial ran. *)
 type trial_report = {
@@ -190,12 +209,14 @@ let watch r fault ~from =
    domain runs it or on the trials before it.
 
    When the golden carries a replay set, the trial restores the latest
-   snapshot preceding its fault's trigger event, executes only the
-   suffix — bit-identical to the full run, just cheaper — and stops as
-   soon as it re-converges with the golden run ([watch]). Rollback
-   trials ([retry_budget]) own their restore points (the region
-   checkpoints, rebuilt on demand), so golden-prefix replay stays out
-   of their picture.
+   snapshot preceding its fault's trigger event and executes only the
+   suffix — bit-identical to the full run, just cheaper. Without a
+   retry budget it also stops as soon as it re-converges with the
+   golden run ([watch]). A rollback trial ([retry_budget]) gets no
+   watcher (its block hook counts checkpoints): its set holds only
+   checkpoint-flagged snapshots, and Compile.run counts the restored
+   start as the trial's first checkpoint, so rollbacks and class are
+   the full run's.
 
    Every trial runs untimed (Compile.run ~timed:false): no cache model,
    no issue scan. Its class reads termination, exit code, output and
@@ -203,6 +224,8 @@ let watch r fault ~from =
    counters ([watch]) — never a cycle — and no opcode reads the clock,
    so the class is the timed run's; the campaign's cycle figure is the
    golden run's, which stays timed. *)
+module Pool = Casted_exec.Pool
+
 let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
   if Fault.population_size model g.pop = 0 then
     (* The fault path does not exist in this configuration (e.g. no
@@ -212,40 +235,45 @@ let trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p =
   else begin
     let rng = Rng.create ~seed:(Rng.derive ~seed index) in
     let fault = Fault.random model rng ~population:g.pop in
-    match (retry_budget, g.replay) with
-    | None, Some r ->
-        let from = Replay.find_index r fault in
-        let snapshot = Option.map (Array.get (Replay.snapshots r)) from in
-        let on_block = watch r fault ~from:(Option.value from ~default:(-1)) in
-        let golden_dyn = g.run.Outcome.dyn_insns in
-        let cls, upto, converged =
-          match
-            Compile.run ~fault ~fuel:g.fuel ?snapshot ~on_block ~timed:false p
-          with
-          | run -> (classify ~golden:g.run run, golden_dyn, false)
-          | exception Converged { dyn; corrected } ->
-              ((if corrected then Recovered else Benign), dyn, true)
-          | exception (_ : exn) -> (Exception, golden_dyn, false)
-        in
-        let start = match snapshot with Some s -> s.State.s_dyn | None -> 0 in
-        (* A non-empty population means the golden run executed
-           something, so [golden_dyn > 0]. *)
-        {
-          cls;
-          executed = float_of_int (upto - start) /. float_of_int golden_dyn;
-          replayed = from <> None;
-          converged;
-        }
-    | _ ->
-        let cls =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (Compile.run ~fault ~fuel:g.fuel ?retry_budget ~timed:false
-                    p)
-             with e -> Error e)
-        in
-        { cls; executed = 1.0; replayed = false; converged = false }
+    let snapshot, on_block =
+      match g.replay with
+      | None -> (None, None)
+      | Some r ->
+          let from = Replay.find_index r fault in
+          ( Option.map (Array.get (Replay.snapshots r)) from,
+            if retry_budget = None then
+              Some (watch r fault ~from:(Option.value from ~default:(-1)))
+            else None )
+    in
+    (match (retry_budget, snapshot) with
+    | Some _, Some s when not (Compile.checkpoint p s.State.block) ->
+        invalid_arg
+          "Montecarlo.trial: a retry-budget trial replays only from \
+           checkpoint snapshots (Replay.capture ~at)"
+    | _ -> ());
+    let golden_dyn = g.run.Outcome.dyn_insns in
+    let cls, upto, converged =
+      match
+        Compile.run ~fault ~fuel:g.fuel ?snapshot ?on_block ?retry_budget
+          ~timed:false p
+      with
+      | run -> (classify ~golden:g.run run, run.Outcome.dyn_insns, false)
+      | exception Converged { dyn; corrected } ->
+          ((if corrected then Recovered else Benign), dyn, true)
+      | exception (_ : exn) -> (Exception, golden_dyn, false)
+    in
+    let start = match snapshot with Some s -> s.State.s_dyn | None -> 0 in
+    (* The trial's own instructions from its start, as a share of the
+       golden run (non-empty population, so [golden_dyn > 0]); capped
+       at 1.0, since a timeout or a rollback's re-execution can run
+       past the golden length. *)
+    {
+      cls;
+      executed =
+        Float.min 1.0 (float_of_int (upto - start) /. float_of_int golden_dyn);
+      replayed = snapshot <> None;
+      converged;
+    }
   end
 
 let trial ?retry_budget ?(model = Fault.Reg_bit) ~golden ~seed ~index p =
@@ -342,22 +370,39 @@ let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
   (* One decode and one stage-2 compile per campaign, not per trial:
      the program is immutable and shared read-only by every pool
      domain. It, and the snapshot set below, live only as long as this
-     call. *)
+     call. Without a pool the campaign runs on a one-executor pool,
+     which runs every batch inline when it is awaited. *)
   let p = Compile.of_decoded (Decode.of_schedule sched) in
-  (* The replay rule: a campaign replays, with the re-convergence
-     watcher, exactly when it has no retry budget. Rollback trials
-     restore their own region checkpoints mid-run, which golden-prefix
-     replay's restored-suffix execution cannot express, so they run
-     full-length and nothing is captured. *)
+  let pool =
+    match pool with Some pool -> pool | None -> Pool.create ~jobs:1 ()
+  in
+  (* Every batch this call submits is awaited before it returns or
+     raises. Batches are awaited in submission order, so only the
+     latest one can still be in flight: [drain] awaits it (again, if
+     it already was: a finished batch returns at once). *)
+  let drain = ref ignore in
+  let submit f arr =
+    let b = Pool.submit pool f arr in
+    (drain := fun () -> try ignore (Pool.await b) with (_ : exn) -> ());
+    b
+  in
+  Fun.protect ~finally:(fun () -> !drain ()) @@ fun () ->
+  (* The golden phase on two executors: the timed golden run (cycles
+     and cache statistics, what the result reports) is a pool task,
+     while this domain captures the snapshot set on an untimed run,
+     which copies no cache state. A rollback campaign snapshots only
+     at checkpoint-flagged block tops, where its trials can resume. *)
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
+        let timed = submit (fun () -> Compile.run p) [| () |] in
+        let at = Option.map (fun _ -> Compile.checkpoint p) retry_budget in
         let replay_set =
-          match retry_budget with
-          | Some _ -> None
-          | None ->
-              Some (Replay.capture (fun ~on_block -> Compile.run ~on_block p))
+          Replay.capture ?at (fun ~on_block ->
+              Compile.run ~on_block ~timed:false p)
         in
-        golden_of ~fuel_factor ?replay_set (fun () -> p))
+        let run = (Pool.await timed).(0) in
+        check_capture ~timed:run ~untimed:(Replay.golden replay_set);
+        golden_of ~fuel_factor ~replay_set run)
   in
   (* A program with no fault sites for this model (no memory traffic
      for [Mem], a single cluster for [Xcluster], ...) has nothing to
@@ -387,15 +432,8 @@ let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
   let one index =
     trial_instrumented ?retry_budget ~model ~golden:g ~seed ~index p
   in
-  let map_chunk lo hi =
-    Casted_obs.Trace.with_span ~cat:"mc" "mc.chunk"
-      ~args:[ ("lo", Casted_obs.Json.Int lo); ("hi", Casted_obs.Json.Int hi) ]
-      (fun () ->
-        Casted_obs.Metrics.incr ~by:(hi - lo) "mc.trials";
-        let indices = Array.init (hi - lo) (fun i -> lo + i) in
-        match pool with
-        | Some p -> Casted_exec.Pool.map p one indices
-        | None -> Array.map one indices)
+  let submit_chunk lo =
+    submit one (Array.init (chunk_end ~trials lo - lo) (fun i -> lo + i))
   in
   let stop done_ =
     match ci_halfwidth with
@@ -403,25 +441,38 @@ let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
     | Some target ->
         narrow_enough ~target ~detected:counts.(idx Detected) ~trials:done_
   in
-  let rec go lo =
+  (* Streamed chunks: chunk [lo, hi) was submitted before the previous
+     chunk was tallied, and the next one is submitted before this one
+     is awaited, so the executors never wait on the coordinator's
+     tally, bank or stop test. Those still run in order at every grid
+     point; a campaign that stops there drops the chunk in flight
+     ([drain]), whose trials no tally sees. *)
+  let rec go lo chunk =
     if lo >= trials || stop lo then lo
     else begin
       let hi = chunk_end ~trials lo in
+      let chunk = match chunk with Some b -> b | None -> submit_chunk lo in
+      let next = if hi < trials then Some (submit_chunk hi) else None in
+      let results =
+        Casted_obs.Trace.with_span ~cat:"mc" "mc.chunk"
+          ~args:
+            [ ("lo", Casted_obs.Json.Int lo); ("hi", Casted_obs.Json.Int hi) ]
+          (fun () -> Pool.await chunk)
+      in
+      Casted_obs.Metrics.incr ~by:(hi - lo) "mc.trials";
       Array.iter
         (fun t ->
           counts.(idx t.cls) <- counts.(idx t.cls) + 1;
-          if g.replay <> None then begin
-            if t.replayed then incr n_replayed else incr n_full;
-            if t.converged then incr n_converged;
-            suffix_sum := !suffix_sum +. t.executed;
-            if Casted_obs.Metrics.enabled () then begin
-              Casted_obs.Metrics.incr
-                (if t.replayed then "replay.hits" else "replay.misses");
-              if t.converged then Casted_obs.Metrics.incr "sim.converged";
-              Casted_obs.Metrics.observe "replay.suffix_fraction" t.executed
-            end
+          if t.replayed then incr n_replayed else incr n_full;
+          if t.converged then incr n_converged;
+          suffix_sum := !suffix_sum +. t.executed;
+          if Casted_obs.Metrics.enabled () then begin
+            Casted_obs.Metrics.incr
+              (if t.replayed then "replay.hits" else "replay.misses");
+            if t.converged then Casted_obs.Metrics.incr "sim.converged";
+            Casted_obs.Metrics.observe "replay.suffix_fraction" t.executed
           end)
-        (map_chunk lo hi);
+        results;
       (* Bank the partial tally at every finished chunk (the final
          tally is returned normally): a killed campaign's completed
          chunks survive and get served on restart. *)
@@ -429,28 +480,24 @@ let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
       | Some f when hi < trials ->
           f ~next:hi (result_of_counts ~golden:g ~model ~trials:hi counts)
       | _ -> ());
-      go hi
+      go hi next
     end
   in
-  let done_ = go start in
+  let done_ = go start None in
+  let r = Option.get g.replay in
+  let executed = !n_replayed + !n_full in
   let replay_stats =
-    match g.replay with
-    | None -> None
-    | Some r ->
-        let executed = !n_replayed + !n_full in
-        Some
-          {
-            snapshots = Replay.count r;
-            snapshot_bytes = Replay.total_bytes r;
-            replayed = !n_replayed;
-            full_runs = !n_full;
-            converged = !n_converged;
-            mean_suffix =
-              (if executed = 0 then 1.0
-               else !suffix_sum /. float_of_int executed);
-          }
+    {
+      snapshots = Replay.count r;
+      snapshot_bytes = Replay.total_bytes r;
+      replayed = !n_replayed;
+      full_runs = !n_full;
+      converged = !n_converged;
+      mean_suffix =
+        (if executed = 0 then 1.0 else !suffix_sum /. float_of_int executed);
+    }
   in
-  result_of_counts ?replay_stats ~golden:g ~model ~trials:done_ counts
+  result_of_counts ~replay_stats ~golden:g ~model ~trials:done_ counts
 
 (* Per-class counts in the [idx] order — what the result store
    persists. *)

@@ -48,8 +48,10 @@ type replay_stats = {
           state re-converged with the golden run's; at most
           [replayed + full_runs] *)
   mean_suffix : float;
-      (** mean fraction of the golden run actually executed per trial
-          ([1.0] = every trial ran full-length) *)
+      (** mean fraction of the golden run actually executed per trial,
+          in [0, 1]: a trial counts its own instructions from its start
+          snapshot to its convergence point, check, trap or end, capped
+          at the golden length ([1.0] = every trial ran full-length) *)
 }
 
 type result = {
@@ -65,7 +67,9 @@ type result = {
   population : int;  (** size of the campaign model's injection pool *)
   model : Fault.model;
   replay : replay_stats option;
-      (** [Some] iff the campaign replayed (it had no retry budget) *)
+      (** [Some] for a campaign this process ran ({!run}: every
+          campaign replays, rollback campaigns included); [None] for a
+          tally rebuilt from counts ({!of_counts}) *)
 }
 
 val count : result -> classification -> int
@@ -128,7 +132,8 @@ val population_of_run : Outcome.run -> Fault.population
 
     @param replay_set use this captured set ({!Replay.capture}): its
       golden run is the reference (nothing is run here) and trials
-      start from its snapshots. *)
+      start from its snapshots. A set for {!trial}s with a retry budget
+      must hold only checkpoint snapshots ([Replay.capture ~at]). *)
 val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> golden
 
 (** [trial ~golden ~seed ~index compiled] runs faulty trial [index] of
@@ -140,9 +145,9 @@ val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> gol
     domains while staying bit-identical to a sequential campaign. When
     [golden] carries a replay set, the trial starts from the latest
     snapshot preceding its fault's trigger event (bit-identical to the
-    full run), and it stops at the first later golden snapshot whose
-    architectural state it matches once the fault has fired
-    ({!State.matches}): the rest of the run is the golden suffix, so
+    full run), and, without a retry budget, it stops at the first later
+    golden snapshot whose architectural state it matches once the fault
+    has fired ({!State.matches}): the rest of the run is the golden suffix, so
     the trial is [Recovered] if a vote corrected a copy and [Benign]
     otherwise — the class the full run would reach. Such a trial skips
     [Runtime.finish], so the [sim.runs]/[sim.insns] metrics do not
@@ -154,8 +159,11 @@ val golden_decoded : ?fuel_factor:int -> ?replay_set:Replay.t -> Decode.t -> gol
     [sim.slots_offered], [sim.occupancy] and [cache.*] metrics.
 
     @param retry_budget run the trial with region recovery
-      ([Compile.run ~retry_budget]) — the rollback-scheme campaign path;
-      such trials never start from a replay snapshot. *)
+      ([Compile.run ~retry_budget]) — the rollback-scheme campaign path.
+      With a replay set it starts from the latest checkpoint snapshot
+      preceding its fault, with no convergence watcher; the golden's
+      snapshots must all sit at {!Compile.checkpoint} blocks, else
+      [Invalid_argument]. *)
 val trial :
   ?retry_budget:int ->
   ?model:Fault.model ->
@@ -209,17 +217,24 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
     The campaign decodes and stage-2 compiles [schedule] once
     ({!Decode.of_schedule}, {!Compile.of_decoded}); every golden run
     and trial executes on that one immutable program, shared read-only
-    across pool domains. A campaign without [retry_budget] replays: it
-    captures snapshots on the golden run, starts each trial from the
-    latest snapshot preceding its fault's trigger event and stops it
-    once it re-converges with the golden run ({!trial}). The tally is
-    the one full-length trials reach, for every fault model at any pool
-    size. The program and the snapshot set live only as long as the
-    call: nothing outlives the campaign but its result.
+    across pool domains. Every campaign replays: it captures snapshots
+    on an untimed golden run while the timed golden run (the result's
+    cycles) runs as a pool task beside it, and raises [Failure] if the
+    two disagree on termination, exit code, output or an event count.
+    Each trial starts from the latest snapshot preceding its fault's
+    trigger event and, without a retry budget, stops once it
+    re-converges with the golden run ({!trial}). The tally is the one
+    full-length trials reach, for every fault model at any pool size.
+    Chunks are streamed: the next one is submitted before the current
+    one is awaited, and a chunk still in flight when the campaign stops
+    or raises is awaited and dropped. The program and the snapshot set
+    live only as long as the call: nothing outlives the campaign but
+    its result, and no pool task outlives the call.
 
     @param pool fan trials over these domains; the per-trial seed
       derivation makes the result identical field-for-field to the
-      sequential run.
+      sequential run. Without it the campaign runs on a one-executor
+      pool of its own.
     @param model the fault model to draw every trial from
       (default {!Fault.Reg_bit}, the paper's model).
     @param ci_halfwidth stop early once the detected-rate 95% Wilson
@@ -228,9 +243,8 @@ val early_stop_reached : ci_halfwidth:float -> result -> bool
       [Invalid_argument].
     @param retry_budget run every trial with region recovery under
       this rollback budget (the rollback-scheme campaign path). Such a
-      campaign does not replay: rollback trials restore their own
-      region checkpoints, which prefix replay cannot express, so every
-      trial runs full-length.
+      campaign captures snapshots only at checkpoint-flagged block tops,
+      and each trial resumes region recovery from one of them.
     @param prior [(done, counts)]: resume from a persisted tally —
       start at trial index [done] with per-class [counts] ({!counts}
       order) pre-seeded. This is the result store's incremental and

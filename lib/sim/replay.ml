@@ -28,7 +28,7 @@ let default_target = 48
 let default_init_stride = 512
 
 let capture ?(init_stride = default_init_stride) ?(target = default_target)
-    (run : on_block:(State.t -> State.regfile -> int -> unit) -> Outcome.run)
+    ?(at = fun (_ : int) -> true) (run : on_block:(State.t -> State.regfile -> int -> unit) -> Outcome.run)
     =
   if init_stride < 1 then invalid_arg "Replay.capture: init_stride < 1";
   if target < 1 then invalid_arg "Replay.capture: target < 1";
@@ -46,7 +46,7 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
   let stride = ref init_stride in
   let next_at = ref init_stride in
   let on_block st regs block =
-    if st.State.dyn >= !next_at then begin
+    if st.State.dyn >= !next_at && at block then begin
       acc := State.snapshot st ~regs ~block :: !acc;
       incr n;
       if !n >= 2 * target then begin

@@ -23,12 +23,20 @@ type t
     front, deterministic). Production captures run on the compiled
     engine, [capture (fun ~on_block -> Compile.run ~on_block p)]; both
     engines fire the hook at the same points, so the reference
-    interpreter captures the same set. The run is traced as a
-    [sim.replay] span and counted in the
-    [replay.snapshots]/[replay.snapshot_bytes] metrics. *)
+    interpreter captures the same set. A campaign captures untimed
+    ([Compile.run ~timed:false]), so its snapshots copy no cache state
+    ({!State.snapshot}); the positions [(dyn, block)] do not depend on
+    the mode. The run is traced as a [sim.replay] span and counted in
+    the [replay.snapshots]/[replay.snapshot_bytes] metrics.
+
+    @param at snapshot only at block tops whose entry-function block
+      index satisfies this filter (default: every block). A rollback
+      campaign passes the checkpoint-flagged blocks, so each snapshot
+      is a region checkpoint a recovering run can resume from. *)
 val capture :
   ?init_stride:int ->
   ?target:int ->
+  ?at:(int -> bool) ->
   (on_block:(State.t -> State.regfile -> int -> unit) -> Outcome.run) ->
   t
 

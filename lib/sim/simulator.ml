@@ -478,8 +478,8 @@ let reference ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
   let st, go =
     match snapshot with
     | None ->
-        ( State.fresh ~image:d.Decode.image
-            ~hier:(State.scratch_hierarchy cache ~perfect:perfect_cache),
+        ( State.fresh ~perfect:perfect_cache ~timed:true ~image:d.Decode.image
+            cache,
          fun ctx -> exec_func ctx entry ~nargs:0)
     | Some snap ->
         let st, fr = State.restore ~cache snap in

@@ -150,6 +150,7 @@ type t = {
   mem : Memory.t;
   base : Bytes.t;  (* pristine image [mem] was last reset from *)
   hier : Hierarchy.t;
+  timed : bool;  (* false: [hier] is the untouched untimed hierarchy *)
   mutable time : int;  (* issue time of the last issued bundle *)
   mutable dyn : int;
   mutable defs : int;  (* dynamic register slots written *)
@@ -230,11 +231,14 @@ let untimed_hierarchy cc =
       r := Some h;
       h
 
-let fresh ~image ~hier =
+let fresh ?(perfect = false) ~timed ~image cache =
   {
     mem = scratch_memory image;
     base = image;
-    hier;
+    hier =
+      (if timed then scratch_hierarchy cache ~perfect
+       else untimed_hierarchy cache);
+    timed;
     time = -1;
     dyn = 0;
     defs = 0;
@@ -253,7 +257,10 @@ let fresh ~image ~hier =
    call stack empty (depth = 1), where [xfer]/[retv]/[tmax] are dead:
    the block body overwrites them before any read. So the snapshot needs
    exactly the counters, the clock, the entry register file, the memory
-   state, the cache state and the block index to resume at. The memory
+   state, the cache state and the block index to resume at. An untimed
+   machine never touched its hierarchy, so its snapshot copies no cache
+   state at all ([cache = None]): that both saves the copy and records
+   the mode, which a timed restore checks. The memory
    is a sparse delta over the (shared, never-mutated) pristine image, so
    a snapshot costs O(pages written so far), not O(arena). All captured
    fields are deep copies, never mutated after capture — safe to share
@@ -271,7 +278,7 @@ type snapshot = {
   regs : regfile;
   mem_base : Bytes.t;  (* shared pristine image, not a copy *)
   mem_delta : Memory.delta;
-  cache : Hierarchy.snapshot;
+  cache : Hierarchy.snapshot option;  (* None: taken on an untimed run *)
 }
 
 let snapshot st ~regs ~block =
@@ -288,20 +295,21 @@ let snapshot st ~regs ~block =
     regs = copy_regfile regs;
     mem_base = st.base;
     mem_delta = Memory.delta st.mem;
-    cache = Hierarchy.snapshot st.hier;
+    cache = (if st.timed then Some (Hierarchy.snapshot st.hier) else None);
   }
 
 let restore ?(timed = true) ~cache snap =
   let hier =
-    if timed then begin
-      let h =
-        scratch_hierarchy cache
-          ~perfect:(Hierarchy.snapshot_perfect snap.cache)
-      in
-      Hierarchy.restore h snap.cache;
-      h
-    end
-    else untimed_hierarchy cache
+    match (timed, snap.cache) with
+    | false, _ -> untimed_hierarchy cache
+    | true, Some c ->
+        let h = scratch_hierarchy cache ~perfect:(Hierarchy.snapshot_perfect c) in
+        Hierarchy.restore h c;
+        h
+    | true, None ->
+        invalid_arg
+          "State.restore: a timed restore needs a snapshot of a timed run; \
+           this one was taken on an untimed run and holds no cache state"
   in
   let mem = scratch_memory snap.mem_base in
   Memory.apply_delta mem snap.mem_delta;
@@ -310,6 +318,7 @@ let restore ?(timed = true) ~cache snap =
       mem;
       base = snap.mem_base;
       hier;
+      timed;
       time = snap.s_time;
       dyn = snap.s_dyn;
       defs = snap.s_defs;
@@ -368,6 +377,6 @@ let regfile_bytes rf =
 
 let snapshot_bytes snap =
   Memory.delta_bytes snap.mem_delta
-  + Hierarchy.snapshot_bytes snap.cache
+  + Option.fold ~none:0 ~some:Hierarchy.snapshot_bytes snap.cache
   + regfile_bytes snap.regs
   + ((Array.length snap.s_roles + 8) * Sys.word_size / 8)

@@ -68,6 +68,8 @@ type t = {
   mem : Memory.t;
   base : Bytes.t;  (** pristine image [mem] was last reset from *)
   hier : Casted_cache.Hierarchy.t;
+  timed : bool;
+      (** [false]: an untimed machine, [hier] is {!untimed_hierarchy} *)
   mutable time : int;  (** issue time of the last issued bundle *)
   mutable dyn : int;
   mutable defs : int;  (** dynamic register slots written *)
@@ -105,15 +107,22 @@ val scratch_hierarchy :
 val untimed_hierarchy :
   Casted_machine.Config.cache_config -> Casted_cache.Hierarchy.t
 
-(** Machine state at the start of a run (clock at -1, counters zero),
-    backed by the calling domain's scratch arena and by [hier] (one of
-    the two per-domain hierarchies above). *)
-val fresh : image:Bytes.t -> hier:Casted_cache.Hierarchy.t -> t
+(** [fresh ~timed ~image cache] is the machine at the start of a run
+    (clock at -1, counters zero), backed by the calling domain's scratch
+    arena and by one of the two per-domain hierarchies above: the
+    {!scratch_hierarchy} of [cache] ([perfect], default [false]) when
+    [timed], else the {!untimed_hierarchy}. *)
+val fresh :
+  ?perfect:bool ->
+  timed:bool ->
+  image:Bytes.t ->
+  Casted_machine.Config.cache_config ->
+  t
 
 (** A deep, immutable copy of the machine at an entry-function
     block-loop top: counters, clock, entry register file, memory state
     (a sparse {!Memory.delta} over the shared pristine image), cache
-    state, and the block index to resume at. Safe to share read-only
+    state of a timed machine, and the block index to resume at. Safe to share read-only
     across pool domains. Only valid when the call stack is empty
     (depth 1) — [xfer]/[retv]/[tmax] are dead there and are not
     captured. *)
@@ -130,11 +139,14 @@ type snapshot = {
   regs : regfile;
   mem_base : Bytes.t;  (** shared pristine image, not a copy *)
   mem_delta : Memory.delta;
-  cache : Casted_cache.Hierarchy.snapshot;
+  cache : Casted_cache.Hierarchy.snapshot option;
+      (** the cache state; [None] when the machine ran untimed, whose
+          hierarchy holds nothing to copy *)
 }
 
 (** [snapshot st ~regs ~block] captures the machine; O(pages written +
-    cache sets touched), not O(arena + cache capacity). *)
+    cache sets touched), not O(arena + cache capacity). An untimed
+    machine's snapshot copies no cache state. *)
 val snapshot : t -> regs:regfile -> block:int -> snapshot
 
 (** [restore ~cache snap] rebuilds an equivalent machine on the calling
@@ -149,7 +161,9 @@ val snapshot : t -> regs:regfile -> block:int -> snapshot
     {!untimed_hierarchy} and the snapshot's cache state is not
     restored; the clock, counters, registers (ready times and homes
     included) and memory are restored as in a timed restore. For
-    untimed runs only. *)
+    untimed runs only. A timed restore of an untimed snapshot raises
+    [Invalid_argument]: it has no cache state to resume from, and the
+    run would silently report wrong cycles. *)
 val restore :
   ?timed:bool ->
   cache:Casted_machine.Config.cache_config -> snapshot -> t * regfile

@@ -154,7 +154,9 @@ let open_dir ?(create = false) dir =
          "%s: directory exists but has no MANIFEST — not a casted result \
           store"
          dir)
-  else if not (create || Sys.file_exists dir) then
+  else if not create then
+    (* A read-only open never initialises anything, not even an empty
+       directory: without a MANIFEST there is no store. *)
     Error
       (Printf.sprintf
          "%s: no such store (a --store DIR campaign, repro or work creates \

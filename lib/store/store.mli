@@ -124,7 +124,9 @@ type t
 (** [open_dir ~create dir] opens (or with [create], initialises) a
     store directory, verifying the MANIFEST version sentinel. A
     directory that exists but is not a store, or a store written by an
-    unknown version, is a loud [Error] — never silently reused. *)
+    unknown version, is a loud [Error] — never silently reused. Without
+    [create], a directory with no MANIFEST, missing or empty, is "no
+    such store", and nothing is created. *)
 val open_dir : ?create:bool -> string -> (t, string) result
 
 (** {!open_dir}, raising [Invalid_argument] on error. *)

@@ -191,6 +191,49 @@ let test_early_stop_deterministic () =
   Alcotest.(check bool) "the target is reached" true
     (Montecarlo.halfwidth seq Montecarlo.Detected <= 25.0)
 
+(* Streamed chunks: a campaign submits the next chunk before it tallies
+   the current one, yet an early stop at jobs 2 lands on the same grid
+   point with the same tally and the same banked prefixes as at jobs 1,
+   and the chunk still in flight when it stops (or when a bank hook
+   raises) is awaited before the call returns: nothing stays queued or
+   running in the pool. *)
+let test_early_stop_streamed () =
+  let s = schedule () in
+  let idle pool what =
+    Alcotest.(check int) (what ^ ": no task queued or running") 0
+      (Pool.stats pool).Pool.pending
+  in
+  let run jobs =
+    Pool.with_pool ~jobs (fun pool ->
+        let banked = ref [] in
+        let bank ~next r = banked := (next, Montecarlo.counts r) :: !banked in
+        let r =
+          Montecarlo.run ~pool ~seed:11 ~ci_halfwidth:8.0 ~bank ~trials:10_000 s
+        in
+        idle pool (Printf.sprintf "jobs=%d early stop" jobs);
+        (match
+           Montecarlo.run ~pool ~seed:11 ~trials:1_000
+             ~bank:(fun ~next:_ _ -> raise Exit)
+             s
+         with
+        | _ -> Alcotest.fail "the raising bank hook did not stop the campaign"
+        | exception Exit -> idle pool (Printf.sprintf "jobs=%d raise" jobs));
+        (r, List.rev !banked))
+  in
+  let seq, seq_banked = run 1 and par, par_banked = run 2 in
+  same_result "streamed early stop jobs=2 vs jobs=1" par seq;
+  Alcotest.(check bool) "stopped after several chunks, before the end" true
+    (seq.Montecarlo.trials > Montecarlo.chunk_trials
+    && seq.Montecarlo.trials < 10_000);
+  Alcotest.(check (list (pair int (array int))))
+    "same banked prefixes" seq_banked par_banked;
+  Alcotest.(check (list int))
+    "banked at every grid point up to the stop"
+    (List.init
+       (seq.Montecarlo.trials / Montecarlo.chunk_trials)
+       (fun i -> (i + 1) * Montecarlo.chunk_trials))
+    (List.map fst seq_banked)
+
 let test_early_stop_rejects_bad_target () =
   List.iter
     (fun w ->
@@ -446,8 +489,10 @@ let test_robustness_matrix () =
 (* Every scheme under every fault model: the engine's campaign tally is
    the same at jobs 1 and 4, and equals the full-length reference
    (every trial tallied from a golden run with no snapshot set: no
-   snapshot restore, no early exit). Only the rollback campaign, which
-   has a retry budget, runs without replay. *)
+   snapshot restore, no early exit). Every campaign replays: the
+   rollback campaign, which has a retry budget, starts its trials from
+   checkpoint snapshots, so its replay-vs-full-length identity covers
+   rollback recovery from a restored region head. *)
 let test_matrix_pool_invariant () =
   let converged = ref 0 in
   List.iter
@@ -479,9 +524,11 @@ let test_matrix_pool_invariant () =
                decoded)
             seq;
           Alcotest.(check bool)
-            (cell ^ " replays iff it has no retry budget")
-            (retry_budget = None)
-            (seq.Montecarlo.replay <> None);
+            (cell ^ " replays, with or without a retry budget")
+            true
+            (match seq.Montecarlo.replay with
+            | Some s -> s.Montecarlo.replayed > 0 || seq.Montecarlo.trials = 0
+            | None -> false);
           Option.iter
             (fun s -> converged := !converged + s.Montecarlo.converged)
             seq.Montecarlo.replay)
@@ -545,4 +592,6 @@ let suite =
         prop_chunk_grid;
       case "robustness matrix: cjpeg schemes x models x machines"
         test_robustness_matrix;
+      case "streamed early stop: jobs 2 = jobs 1, nothing left in flight"
+        test_early_stop_streamed;
     ] )

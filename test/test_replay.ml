@@ -452,6 +452,90 @@ let test_campaign_reconverges () =
         Alcotest.failf "%d of 256 trials re-converged, expected at least 13"
           s.Montecarlo.converged
 
+(* Rollback campaigns replay: on every workload, a reg-bit campaign
+   whose trials start from checkpoint snapshots tallies exactly what
+   the same trials reach full-length, and most of them do replay. A
+   recovering run refuses to resume anywhere but at a checkpoint. *)
+let test_rollback_replay_matches_full () =
+  let retry_budget = Casted_engine.Engine.default_retry_budget in
+  let seed = 0xCA57ED and trials = 64 in
+  List.iter
+    (fun name ->
+      let w = Option.get (Casted_workloads.Registry.find name) in
+      let c =
+        Pipeline.compile ~scheme:Scheme.Rollback ~issue_width:2 ~delay:2
+          (w.W.build W.Fault)
+      in
+      let d = Decode.of_schedule c.Pipeline.schedule in
+      let full =
+        full_length_tally ~retry_budget ~model:Fault.Reg_bit ~seed ~trials d
+      in
+      let r =
+        Pool.with_pool ~jobs:2 (fun pool ->
+            Montecarlo.run ~pool ~seed ~retry_budget ~trials
+              c.Pipeline.schedule)
+      in
+      let cell = name ^ "/ROLLBACK replay vs full-length" in
+      same_counts cell full r;
+      Alcotest.(check int) (cell ^ ": recovered") full.Montecarlo.recovered
+        r.Montecarlo.recovered;
+      (match r.Montecarlo.replay with
+      | Some s when s.Montecarlo.replayed > 0 -> ()
+      | _ -> Alcotest.failf "%s: no trial replayed" name);
+      (* Resuming a recovering run off a checkpoint is refused. *)
+      let p = Compile.of_decoded d in
+      match
+        List.find_opt
+          (fun (sn : State.snapshot) -> not (Compile.checkpoint p sn.State.block))
+          (Array.to_list (Replay.snapshots (capture ~init_stride:16 d)))
+      with
+      | None -> ()
+      | Some snapshot -> (
+          match Compile.run ~retry_budget ~snapshot ~timed:false p with
+          | _ -> Alcotest.failf "%s: resumed a recovering run off a checkpoint" name
+          | exception Invalid_argument _ -> ()))
+    (Casted_workloads.Registry.names ())
+
+(* A snapshot of an untimed run holds no cache state and says so: a
+   timed restore of it raises instead of silently reporting the cycles
+   of a cold cache; an untimed restore resumes it. A timed capture's
+   snapshots keep their cache state. *)
+let test_untimed_snapshot_refuses_timed_restore () =
+  let d = decoded () in
+  let p = Compile.of_decoded d in
+  let untimed =
+    Replay.capture ~init_stride:4 ~target:8 (fun ~on_block ->
+        Compile.run ~on_block ~timed:false p)
+  in
+  let snaps = Replay.snapshots untimed in
+  Alcotest.(check bool) "snapshots captured" true (Array.length snaps > 0);
+  Array.iter
+    (fun (sn : State.snapshot) ->
+      Alcotest.(check bool) "untimed snapshot has no cache state" true
+        (sn.State.cache = None))
+    snaps;
+  Array.iter
+    (fun (sn : State.snapshot) ->
+      Alcotest.(check bool) "timed snapshot keeps its cache state" true
+        (sn.State.cache <> None))
+    (Replay.snapshots (capture ~init_stride:4 ~target:8 d));
+  let cache = d.Decode.config.Casted_machine.Config.cache in
+  let snapshot = snaps.(Array.length snaps - 1) in
+  (match State.restore ~timed:true ~cache snapshot with
+  | _ -> Alcotest.fail "timed restore of an untimed snapshot succeeded"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names the cause: " ^ msg) true
+        (contains msg "untimed"));
+  (match Compile.run ~snapshot p with
+  | _ -> Alcotest.fail "timed run resumed an untimed snapshot"
+  | exception Invalid_argument _ -> ());
+  let resumed = Compile.run ~snapshot ~timed:false p in
+  let plain = Compile.run ~timed:false p in
+  Alcotest.(check string) "untimed resume reaches the golden output"
+    plain.Outcome.output resumed.Outcome.output;
+  Alcotest.(check int) "untimed resume counts the whole run"
+    plain.Outcome.dyn_insns resumed.Outcome.dyn_insns
+
 let suite =
   ( "replay",
     [
@@ -475,4 +559,8 @@ let suite =
         test_rollback_untimed_classes_match;
       Alcotest.test_case "campaign trials re-converge early" `Quick
         test_campaign_reconverges;
+      Alcotest.test_case "rollback replay = full-length on every workload"
+        `Slow test_rollback_replay_matches_full;
+      Alcotest.test_case "untimed snapshot refuses a timed restore" `Quick
+        test_untimed_snapshot_refuses_timed_restore;
     ] )

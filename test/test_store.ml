@@ -607,6 +607,22 @@ let test_missing_store_hint () =
             msg;
           Alcotest.(check bool) "not created" false (Sys.file_exists dir))
 
+(* A read-only open of an existing empty directory is a missing store
+   too: same message, and the directory stays empty. *)
+let test_empty_dir_not_initialised () =
+  with_store_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      match Store.open_dir dir with
+      | Ok _ -> Alcotest.fail "empty directory opened as a store"
+      | Error msg ->
+          Alcotest.(check string)
+            "message"
+            (dir
+           ^ ": no such store (a --store DIR campaign, repro or work creates \
+              one)")
+            msg;
+          Alcotest.(check (array string)) "still empty" [||] (Sys.readdir dir))
+
 let suite =
   ( "store",
     [
@@ -629,4 +645,5 @@ let suite =
         test_work_unit_without_fuel_broken;
       case "entries of the sharding-aware version" test_legacy_entries;
       case "missing store names how to create one" test_missing_store_hint;
+      case "empty directory is not a store" test_empty_dir_not_initialised;
     ] )
