@@ -16,7 +16,6 @@ module Engine = Casted_engine.Engine
 module Pool = Casted_exec.Pool
 module Obs = Casted_obs
 module Store = Casted_store.Store
-module Work = Casted_store.Work
 
 let version = "1.1.0"
 
@@ -75,8 +74,8 @@ let bench_arg =
     & opt benchmark_conv (Option.get (Registry.find "cjpeg"))
     & info [ "w"; "benchmark" ] ~doc)
 
-(* The positional benchmark list of [sweep], [scaling], [verify] and
-   [work]: [None] (no names given) means every benchmark. *)
+(* The positional benchmark list of [sweep], [scaling] and [verify]:
+   [None] (no names given) means every benchmark. *)
 let benchmarks_arg =
   let names = function
     | [] -> None
@@ -196,8 +195,8 @@ let store_arg =
 (* Subcommands return their exit code; the one [exit] is the last line
    of this file, so [with_obs] always writes its artifacts. An input
    that can only be checked when the command runs (a store directory,
-   CASTED_JOBS, the work queue) yields [Error msg]: [let*] prints it and
-   ends the subcommand with exit code 2. *)
+   CASTED_JOBS) yields [Error msg]: [let*] prints it and ends the
+   subcommand with exit code 2. *)
 let ( let* ) r k =
   match r with
   | Ok v -> k v
@@ -250,26 +249,50 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
+(* The reason of a [Sys_error] message, without the path it may name:
+   "PATH: reason" gives "reason". *)
+let sys_error_reason msg =
+  match String.rindex_opt msg ':' with
+  | Some i when i + 1 < String.length msg && msg.[i + 1] = ' ' ->
+      String.sub msg (i + 2) (String.length msg - i - 2)
+  | _ -> msg
+
 (* Run [f] with tracing/metrics enabled as requested, then emit the
-   artifacts — on every exit code, and even when [f] raises. *)
+   artifacts — on every exit code, and even when [f] raises. A trace
+   file that cannot be written is reported and fails the command: its
+   own non-zero code is kept, a 0 becomes 2. *)
 let with_obs ~trace ~metrics f =
   if metrics then Obs.Metrics.set_enabled true;
   if trace <> None then Obs.Trace.set_enabled true;
   Obs.Trace.name_track "main";
-  Fun.protect
-    ~finally:(fun () ->
-      (match trace with
-      | Some path ->
-          Obs.Sink.write_trace ~path;
-          Printf.eprintf "casted: wrote %d trace events to %s\n%!"
-            (List.length (Obs.Trace.events ()))
-            path
-      | None -> ());
-      if metrics then begin
-        print_newline ();
-        print_string (Obs.Sink.metrics_text ())
-      end)
-    f
+  let emit () =
+    let written =
+      match trace with
+      | None -> true
+      | Some path -> (
+          match Obs.Sink.write_trace ~path with
+          | () ->
+              Printf.eprintf "casted: wrote %d trace events to %s\n%!"
+                (List.length (Obs.Trace.events ()))
+                path;
+              true
+          | exception Sys_error msg ->
+              Printf.eprintf "casted: cannot write trace to %s: %s\n%!" path
+                (sys_error_reason msg);
+              false)
+    in
+    if metrics then begin
+      print_newline ();
+      print_string (Obs.Sink.metrics_text ())
+    end;
+    written
+  in
+  match f () with
+  | code -> if emit () || code <> 0 then code else 2
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (emit () : bool);
+      Printexc.raise_with_backtrace e bt
 
 (* Subcommands. *)
 
@@ -353,7 +376,7 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Reproduce Figs. 6-7: slowdowns over issue widths and delays")
     Term.(
-      const run $ benchmarks_arg $ size_arg $ jobs_arg $ trace_arg
+      const run $ benchmarks_arg $ size_arg_with W.Perf $ jobs_arg $ trace_arg
       $ metrics_arg)
 
 let scaling_cmd =
@@ -364,7 +387,7 @@ let scaling_cmd =
         0)
   in
   Cmd.v (Cmd.info "scaling" ~doc:"Reproduce Fig. 8: ILP scaling")
-    Term.(const run $ benchmarks_arg $ size_arg $ jobs_arg)
+    Term.(const run $ benchmarks_arg $ size_arg_with W.Perf $ jobs_arg)
 
 let faults_cmd =
   let run fig trials w model jobs trace metrics =
@@ -646,14 +669,12 @@ let pressure_cmd =
 
 let asm_cmd =
   let run file scheme issue delay emit =
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Casted_ir.Asm.parse text with
+    match
+      Result.bind
+        (try Ok (In_channel.with_open_text file In_channel.input_all)
+         with Sys_error msg -> Error (sys_error_reason msg))
+        Casted_ir.Asm.parse
+    with
     | Error msg ->
         Printf.eprintf "%s: %s\n" file msg;
         1
@@ -738,14 +759,19 @@ let fuzz_cmd =
       | Some f ->
           Format.printf "%a@." Casted_verify.Fuzz.pp_failure f;
           (match reproducer with
-          | Some path ->
-              let oc = open_out path in
-              output_string oc f.Casted_verify.Fuzz.asm;
-              close_out oc;
-              Printf.printf
-                "fuzz: wrote shrunk reproducer to %s (replay: casted fuzz \
-                 --seed %d --program %d)\n"
-                path seed f.Casted_verify.Fuzz.index
+          | Some path -> (
+              match
+                Out_channel.with_open_text path (fun oc ->
+                    output_string oc f.Casted_verify.Fuzz.asm)
+              with
+              | () ->
+                  Printf.printf
+                    "fuzz: wrote shrunk reproducer to %s (replay: casted \
+                     fuzz --seed %d --program %d)\n"
+                    path seed f.Casted_verify.Fuzz.index
+              | exception Sys_error msg ->
+                  Printf.eprintf "casted: cannot write reproducer to %s: %s\n"
+                    path (sys_error_reason msg))
           | None -> ());
           1
     in
@@ -818,18 +844,6 @@ let pp_counts ppf counts =
     counts;
   if !first then Format.pp_print_string ppf "empty"
 
-(* Re-run a persisted cell — a banked entry or a queued unit — from its
-   spec and identity fields; [None] when the spec names an unknown
-   workload, size, scheme or fault model. *)
-let persisted_campaign engine ?store ~seed ~fuel_factor ~retry_budget ~trials
-    spec =
-  Option.map
-    (fun (key, model) () ->
-      Engine.campaign_stored engine ~seed ~fuel_factor ~model
-        ?retry_budget:(Store.retry_budget_of_field retry_budget)
-        ?store ~trials key)
-    (Engine.key_of_spec spec)
-
 let store_ls_cmd =
   let run dir =
     let* s = Store.open_dir dir in
@@ -899,21 +913,23 @@ let store_audit_cmd =
         List.iter
           (fun (e : Store.entry) ->
             let k = e.Store.key in
-            match
-              Option.bind e.Store.spec
-                (persisted_campaign engine ~seed:k.Store.seed
-                   ~fuel_factor:k.Store.fuel_factor
-                   ~retry_budget:k.Store.retry_budget
-                   ~trials:e.Store.trials_done)
-            with
+            (* [None] when the spec names an unknown workload, size,
+               scheme or fault model. *)
+            match Option.bind e.Store.spec Engine.key_of_spec with
             | None ->
                 incr skipped;
                 Printf.eprintf
                   "casted: skipping %s (no reconstructible spec)\n"
                   (Store.address e.Store.key)
-            | Some campaign ->
+            | Some (key, model) ->
                 incr audited;
-                let r = (campaign ()).Engine.result in
+                let r =
+                  Engine.campaign engine ~seed:k.Store.seed
+                    ~fuel_factor:k.Store.fuel_factor ~model
+                    ?retry_budget:
+                      (Store.retry_budget_of_field k.Store.retry_budget)
+                    ~trials:e.Store.trials_done key
+                in
                 if
                   Montecarlo.counts r <> e.Store.counts
                   || r.Montecarlo.golden_cycles <> e.Store.golden_cycles
@@ -958,186 +974,20 @@ let store_audit_cmd =
     Term.(const run $ store_dir_pos $ sample $ jobs_arg)
 
 let store_gc_cmd =
-  let run dir force =
+  let run dir =
     let* s = Store.open_dir dir in
-    let tmp = Store.gc_tmp s in
-    let locks = Work.gc_locks ~force s in
-    Format.printf "gc: removed %d tmp files, %d stale locks@." tmp locks;
+    Format.printf "gc: removed %d tmp files@." (Store.gc_tmp s);
     0
   in
-  let force =
-    Arg.(
-      value & flag
-      & info [ "force" ]
-          ~doc:
-            "Remove every lock, not just stale ones (only safe when no \
-             worker is running).")
-  in
   Cmd.v
-    (Cmd.info "gc"
-       ~doc:
-         "Sweep debris: orphan tmp files from killed writers and stale \
-          locks of dead workers")
-    Term.(const run $ store_dir_pos $ force)
+    (Cmd.info "gc" ~doc:"Sweep debris: orphan tmp files from killed writers")
+    Term.(const run $ store_dir_pos)
 
 let store_cmd =
   Cmd.group
     (Cmd.info "store"
        ~doc:"Inspect, audit and garbage-collect a persistent result store")
     [ store_ls_cmd; store_audit_cmd; store_gc_cmd ]
-
-(* The worker: claim identity-keyed units from DIR/queue and stream
-   tallies into the store. *)
-
-let work_cmd =
-  let run store_dir benchmarks schemes issues delays models trials seed fuel
-      enqueue enqueue_only jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let* s = Store.open_dir ~create:true store_dir in
-    if enqueue || enqueue_only then begin
-      let enqueued = ref 0 in
-      let enqueue_unit workload scheme issue delay model =
-        let u =
-          {
-            Work.workload;
-            size = "fault";
-            scheme = Scheme.name scheme;
-            issue;
-            delay;
-            model = Casted_sim.Fault.model_name model;
-            seed;
-            trials;
-            fuel_factor = fuel;
-            retry_budget = -1;
-          }
-        in
-        if Work.enqueue s u then incr enqueued
-      in
-      let each xs f = List.iter f xs in
-      each (Option.value benchmarks ~default:(Registry.names ())) (fun w ->
-          each schemes (fun sc ->
-              each issues (fun i ->
-                  each delays (fun d -> each models (enqueue_unit w sc i d)))));
-      Format.printf "work: enqueued %d new units@." !enqueued
-    end;
-    if enqueue_only then 0
-    else
-      let* units = Work.units s in
-      let ran = ref 0 and busy = ref 0 and broken = ref 0 in
-      let served = ref 0 and simulated = ref 0 in
-      with_engine jobs @@ fun engine ->
-      List.iter
-        (function
-          | Error msg ->
-              incr broken;
-              Printf.eprintf "casted: %s\n" msg
-          | Ok (u : Work.unit_spec) -> (
-              match
-                persisted_campaign engine ~store:s ~seed:u.Work.seed
-                  ~fuel_factor:u.Work.fuel_factor
-                  ~retry_budget:u.Work.retry_budget ~trials:u.Work.trials
-                  (Work.spec u)
-              with
-              | Some campaign -> (
-                  match Work.claim s u with
-                  | Work.Busy owner ->
-                      incr busy;
-                      Format.printf "work: %s busy (%s)@." (Work.address u)
-                        owner
-                  | Work.Claimed ->
-                      Fun.protect
-                        ~finally:(fun () -> Work.release s u)
-                        (fun () ->
-                          let sc = campaign () in
-                          incr ran;
-                          served := !served + sc.Engine.served;
-                          simulated := !simulated + sc.Engine.simulated;
-                          Format.printf "work: %s — %d served, %d simulated@."
-                            (Work.address u) sc.Engine.served
-                            sc.Engine.simulated))
-              | None ->
-                  incr broken;
-                  Printf.eprintf
-                    "casted: unit %s names an unknown workload/scheme/model \
-                     — skipping\n"
-                    (Work.address u)))
-        units;
-      Format.printf
-        "work: %d units run (%d trials served from the store, %d simulated), \
-         %d busy, %d broken@."
-        !ran !served !simulated !busy !broken;
-      if !broken = 0 then 0 else 1
-  in
-  let schemes =
-    Arg.(
-      value
-      & opt (list scheme_conv) [ Scheme.Casted ]
-      & info [ "schemes" ] ~docv:"S,.."
-          ~doc:"Schemes for $(b,--enqueue) (comma-separated).")
-  in
-  let issues =
-    Arg.(
-      value
-      & opt (list issue_conv) [ 2 ]
-      & info [ "issues" ] ~docv:"I,.." ~doc:"Issue widths for $(b,--enqueue).")
-  in
-  let delays =
-    Arg.(
-      value
-      & opt (list delay_conv) [ 2 ]
-      & info [ "delays" ] ~docv:"D,.." ~doc:"Delays for $(b,--enqueue).")
-  in
-  let models =
-    Arg.(
-      value
-      & opt (list model_conv) [ Casted_sim.Fault.Reg_bit ]
-      & info [ "models" ] ~docv:"M,.."
-          ~doc:"Fault models for $(b,--enqueue).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0xCA57ED
-      & info [ "seed" ] ~docv:"S" ~doc:"Campaign seed for enqueued units.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (int_at_least 1) 10
-      & info [ "fuel" ] ~docv:"F" ~doc:"Fuel factor for enqueued units.")
-  in
-  let enqueue =
-    Arg.(
-      value & flag
-      & info [ "enqueue" ]
-          ~doc:
-            "First enqueue the benchmark × scheme × issue × delay × model \
-             matrix as work units, then drain the queue.")
-  in
-  let enqueue_only =
-    Arg.(
-      value & flag
-      & info [ "enqueue-only" ]
-          ~doc:"Enqueue the matrix and exit without claiming any unit.")
-  in
-  let store_req =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:"Result store directory holding the queue (created if absent).")
-  in
-  Cmd.v
-    (Cmd.info "work"
-       ~doc:
-         "Cooperative campaign worker: claim identity-keyed work units \
-          from the store's queue via crash-tolerant lock files, simulate \
-          each cell incrementally against the store, and release. Any \
-          number of workers (or hosts sharing the directory) can drain one \
-          queue; a killed worker's lock is broken automatically")
-    Term.(
-      const run $ store_req $ benchmarks_arg $ schemes $ issues $ delays $ models
-      $ trials_arg $ seed $ fuel $ enqueue $ enqueue_only $ jobs_arg
-      $ trace_arg $ metrics_arg)
 
 let repro_cmd =
   let run size trials store_dir jobs =
@@ -1191,8 +1041,8 @@ let main =
       list_cmd; compile_cmd; run_cmd; sweep_cmd; scaling_cmd; faults_cmd;
       campaign_cmd; dme_cmd; tables_cmd; recover_cmd; placement_cmd;
       profile_cmd;
-      pressure_cmd; asm_cmd; verify_cmd; fuzz_cmd; store_cmd;
-      work_cmd; repro_cmd; version_cmd;
+      pressure_cmd; asm_cmd; verify_cmd; fuzz_cmd; store_cmd; repro_cmd;
+      version_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -113,7 +113,7 @@ module Store = Casted_store.Store
 (* A store entry only round-trips into a campaign spec when the key has
    nothing beyond the explicit coordinates (default pass options) —
    exactly the keys the CLI builds. Anything else persists fine but
-   cannot be audited or re-enqueued from the entry alone. *)
+   cannot be audited from the entry alone. *)
 let spec_of_key (key : Cache.key) model =
   if
     key.Cache.options = Casted_detect.Options.default
@@ -224,7 +224,8 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
       in
       let spec = spec_of_key key model in
       let put r =
-        Store.put s (entry_of_result ~spec skey r);
+        Casted_obs.Trace.with_span ~cat:"store" "store.put" (fun () ->
+            Store.put s (entry_of_result ~spec skey r));
         bump_store t (fun c -> { c with store_writes = c.store_writes + 1 })
       in
       (* Bank the running tally after every finished 64-trial chunk, so

@@ -120,6 +120,22 @@ let mkdir_p path =
     try Unix.mkdir path 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
+(* Initialise a store in [dir]: a path that cannot be created (a file
+   on the way, an empty name, no permission) is an [Error] naming it. *)
+let initialise dir =
+  try
+    mkdir_p dir;
+    mkdir_p (Filename.concat dir "entries");
+    atomic_write ~path:(manifest_path dir) (magic ^ "\n");
+    Ok ()
+  with
+  | Unix.Unix_error (err, _, _) ->
+      Error
+        (Printf.sprintf "%s: cannot create store: %s" dir
+           (Unix.error_message err))
+  | Sys_error reason ->
+      Error (Printf.sprintf "%s: cannot create store: %s" dir reason)
+
 let open_dir ?(create = false) dir =
   let manifest = manifest_path dir in
   let init () =
@@ -159,17 +175,8 @@ let open_dir ?(create = false) dir =
        directory: without a MANIFEST there is no store. *)
     Error
       (Printf.sprintf
-         "%s: no such store (a --store DIR campaign, repro or work creates \
-          one)"
-         dir)
-  else begin
-    mkdir_p dir;
-    mkdir_p (Filename.concat dir "entries");
-    mkdir_p (Filename.concat dir "queue");
-    mkdir_p (Filename.concat dir "locks");
-    atomic_write ~path:manifest (magic ^ "\n");
-    Ok (init ())
-  end
+         "%s: no such store (a --store DIR campaign or repro creates one)" dir)
+  else Result.map init (initialise dir)
 
 let open_exn ?create dir =
   match open_dir ?create dir with
@@ -424,8 +431,6 @@ let gc_tmp ?(age_s = 60.0) t =
         (Sys.readdir dir)
   in
   sweep (entries_dir t);
-  sweep (Filename.concat t.dir "queue");
-  sweep (Filename.concat t.dir "locks");
   sweep t.dir;
   !removed
 

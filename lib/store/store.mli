@@ -16,9 +16,10 @@
     {v
     DIR/MANIFEST            "casted-store v1" — version sentinel
     DIR/entries/<md5>.entry one tally per campaign cell
-    DIR/queue/<md5>.unit    work units (see {!Work})
-    DIR/locks/<md5>.lock    in-flight claims (see {!Work})
     v}
+
+    Anything else in the directory, such as what older versions kept
+    beside the entries, is ignored and left in place.
 
     An entry's filename is the MD5 of its canonical key string, so the
     key {e is} the address: two processes writing the same cell write
@@ -96,7 +97,7 @@ val hash : key -> string
     data-corrupt, timeout, recovered);
     [trials_done] always equals the sum of [counts]. The [spec_*]
     fields, when present, record the explicit cell coordinates so
-    [casted store audit] and workers can rebuild the campaign; an entry
+    [casted store audit] can rebuild the campaign; an entry
     written from a non-reconstructible spec (non-default pass options)
     has [spec = None]. *)
 type spec = {
@@ -124,9 +125,10 @@ type t
 (** [open_dir ~create dir] opens (or with [create], initialises) a
     store directory, verifying the MANIFEST version sentinel. A
     directory that exists but is not a store, or a store written by an
-    unknown version, is a loud [Error] — never silently reused. Without
-    [create], a directory with no MANIFEST, missing or empty, is "no
-    such store", and nothing is created. *)
+    unknown version, is a loud [Error] — never silently reused; so is a
+    path [create] cannot make. Without [create], a directory with no
+    MANIFEST, missing or empty, is "no such store", and nothing is
+    created. *)
 val open_dir : ?create:bool -> string -> (t, string) result
 
 (** {!open_dir}, raising [Invalid_argument] on error. *)
@@ -162,7 +164,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** Atomic write helper shared with {!Work}: writes [content] to
-    [path] via a tmp file unique to this process, then renames. *)
-val atomic_write : path:string -> string -> unit

@@ -15,9 +15,7 @@
 #      planted in part 2's killed store, `casted store audit`
 #      re-simulates a banked entry and agrees with it, and an entry of
 #      one shard of a cell (written before sharding was retired) is a
-#      located error in `casted store ls` and `audit`, not a crash;
-#   5. worker queue drill — `casted work --enqueue` fills a matrix,
-#      a second drain of the same queue simulates nothing.
+#      located error in `casted store ls` and `audit`, not a crash.
 #
 # The SIGKILL drill polls for the first banked entry and kills at once;
 # TRIALS must be long enough that the kill lands mid-run.
@@ -179,20 +177,6 @@ for cmd in ls audit; do
     exit 1
   fi
 done
-
-echo "== worker queue drill: enqueue a matrix, drain it twice"
-wstore="$workdir/wstore"
-"$BIN" work --store "$wstore" --enqueue cjpeg h263dec --schemes casted,tmr \
-  --trials 120 --jobs 2 > "$workdir/work1.out"
-grep -q "enqueued 4 new units" "$workdir/work1.out"
-grep -q "4 units run" "$workdir/work1.out"
-"$BIN" work --store "$wstore" --jobs 2 > "$workdir/work2.out"
-if ! grep -q "4 units run (480 trials served from the store, 0 simulated)" \
-    "$workdir/work2.out"; then
-  echo "store_check: second queue drain re-simulated banked cells" >&2
-  cat "$workdir/work2.out" >&2
-  exit 1
-fi
 
 echo "store_check: OK — warm store serves campaigns with zero simulation,"
 echo "             early-stop cells stop where storeless runs stop, and a"

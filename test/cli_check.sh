@@ -4,10 +4,16 @@
 #      as a usage error (exit 124) that names the argument, before any
 #      side effect and without an uncaught exception;
 #   2. --trace and --metrics output is written on the non-zero exit
-#      paths of `campaign` (3: inapplicable cell, 1: failed gate) and
-#      `work` (2: not a store).
-# Every case fails before or right after one tiny campaign, so the
-# whole check takes well under a second.
+#      paths of `campaign` (3: inapplicable cell, 1: failed gate, 2: not
+#      a store);
+#   3. a path that cannot be used (a store that cannot be created, a
+#      directory given to `asm`, an unwritable --trace file) is a
+#      located message with a documented exit code, not an uncaught
+#      exception;
+#   4. `sweep` defaults to the perf-size inputs `repro` uses for
+#      Figs. 6-8.
+# Every case fails before or right after one tiny campaign or a
+# one-benchmark sweep, so the whole check takes about a second.
 #
 # usage: cli_check.sh CASTED_EXE      (run by `dune runtest`)
 
@@ -44,13 +50,9 @@ for cmd in compile run profile pressure placement campaign recover dme \
   # $cmd is split on purpose: "faults --fig 9" is a subcommand + option.
   unknown_benchmark "option '-w'" $cmd -w nonesuch
 done
-for cmd in sweep scaling verify "work --store wq --enqueue-only"; do
+for cmd in sweep scaling verify; do
   unknown_benchmark "BENCHMARK" $cmd nonesuch
 done
-if [ -e wq ]; then
-  echo "cli_check: work created its store before rejecting the benchmark" >&2
-  failed=1
-fi
 
 valid_json() {
   if command -v python3 > /dev/null; then
@@ -82,7 +84,38 @@ grep -q "^sim.runs " out.txt || fail "inapplicable campaign: no metrics table"
 observed 1 gate.json campaign -w cjpeg -s noed --trials 8 --min-recovered 90
 grep -q "^sim.runs " out.txt || fail "failed gate: no metrics table"
 mkdir not-a-store && touch not-a-store/README
-observed 2 work.json work --store not-a-store
-grep -q "no MANIFEST" err.txt || fail "work on a foreign directory: wrong message"
+observed 2 store.json campaign --trials 8 --store not-a-store
+grep -q "no MANIFEST" err.txt \
+  || fail "campaign on a foreign directory: wrong message"
+
+# usage: located EXPECTED-EXIT MESSAGE COMMAND [OPTIONS...]
+located() {
+  want=$1
+  message=$2
+  shift 2
+  rc=0
+  "$casted" "$@" > out.txt 2> err.txt || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    fail "casted $*: exit $rc, expected $want"
+  elif grep -q "uncaught exception" err.txt; then
+    fail "casted $*: uncaught exception"
+  elif ! grep -q -- "$message" err.txt; then
+    fail "casted $*: message does not say '$message'"
+  fi
+}
+
+touch afile
+located 2 "afile/sub: cannot create store: Not a directory" \
+  campaign --trials 8 --store afile/sub
+located 2 "afile/sub: cannot create store: Not a directory" \
+  repro --trials 8 --store afile/sub
+located 1 "^.: Is a directory" asm .
+located 2 "cannot write trace to missing/t.json: No such file or directory" \
+  run -w cjpeg --trace missing/t.json
+
+"$casted" sweep cjpeg -j 2 > default.txt 2> err.txt
+"$casted" sweep --size perf cjpeg -j 2 > perf.txt 2>> err.txt
+cmp -s default.txt perf.txt \
+  || fail "sweep cjpeg: the default size is not the perf size repro uses"
 
 exit "$failed"

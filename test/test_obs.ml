@@ -4,6 +4,7 @@ module Metrics = Casted_obs.Metrics
 module Trace = Casted_obs.Trace
 module Pool = Casted_exec.Pool
 module Montecarlo = Casted_sim.Montecarlo
+module Engine = Casted_engine.Engine
 
 (* Every test that enables collection turns it back off and clears the
    global registries, so the rest of the suite runs unobserved
@@ -264,7 +265,34 @@ let test_tracing_does_not_perturb () =
     (plain.Outcome.termination = traced.Outcome.termination);
   Alcotest.(check string) "same output" plain.Outcome.output
     traced.Outcome.output;
-  Alcotest.(check int) "same cycles" plain.Outcome.cycles traced.Outcome.cycles
+  Alcotest.(check int) "same cycles" plain.Outcome.cycles traced.Outcome.cycles;
+  (* A stored campaign banks every finished chunk but the last, then
+     its final tally, under [store.put] spans; its tally is the
+     untraced one. *)
+  let spec =
+    Casted_engine.Cache.key ~workload:"cjpeg"
+      ~size:Casted_workloads.Workload.Fault ~scheme:Scheme.Casted
+      ~issue_width:2 ~delay:2 ()
+  in
+  let stored () =
+    with_store (fun store ->
+        Engine.with_engine ~jobs:2 (fun e ->
+            Engine.campaign e ~seed:11 ~store ~trials:128 spec))
+  in
+  let untraced = stored () in
+  let traced, puts =
+    with_trace (fun () ->
+        let r = stored () in
+        ( r,
+          List.filter
+            (fun (ev : Trace.event) ->
+              ev.Trace.name = "store.put" && ev.Trace.cat = "store")
+            (Trace.events ()) ))
+  in
+  Alcotest.(check bool) "stored tally identical with tracing on" true
+    (untraced = traced);
+  Alcotest.(check int) "store.put for the first chunk and the tally" 2
+    (List.length puts)
 
 let suite =
   ( "obs",

@@ -1,10 +1,9 @@
 (* The persistent result store: content addressing, atomic writes,
-   corruption refusal, incremental campaigns, entries of older versions
-   and the work queue. *)
+   corruption refusal, incremental campaigns and stores written by
+   older versions. *)
 
 open Helpers
 module Store = Casted_store.Store
-module Work = Casted_store.Work
 module Engine = Casted_engine.Engine
 module Cache = Casted_engine.Cache
 module Montecarlo = Casted_sim.Montecarlo
@@ -46,23 +45,7 @@ let test_address_golden () =
   Alcotest.(check string)
     "early-stop cell address, integral target"
     "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1|trials=256|ci=2"
-    (Store.address (Store.early_stop ~ci_halfwidth:2.0 full));
-  Alcotest.(check string)
-    "work unit address"
-    "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|trials=256|fuel=10|retry=-1"
-    (Work.address
-       {
-         Work.workload = "cjpeg";
-         size = "fault";
-         scheme = "CASTED";
-         issue = 2;
-         delay = 2;
-         model = "reg-bit";
-         seed = 7;
-         trials = 256;
-         fuel_factor = 10;
-         retry_budget = -1;
-       })
+    (Store.address (Store.early_stop ~ci_halfwidth:2.0 full))
 
 let sample_entry ?(identity = "cjpeg/fault/CASTED/i2/d2/reg-bit")
     ?(trials = 100) ?(counts = [| 10; 85; 3; 1; 1; 0 |]) () =
@@ -117,16 +100,56 @@ let test_roundtrip () =
       Alcotest.(check bool) "bytes flowed" true
         (st.Store.bytes_written > 0 && st.Store.bytes_read > 0))
 
+(* Entries persist across reopen, also in a store written by a version
+   with the cross-process work queue: the queue's unit and lock files
+   are ignored, served around and never deleted. *)
 let test_reopen_persists () =
   with_store_dir (fun dir ->
       let e = sample_entry () in
-      Store.put (Store.open_exn ~create:true dir) e;
-      match Store.find (Store.open_exn ~create:false dir) e.Store.key with
+      let s = Store.open_exn ~create:true dir in
+      Store.put s e;
+      let campaign s =
+        Engine.with_engine ~jobs:1 (fun engine ->
+            Engine.campaign_stored engine ~seed:3 ~store:s ~trials:64 spec)
+      in
+      let banked = campaign s in
+      let plant sub name =
+        let d = Filename.concat dir sub in
+        Unix.mkdir d 0o755;
+        let path = Filename.concat d name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc "legacy\n");
+        let two_minutes_ago = Unix.gettimeofday () -. 120.0 in
+        Unix.utimes path two_minutes_ago two_minutes_ago;
+        path
+      in
+      let legacy = [ plant "queue" "x.unit"; plant "locks" "x.lock" ] in
+      let s =
+        match Store.open_dir ~create:false dir with
+        | Ok s -> s
+        | Error msg -> Alcotest.fail msg
+      in
+      (match Store.find s e.Store.key with
       | Ok (Some got) ->
           Alcotest.(check (array int)) "counts survive reopen" e.Store.counts
             got.Store.counts
       | Ok None -> Alcotest.fail "entry lost across reopen"
-      | Error msg -> Alcotest.fail msg)
+      | Error msg -> Alcotest.fail msg);
+      (match Store.list s with
+      | Ok [ Ok _; Ok _ ] -> ()
+      | Ok l ->
+          Alcotest.failf "list: %d results, expected 2 entries" (List.length l)
+      | Error msg -> Alcotest.fail msg);
+      let served = campaign s in
+      Alcotest.(check int) "banked cell simulated nothing" 0
+        served.Engine.simulated;
+      same_result "banked cell served unchanged" served.Engine.result
+        banked.Engine.result;
+      Alcotest.(check int) "gc removed nothing" 0 (Store.gc_tmp s);
+      List.iter
+        (fun path ->
+          Alcotest.(check bool) (path ^ " left in place") true
+            (Sys.file_exists path))
+        legacy)
 
 (* gc sweeps only orphan tmp files past the age threshold: a SIGKILLed
    writer's aged debris goes, a writer's fresh tmp file and the real
@@ -221,14 +244,29 @@ let test_corruption_refused () =
       expect_error "unknown store version opened"
         (Store.open_dir ~create:false dir))
 
+(* A directory that is not a store is refused, and a path that cannot
+   be created is an [Error] naming it, not an escaping exception. *)
 let test_open_refuses_non_store () =
   with_store_dir (fun dir ->
       Unix.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir "README") in
+      let readme = Filename.concat dir "README" in
+      let oc = open_out readme in
       output_string oc "not a store\n";
       close_out oc;
       expect_error "non-store directory adopted"
-        (Store.open_dir ~create:true dir))
+        (Store.open_dir ~create:true dir);
+      List.iter
+        (fun (path, reason) ->
+          match Store.open_dir ~create:true path with
+          | Ok _ -> Alcotest.failf "%S: store created" path
+          | Error msg ->
+              Alcotest.(check string) "message"
+                (path ^ ": cannot create store: " ^ reason)
+                msg)
+        [
+          (Filename.concat readme "sub", "Not a directory");
+          ("", "No such file or directory");
+        ])
 
 (* The tentpole regression: a campaign run twice against the same store
    simulates zero trials the second time and returns the bit-identical
@@ -383,120 +421,6 @@ let test_early_stop_cells () =
   | (_ : Store.key) -> Alcotest.fail "non-finite target: no exception"
   | exception Invalid_argument _ -> ()
 
-let test_work_queue_and_claims () =
-  with_store (fun s ->
-      let u =
-        {
-          Work.workload = "cjpeg";
-          size = "fault";
-          scheme = "CASTED";
-          issue = 2;
-          delay = 2;
-          model = "reg-bit";
-          seed = 7;
-          trials = 64;
-          fuel_factor = 10;
-          retry_budget = -1;
-        }
-      in
-      Alcotest.(check bool) "first enqueue" true (Work.enqueue s u);
-      Alcotest.(check bool) "idempotent enqueue" false (Work.enqueue s u);
-      (match Work.units s with
-      | Ok [ Ok got ] ->
-          Alcotest.(check string) "unit round-trips" (Work.address u)
-            (Work.address got)
-      | Ok l -> Alcotest.failf "expected one unit, got %d" (List.length l)
-      | Error msg -> Alcotest.fail msg);
-      (match Work.claim s u with
-      | Work.Claimed -> ()
-      | Work.Busy o -> Alcotest.failf "fresh unit busy (%s)" o);
-      (* A live claim (our own pid) is not stealable. *)
-      (match Work.claim s u with
-      | Work.Busy _ -> ()
-      | Work.Claimed -> Alcotest.fail "double-claimed a held lock");
-      Work.release s u;
-      (match Work.claim s u with
-      | Work.Claimed -> ()
-      | Work.Busy o -> Alcotest.failf "released unit busy (%s)" o);
-      Work.release s u)
-
-(* A queued unit with no fuel would bank a tally of timeouts: reading
-   the queue reports it as a broken unit, naming the field. *)
-let test_work_unit_without_fuel_broken () =
-  with_store (fun s ->
-      let u =
-        {
-          Work.workload = "cjpeg";
-          size = "fault";
-          scheme = "CASTED";
-          issue = 2;
-          delay = 2;
-          model = "reg-bit";
-          seed = 7;
-          trials = 64;
-          fuel_factor = 0;
-          retry_budget = -1;
-        }
-      in
-      ignore (Work.enqueue s u : bool);
-      match Work.units s with
-      | Ok [ Error msg ] ->
-          Alcotest.(check bool) "message names fuel_factor" true
-            (contains msg "fuel_factor must be at least 1")
-      | Ok [ Ok _ ] -> Alcotest.fail "a unit without fuel was accepted"
-      | Ok l -> Alcotest.failf "expected one unit, got %d" (List.length l)
-      | Error msg -> Alcotest.fail msg)
-
-let test_work_stale_lock_broken () =
-  with_store_dir (fun dir ->
-      let s = Store.open_exn ~create:true dir in
-      let u =
-        {
-          Work.workload = "cjpeg";
-          size = "fault";
-          scheme = "CASTED";
-          issue = 2;
-          delay = 2;
-          model = "reg-bit";
-          seed = 7;
-          trials = 64;
-          fuel_factor = 10;
-          retry_budget = -1;
-        }
-      in
-      ignore (Work.enqueue s u);
-      (* Forge a lock owned by a dead pid on this host — what a
-         SIGKILLed worker leaves behind. *)
-      let lock =
-        Filename.concat
-          (Filename.concat dir "locks")
-          (Work.hash u ^ ".lock")
-      in
-      let dead_pid =
-        (* A pid that is almost surely unused; if it happens to be live,
-           walk forward. *)
-        let rec hunt p =
-          match Unix.kill p 0 with
-          | () -> hunt (p + 1)
-          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> p
-          | exception Unix.Unix_error _ -> p
-        in
-        hunt 3999983
-      in
-      let oc = open_out lock in
-      Printf.fprintf oc "%d@%s\n" dead_pid (Unix.gethostname ());
-      close_out oc;
-      (match Work.claim s u with
-      | Work.Claimed -> ()
-      | Work.Busy o -> Alcotest.failf "stale lock not broken (owner %s)" o);
-      Work.release s u;
-      (* gc_locks sweeps a forged stale lock the same way. *)
-      let oc = open_out lock in
-      Printf.fprintf oc "%d@%s\n" dead_pid (Unix.gethostname ());
-      close_out oc;
-      Alcotest.(check int) "gc removed the stale lock" 1 (Work.gc_locks s);
-      Alcotest.(check int) "nothing left to gc" 0 (Work.gc_locks s))
-
 (* Entries as the last sharding-aware version wrote them: every entry
    carries a [shard=] line. A full (0/1) entry and an early-stop entry
    keep their addresses and are served unchanged; one shard's share of
@@ -602,8 +526,7 @@ let test_missing_store_hint () =
           Alcotest.(check string)
             "message"
             (dir
-           ^ ": no such store (a --store DIR campaign, repro or work creates \
-              one)")
+           ^ ": no such store (a --store DIR campaign or repro creates one)")
             msg;
           Alcotest.(check bool) "not created" false (Sys.file_exists dir))
 
@@ -618,8 +541,7 @@ let test_empty_dir_not_initialised () =
           Alcotest.(check string)
             "message"
             (dir
-           ^ ": no such store (a --store DIR campaign, repro or work creates \
-              one)")
+           ^ ": no such store (a --store DIR campaign or repro creates one)")
             msg;
           Alcotest.(check (array string)) "still empty" [||] (Sys.readdir dir))
 
@@ -639,10 +561,6 @@ let suite =
         test_incremental_extend;
       case "early-stop cells stop, re-serve and resume identically"
         test_early_stop_cells;
-      case "work queue enqueue/claim/release" test_work_queue_and_claims;
-      case "stale lock of a dead worker is broken" test_work_stale_lock_broken;
-      case "queued unit without fuel is broken"
-        test_work_unit_without_fuel_broken;
       case "entries of the sharding-aware version" test_legacy_entries;
       case "missing store names how to create one" test_missing_store_hint;
       case "empty directory is not a store" test_empty_dir_not_initialised;
