@@ -74,8 +74,8 @@ let bench_arg =
     & opt benchmark_conv (Option.get (Registry.find "cjpeg"))
     & info [ "w"; "benchmark" ] ~doc)
 
-(* The positional benchmark list of [sweep], [scaling] and [verify]:
-   [None] (no names given) means every benchmark. *)
+(* The positional benchmark list of [verify]: [None] (no names given)
+   means every benchmark. *)
 let benchmarks_arg =
   let names = function
     | [] -> None
@@ -361,98 +361,6 @@ let run_cmd =
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ size_arg
       $ trace_arg $ metrics_arg)
 
-let sweep_cmd =
-  let run benchmarks size jobs trace metrics =
-    with_obs ~trace ~metrics (fun () ->
-        with_engine jobs (fun engine ->
-            let sweep = Report.Perf_sweep.run ~engine ~size ?benchmarks () in
-            print_string (Report.Perf_sweep.render_all sweep);
-            print_string
-              (Report.Perf_sweep.render_summary
-                 (Report.Perf_sweep.summarize sweep));
-            0))
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Reproduce Figs. 6-7: slowdowns over issue widths and delays")
-    Term.(
-      const run $ benchmarks_arg $ size_arg_with W.Perf $ jobs_arg $ trace_arg
-      $ metrics_arg)
-
-let scaling_cmd =
-  let run benchmarks size jobs =
-    with_engine jobs (fun engine ->
-        let sweep = Report.Perf_sweep.run ~engine ~size ?benchmarks () in
-        print_string (Report.Scaling.render_all sweep);
-        0)
-  in
-  Cmd.v (Cmd.info "scaling" ~doc:"Reproduce Fig. 8: ILP scaling")
-    Term.(const run $ benchmarks_arg $ size_arg_with W.Perf $ jobs_arg)
-
-let faults_cmd =
-  let run fig trials w model jobs trace metrics =
-    with_obs ~trace ~metrics (fun () ->
-        with_engine jobs (fun engine ->
-            let rows =
-              match fig with
-              | `Fig9 -> Report.Coverage.fig9 ~engine ~model ~trials ()
-              | `Fig10 ->
-                  Report.Coverage.fig10 ~engine ~model ~trials
-                    ~benchmark:w.W.name ()
-            in
-            Printf.printf "fault model: %s (rates ± 95%% Wilson half-width)\n"
-              (Casted_sim.Fault.model_name model);
-            print_string (Report.Coverage.render rows);
-            0))
-  in
-  let fig =
-    Arg.(
-      value
-      & opt (enum [ ("9", `Fig9); ("10", `Fig10) ]) `Fig9
-      & info [ "fig" ] ~doc:"Which figure to reproduce: 9 or 10.")
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Reproduce Figs. 9-10: Monte-Carlo fault coverage")
-    Term.(
-      const run $ fig $ trials_arg $ bench_arg $ model_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
-
-let dme_cmd =
-  let run w trials issue delay jobs trace metrics =
-    with_obs ~trace ~metrics (fun () ->
-        with_engine jobs (fun engine ->
-            let rows =
-              Report.Coverage.dme_coverage ~engine ~trials ~issue ~delay
-                ~benchmark:w.W.name ()
-            in
-            print_string (Report.Coverage.render_dme rows);
-            0))
-  in
-  Cmd.v
-    (Cmd.info "dme"
-       ~doc:
-         "DME escape coverage: the fraction of mem/xcluster silent data \
-          corruptions that escape CASTED's bit-identical replication but \
-          are caught by the decorrelated multi-version scheme")
-    Term.(
-      const run $ bench_arg $ trials_arg $ issue_arg $ delay_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
-
-let tables_cmd =
-  let run issue delay =
-    let config = Casted_machine.Config.dual_core ~issue_width:issue ~delay in
-    print_endline "Table I: processor configuration";
-    print_string (Report.Static_tables.table1 config);
-    print_endline "\nTable II: benchmarks";
-    print_string (Report.Static_tables.table2 ());
-    print_endline "\nTable III: compiler-based error detection schemes";
-    print_string (Report.Static_tables.table3 ());
-    0
-  in
-  Cmd.v (Cmd.info "tables" ~doc:"Print the paper's static tables (I-III)")
-    Term.(const run $ issue_arg $ delay_arg)
-
 let retry_budget_arg =
   let doc =
     "Rollback retry budget: how many region re-executions a trial may \
@@ -550,41 +458,6 @@ let campaign_cmd =
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
       $ model_arg $ ci_halfwidth_arg $ retry_budget_arg $ min_recovered_arg
       $ store_arg $ jobs_arg $ trace_arg $ metrics_arg)
-
-let recover_cmd =
-  let run w issue delay trials model retry_budget jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_engine jobs @@ fun engine ->
-    print_string
-      (Report.Coverage.recovery_table ~engine ~model ?retry_budget ~trials
-         ~benchmark:w.W.name ~issue ~delay ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Run the recovery campaign: CASTED (detection), TMR (triplication \
-          + majority voting) and ROLLBACK (region checkpoints + bounded \
-          re-execution) side by side, with runtime overhead, recovered \
-          fraction and MWTF against the NOED baseline")
-    Term.(
-      const run $ bench_arg $ issue_arg $ delay_arg $ trials_arg $ model_arg
-      $ retry_budget_arg $ jobs_arg $ trace_arg $ metrics_arg)
-
-let placement_cmd =
-  let run w issue size =
-    (* A one-domain engine: placement only compiles, through the
-       engine's cache. *)
-    Engine.with_engine ~jobs:1 @@ fun engine ->
-    print_string
-      (Report.Utilization.placement_table ~engine ~benchmark:w.W.name ~size
-         ~issue_width:issue ~delays:[ 1; 2; 3; 4 ]);
-    0
-  in
-  Cmd.v
-    (Cmd.info "placement"
-       ~doc:"Show how DCED and CASTED distribute code across clusters")
-    Term.(const run $ bench_arg $ issue_arg $ size_arg)
 
 let profile_cmd =
   let run w scheme issue delay size n json =
@@ -990,24 +863,25 @@ let store_cmd =
     [ store_ls_cmd; store_audit_cmd; store_gc_cmd ]
 
 let repro_cmd =
-  let run size trials store_dir jobs =
+  let run size trials store_dir jobs trace metrics =
+    with_obs ~trace ~metrics @@ fun () ->
     let* store = open_store store_dir in
     let t0 = Obs.Clock.now_us () in
-    with_engine jobs (fun engine ->
-        print_string (Report.Repro.run ~engine ?store ~size ~trials ());
-        let c = Engine.store_counters engine in
-        Printf.eprintf "repro: %.1fs on %d jobs%s\n"
-          ((Obs.Clock.now_us () -. t0) /. 1e6)
-          (Engine.jobs engine)
-          (match store_dir with
-          | Some dir ->
-              Printf.sprintf
-                "; store %s: %d trials served, %d simulated; %d ablation \
-                 trials simulated outside the store"
-                dir c.Engine.trials_served c.Engine.trials_simulated
-                (Report.Repro.unstored_trials ~trials)
-          | None -> "");
-        0)
+    with_engine jobs @@ fun engine ->
+    print_string (Report.Repro.run ~engine ?store ~size ~trials ());
+    let c = Engine.store_counters engine in
+    Printf.eprintf "repro: %.1fs on %d jobs%s\n"
+      ((Obs.Clock.now_us () -. t0) /. 1e6)
+      (Engine.jobs engine)
+      (match store_dir with
+      | Some dir ->
+          Printf.sprintf
+            "; store %s: %d trials served, %d simulated; %d ablation trials \
+             simulated outside the store"
+            dir c.Engine.trials_served c.Engine.trials_simulated
+            (Report.Repro.unstored_trials ~trials)
+      | None -> "");
+    0
   in
   Cmd.v
     (Cmd.info "repro"
@@ -1021,8 +895,8 @@ let repro_cmd =
           late-CSE ablation's trials run outside the store every time and \
           are counted separately.")
     Term.(
-      const run $ size_arg_with W.Perf $ trials_arg $ store_arg
-      $ jobs_arg)
+      const run $ size_arg_with W.Perf $ trials_arg $ store_arg $ jobs_arg
+      $ trace_arg $ metrics_arg)
 
 let version_cmd =
   let run () =
@@ -1038,9 +912,7 @@ let main =
   Cmd.group
     (Cmd.info "casted" ~doc ~version)
     [
-      list_cmd; compile_cmd; run_cmd; sweep_cmd; scaling_cmd; faults_cmd;
-      campaign_cmd; dme_cmd; tables_cmd; recover_cmd; placement_cmd;
-      profile_cmd;
+      list_cmd; compile_cmd; run_cmd; campaign_cmd; profile_cmd;
       pressure_cmd; asm_cmd; verify_cmd; fuzz_cmd; store_cmd; repro_cmd;
       version_cmd;
     ]

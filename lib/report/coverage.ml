@@ -24,7 +24,7 @@ let campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme ~issue
   let result = Engine.campaign engine ?seed ?model ?store ~trials spec in
   { benchmark; scheme; issue; delay; result }
 
-let fig9 ~engine ?seed ?model ?store ?(trials = 300) ?benchmarks () =
+let fig9 ~engine ?seed ?store ~trials ?benchmarks () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Registry.names ()
   in
@@ -32,22 +32,21 @@ let fig9 ~engine ?seed ?model ?store ?(trials = 300) ?benchmarks () =
     (fun benchmark ->
       List.map
         (fun scheme ->
-          campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme
-            ~issue:2 ~delay:2 ())
+          campaign ~engine ?seed ?store ~trials ~benchmark ~scheme ~issue:2
+            ~delay:2 ())
         Scheme.all)
     benchmarks
 
-let fig10 ~engine ?seed ?model ?store ?(trials = 300) ?(benchmark = "h263dec")
-    ?(schemes = Scheme.all) () =
+let fig10 ~engine ?seed ?store ~trials () =
   List.concat_map
     (fun issue ->
       List.concat_map
         (fun delay ->
           List.map
             (fun scheme ->
-              campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme
-                ~issue ~delay ())
-            schemes)
+              campaign ~engine ?seed ?store ~trials ~benchmark:"h263dec"
+                ~scheme ~issue ~delay ())
+            Scheme.all)
         [ 1; 2; 3; 4 ])
     [ 1; 2; 3; 4 ]
 
@@ -100,13 +99,12 @@ type dme_escape = {
   caught_fraction : float;  (* (casted - dme) / casted SDC rate, >= 0 *)
 }
 
-let dme_coverage ~engine ?seed ?(models = [ Fault.Mem; Fault.Xcluster ])
-    ?store ?(trials = 2000) ?(issue = 2) ?(delay = 2) ~benchmark () =
+let dme_coverage ~engine ?seed ?store ~trials ~benchmark () =
   List.map
     (fun model ->
       let run scheme =
         (campaign ~engine ?seed ~model ?store ~trials ~benchmark ~scheme
-           ~issue ~delay ())
+           ~issue:2 ~delay:2 ())
           .result
       in
       let c = run Scheme.Casted and d = run Scheme.Dme in
@@ -123,7 +121,7 @@ let dme_coverage ~engine ?seed ?(models = [ Fault.Mem; Fault.Xcluster ])
         dme_sdc = Montecarlo.count d Montecarlo.Data_corrupt;
         caught_fraction = caught;
       })
-    models
+    [ Fault.Mem; Fault.Xcluster ]
 
 let render_dme rows =
   let headers =
@@ -156,16 +154,15 @@ let mwtf_string m =
   if Float.is_integer m && Float.abs m < 1e9 then Printf.sprintf "%.0f" m
   else Printf.sprintf "%.2f" m
 
-let recovery_table ~engine ?seed ?model ?retry_budget ?store ~trials
-    ~benchmark ~issue ~delay () =
-  let baseline_cycles = noed_cycles engine ~benchmark ~issue in
+let recovery_table ~engine ?seed ?store ~trials ~benchmark () =
+  let baseline_cycles = noed_cycles engine ~benchmark ~issue:2 in
   let results =
     List.map
       (fun scheme ->
         ( scheme,
-          Engine.campaign engine ?seed ?model ?retry_budget ?store ~trials
+          Engine.campaign engine ?seed ?store ~trials
             (Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
-               ~issue_width:issue ~delay ()) ))
+               ~issue_width:2 ~delay:2 ()) ))
       [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]
   in
   let row (scheme, r) =
@@ -180,11 +177,9 @@ let recovery_table ~engine ?seed ?model ?retry_budget ?store ~trials
   in
   String.concat ""
     (Printf.sprintf
-       "%s issue %d delay %d: %d %s trials per scheme (NOED baseline %d \
+       "%s issue 2 delay 2: %d reg-bit trials per scheme (NOED baseline %d \
         cycles)\n"
-       benchmark issue delay trials
-       (Fault.model_name (snd (List.hd results)).Montecarlo.model)
-       baseline_cycles
+       benchmark trials baseline_cycles
     :: Printf.sprintf "%-10s %9s %9s %10s %10s %6s %8s\n" "scheme"
          "overhead" "benign%" "recovered%" "detected%" "sdc%" "mwtf"
     :: List.map row results)

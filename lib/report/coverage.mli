@@ -41,26 +41,24 @@ val campaign :
   unit ->
   row
 
-(** Fig. 9: all benchmarks x all schemes at (issue, delay) = (2, 2). *)
+(** Fig. 9: all benchmarks (or [benchmarks]) x all schemes at (issue,
+    delay) = (2, 2), reg-bit faults. *)
 val fig9 :
   engine:Casted_engine.Engine.t ->
   ?seed:int ->
-  ?model:Casted_sim.Fault.model ->
   ?store:Casted_store.Store.t ->
-  ?trials:int ->
+  trials:int ->
   ?benchmarks:string list ->
   unit ->
   row list
 
-(** Fig. 10: one benchmark across issue widths 1–4 x delays 1–4. *)
+(** Fig. 10: h263dec under every scheme across issue widths 1–4 x
+    delays 1–4, reg-bit faults. *)
 val fig10 :
   engine:Casted_engine.Engine.t ->
   ?seed:int ->
-  ?model:Casted_sim.Fault.model ->
   ?store:Casted_store.Store.t ->
-  ?trials:int ->
-  ?benchmark:string ->
-  ?schemes:Scheme.t list ->
+  trials:int ->
   unit ->
   row list
 
@@ -69,10 +67,10 @@ val fig10 :
     cell (zero population, zero trials) renders as "n/a" cells. *)
 val render : row list -> string
 
-(** DME escape coverage on one benchmark: for each shared-resource
-    fault model (default [mem] and [xcluster]), the silent-corruption
-    counts under CASTED and under DME at the same configuration, and
-    the fraction of CASTED-escaping SDCs that DME converts into
+(** DME escape coverage on one benchmark at issue 2, delay 2: for each
+    shared-resource fault model ([mem] and [xcluster]), the
+    silent-corruption counts under CASTED and under DME, and the
+    fraction of CASTED-escaping SDCs that DME converts into
     detections ([max 0 ((casted - dme) / casted)] on SDC rates). *)
 type dme_escape = {
   escape_benchmark : string;
@@ -86,18 +84,15 @@ type dme_escape = {
 val dme_coverage :
   engine:Casted_engine.Engine.t ->
   ?seed:int ->
-  ?models:Casted_sim.Fault.model list ->
   ?store:Casted_store.Store.t ->
-  ?trials:int ->
-  ?issue:int ->
-  ?delay:int ->
+  trials:int ->
   benchmark:string ->
   unit ->
   dme_escape list
 
 val render_dme : dme_escape list -> string
 
-(** {2 Recovery (the [casted recover] table)} *)
+(** {2 Recovery} *)
 
 (** Fault-free cycles of the NOED build of [benchmark] at [issue]
     (fault-sized input): the baseline of runtime overheads and MWTF. *)
@@ -108,18 +103,16 @@ val noed_cycles :
     decimals ("inf" for a campaign without silent corruption). *)
 val mwtf_string : float -> string
 
-(** CASTED (detection), TMR and ROLLBACK campaigns on one cell side by
-    side: a title line, then one row per scheme with runtime overhead
-    over NOED, benign/recovered/detected/SDC percentages and MWTF. *)
+(** CASTED (detection), TMR and ROLLBACK reg-bit campaigns on one
+    benchmark at issue 2, delay 2 side by side (ROLLBACK with the
+    engine's default retry budget): a title line, then one row per
+    scheme with runtime overhead over NOED, benign/recovered/detected/
+    SDC percentages and MWTF. *)
 val recovery_table :
   engine:Casted_engine.Engine.t ->
   ?seed:int ->
-  ?model:Casted_sim.Fault.model ->
-  ?retry_budget:int ->
   ?store:Casted_store.Store.t ->
   trials:int ->
   benchmark:string ->
-  issue:int ->
-  delay:int ->
   unit ->
   string

@@ -50,11 +50,8 @@ val cycles : t -> benchmark:string -> scheme:Scheme.t -> issue:int ->
 val slowdown : t -> benchmark:string -> scheme:Scheme.t -> issue:int ->
   delay:int -> float
 
-(** One Fig-6/7 panel: for a benchmark and delay, a table of slowdowns
-    with a row per scheme and a column per issue width. *)
-val render_panel : t -> benchmark:string -> delay:int -> string
-
-(** All panels of Figs. 6 and 7. *)
+(** All panels of Figs. 6 and 7: for each benchmark and delay, a table
+    of slowdowns with a row per scheme and a column per issue width. *)
 val render_all : t -> string
 
 type summary = {

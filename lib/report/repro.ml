@@ -196,7 +196,7 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
        "Fig. 10: h263dec fault coverage across configurations (%d trials)"
        trials)
     (Coverage.render
-       (Coverage.fig10 ~engine ~seed ?store ~trials ~benchmark:"h263dec" ()));
+       (Coverage.fig10 ~engine ~seed ?store ~trials ()));
   section "Ablation: BUG tie-breaking (CASTED cycles, cjpeg)"
     (tie_break engine);
   section "Ablation: store-operand checks (cjpeg, issue 2 delay 2)"
@@ -206,15 +206,12 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
   let concat_map f xs = String.concat "" (List.map f xs) in
   section "Placement: where does the code go? (SS IV-B6, adaptivity)"
     (concat_map
-       (fun benchmark ->
-         Utilization.placement_table ~engine ~benchmark ~size:W.Fault
-           ~issue_width:2 ~delays:[ 1; 2; 3; 4 ])
+       (fun benchmark -> Utilization.placement_table ~engine ~benchmark)
        [ "cjpeg"; "181.mcf" ]);
   section "Recovery: CASTED vs TMR vs ROLLBACK (issue 2 delay 2)"
     (concat_map
        (fun benchmark ->
-         Coverage.recovery_table ~engine ~seed ?store ~trials ~benchmark
-           ~issue:2 ~delay:2 ())
+         Coverage.recovery_table ~engine ~seed ?store ~trials ~benchmark ())
        [ "cjpeg"; "h263dec" ]);
   section "DME escape coverage: CASTED vs DME (cjpeg, issue 2 delay 2)"
     (Coverage.render_dme

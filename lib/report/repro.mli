@@ -4,9 +4,7 @@
     the design ablations (BUG tie-breaking, store-operand checks,
     perfect cache, late CSE/DCE on hardened code, partial redundancy),
     the placement analysis, and the TMR/ROLLBACK recovery and DME
-    extensions, through the same renderers the single-figure [casted]
-    subcommands use. One {!Perf_sweep.run} feeds both Figs. 6-7 and
-    Fig. 8.
+    extensions. One {!Perf_sweep.run} feeds both Figs. 6-7 and Fig. 8.
 
     The returned text is a pure function of the arguments: it carries
     no timings and no pool size, so two runs (any [jobs], cold or warm

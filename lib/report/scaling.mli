@@ -13,8 +13,7 @@ val speedup :
   delay:int ->
   float
 
-(** One Fig-8 panel: rows = scheme, columns = issue width, at the given
-    delay (the paper does not state the delay; we record it). *)
-val render_panel : Perf_sweep.t -> benchmark:string -> delay:int -> string
-
-val render_all : ?delay:int -> Perf_sweep.t -> string
+(** Every Fig-8 panel, one per benchmark: rows = scheme, columns =
+    issue width, at delay 1 (the paper does not state the delay; each
+    panel's title records it). *)
+val render_all : Perf_sweep.t -> string

@@ -58,14 +58,16 @@ let detection_remote_fraction t = frac t.detection_remote t.detection_total
 let original_remote_fraction t = frac t.original_remote t.original_total
 let occupancy_of_run = Casted_sim.Outcome.occupancy
 
-let placement_table ~engine ~benchmark ~size ~issue_width ~delays =
+let placement_table ~engine ~benchmark =
+  let delays = [ 1; 2; 3; 4 ] in
   let row scheme =
     Scheme.name scheme
     :: List.map
          (fun delay ->
            let c =
              Engine.compile engine
-               (Cache.key ~workload:benchmark ~size ~scheme ~issue_width
+               (Cache.key ~workload:benchmark
+                  ~size:Casted_workloads.Workload.Fault ~scheme ~issue_width:2
                   ~delay ())
            in
            let u = analyze c.Pipeline.schedule in
@@ -79,6 +81,6 @@ let placement_table ~engine ~benchmark ~size ~issue_width ~delays =
     :: List.map (fun d -> Printf.sprintf "delay %d" d) delays
   in
   Printf.sprintf
-    "%s, issue %d: detection / original code placed on the remote cluster\n%s"
-    benchmark issue_width
+    "%s, issue 2: detection / original code placed on the remote cluster\n%s"
+    benchmark
     (Table.render ~headers [ row Scheme.Dced; row Scheme.Casted ])

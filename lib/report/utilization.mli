@@ -30,13 +30,9 @@ val original_remote_fraction : t -> float
     simulator's own slot counters ([= Casted_sim.Outcome.occupancy]). *)
 val occupancy_of_run : Casted_sim.Outcome.run -> float
 
-(** A table of remote-placement fractions per scheme and delay for one
-    benchmark — the "adaptivity visualised" report. Each schedule is
-    compiled through [engine]'s cache. *)
+(** A table of remote-placement fractions of DCED and CASTED at issue
+    2, delays 1–4, for one fault-sized benchmark — the "adaptivity
+    visualised" report. Each schedule is compiled through [engine]'s
+    cache. *)
 val placement_table :
-  engine:Casted_engine.Engine.t ->
-  benchmark:string ->
-  size:Casted_workloads.Workload.size ->
-  issue_width:int ->
-  delays:int list ->
-  string
+  engine:Casted_engine.Engine.t -> benchmark:string -> string

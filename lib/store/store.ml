@@ -149,7 +149,10 @@ let open_dir ?(create = false) dir =
       bytes_written = 0;
     }
   in
-  if Sys.file_exists manifest then begin
+  (* "" would resolve MANIFEST against the working directory, so the
+     same command would open whichever store it happens to run in. *)
+  if dir = "" then Error "\"\": empty store path"
+  else if Sys.file_exists manifest then begin
     let content = String.trim (read_file manifest) in
     if String.equal content magic then Ok (init ())
     else

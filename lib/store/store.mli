@@ -128,7 +128,8 @@ type t
     unknown version, is a loud [Error] — never silently reused; so is a
     path [create] cannot make. Without [create], a directory with no
     MANIFEST, missing or empty, is "no such store", and nothing is
-    created. *)
+    created. An empty path is an [Error] too, wherever the process
+    runs. *)
 val open_dir : ?create:bool -> string -> (t, string) result
 
 (** {!open_dir}, raising [Invalid_argument] on error. *)

@@ -2,18 +2,17 @@
 # The casted CLI input contract, checked on the built binary:
 #   1. every subcommand that takes a benchmark rejects an unknown name
 #      as a usage error (exit 124) that names the argument, before any
-#      side effect and without an uncaught exception;
+#      side effect and without an uncaught exception; a retired
+#      subcommand is a usage error too;
 #   2. --trace and --metrics output is written on the non-zero exit
 #      paths of `campaign` (3: inapplicable cell, 1: failed gate, 2: not
-#      a store);
-#   3. a path that cannot be used (a store that cannot be created, a
-#      directory given to `asm`, an unwritable --trace file) is a
-#      located message with a documented exit code, not an uncaught
-#      exception;
-#   4. `sweep` defaults to the perf-size inputs `repro` uses for
-#      Figs. 6-8.
+#      a store) and by `repro`, whose report tracing leaves unchanged;
+#   3. a path that cannot be used (a store that cannot be created, an
+#      empty store path, a directory given to `asm`, an unwritable
+#      --trace file) is a located message with a documented exit code,
+#      not an uncaught exception.
 # Every case fails before or right after one tiny campaign or a
-# one-benchmark sweep, so the whole check takes about a second.
+# fault-size repro at 8 trials, so the whole check takes a few seconds.
 #
 # usage: cli_check.sh CASTED_EXE      (run by `dune runtest`)
 
@@ -45,13 +44,20 @@ unknown_benchmark() {
   fi
 }
 
-for cmd in compile run profile pressure placement campaign recover dme \
-    "faults --fig 9" "faults --fig 10"; do
-  # $cmd is split on purpose: "faults --fig 9" is a subcommand + option.
+for cmd in compile run profile pressure campaign; do
   unknown_benchmark "option '-w'" $cmd -w nonesuch
 done
-for cmd in sweep scaling verify; do
-  unknown_benchmark "BENCHMARK" $cmd nonesuch
+unknown_benchmark "BENCHMARK" verify nonesuch
+
+# The per-figure subcommands are retired: `repro` prints every figure.
+for cmd in tables sweep scaling faults dme recover placement; do
+  rc=0
+  "$casted" $cmd > out.txt 2> err.txt || rc=$?
+  if [ "$rc" -ne 124 ]; then
+    fail "casted $cmd: exit $rc, expected 124"
+  elif grep -q "uncaught exception" err.txt; then
+    fail "casted $cmd: uncaught exception"
+  fi
 done
 
 valid_json() {
@@ -88,6 +94,14 @@ observed 2 store.json campaign --trials 8 --store not-a-store
 grep -q "no MANIFEST" err.txt \
   || fail "campaign on a foreign directory: wrong message"
 
+# Figure runs trace too, and tracing is passive: the report is the
+# same bytes with and without --trace.
+observed 0 repro.json repro --size fault --trials 8 -j 2
+grep -q "^sim.runs " out.txt || fail "repro --metrics: no metrics table"
+"$casted" repro --size fault --trials 8 > plain.txt 2> err.txt
+"$casted" repro --size fault --trials 8 --trace t.json > traced.txt 2> err.txt
+cmp -s plain.txt traced.txt || fail "repro --trace: the report changed"
+
 # usage: located EXPECTED-EXIT MESSAGE COMMAND [OPTIONS...]
 located() {
   want=$1
@@ -109,13 +123,20 @@ located 2 "afile/sub: cannot create store: Not a directory" \
   campaign --trials 8 --store afile/sub
 located 2 "afile/sub: cannot create store: Not a directory" \
   repro --trials 8 --store afile/sub
+located 2 '"": empty store path' campaign --trials 8 --store ""
 located 1 "^.: Is a directory" asm .
 located 2 "cannot write trace to missing/t.json: No such file or directory" \
   run -w cjpeg --trace missing/t.json
 
-"$casted" sweep cjpeg -j 2 > default.txt 2> err.txt
-"$casted" sweep --size perf cjpeg -j 2 > perf.txt 2>> err.txt
-cmp -s default.txt perf.txt \
-  || fail "sweep cjpeg: the default size is not the perf size repro uses"
+# Inside a store, "" must not resolve to it.
+"$casted" campaign --trials 8 --store made > /dev/null 2> err.txt \
+  || fail "campaign --store made: could not create a store"
+rc=0
+(cd made && "$casted" campaign --trials 8 --store "") > out.txt 2> err.txt \
+  || rc=$?
+if [ "$rc" -ne 2 ] || grep -q "trials served" out.txt \
+    || ! grep -q '"": empty store path' err.txt; then
+  fail "campaign --store \"\" inside a store: exit $rc"
+fi
 
 exit "$failed"

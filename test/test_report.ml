@@ -101,7 +101,7 @@ let test_render_nonempty () =
   Alcotest.(check bool) "panels render" true
     (String.length (Perf_sweep.render_all s) > 100);
   Alcotest.(check bool) "scaling renders" true
-    (String.length (Scaling.render_all ~delay:1 s) > 100);
+    (String.length (Scaling.render_all s) > 100);
   Alcotest.(check bool) "summary renders" true
     (String.length (Perf_sweep.render_summary (Perf_sweep.summarize s)) > 50)
 
@@ -156,7 +156,8 @@ let test_static_tables () =
 (* [casted repro] at reduced scale: one sweep/Fig. 9 benchmark, fault-
    sized inputs, a few trials. A cold pass banks every campaign; a warm
    pass on a fresh engine must simulate nothing and print the same
-   bytes, and its Fig. 9 block must be what [casted faults] renders. *)
+   bytes, and its Fig. 9 block must be [Coverage.render] of
+   [Coverage.fig9]. *)
 let test_repro_warm_store () =
   let trials = 8 and benchmarks = [ "181.mcf" ] in
   with_store (fun store ->

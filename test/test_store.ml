@@ -263,10 +263,23 @@ let test_open_refuses_non_store () =
               Alcotest.(check string) "message"
                 (path ^ ": cannot create store: " ^ reason)
                 msg)
-        [
-          (Filename.concat readme "sub", "Not a directory");
-          ("", "No such file or directory");
-        ])
+        [ (Filename.concat readme "sub", "Not a directory") ]);
+  (* "" is refused with or without [create], even inside a store that
+     it would otherwise resolve to. *)
+  with_store (fun s ->
+      let cwd = Sys.getcwd () in
+      Sys.chdir (Store.dir s);
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          List.iter
+            (fun create ->
+              match Store.open_dir ~create "" with
+              | Ok _ -> Alcotest.failf "\"\" opened (create %b)" create
+              | Error msg ->
+                  Alcotest.(check string) "message" "\"\": empty store path"
+                    msg)
+            [ false; true ]))
 
 (* The tentpole regression: a campaign run twice against the same store
    simulates zero trials the second time and returns the bit-identical
