@@ -541,6 +541,16 @@ let pressure_cmd =
     Term.(const run $ bench_arg)
 
 let asm_cmd =
+  (* Output of [asm --emit] under a hardened scheme carries detection
+     roles; hardening it again would check copies against copies. *)
+  let annotated (p : Casted_ir.Program.t) =
+    List.exists
+      (fun f ->
+        List.exists
+          (fun i -> i.Casted_ir.Insn.role <> Casted_ir.Insn.Original)
+          (Casted_ir.Func.all_insns f))
+      p.Casted_ir.Program.funcs
+  in
   let run file scheme issue delay emit =
     match
       Result.bind
@@ -555,6 +565,13 @@ let asm_cmd =
         match Casted_ir.Validate.check_program program with
         | _ :: _ as errs ->
             List.iter (Printf.eprintf "%s: %s\n" file) errs;
+            1
+        | [] when Scheme.hardened scheme && annotated program ->
+            Printf.eprintf
+              "%s: already hardened (carries @repl/@chk/@shad roles); \
+               hardening it again under %s would report false detections, \
+               simulate it with -s noed\n"
+              file (Scheme.name scheme);
             1
         | [] ->
             let compiled =
@@ -868,8 +885,8 @@ let repro_cmd =
     let* store = open_store store_dir in
     let t0 = Obs.Clock.now_us () in
     with_engine jobs @@ fun engine ->
-    print_string (Report.Repro.run ~engine ?store ~size ~trials ());
-    let c = Engine.store_counters engine in
+    let report = Report.Repro.run ~engine ?store ~size ~trials () in
+    print_string report.Report.Repro.text;
     Printf.eprintf "repro: %.1fs on %d jobs%s\n"
       ((Obs.Clock.now_us () -. t0) /. 1e6)
       (Engine.jobs engine)
@@ -878,7 +895,7 @@ let repro_cmd =
           Printf.sprintf
             "; store %s: %d trials served, %d simulated; %d ablation trials \
              simulated outside the store"
-            dir c.Engine.trials_served c.Engine.trials_simulated
+            dir report.Report.Repro.served report.Report.Repro.simulated
             (Report.Repro.unstored_trials ~trials)
       | None -> "");
     0
@@ -886,26 +903,19 @@ let repro_cmd =
   Cmd.v
     (Cmd.info "repro"
        ~doc:
-         "Regenerate the paper's evaluation in one run: Tables I-III, Figs. \
-          6-10 with the headline summary, the ablations, placement, \
-          recovery and DME, at seed 0xCA57ED. The report goes to stdout and \
-          is identical for every $(b,--jobs) and store state; the wall clock \
-          and store traffic go to stderr. With $(b,--store) every engine \
-          campaign is banked, so a rerun simulates none of them; the \
-          late-CSE ablation's trials run outside the store every time and \
-          are counted separately.")
+         (Printf.sprintf
+            "Regenerate the paper's evaluation in one run: Tables I-III, \
+             Figs. 6-10 with the headline summary, the ablations, \
+             placement, recovery and DME, at seed 0x%X. The report goes to \
+             stdout and is identical for every $(b,--jobs) and store state; \
+             the wall clock and store traffic go to stderr. With \
+             $(b,--store) every engine campaign is banked, so a rerun \
+             simulates none of them; the late-CSE ablation's trials run \
+             outside the store every time and are counted separately."
+            Montecarlo.default_seed))
     Term.(
       const run $ size_arg_with W.Perf $ trials_arg $ store_arg $ jobs_arg
       $ trace_arg $ metrics_arg)
-
-let version_cmd =
-  let run () =
-    print_endline ("casted " ^ version);
-    0
-  in
-  Cmd.v
-    (Cmd.info "version" ~doc:"Print the casted version")
-    Term.(const run $ const ())
 
 let main =
   let doc = "CASTED: core-adaptive software transient error detection" in
@@ -914,7 +924,6 @@ let main =
     [
       list_cmd; compile_cmd; run_cmd; campaign_cmd; profile_cmd;
       pressure_cmd; asm_cmd; verify_cmd; fuzz_cmd; store_cmd; repro_cmd;
-      version_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -34,12 +34,15 @@ let recovers = function
   | Tmr | Rollback -> true
   | Noed | Sced | Dced | Casted | Dme -> false
 
-let machine t ~issue_width ~delay =
-  match t with
-  | Noed | Sced -> Config.single_core ~issue_width
-  | Dced | Casted | Dme | Tmr | Rollback -> Config.dual_core ~issue_width ~delay
+let single_cluster = function
+  | Noed | Sced -> true
+  | Dced | Casted | Dme | Tmr | Rollback -> false
 
-let strategy = function
-  | Noed | Sced -> Assign.Single_cluster
-  | Dced -> Assign.Dual_fixed
-  | Casted | Dme | Tmr | Rollback -> Assign.Adaptive Bug.default_options
+let machine t ~issue_width ~delay =
+  if single_cluster t then Config.single_core ~issue_width
+  else Config.dual_core ~issue_width ~delay
+
+let strategy t =
+  if single_cluster t then Assign.Single_cluster
+  else if t = Dced then Assign.Dual_fixed
+  else Assign.Adaptive Bug.default_options

@@ -36,8 +36,15 @@ val hardened : t -> bool
     for [Tmr] (in-place vote) and [Rollback] (checkpoint restore). *)
 val recovers : t -> bool
 
-(** The machine the scheme targets at a given configuration point.
-    NOED and SCED run on one cluster; the rest on two. *)
+(** Does the scheme run on one cluster (NOED, SCED)? Such a scheme has
+    no delay axis: its machine, placement, schedule and every result
+    are the same at every inter-core delay, so sweeps and campaigns
+    measure it once per issue width, at delay 1. *)
+val single_cluster : t -> bool
+
+(** The machine the scheme targets at a given configuration point:
+    one cluster for a {!single_cluster} scheme (the delay is ignored),
+    two for the rest. *)
 val machine :
   t -> issue_width:int -> delay:int -> Casted_machine.Config.t
 

@@ -12,12 +12,11 @@ type key = {
   delay : int;
   options : Options.t;
   bug_options : Casted_sched.Bug.options option;
-  optimize : bool;
 }
 
-let key ?(options = Options.default) ?bug_options ?(optimize = false)
-    ~workload ~size ~scheme ~issue_width ~delay () =
-  { workload; size; scheme; issue_width; delay; options; bug_options; optimize }
+let key ?(options = Options.default) ?bug_options ~workload ~size ~scheme
+    ~issue_width ~delay () =
+  { workload; size; scheme; issue_width; delay; options; bug_options }
 
 let pp_key ppf k =
   Format.fprintf ppf "%s/%s/%s/i%d/d%d" k.workload (Workload.size_name k.size)
@@ -30,7 +29,8 @@ let pp_key ppf k =
    [Hashtbl.hash], whose value is an implementation detail that may
    change between compiler releases and would silently orphan every
    persisted entry. The exact strings are pinned by golden unit
-   tests. *)
+   tests. The trailing [optimize=false] is a field keys no longer have;
+   it stays so that existing addresses do not move. *)
 let canonical_extras k =
   let scope =
     match k.options.Options.scope with
@@ -47,10 +47,9 @@ let canonical_extras k =
         "prefer-critical-pred"
   in
   Printf.sprintf
-    "stores=%b,branches=%b,calls=%b,params=%b,scope=%s,bug=%s,optimize=%b"
+    "stores=%b,branches=%b,calls=%b,params=%b,scope=%s,bug=%s,optimize=false"
     k.options.Options.check_stores k.options.Options.check_branches
     k.options.Options.check_calls k.options.Options.shadow_params scope bug
-    k.optimize
 
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
@@ -65,10 +64,7 @@ let fnv1a64 s =
 
 let identity k =
   let extras =
-    if
-      k.options = Options.default && k.bug_options = None
-      && not k.optimize
-    then ""
+    if k.options = Options.default && k.bug_options = None then ""
     else Printf.sprintf "/x%016Lx" (fnv1a64 (canonical_extras k))
   in
   Format.asprintf "%a%s" pp_key k extras
@@ -165,8 +161,8 @@ let program t k =
 let compile t k =
   find t.compiles k ~build:(fun k ->
       Pipeline.compile ~options:k.options ?bug_options:k.bug_options
-        ~optimize:k.optimize ~scheme:k.scheme ~issue_width:k.issue_width
-        ~delay:k.delay (program t k))
+        ~scheme:k.scheme ~issue_width:k.issue_width ~delay:k.delay
+        (program t k))
 
 let decoded t k =
   find t.decodes k ~build:(fun k ->

@@ -19,7 +19,8 @@
     ([Transform], [Recover], [Dme], [Rollback], the NOED path and
     [Opt.Pass]) clones it first, so the build stays equal to a fresh
     one and every compile is the one a fresh build would give (pinned
-    by a tier-1 test over every workload, scheme and [optimize]).
+    by a tier-1 test over every workload and scheme, with and without
+    the pipeline's [optimize] pre-pass).
 
     Everything derived from a compile lives only as long as the run that
     built it: a campaign ({!Casted_sim.Montecarlo.run}) decodes,
@@ -53,15 +54,13 @@ type key = {
   options : Casted_detect.Options.t;
   bug_options : Casted_sched.Bug.options option;
       (** [None] = the scheme's default assignment options *)
-  optimize : bool;  (** run the scalar pass pipeline before detection *)
 }
 
 (** Build a key with the usual defaults ([Options.default], no BUG
-    override, no pre-pass). *)
+    override). *)
 val key :
   ?options:Casted_detect.Options.t ->
   ?bug_options:Casted_sched.Bug.options ->
-  ?optimize:bool ->
   workload:string ->
   size:Casted_workloads.Workload.size ->
   scheme:Casted_detect.Scheme.t ->

@@ -7,31 +7,7 @@ module Simulator = Casted_sim.Simulator
 module Outcome = Casted_sim.Outcome
 module Montecarlo = Casted_sim.Montecarlo
 
-type store_counters = {
-  full_hits : int;
-  partial_hits : int;
-  store_misses : int;
-  store_writes : int;
-  trials_served : int;
-  trials_simulated : int;
-}
-
-let zero_store_counters =
-  {
-    full_hits = 0;
-    partial_hits = 0;
-    store_misses = 0;
-    store_writes = 0;
-    trials_served = 0;
-    trials_simulated = 0;
-  }
-
-type t = {
-  pool : Pool.t;
-  cache : Cache.t;
-  mutex : Mutex.t;
-  mutable store_counts : store_counters;
-}
+type t = { pool : Pool.t; cache : Cache.t }
 
 let create ?jobs () =
   let jobs =
@@ -42,12 +18,7 @@ let create ?jobs () =
         | Ok n -> n
         | Error msg -> invalid_arg ("Engine.create: " ^ msg))
   in
-  {
-    pool = Pool.create ~jobs ();
-    cache = Cache.create ();
-    mutex = Mutex.create ();
-    store_counts = zero_store_counters;
-  }
+  { pool = Pool.create ~jobs (); cache = Cache.create () }
 
 let jobs t = Pool.jobs t.pool
 let pool t = t.pool
@@ -103,11 +74,6 @@ type stored_campaign = {
   served : int;
 }
 
-let bump_store t f =
-  Mutex.lock t.mutex;
-  t.store_counts <- f t.store_counts;
-  Mutex.unlock t.mutex
-
 module Store = Casted_store.Store
 
 (* A store entry only round-trips into a campaign spec when the key has
@@ -118,7 +84,6 @@ let spec_of_key (key : Cache.key) model =
   if
     key.Cache.options = Casted_detect.Options.default
     && key.Cache.bug_options = None
-    && not key.Cache.optimize
   then
     Some
       {
@@ -194,7 +159,8 @@ let check_golden_agreement ~what (e : Store.entry) (r : Montecarlo.result) =
 let store_fail msg = invalid_arg ("Engine.campaign: result store: " ^ msg)
 let store_get = function Ok v -> v | Error msg -> store_fail msg
 
-let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
+let campaign_stored t ?(seed = Montecarlo.default_seed)
+    ?(fuel_factor = Montecarlo.default_fuel_factor)
     ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?retry_budget ?store
     ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
@@ -225,37 +191,18 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
       let spec = spec_of_key key model in
       let put r =
         Casted_obs.Trace.with_span ~cat:"store" "store.put" (fun () ->
-            Store.put s (entry_of_result ~spec skey r));
-        bump_store t (fun c -> { c with store_writes = c.store_writes + 1 })
+            Store.put s (entry_of_result ~spec skey r))
       in
       (* Bank the running tally after every finished 64-trial chunk, so
          a killed campaign's finished chunks survive and a rerun resumes
          after the last of them. *)
       let bank ~next:_ r = put r in
       let full_hit (e : Store.entry) =
-        bump_store t (fun c ->
-            {
-              c with
-              full_hits = c.full_hits + 1;
-              trials_served = c.trials_served + e.Store.trials_done;
-            });
-        Casted_obs.Metrics.incr "engine.store.full_hits";
         {
           result = result_of_entry ~model e;
           simulated = 0;
           served = e.Store.trials_done;
         }
-      in
-      let miss ?bank () =
-        let result = simulate ?bank () in
-        bump_store t (fun c ->
-            {
-              c with
-              store_misses = c.store_misses + 1;
-              trials_simulated = c.trials_simulated + result.Montecarlo.trials;
-            });
-        Casted_obs.Metrics.incr "engine.store.misses";
-        result
       in
       (* Incremental fill or crash resume: continue from the banked
          tally, then extend the entry. *)
@@ -265,16 +212,11 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         in
         check_golden_agreement ~what:"incremental resume" e result;
         put result;
-        let simulated = result.Montecarlo.trials - e.Store.trials_done in
-        bump_store t (fun c ->
-            {
-              c with
-              partial_hits = c.partial_hits + 1;
-              trials_served = c.trials_served + e.Store.trials_done;
-              trials_simulated = c.trials_simulated + simulated;
-            });
-        Casted_obs.Metrics.incr "engine.store.partial_hits";
-        { result; simulated; served = e.Store.trials_done }
+        {
+          result;
+          simulated = result.Montecarlo.trials - e.Store.trials_done;
+          served = e.Store.trials_done;
+        }
       in
       (* An early-stop cell is finished once its banked tally already
          satisfies the stop rule: the campaign checked it at every
@@ -296,11 +238,11 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
              first [trials] of it cannot be recovered from counts.
              Simulate the request fresh and leave the richer entry alone
              (no banking either). *)
-          let result = miss () in
+          let result = simulate () in
           check_golden_agreement ~what:"oversized entry" e result;
           { result; simulated = result.Montecarlo.trials; served = 0 }
       | None ->
-          let result = miss ~bank () in
+          let result = simulate ~bank () in
           put result;
           { result; simulated = result.Montecarlo.trials; served = 0 }
 
@@ -310,10 +252,15 @@ let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?retry_budget ?store
      ?store ~trials key)
     .result
 
-(* One grid cell: NOED/SCED are single-core, so they are measured once
-   per issue width (compiled at delay 1, recorded as delay 0, like the
-   paper's figures); DCED/CASTED vary over the delay axis. *)
+(* One grid cell per point of the paper's four schemes. A single-cluster
+   scheme has no delay axis, so it is measured once per issue width
+   (compiled at delay 1, recorded as delay 0, like the paper's figures);
+   the others vary over the delay axis. *)
 let sweep_specs ~size ~benchmarks ~issues ~delays =
+  let single, dual =
+    List.partition Scheme.single_cluster
+      [ Scheme.Noed; Scheme.Sced; Scheme.Dced; Scheme.Casted ]
+  in
   List.concat_map
     (fun benchmark ->
       (match Registry.find benchmark with
@@ -321,20 +268,15 @@ let sweep_specs ~size ~benchmarks ~issues ~delays =
       | None -> invalid_arg ("Engine.sweep: unknown benchmark " ^ benchmark));
       List.concat_map
         (fun issue ->
-          let spec scheme ~compile_delay ~record_delay =
-            ( Cache.key ~workload:benchmark ~size ~scheme ~issue_width:issue
-                ~delay:compile_delay (),
-              record_delay )
+          let spec ~delay scheme =
+            Cache.key ~workload:benchmark ~size ~scheme ~issue_width:issue
+              ~delay ()
           in
-          spec Scheme.Noed ~compile_delay:1 ~record_delay:0
-          :: spec Scheme.Sced ~compile_delay:1 ~record_delay:0
-          :: List.concat_map
-               (fun delay ->
-                 [
-                   spec Scheme.Dced ~compile_delay:delay ~record_delay:delay;
-                   spec Scheme.Casted ~compile_delay:delay ~record_delay:delay;
-                 ])
-               delays)
+          List.map (fun scheme -> (spec ~delay:1 scheme, 0)) single
+          @ List.concat_map
+              (fun delay ->
+                List.map (fun scheme -> (spec ~delay scheme, delay)) dual)
+              delays)
         issues)
     benchmarks
 
@@ -367,9 +309,3 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
                run;
              })
            specs))
-
-let store_counters t =
-  Mutex.lock t.mutex;
-  let c = t.store_counts in
-  Mutex.unlock t.mutex;
-  c

@@ -63,20 +63,22 @@ val simulate :
 (** [campaign t ~trials spec] compiles [spec] (cached) and fans
     [trials] Monte-Carlo trials over the pool. Identical to the
     sequential {!Casted_sim.Montecarlo.run} with the same [seed]; the
-    optional knobs ([model], [ci_halfwidth]) are forwarded to it. The
-    campaign runs {!Casted_sim.Montecarlo.run} on the cached compile's
-    schedule: it decodes, stage-2 compiles and (without a retry budget)
-    captures its golden-run snapshot set once, shares them read-only
-    across the pool's domains and drops them when it returns, so a
-    grid of campaigns holds only one cell's artifacts at a time.
+    optional knobs ([seed], [fuel_factor], [model], [ci_halfwidth])
+    are forwarded to it and default as there. The campaign runs
+    {!Casted_sim.Montecarlo.run} on the cached compile's schedule: it
+    decodes, stage-2 compiles and captures its golden-run snapshot set
+    once, shares them read-only across the pool's domains and drops
+    them when it returns, so a grid of campaigns holds only one cell's
+    artifacts at a time.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
     trial with region recovery ({!Casted_sim.Compile.run}
     [~retry_budget], the same engine and the same program) under
-    [retry_budget] (default {!default_retry_budget}), full-length — a
-    rollback trial restores its own region checkpoints, which prefix
-    replay cannot express. Pass [retry_budget] explicitly to override
-    the budget (or to run any other scheme recovering).
+    [retry_budget] (default {!default_retry_budget}). Its snapshot set
+    holds only the checkpoint-flagged block tops, and each trial
+    resumes region recovery from the latest of them before its fault.
+    Pass [retry_budget] explicitly to override the budget (or to run
+    any other scheme recovering).
 
     With [store] set the campaign becomes incremental: see
     {!campaign_stored}, of which this is the [.result] projection. *)
@@ -177,18 +179,3 @@ val sweep :
   ?delays:int list ->
   unit ->
   sweep_point list
-
-(** {2 Instrumentation} *)
-
-(** Result-store traffic across this engine's store-backed campaigns
-    (all zero when no campaign used a store). *)
-type store_counters = {
-  full_hits : int;  (** cells served entirely from the store *)
-  partial_hits : int;  (** cells resumed from a banked prefix *)
-  store_misses : int;  (** cells simulated from scratch *)
-  store_writes : int;  (** entries written (new or extended) *)
-  trials_served : int;  (** trials that needed no simulation *)
-  trials_simulated : int;  (** trials actually run by store campaigns *)
-}
-
-val store_counters : t -> store_counters

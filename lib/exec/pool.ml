@@ -155,13 +155,6 @@ let await batch =
 
 let map t f arr = await (submit t f arr)
 
-let map_result t f arr =
-  Array.map
-    (function Ok v -> Ok v | Error (e, _bt) -> Error e)
-    (collect (submit t f arr))
-
-let map_list t f l = Array.to_list (map t f (Array.of_list l))
-
 let shutdown t =
   Mutex.lock t.mutex;
   let ds = t.domains in

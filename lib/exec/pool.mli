@@ -47,16 +47,6 @@ val await : 'b batch -> 'b array
     order. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** {!map} over a list, preserving order. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Fault-tolerant {!map}: a task that raises yields [Error exn] in its
-    slot instead of aborting the batch — every other task still runs to
-    completion. This is the substrate for trial-level fault tolerance
-    in Monte-Carlo campaigns: one pathological trial is recorded, not
-    fatal to the pool. *)
-val map_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-
 (** Drain the queue, join all worker domains and mark the pool closed.
     Every task already submitted is completed before the workers exit —
     no job is lost. Idempotent. *)

@@ -203,26 +203,7 @@ let parse_float line s =
 (* Mnemonic -> opcode. *)
 let opcode_table =
   let tbl = Hashtbl.create 128 in
-  let widths = [ Opcode.W1; Opcode.W2; Opcode.W4; Opcode.W8 ] in
-  let ops =
-    [
-      Opcode.Add; Opcode.Sub; Opcode.Mul; Opcode.Div; Opcode.Rem;
-      Opcode.And; Opcode.Or; Opcode.Xor; Opcode.Shl; Opcode.Shr;
-      Opcode.Sra; Opcode.Mov; Opcode.Movi; Opcode.Addi; Opcode.Muli;
-      Opcode.Andi; Opcode.Xori; Opcode.Shli; Opcode.Shri; Opcode.Srai;
-      Opcode.Sel; Opcode.Fadd; Opcode.Fsub; Opcode.Fmul; Opcode.Fdiv;
-      Opcode.Fmov; Opcode.Fmovi; Opcode.Itof; Opcode.Ftoi; Opcode.Fld;
-      Opcode.Fst; Opcode.Br; Opcode.Brc true; Opcode.Brc false;
-      Opcode.Call; Opcode.Ret; Opcode.Halt; Opcode.Chk; Opcode.Nop;
-    ]
-    @ List.map (fun c -> Opcode.Cmp c) Cond.all
-    @ List.map (fun c -> Opcode.Cmpi c) Cond.all
-    @ List.map (fun c -> Opcode.Fcmp c) Cond.all
-    @ List.map (fun w -> Opcode.Ld w) widths
-    @ List.map (fun w -> Opcode.Lds w) widths
-    @ List.map (fun w -> Opcode.St w) widths
-  in
-  List.iter (fun op -> Hashtbl.replace tbl (Opcode.mnemonic op) op) ops;
+  List.iter (fun op -> Hashtbl.replace tbl (Opcode.mnemonic op) op) Opcode.all;
   tbl
 
 (* Partially parsed instruction, before id/annotation fixups. *)

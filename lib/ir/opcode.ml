@@ -50,6 +50,22 @@ type t =
   | Cpt
   | Nop
 
+let all =
+  let widths = [ W1; W2; W4; W8 ] in
+  [
+    Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sra; Mov; Movi; Addi;
+    Muli; Andi; Xori; Shli; Shri; Srai;
+  ]
+  @ List.map (fun c -> Cmp c) Cond.all
+  @ List.map (fun c -> Cmpi c) Cond.all
+  @ [ Sel; Fadd; Fsub; Fmul; Fdiv; Fmov; Fmovi ]
+  @ List.map (fun c -> Fcmp c) Cond.all
+  @ [ Itof; Ftoi ]
+  @ List.map (fun w -> Ld w) widths
+  @ List.map (fun w -> Lds w) widths
+  @ List.map (fun w -> St w) widths
+  @ [ Fld; Fst; Br; Brc true; Brc false; Call; Ret; Halt; Chk; Cpt; Nop ]
+
 let is_load = function Ld _ | Lds _ | Fld -> true | _ -> false
 let is_store = function St _ | Fst -> true | _ -> false
 let is_mem op = is_load op || is_store op

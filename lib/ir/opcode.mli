@@ -70,6 +70,11 @@ type t =
              Emitted by the rollback pass; executes as a no-op. *)
   | Nop
 
+(** Every opcode, in declaration order: each [Cond.t] and [width]
+    instance, and both [Brc] flags. The assembler's mnemonic table is
+    built from it, so an opcode missing here cannot be parsed back. *)
+val all : t list
+
 (** {1 Classification used by the error-detection pass} *)
 
 val is_load : t -> bool

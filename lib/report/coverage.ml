@@ -15,37 +15,53 @@ type row = {
   result : Montecarlo.result;
 }
 
-let campaign ~engine ?seed ?model ?store ~trials ~benchmark ~scheme ~issue
-    ~delay () =
-  let spec =
-    Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
-      ~issue_width:issue ~delay ()
-  in
-  let result = Engine.campaign engine ?seed ?model ?store ~trials spec in
-  { benchmark; scheme; issue; delay; result }
+type runner = ?model:Fault.model -> Cache.key -> Montecarlo.result
 
-let fig9 ~engine ?seed ?store ~trials ?benchmarks () =
+let key ~benchmark ~scheme ~issue ~delay =
+  Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
+    ~issue_width:issue ~delay ()
+
+let row (run : runner) ~benchmark ~scheme ~issue ~delay =
+  {
+    benchmark;
+    scheme;
+    issue;
+    delay;
+    result = run (key ~benchmark ~scheme ~issue ~delay);
+  }
+
+let fig9 ?benchmarks run =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Registry.names ()
   in
   List.concat_map
     (fun benchmark ->
       List.map
-        (fun scheme ->
-          campaign ~engine ?seed ?store ~trials ~benchmark ~scheme ~issue:2
-            ~delay:2 ())
+        (fun scheme -> row run ~benchmark ~scheme ~issue:2 ~delay:2)
         Scheme.all)
     benchmarks
 
-let fig10 ~engine ?seed ?store ~trials () =
+(* A single-cluster scheme has no delay axis: its campaign runs once per
+   issue width, at delay 1, and fills all four delay rows. *)
+let fig10 (run : runner) =
+  let benchmark = "h263dec" in
   List.concat_map
     (fun issue ->
+      let single =
+        List.filter_map
+          (fun scheme ->
+            if Scheme.single_cluster scheme then
+              Some (scheme, run (key ~benchmark ~scheme ~issue ~delay:1))
+            else None)
+          Scheme.all
+      in
       List.concat_map
         (fun delay ->
           List.map
             (fun scheme ->
-              campaign ~engine ?seed ?store ~trials ~benchmark:"h263dec"
-                ~scheme ~issue ~delay ())
+              match List.assoc_opt scheme single with
+              | Some result -> { benchmark; scheme; issue; delay; result }
+              | None -> row run ~benchmark ~scheme ~issue ~delay)
             Scheme.all)
         [ 1; 2; 3; 4 ])
     [ 1; 2; 3; 4 ]
@@ -99,15 +115,11 @@ type dme_escape = {
   caught_fraction : float;  (* (casted - dme) / casted SDC rate, >= 0 *)
 }
 
-let dme_coverage ~engine ?seed ?store ~trials ~benchmark () =
+let dme_coverage (run : runner) ~benchmark =
   List.map
     (fun model ->
-      let run scheme =
-        (campaign ~engine ?seed ~model ?store ~trials ~benchmark ~scheme
-           ~issue:2 ~delay:2 ())
-          .result
-      in
-      let c = run Scheme.Casted and d = run Scheme.Dme in
+      let at scheme = run ~model (key ~benchmark ~scheme ~issue:2 ~delay:2) in
+      let c = at Scheme.Casted and d = at Scheme.Dme in
       let cr = Montecarlo.percent c Montecarlo.Data_corrupt in
       let dr = Montecarlo.percent d Montecarlo.Data_corrupt in
       let caught =
@@ -144,27 +156,24 @@ let render_dme rows =
 (* MWTF (Reis et al.) needs the unprotected runtime: the golden cycles
    of the NOED build of the same benchmark at the same issue width. *)
 let noed_cycles engine ~benchmark ~issue =
-  let key =
-    Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme:Scheme.Noed
-      ~issue_width:issue ~delay:1 ()
-  in
-  (snd (Engine.simulate engine key)).Outcome.cycles
+  (snd
+     (Engine.simulate engine
+        (key ~benchmark ~scheme:Scheme.Noed ~issue ~delay:1)))
+    .Outcome.cycles
 
 let mwtf_string m =
   if Float.is_integer m && Float.abs m < 1e9 then Printf.sprintf "%.0f" m
   else Printf.sprintf "%.2f" m
 
-let recovery_table ~engine ?seed ?store ~trials ~benchmark () =
+let recovery_table engine (run : runner) ~benchmark =
   let baseline_cycles = noed_cycles engine ~benchmark ~issue:2 in
   let results =
     List.map
-      (fun scheme ->
-        ( scheme,
-          Engine.campaign engine ?seed ?store ~trials
-            (Cache.key ~workload:benchmark ~size:Workload.Fault ~scheme
-               ~issue_width:2 ~delay:2 ()) ))
+      (fun scheme -> (scheme, run (key ~benchmark ~scheme ~issue:2 ~delay:2)))
       [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ]
   in
+  (* Every campaign of the table runs the runner's one trial count. *)
+  let trials = (snd (List.hd results)).Montecarlo.trials in
   let row (scheme, r) =
     Printf.sprintf "%-10s %8.2fx %9.1f %10.1f %10.1f %6.1f %8s\n"
       (Scheme.name scheme)

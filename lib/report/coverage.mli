@@ -5,7 +5,11 @@
 
     Fig. 10: the same breakdown for one benchmark (h263dec in the paper)
     across every (issue, delay) configuration, demonstrating that
-    adaptivity does not change the fault coverage. *)
+    adaptivity does not change the fault coverage.
+
+    Every experiment here takes its campaigns from one {!runner}, so
+    the engine, result store, seed and trial count are chosen once, by
+    the caller ({!Repro.run}). *)
 
 module Scheme = Casted_detect.Scheme
 module Montecarlo = Casted_sim.Montecarlo
@@ -18,49 +22,23 @@ type row = {
   result : Montecarlo.result;
 }
 
-(** Run one campaign on [engine].
-
-    Campaigns are {!Casted_engine.Engine} jobs: the schedule comes from
-    the engine's compile cache, and the Monte-Carlo trials fan out over
-    its domain pool (bit-identical to a sequential run for the same
-    [seed]). [seed] and [model] default as in
-    {!Casted_engine.Engine.campaign}. With [store], campaigns here and
-    in the experiments below are served from, and banked into, that
-    result store ({!Casted_engine.Engine.campaign_stored}), with
-    tallies bit-identical to a storeless run. *)
-val campaign :
-  engine:Casted_engine.Engine.t ->
-  ?seed:int ->
-  ?model:Casted_sim.Fault.model ->
-  ?store:Casted_store.Store.t ->
-  trials:int ->
-  benchmark:string ->
-  scheme:Scheme.t ->
-  issue:int ->
-  delay:int ->
-  unit ->
-  row
+(** A campaign runner: the Monte-Carlo tally of one fault-sized cell
+    under [model] (default reg-bit). It closes over the engine, the
+    result store, the seed and the trial count; {!Repro.run} builds the
+    one every experiment of [casted repro] uses. *)
+type runner =
+  ?model:Casted_sim.Fault.model -> Casted_engine.Cache.key -> Montecarlo.result
 
 (** Fig. 9: all benchmarks (or [benchmarks]) x all schemes at (issue,
     delay) = (2, 2), reg-bit faults. *)
-val fig9 :
-  engine:Casted_engine.Engine.t ->
-  ?seed:int ->
-  ?store:Casted_store.Store.t ->
-  trials:int ->
-  ?benchmarks:string list ->
-  unit ->
-  row list
+val fig9 : ?benchmarks:string list -> runner -> row list
 
 (** Fig. 10: h263dec under every scheme across issue widths 1–4 x
-    delays 1–4, reg-bit faults. *)
-val fig10 :
-  engine:Casted_engine.Engine.t ->
-  ?seed:int ->
-  ?store:Casted_store.Store.t ->
-  trials:int ->
-  unit ->
-  row list
+    delays 1–4, reg-bit faults. A single-cluster scheme (NOED, SCED)
+    has no delay axis ({!Casted_detect.Scheme.single_cluster}): its
+    campaign runs once per issue width, at delay 1, and its tally is
+    printed on all four delay rows. *)
+val fig10 : runner -> row list
 
 (** Render the rows; every class rate carries its 95% Wilson half-width
     ("54.3±5.6"). A row whose fault model has no injection sites in its
@@ -81,14 +59,7 @@ type dme_escape = {
   caught_fraction : float;
 }
 
-val dme_coverage :
-  engine:Casted_engine.Engine.t ->
-  ?seed:int ->
-  ?store:Casted_store.Store.t ->
-  trials:int ->
-  benchmark:string ->
-  unit ->
-  dme_escape list
+val dme_coverage : runner -> benchmark:string -> dme_escape list
 
 val render_dme : dme_escape list -> string
 
@@ -107,12 +78,7 @@ val mwtf_string : float -> string
     benchmark at issue 2, delay 2 side by side (ROLLBACK with the
     engine's default retry budget): a title line, then one row per
     scheme with runtime overhead over NOED, benign/recovered/detected/
-    SDC percentages and MWTF. *)
+    SDC percentages and MWTF. The engine simulates the NOED baseline
+    ({!noed_cycles}); the campaigns come from the runner. *)
 val recovery_table :
-  engine:Casted_engine.Engine.t ->
-  ?seed:int ->
-  ?store:Casted_store.Store.t ->
-  trials:int ->
-  benchmark:string ->
-  unit ->
-  string
+  Casted_engine.Engine.t -> runner -> benchmark:string -> string

@@ -51,9 +51,7 @@ let run ?engine ?(size = Workload.Perf) ?benchmarks ?(issues = default_issues)
   { points; issues; delays; benchmarks }
 
 let find t ~benchmark ~scheme ~issue ~delay =
-  let delay =
-    match scheme with Scheme.Noed | Scheme.Sced -> 0 | _ -> delay
-  in
+  let delay = if Scheme.single_cluster scheme then 0 else delay in
   match
     List.find_opt
       (fun p ->

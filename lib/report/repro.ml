@@ -9,8 +9,6 @@ module Montecarlo = Casted_sim.Montecarlo
 module Engine = Casted_engine.Engine
 module Cache = Casted_engine.Cache
 
-let seed = 0xCA57ED
-
 (* Fault-free cycles of one fault-sized engine cell. *)
 let cycles engine ?options ?bug_options workload scheme ~issue ~delay =
   let key =
@@ -108,7 +106,7 @@ let cse_on_hardened engine ~trials =
       Casted_sched.List_scheduler.schedule_program config
         Casted_sched.Assign.Single_cluster p
     in
-    let mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials s in
+    let mc = Montecarlo.run ~pool:(Engine.pool engine) ~trials s in
     Printf.sprintf "%-26s %6d insns, detected %5.1f%%, corrupt %5.1f%%\n" label
       (Casted_ir.Program.num_insns p)
       (Montecarlo.percent mc Montecarlo.Detected)
@@ -134,7 +132,7 @@ let cse_on_hardened engine ~trials =
 
 (* Shoestring-style partial redundancy: SCED with every instruction
    replicated vs SCED replicating only the store-operand slice. *)
-let selective engine ?store ~trials () =
+let selective engine (run : Coverage.runner) =
   let row name =
     let base = Coverage.noed_cycles engine ~benchmark:name ~issue:2 in
     let measure options =
@@ -143,7 +141,7 @@ let selective engine ?store ~trials () =
           ~issue_width:2 ~delay:2 ()
       in
       let stats = (Engine.compile engine key).Pipeline.stats in
-      let mc = Engine.campaign engine ~seed ?store ~trials key in
+      let mc = run key in
       ( stats.Transform.replicas,
         float_of_int mc.Montecarlo.golden_cycles /. float_of_int base,
         Montecarlo.percent mc Montecarlo.Detected,
@@ -160,7 +158,18 @@ let selective engine ?store ~trials () =
   in
   String.concat "" (List.map row [ "cjpeg"; "h263enc"; "197.parser" ])
 
+type report = { text : string; served : int; simulated : int }
+
 let run ~engine ?store ?benchmarks ~size ~trials () =
+  (* The one campaign runner of every section, tallying what the store
+     served and what this run simulated. *)
+  let served = ref 0 and simulated = ref 0 in
+  let campaign ?model key =
+    let c = Engine.campaign_stored engine ?model ?store ~trials key in
+    served := !served + c.Engine.served;
+    simulated := !simulated + c.Engine.simulated;
+    c.Engine.result
+  in
   let buf = Buffer.create 65536 in
   let section title body =
     Printf.bprintf buf "\n================ %s ================\n%s" title body
@@ -172,7 +181,7 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
      xcluster)\n\
      inputs: %s size for the Figs. 6-8 sweep, fault size for campaigns and \
      ablations\n"
-    seed trials (W.size_name size);
+    Montecarlo.default_seed trials (W.size_name size);
   section "Table I: processor configuration"
     (Static_tables.table1
        (Casted_machine.Config.dual_core ~issue_width:2 ~delay:2));
@@ -189,14 +198,12 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
   section
     (Printf.sprintf "Fig. 9: fault coverage, issue 2 delay 2 (%d trials)"
        trials)
-    (Coverage.render
-       (Coverage.fig9 ~engine ~seed ?store ~trials ?benchmarks ()));
+    (Coverage.render (Coverage.fig9 ?benchmarks campaign));
   section
     (Printf.sprintf
        "Fig. 10: h263dec fault coverage across configurations (%d trials)"
        trials)
-    (Coverage.render
-       (Coverage.fig10 ~engine ~seed ?store ~trials ()));
+    (Coverage.render (Coverage.fig10 campaign));
   section "Ablation: BUG tie-breaking (CASTED cycles, cjpeg)"
     (tie_break engine);
   section "Ablation: store-operand checks (cjpeg, issue 2 delay 2)"
@@ -210,15 +217,12 @@ let run ~engine ?store ?benchmarks ~size ~trials () =
        [ "cjpeg"; "181.mcf" ]);
   section "Recovery: CASTED vs TMR vs ROLLBACK (issue 2 delay 2)"
     (concat_map
-       (fun benchmark ->
-         Coverage.recovery_table ~engine ~seed ?store ~trials ~benchmark ())
+       (fun benchmark -> Coverage.recovery_table engine campaign ~benchmark)
        [ "cjpeg"; "h263dec" ]);
   section "DME escape coverage: CASTED vs DME (cjpeg, issue 2 delay 2)"
-    (Coverage.render_dme
-       (Coverage.dme_coverage ~engine ~seed ?store ~trials ~benchmark:"cjpeg"
-          ()));
+    (Coverage.render_dme (Coverage.dme_coverage campaign ~benchmark:"cjpeg"));
   section "Ablation: late CSE/DCE on hardened code (SS IV-A)"
     (cse_on_hardened engine ~trials);
   section "Ablation: partial redundancy (Shoestring-style store slice)"
-    (selective engine ?store ~trials ());
-  Buffer.contents buf
+    (selective engine campaign);
+  { text = Buffer.contents buf; served = !served; simulated = !simulated }

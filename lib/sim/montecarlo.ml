@@ -111,6 +111,9 @@ let population_of_run (r : Outcome.run) =
     xcluster_reads = r.Outcome.dyn_xreads;
   }
 
+let default_seed = 0xCA57ED
+let default_fuel_factor = 10
+
 let check_fuel_factor fuel_factor =
   if fuel_factor < 1 then
     invalid_arg
@@ -118,7 +121,7 @@ let check_fuel_factor fuel_factor =
          fuel_factor)
 
 (* The golden reference around a finished timed golden [run]. *)
-let golden_of ?(fuel_factor = 10) ?replay_set run =
+let golden_of ?(fuel_factor = default_fuel_factor) ?replay_set run =
   check_fuel_factor fuel_factor;
   (match run.Outcome.termination with
   | Outcome.Exit _ -> ()
@@ -335,8 +338,9 @@ let early_stop_reached ~ci_halfwidth r =
   check_ci_halfwidth (Some ci_halfwidth);
   narrow_enough ~target:ci_halfwidth ~detected:r.detected ~trials:r.trials
 
-let run ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10) ?(model = Fault.Reg_bit)
-    ?ci_halfwidth ?retry_budget ?prior ?bank ~trials sched =
+let run ?pool ?(seed = default_seed) ?(fuel_factor = default_fuel_factor)
+    ?(model = Fault.Reg_bit) ?ci_halfwidth ?retry_budget ?prior ?bank ~trials
+    sched =
   check_ci_halfwidth ci_halfwidth;
   check_fuel_factor fuel_factor;
   (match prior with

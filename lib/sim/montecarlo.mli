@@ -110,6 +110,14 @@ val classify : golden:Outcome.run -> Outcome.run -> classification
 val classify_result :
   golden:Outcome.run -> (Outcome.run, exn) Stdlib.result -> classification
 
+(** The campaign seed of every experiment that names none; [casted
+    repro] prints it in its header. *)
+val default_seed : int
+
+(** How many times the golden run's dynamic instruction count a faulty
+    run may execute before it times out (the paper's time-out): 10. *)
+val default_fuel_factor : int
+
 (** The golden (fault-free) reference: its run, the per-model injection
     populations, the faulty-run fuel budget, and (for a replaying
     campaign) the snapshot set trials start from. *)
@@ -128,7 +136,8 @@ val population_of_run : Outcome.run -> Fault.population
     Without [replay_set] the golden carries no snapshot set, so every
     {!trial} on it runs full-length: the reference a replaying campaign
     must reproduce. Raises [Invalid_argument] if the run does not exit
-    cleanly or [fuel_factor] (default 10) is below 1.
+    cleanly or [fuel_factor] (default {!default_fuel_factor}) is below
+    1.
 
     @param replay_set use this captured set ({!Replay.capture}): its
       golden run is the reference (nothing is run here) and trials
@@ -209,8 +218,9 @@ val chunk_trials : int
     finite. *)
 val early_stop_reached : ci_halfwidth:float -> result -> bool
 
-(** [run ~seed ~trials schedule] runs the campaign. The fuel of each
-    faulty run is [fuel_factor] (default 10) times the golden dynamic
+(** [run ~seed ~trials schedule] runs the campaign ([seed] defaults to
+    {!default_seed}). The fuel of each faulty run is [fuel_factor]
+    (default {!default_fuel_factor}) times the golden dynamic
     instruction count, reproducing the simulator time-out of the paper;
     a [fuel_factor] below 1 raises [Invalid_argument].
 

@@ -14,20 +14,14 @@ let pp_cell ppf c =
   Format.fprintf ppf "%s/i%d/d%d" (Scheme.name c.scheme) c.issue_width c.delay
 
 let cells ?(issue_widths = [ 1; 2; 4 ]) ?(delays = [ 1; 2 ]) () =
+  let single, dual = List.partition Scheme.single_cluster Scheme.all in
   List.concat_map
     (fun issue_width ->
-      { scheme = Scheme.Noed; issue_width; delay = 1 }
-      :: { scheme = Scheme.Sced; issue_width; delay = 1 }
-      :: List.concat_map
-           (fun delay ->
-             [
-               { scheme = Scheme.Dced; issue_width; delay };
-               { scheme = Scheme.Casted; issue_width; delay };
-               { scheme = Scheme.Dme; issue_width; delay };
-               { scheme = Scheme.Tmr; issue_width; delay };
-               { scheme = Scheme.Rollback; issue_width; delay };
-             ])
-           delays)
+      List.map (fun scheme -> { scheme; issue_width; delay = 1 }) single
+      @ List.concat_map
+          (fun delay ->
+            List.map (fun scheme -> { scheme; issue_width; delay }) dual)
+          delays)
     issue_widths
 
 type divergence = {

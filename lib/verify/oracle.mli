@@ -26,9 +26,10 @@ type cell = {
 
 val pp_cell : Format.formatter -> cell -> unit
 
-(** The default example matrix: NOED/SCED once per issue width
-    (single-core schemes do not see the delay axis), DCED/CASTED per
-    (issue width, delay) point. *)
+(** The default example matrix, in {!Casted_detect.Scheme.all} order:
+    the single-cluster schemes (NOED, SCED) once per issue width at
+    delay 1 ({!Casted_detect.Scheme.single_cluster}: they have no delay
+    axis), every other scheme per (issue width, delay) point. *)
 val cells : ?issue_widths:int list -> ?delays:int list -> unit -> cell list
 
 type divergence = {

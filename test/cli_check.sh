@@ -10,7 +10,10 @@
 #   3. a path that cannot be used (a store that cannot be created, an
 #      empty store path, a directory given to `asm`, an unwritable
 #      --trace file) is a located message with a documented exit code,
-#      not an uncaught exception.
+#      not an uncaught exception;
+#   4. `asm --emit` output parses back under every hardened scheme, and
+#      `asm` refuses to harden such annotated code again (a located
+#      message, exit 1) but still simulates it under -s noed.
 # Every case fails before or right after one tiny campaign or a
 # fault-size repro at 8 trials, so the whole check takes a few seconds.
 #
@@ -49,8 +52,9 @@ for cmd in compile run profile pressure campaign; do
 done
 unknown_benchmark "BENCHMARK" verify nonesuch
 
-# The per-figure subcommands are retired: `repro` prints every figure.
-for cmd in tables sweep scaling faults dme recover placement; do
+# The per-figure subcommands are retired: `repro` prints every figure;
+# `version` is `casted --version`.
+for cmd in tables sweep scaling faults dme recover placement version; do
   rc=0
   "$casted" $cmd > out.txt 2> err.txt || rc=$?
   if [ "$rc" -ne 124 ]; then
@@ -127,6 +131,39 @@ located 2 '"": empty store path' campaign --trials 8 --store ""
 located 1 "^.: Is a directory" asm .
 located 2 "cannot write trace to missing/t.json: No such file or directory" \
   run -w cjpeg --trace missing/t.json
+
+cat > k.casted <<'EOF'
+program entry=main mem=65536 output=64:8
+func main() {
+entry:
+  movi r0, 0
+  movi r1, 0
+  br head
+head:
+  cmpi.lt p0, r1, 10
+  brc.t p0, body, done
+body:
+  add r0, r0, r1
+  addi r1, r1, 1
+  br head
+done:
+  movi r2, 64
+  st8 r0, [r2+0]
+  halt
+}
+EOF
+for s in sced casted dme tmr rollback; do
+  rc=0
+  "$casted" asm --emit -s $s k.casted > h.casted 2> err.txt || rc=$?
+  [ "$rc" -eq 0 ] || fail "casted asm --emit -s $s: exit $rc"
+  rc=0
+  "$casted" asm -s noed h.casted > out.txt 2> err.txt || rc=$?
+  if [ "$rc" -ne 0 ] || ! grep -q "NOED: exit 0 in" out.txt; then
+    fail "casted asm -s noed on the $s listing: exit $rc"
+  fi
+  located 1 "^h.casted: already hardened" asm -s casted h.casted
+  located 1 "^h.casted: already hardened" asm -s sced h.casted
+done
 
 # Inside a store, "" must not resolve to it.
 "$casted" campaign --trials 8 --store made > /dev/null 2> err.txt \

@@ -31,15 +31,22 @@ let test_roundtrip_workloads () =
     Registry.all
 
 let test_roundtrip_hardened () =
-  (* Detection annotations (@repl/@chk/@shad and %id: prefixes) must
-     survive the round trip too. *)
+  (* What [asm --emit] prints under every scheme must parse back:
+     detection annotations (@repl/@chk/@shad and %id: prefixes), TMR
+     votes, DME shadows and ROLLBACK's checkpoint markers. *)
   List.iter
     (fun name ->
       let w = Option.get (Registry.find name) in
-      let hardened, _ =
-        Transform.program Options.default (w.W.build W.Fault)
-      in
-      roundtrip_check (name ^ "/hardened") hardened)
+      List.iter
+        (fun scheme ->
+          let compiled =
+            Casted_detect.Pipeline.compile ~scheme ~issue_width:2 ~delay:2
+              (w.W.build W.Fault)
+          in
+          roundtrip_check
+            (name ^ "/" ^ Scheme.name scheme)
+            compiled.Casted_detect.Pipeline.program)
+        Scheme.all)
     [ "cjpeg"; "197.parser" ]
 
 let test_reparsed_program_runs_identically () =

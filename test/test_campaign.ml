@@ -394,7 +394,7 @@ let test_finished_campaign_reserved () =
           in
           let first = run () in
           Alcotest.(check int) "banked the first chunk, then the tally" 2
-            (Engine.store_counters e).Engine.store_writes;
+            (Casted_store.Store.stats store).Casted_store.Store.writes;
           let again = run () in
           Alcotest.(check int) "first run simulated everything" 100
             first.Engine.simulated;
@@ -536,26 +536,6 @@ let test_matrix_pool_invariant () =
     Scheme.all;
   Alcotest.(check bool) "trials re-converged early" true (!converged > 0)
 
-(* Pool.map_result: raising tasks land as Error in their own slot;
-   every other task still completes. *)
-let test_pool_map_result () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let results =
-        Pool.map_result pool
-          (fun i -> if i mod 5 = 2 then failwith (string_of_int i) else 2 * i)
-          (Array.init 20 Fun.id)
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (2 * i) v
-          | Error (Failure msg) ->
-              Alcotest.(check int) (Printf.sprintf "slot %d raised" i) i
-                (int_of_string msg);
-              Alcotest.(check int) "only the raising slots" 2 (i mod 5)
-          | Error e -> raise e)
-        results)
-
 let suite =
   ( "campaign",
     [
@@ -582,7 +562,6 @@ let suite =
         test_dme_campaign_deterministic;
       Alcotest.test_case "every scheme x model: jobs 1 = jobs 4 = full-length"
         `Slow test_matrix_pool_invariant;
-      case "pool map_result isolates raising tasks" test_pool_map_result;
       case "off-grid resume steps to the grid"
         test_off_grid_resume_steps_to_grid;
       case "fuel factor below 1 is rejected"

@@ -204,8 +204,8 @@ let test_pool_drains () =
   Array.iteri
     (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (2 * i) v)
     doubled;
-  let more = Pool.map_list pool String.length [ "a"; "bb"; "ccc" ] in
-  Alcotest.(check (list int)) "second batch" [ 1; 2; 3 ] more;
+  let more = Pool.map pool String.length [| "a"; "bb"; "ccc" |] in
+  Alcotest.(check (array int)) "second batch" [| 1; 2; 3 |] more;
   Pool.shutdown pool;
   let s = Pool.stats pool in
   Alcotest.(check int) "no lost or duplicated tasks" (n + 3) s.Pool.tasks;
@@ -358,14 +358,6 @@ let test_identity_golden_configs () =
        ~options:{ Options.default with Options.scope = Options.Store_slice }
        ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
        ~issue_width:2 ~delay:2 ());
-  check "bug override + optimize" "cjpeg/fault/CASTED/i2/d2/x56456894ab29bed7"
-    (Cache.key
-       ~bug_options:
-         {
-           Casted_sched.Bug.tie_break = Casted_sched.Bug.Prefer_critical_pred;
-         }
-       ~optimize:true ~workload:"cjpeg" ~size:Workload.Fault
-       ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ());
   (* Distinct knob settings must not collide onto one suffix. *)
   let ids =
     List.map Cache.identity
@@ -380,8 +372,14 @@ let test_identity_golden_configs () =
           ~options:{ Options.default with Options.check_branches = false }
           ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
           ~issue_width:2 ~delay:2 ();
-        Cache.key ~optimize:true ~workload:"cjpeg" ~size:Workload.Fault
-          ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ();
+        Cache.key
+          ~bug_options:
+            {
+              Casted_sched.Bug.tie_break =
+                Casted_sched.Bug.Prefer_critical_pred;
+            }
+          ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
+          ~issue_width:2 ~delay:2 ();
       ]
   in
   Alcotest.(check int) "all distinct" (List.length ids)
@@ -389,11 +387,12 @@ let test_identity_golden_configs () =
 
 (* The invariant the build memo rests on: the pipeline never writes its
    input program. Every registry workload at fault size, and one at perf
-   size, is compiled under all seven schemes with and without the
-   optimizer through one cache, so every compile of a (workload, size)
-   starts from the one shared build. The build must still equal a fresh
-   one, allocation counters included, and every schedule must equal the
-   one compiled from a fresh build. *)
+   size, is compiled under all seven schemes through one cache, and
+   again with the optimizer pre-pass ([Pipeline.compile ~optimize:true])
+   from the cache's build, so every compile of a (workload, size) starts
+   from the one shared build. The build must still equal a fresh one,
+   allocation counters included, and every schedule must equal the one
+   compiled from a fresh build. *)
 let test_pipeline_never_mutates_its_input () =
   let cache = Cache.create () in
   let check_pair workload size =
@@ -403,25 +402,35 @@ let test_pipeline_never_mutates_its_input () =
       | None -> Alcotest.failf "unknown workload %s" workload
     in
     let keys =
-      List.concat_map
+      List.map
         (fun scheme ->
-          List.map
-            (fun optimize ->
-              Cache.key ~optimize ~workload ~size ~scheme ~issue_width:2
-                ~delay:2 ())
-            [ false; true ])
+          Cache.key ~workload ~size ~scheme ~issue_width:2 ~delay:2 ())
         Scheme.all
     in
     List.iter
       (fun key ->
-        let shared = (Cache.compile cache key).Pipeline.schedule in
-        let alone =
-          (Pipeline.compile ~optimize:key.Cache.optimize
-             ~scheme:key.Cache.scheme ~issue_width:2 ~delay:2 (fresh ()))
+        let optimized program =
+          (Pipeline.compile ~optimize:true ~scheme:key.Cache.scheme
+             ~issue_width:2 ~delay:2 program)
             .Pipeline.schedule
         in
-        if compare shared alone <> 0 then
+        let alone ~optimize =
+          (Pipeline.compile ~optimize ~scheme:key.Cache.scheme ~issue_width:2
+             ~delay:2 (fresh ()))
+            .Pipeline.schedule
+        in
+        if
+          compare (Cache.compile cache key).Pipeline.schedule
+            (alone ~optimize:false)
+          <> 0
+        then
           Alcotest.failf "%a: schedule differs from a fresh build's"
+            Cache.pp_key key;
+        if
+          compare (optimized (Cache.program cache key)) (alone ~optimize:true)
+          <> 0
+        then
+          Alcotest.failf "%a: optimized schedule differs from a fresh build's"
             Cache.pp_key key)
       keys;
     let built = Cache.program cache (List.hd keys) in
@@ -452,7 +461,7 @@ let test_cache_build_memo () =
   let a = Cache.program cache spec in
   let b =
     Cache.program cache
-      { spec with Cache.scheme = Scheme.Tmr; issue_width = 4; optimize = true }
+      { spec with Cache.scheme = Scheme.Tmr; issue_width = 4 }
   in
   Alcotest.(check bool) "one program per (workload, size)" true (a == b);
   let perf = Cache.program cache { spec with Cache.size = Workload.Perf } in

@@ -1,38 +1,19 @@
 open Helpers
 
-(* Every opcode, for exhaustive classification checks. *)
-let all_opcodes =
-  let conds = Cond.all in
-  let widths = [ Opcode.W1; Opcode.W2; Opcode.W4; Opcode.W8 ] in
-  [
-    Opcode.Add; Opcode.Sub; Opcode.Mul; Opcode.Div; Opcode.Rem; Opcode.And;
-    Opcode.Or; Opcode.Xor; Opcode.Shl; Opcode.Shr; Opcode.Sra; Opcode.Mov;
-    Opcode.Movi; Opcode.Addi; Opcode.Muli; Opcode.Andi; Opcode.Xori;
-    Opcode.Shli; Opcode.Shri; Opcode.Srai; Opcode.Sel; Opcode.Fadd;
-    Opcode.Fsub; Opcode.Fmul; Opcode.Fdiv; Opcode.Fmov; Opcode.Fmovi;
-    Opcode.Itof; Opcode.Ftoi; Opcode.Fld; Opcode.Fst; Opcode.Br;
-    Opcode.Call; Opcode.Ret; Opcode.Halt; Opcode.Chk; Opcode.Nop;
-    Opcode.Brc true; Opcode.Brc false;
-  ]
-  @ List.map (fun c -> Opcode.Cmp c) conds
-  @ List.map (fun c -> Opcode.Cmpi c) conds
-  @ List.map (fun c -> Opcode.Fcmp c) conds
-  @ List.map (fun w -> Opcode.Ld w) widths
-  @ List.map (fun w -> Opcode.Lds w) widths
-  @ List.map (fun w -> Opcode.St w) widths
-
 let test_replicable_partition () =
   (* The paper's rule: replicate everything except stores, control flow
-     and detection code. *)
+     and detection code; rollback checkpoint markers are recovery code
+     and stay single too. *)
   List.iter
     (fun op ->
       let expected =
         (not (Opcode.is_store op))
         && (not (Opcode.is_control_flow op))
-        && not (Opcode.is_check op)
+        && (not (Opcode.is_check op))
+        && not (Opcode.is_checkpoint op)
       in
       Alcotest.(check bool) (Opcode.mnemonic op) expected (Opcode.replicable op))
-    all_opcodes
+    Opcode.all
 
 let test_terminators_are_control_flow () =
   List.iter
@@ -41,7 +22,7 @@ let test_terminators_are_control_flow () =
         Alcotest.(check bool)
           (Opcode.mnemonic op ^ " is control flow")
           true (Opcode.is_control_flow op))
-    all_opcodes;
+    Opcode.all;
   (* Call is control flow but not a terminator. *)
   Alcotest.(check bool) "call not terminator" false
     (Opcode.is_terminator Opcode.Call);
@@ -60,10 +41,10 @@ let test_mem_classification () =
         (Opcode.mnemonic op ^ " mem consistency")
         (Opcode.is_load op || Opcode.is_store op)
         (Opcode.is_mem op))
-    all_opcodes
+    Opcode.all
 
 let test_mnemonics_unique () =
-  let names = List.map Opcode.mnemonic all_opcodes in
+  let names = List.map Opcode.mnemonic Opcode.all in
   let uniq = List.sort_uniq String.compare names in
   Alcotest.(check int) "no duplicate mnemonics" (List.length names)
     (List.length uniq)
@@ -85,19 +66,20 @@ let test_signatures_well_formed () =
             (match op with
             | Opcode.Call | Opcode.Ret | Opcode.Halt | Opcode.Chk -> true
             | _ -> false))
-    all_opcodes
+    Opcode.all
 
 let test_side_effects () =
   List.iter
     (fun op ->
       let expected =
         Opcode.is_store op || Opcode.is_control_flow op || Opcode.is_check op
+        || Opcode.is_checkpoint op
       in
       Alcotest.(check bool)
         (Opcode.mnemonic op ^ " side effect")
         expected
         (Opcode.has_side_effect op))
-    all_opcodes
+    Opcode.all
 
 let test_width_bytes () =
   Alcotest.(check (list int)) "widths" [ 1; 2; 4; 8 ]

@@ -7,6 +7,7 @@ module Static_tables = Casted_report.Static_tables
 module Montecarlo = Casted_sim.Montecarlo
 module Repro = Casted_report.Repro
 module Engine = Casted_engine.Engine
+module Scheme = Casted_detect.Scheme
 
 let test_table_rendering () =
   let s =
@@ -105,12 +106,23 @@ let test_render_nonempty () =
   Alcotest.(check bool) "summary renders" true
     (String.length (Perf_sweep.render_summary (Perf_sweep.summarize s)) > 50)
 
+(* The runner [casted repro] builds, minus the store: one engine, one
+   trial count, the default seed. *)
+let runner engine ~trials : Coverage.runner =
+ fun ?model key -> Engine.campaign engine ?model ~trials key
+
 let test_campaign_row () =
-  let row =
+  let rows =
     Engine.with_engine (fun engine ->
-        Coverage.campaign ~engine ~trials:30 ~benchmark:"cjpeg"
-          ~scheme:Scheme.Casted ~issue:2 ~delay:2 ())
+        Coverage.fig9 ~benchmarks:[ "cjpeg" ] (runner engine ~trials:30))
   in
+  let row =
+    List.find (fun r -> r.Coverage.scheme = Scheme.Casted) rows
+  in
+  Alcotest.(check int) "one row per scheme" (List.length Scheme.all)
+    (List.length rows);
+  Alcotest.(check (pair int int)) "at issue 2 delay 2" (2, 2)
+    (row.Coverage.issue, row.Coverage.delay);
   let r = row.Coverage.result in
   Alcotest.(check int) "trials recorded" 30 r.Montecarlo.trials;
   let total =
@@ -120,13 +132,50 @@ let test_campaign_row () =
   in
   Alcotest.(check (float 1e-6)) "percentages sum to 100" 100.0 total
 
+(* Fig. 10 runs a single-cluster scheme once per issue width, at delay
+   1, and prints that one tally on all four delay rows; every other
+   scheme runs at every (issue, delay) point. *)
+let test_fig10_single_cluster_once () =
+  let calls = ref [] in
+  let rows =
+    Engine.with_engine (fun engine ->
+        let run = runner engine ~trials:2 in
+        Coverage.fig10 (fun ?model key ->
+            calls := key :: !calls;
+            run ?model key))
+  in
+  let single, dual = List.partition Scheme.single_cluster Scheme.all in
+  Alcotest.(check int) "one row per (issue, delay, scheme)"
+    (4 * 4 * List.length Scheme.all)
+    (List.length rows);
+  Alcotest.(check int) "campaigns"
+    (4 * (List.length single + (4 * List.length dual)))
+    (List.length !calls);
+  List.iter
+    (fun (k : Casted_engine.Cache.key) ->
+      if Scheme.single_cluster k.Casted_engine.Cache.scheme then
+        Alcotest.(check int) "single-cluster campaign at delay 1" 1
+          k.Casted_engine.Cache.delay)
+    !calls;
+  List.iter
+    (fun (r : Coverage.row) ->
+      if Scheme.single_cluster r.Coverage.scheme then
+        let at_delay_1 =
+          List.find
+            (fun (r' : Coverage.row) ->
+              r'.Coverage.scheme = r.Coverage.scheme
+              && r'.Coverage.issue = r.Coverage.issue
+              && r'.Coverage.delay = 1)
+            rows
+        in
+        Alcotest.(check bool) "same tally on every delay row" true
+          (r.Coverage.result == at_delay_1.Coverage.result))
+    rows
+
 let test_coverage_render () =
   let rows =
     Engine.with_engine (fun engine ->
-        [
-          Coverage.campaign ~engine ~trials:10 ~benchmark:"cjpeg"
-            ~scheme:Scheme.Noed ~issue:2 ~delay:2 ();
-        ])
+        Coverage.fig9 ~benchmarks:[ "cjpeg" ] (runner engine ~trials:10))
   in
   let s = Coverage.render rows in
   let contains hay needle =
@@ -163,11 +212,11 @@ let test_repro_warm_store () =
   with_store (fun store ->
       let pass () =
         Engine.with_engine (fun engine ->
-            let text =
+            let r =
               Repro.run ~engine ~store ~benchmarks
                 ~size:Casted_workloads.Workload.Fault ~trials ()
             in
-            (text, Engine.store_counters engine))
+            (r.Repro.text, r))
       in
       let cold, cold_counts = pass () in
       let (warm, warm_counts), warm_trials =
@@ -176,9 +225,9 @@ let test_repro_warm_store () =
             (warm, counter "mc.trials"))
       in
       Alcotest.(check bool) "cold pass simulates" true
-        (cold_counts.Engine.trials_simulated > 0);
+        (cold_counts.Repro.simulated > 0);
       Alcotest.(check int) "warm pass simulates nothing" 0
-        warm_counts.Engine.trials_simulated;
+        warm_counts.Repro.simulated;
       (* A campaign that bypassed the store would simulate outside the
          store counters, but every simulated trial counts in
          [mc.trials]: the warm pass runs only the late-CSE ablation's. *)
@@ -186,8 +235,8 @@ let test_repro_warm_store () =
         (Repro.unstored_trials ~trials)
         warm_trials;
       Alcotest.(check int) "warm pass serves every trial"
-        (cold_counts.Engine.trials_served + cold_counts.Engine.trials_simulated)
-        warm_counts.Engine.trials_served;
+        (cold_counts.Repro.served + cold_counts.Repro.simulated)
+        warm_counts.Repro.served;
       Alcotest.(check string) "warm text byte-identical" cold warm;
       let fig9 =
         Printf.sprintf
@@ -196,8 +245,7 @@ let test_repro_warm_store () =
           trials
           (Coverage.render
              (Engine.with_engine (fun engine ->
-                  Coverage.fig9 ~engine ~seed:Repro.seed ~trials ~benchmarks
-                    ())))
+                  Coverage.fig9 ~benchmarks (runner engine ~trials))))
       in
       Alcotest.(check bool) "Fig. 9 block is Coverage.render of fig9" true
         (contains cold fig9))
@@ -214,6 +262,8 @@ let suite =
       case "scaling baseline" test_scaling_baseline;
       case "renderers produce output" test_render_nonempty;
       case "campaign percentages sum to 100" test_campaign_row;
+      case "Fig. 10 runs a single-cluster scheme once per issue"
+        test_fig10_single_cluster_once;
       case "coverage rendering" test_coverage_render;
       case "static tables (I-III)" test_static_tables;
       case "repro: warm store rerun simulates nothing, same text"
