@@ -242,6 +242,33 @@ let test_early_stop_rejects_bad_target () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
+(* The seed and fuel factor a campaign uses when it names none are the
+   ones Montecarlo defines: the bare campaign, the golden run and an
+   engine campaign all agree with their explicit-default calls, and the
+   golden budget is [default_fuel_factor] times the golden run. *)
+let test_campaign_defaults_are_montecarlo () =
+  let s = schedule () in
+  let d = Casted_sim.Decode.of_schedule s in
+  let seed = Montecarlo.default_seed
+  and fuel_factor = Montecarlo.default_fuel_factor in
+  same_result "run defaults"
+    (Montecarlo.run ~seed ~fuel_factor ~trials:40 s)
+    (Montecarlo.run ~trials:40 s);
+  let g = Montecarlo.golden_decoded d in
+  Alcotest.(check int) "golden fuel = default factor x golden run"
+    (Montecarlo.golden_decoded ~fuel_factor d).Montecarlo.fuel
+    g.Montecarlo.fuel;
+  Alcotest.(check bool) "golden fuel is a positive budget" true
+    (g.Montecarlo.fuel > 0);
+  let key =
+    Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
+      ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ()
+  in
+  Engine.with_engine ~jobs:1 (fun e ->
+      same_result "engine campaign defaults"
+        (Engine.campaign e ~seed ~fuel_factor ~trials:40 key)
+        (Engine.campaign e ~trials:40 key))
+
 (* A fuel factor below 1 gives every trial no budget at all: the
    campaign, the golden run and an engine campaign all refuse it with a
    located message instead of tallying every trial as a timeout. *)
@@ -562,6 +589,8 @@ let suite =
         test_dme_campaign_deterministic;
       Alcotest.test_case "every scheme x model: jobs 1 = jobs 4 = full-length"
         `Slow test_matrix_pool_invariant;
+      case "campaign defaults are Montecarlo's seed and fuel factor"
+        test_campaign_defaults_are_montecarlo;
       case "off-grid resume steps to the grid"
         test_off_grid_resume_steps_to_grid;
       case "fuel factor below 1 is rejected"
